@@ -386,3 +386,8 @@ let thaw src ~graph z =
     table_words = z.z_table_words;
     label_words = z.z_label_words;
   }
+
+module For_testing = struct
+  let set_caps t ~pairs ~trees =
+    Seq_routing2.For_testing.set_caps t.lemma8 ~pairs ~trees
+end

@@ -63,3 +63,13 @@ val thaw : Snapshot.source -> graph:Graph.t -> frozen -> t
     graph the snapshot was built on (callers validate via
     {!Snapshot.check} first). Answers are bit-identical to the frozen
     instance's. *)
+
+(** {1 Testing} *)
+
+module For_testing : sig
+  val set_caps : t -> pairs:int -> trees:int -> unit
+  (** Lowers a lazy instance's Lemma 8 pair and destination-tree cache
+      caps (see {!Seq_routing2.For_testing.set_caps}). Call it before the
+      first route. A no-op on an eager instance.
+      @raise Invalid_argument if a cap is below 1. *)
+end

@@ -11,7 +11,7 @@ type lazy_trees = {
   tmutex : Mutex.t;
   tcache : (int, Tree_routing.t option) Hashtbl.t;
   torder : int Queue.t;
-  tcap : int;
+  mutable tcap : int;
   tws : Dijkstra.workspace;
 }
 
@@ -514,3 +514,13 @@ let thaw src ~graph z =
     label_words = z.z_label_words;
     breakdown = z.z_breakdown;
   }
+
+module For_testing = struct
+  let set_caps t ~pairs ~trees ~cluster_trees =
+    if cluster_trees < 1 then invalid_arg "Scheme5eps.set_caps";
+    Seq_routing2.For_testing.set_caps t.lemma8 ~pairs ~trees;
+    match t.trees with
+    | Trees_eager _ -> ()
+    | Trees_lazy lt ->
+      Mutex.protect lt.tmutex (fun () -> lt.tcap <- cluster_trees)
+end

@@ -16,13 +16,14 @@ let hop_words = function Via _ -> 1 | Jump _ -> 2
 
 let seq_words hops = Array.fold_left (fun acc h -> acc + hop_words h) 0 hops
 
-(* [boundary spt vic_x ~x] walks from [x] toward the root of [spt] (the
-   destination) along tree parents and returns the first edge [(y, z)] with
-   [y] inside [B(x)] and [z] outside. Precondition: the root is not in
-   [B(x)] (so such an edge exists before the root). *)
-let boundary (spt : Dijkstra.tree) vic_x ~x =
+(* [boundary ~parent vic_x ~x] walks from [x] toward the root of a
+   shortest-path tree (the destination) along [parent] and returns the
+   first edge [(y, z)] with [y] inside [B(x)] and [z] outside.
+   Precondition: the root is not in [B(x)] (so such an edge exists before
+   the root). *)
+let boundary ~parent vic_x ~x =
   let rec walk cur =
-    let nxt = spt.Dijkstra.parent.(cur) in
+    let nxt = parent cur in
     if nxt < 0 then invalid_arg "Seq_common.boundary: destination inside vicinity";
     if not (Vicinity.mem vic_x nxt) then (cur, nxt) else walk nxt
   in

@@ -83,7 +83,7 @@ let build_seq g vic in_hset trees ~b ~src:u ~dst:v spt_v =
     if Vicinity.mem vic.(x) v then
       { hops = Array.of_list (List.rev (Via v :: acc)); tail = To_target }
     else begin
-      let y, z = boundary spt_v vic.(x) ~x in
+      let y, z = boundary ~parent:(Array.get spt_v.Dijkstra.parent) vic.(x) ~x in
       if z = v then begin
         let acc = if y = x then acc else Via y :: acc in
         {

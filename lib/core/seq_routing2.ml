@@ -42,23 +42,41 @@ let decode_seq (a : packed_seq) : seq =
 
 (* The reference store keeps every (u, w) sequence, Theta(|U_i| |W_i|)
    pairs per part — fine up to a few thousand vertices and what the
-   equivalence tests pin against. The lazy store keeps none: a sequence is
-   built on first use from an early-stopped Dijkstra rooted at the
-   destination and kept in a FIFO-capped packed cache. Cache state never
-   changes an answer — every build is a pure function of (u, w) — so
-   routing decisions are identical to the dense store's, eviction order
-   and domain interleaving included.
+   equivalence tests pin against. The lazy store keeps no sequence up
+   front: one is built on first use from the destination's shortest-path
+   tree and kept in a FIFO-capped packed cache. The destinations are only
+   the sets W_i (centres, O~(n^(2/3)) vertices against Theta(n |A| / q)
+   pairs), so the trees themselves are kept too, one per destination,
+   behind a recency-evicted cap: the first miss for [w] runs one full
+   Dijkstra from [w], every later miss for [w] reads the resident tree.
+   Cache state never changes an answer — every build is a pure function
+   of (u, w) — so routing decisions are identical to the dense store's,
+   eviction order and domain interleaving included.
 
    The lazy store is consulted from pool worker domains during
-   [evaluate_batch]; the mutex serializes cache lookups and the shared
-   workspace. It deliberately does NOT touch the [Substrate] handle, which
-   is unsynchronized by contract. *)
+   [evaluate_batch]; the mutex serializes both caches, the workspace and
+   the distance memo. It deliberately does NOT touch the [Substrate]
+   handle, which is unsynchronized by contract. *)
+
+(* A destination's resident tree: the Dijkstra parent array alone, int32
+   off-heap (4 B/vertex); distances are re-derived along it on demand.
+   [last_use] is the store clock at the latest read. *)
+type tree_entry = {
+  parents : (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t;
+  mutable last_use : int;
+}
+
 type lazy_store = {
   lmutex : Mutex.t;
   lcache : (int * int, packed_seq) Hashtbl.t;
   lorder : (int * int) Queue.t; (* FIFO eviction *)
-  lcap : int;
-  lws : Dijkstra.workspace;
+  mutable lcap : int;
+  ltrees : (int, tree_entry) Hashtbl.t; (* destination -> its tree *)
+  mutable ltree_cap : int;
+  mutable lclock : int;         (* bumped per tree read *)
+  lws : Dijkstra.workspace;     (* tree builds *)
+  ldist : float array;          (* re-derived distances, valid where ... *)
+  lstamp : int array;           (* ... [lstamp.(v)] = [lclock] *)
   ldest_group : int array;      (* w -> its part index in [dests], or -1 *)
   lpart_of : int array;
   ld_min : float;
@@ -100,10 +118,11 @@ let breakdown t = t.breakdown
 
 (* Build the Lemma 8 sequence for (u, w): the first two path edges, then
    doubling-threshold subsequences walked along the shortest-path tree of
-   [w]. [relay_of x] picks a vertex of the source's part inside B(x). *)
-let build_seq g vic ~b ~d_min ~relay_of ~src:u ~dst:w spt_w =
+   [w], read through [dist] and [parent]. [relay_of x] picks a vertex of
+   the source's part inside B(x). *)
+let build_seq g vic ~b ~d_min ~relay_of ~src:u ~dst:w ~dist ~parent =
   let max_subsequences =
-    let d = spt_w.Dijkstra.dist.(u) in
+    let d = dist u in
     8 + int_of_float (Float.max 0.0 (log (Float.max 2.0 (d /. d_min)) /. log 2.0))
   in
   let finish acc terminal = { hops = Array.of_list (List.rev acc); terminal } in
@@ -111,13 +130,13 @@ let build_seq g vic ~b ~d_min ~relay_of ~src:u ~dst:w spt_w =
   let rec subsequence x s count acc =
     if Vicinity.mem vic.(x) w then `Done (finish (Via w :: acc) At_dst)
     else begin
-      let y, z = boundary spt_w vic.(x) ~x in
+      let y, z = boundary ~parent vic.(x) ~x in
       if z = w then begin
         let acc = if y = x then acc else Via y :: acc in
         `Done (finish (Jump (w, port_between g y w) :: acc) At_dst)
       end
       else begin
-        let dxz = spt_w.Dijkstra.dist.(x) -. spt_w.Dijkstra.dist.(z) in
+        let dxz = dist x -. dist z in
         if dxz < s then begin
           match relay_of x with
           | None -> invalid_arg "Seq_routing2: a vicinity misses the source part"
@@ -144,11 +163,11 @@ let build_seq g vic ~b ~d_min ~relay_of ~src:u ~dst:w spt_w =
     | `More (x', acc') -> subsequences x' (k + 1) acc'
   in
   (* The first two vertices of the shortest path from u to w. *)
-  let u1 = spt_w.Dijkstra.parent.(u) in
+  let u1 = parent u in
   let acc = [ Jump (u1, port_between g u u1) ] in
   if u1 = w then finish acc At_dst
   else begin
-    let u2 = spt_w.Dijkstra.parent.(u1) in
+    let u2 = parent u1 in
     let acc = Jump (u2, port_between g u1 u2) :: acc in
     if u2 = w then finish acc At_dst else subsequences u2 1 acc
   end
@@ -156,6 +175,87 @@ let build_seq g vic ~b ~d_min ~relay_of ~src:u ~dst:w spt_w =
 (* How many packed sequences the lazy cache retains before FIFO eviction.
    Contents never affect answers, only rebuild wall-clock. *)
 let lazy_cache_cap = 8192
+
+(* How many destination trees the lazy store keeps before evicting the
+   least recently read one: at most 4 n lazy_tree_cap bytes — 4 GB at
+   n = 10^6, beside a ~56 GB build peak; 8 MB at n = 2000. *)
+let lazy_tree_cap = 1024
+
+let lazy_store ~n ~dest_group ~part_of ~d_min =
+  {
+    lmutex = Mutex.create ();
+    lcache = Hashtbl.create (2 * lazy_cache_cap);
+    lorder = Queue.create ();
+    lcap = lazy_cache_cap;
+    ltrees = Hashtbl.create 64;
+    ltree_cap = lazy_tree_cap;
+    lclock = 0;
+    lws = Dijkstra.workspace n;
+    ldist = Array.make n 0.0;
+    lstamp = Array.make n (-1);
+    ldest_group = dest_group;
+    lpart_of = part_of;
+    ld_min = d_min;
+    lmax_hops = 0;
+  }
+
+(* The parent accessor of [w]'s shortest-path tree, read from the cache or
+   built by one full Dijkstra. Bumps the clock, which also invalidates the
+   distances [tree_dist] memoized for the previous build. *)
+let resident_tree ls g w =
+  ls.lclock <- ls.lclock + 1;
+  let parents =
+    match Hashtbl.find_opt ls.ltrees w with
+    | Some tr ->
+      tr.last_use <- ls.lclock;
+      tr.parents
+    | None ->
+      if Hashtbl.length ls.ltrees >= ls.ltree_cap then begin
+        let oldest, _ =
+          Hashtbl.fold
+            (fun v tr (o, t) -> if tr.last_use < t then (v, tr.last_use) else (o, t))
+            ls.ltrees (-1, max_int)
+        in
+        Hashtbl.remove ls.ltrees oldest
+      end;
+      let parents =
+        Dijkstra.with_spt ls.lws g w (fun spt ->
+            let p = spt.Dijkstra.parent in
+            let a =
+              Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout
+                (Array.length p)
+            in
+            Array.iteri (fun v x -> a.{v} <- Int32.of_int x) p;
+            a)
+      in
+      Hashtbl.replace ls.ltrees w { parents; last_use = ls.lclock };
+      if !Telemetry.on then begin
+        let c = Telemetry.counters_shard () in
+        c.Telemetry.lazy_tree_builds <- c.Telemetry.lazy_tree_builds + 1
+      end;
+      parents
+  in
+  fun v -> Int32.to_int parents.{v}
+
+(* Distances to the root of a resident tree. Dijkstra set dist(v) =
+   dist(parent v) +. w(parent v, v) with the parent's final distance, so
+   summing the parent chain from the root outward, in that order,
+   reproduces the search's floats bit for bit. Memoized per build: a
+   build's queries all lie on the one tree path from its source. *)
+let tree_dist ls g parent =
+  let rec dist v =
+    if ls.lstamp.(v) = ls.lclock then ls.ldist.(v)
+    else begin
+      let p = parent v in
+      let d =
+        if p < 0 then 0.0 else dist p +. Graph.port_weight g p (port_between g p v)
+      in
+      ls.ldist.(v) <- d;
+      ls.lstamp.(v) <- ls.lclock;
+      d
+    end
+  in
+  dist
 
 let preprocess ?substrate ?(eps = 0.5) ?(mode = `Dense) g ~vicinities ~parts
     ~part_of ~dests =
@@ -186,11 +286,14 @@ let preprocess ?substrate ?(eps = 0.5) ?(mode = `Dense) g ~vicinities ~parts
         Array.iter
           (fun w ->
             let spt_w = Substrate.spt sub w in
+            let dist = Array.get spt_w.Dijkstra.dist
+            and parent = Array.get spt_w.Dijkstra.parent in
             Array.iter
               (fun u ->
                 if u <> w then
                   Hashtbl.replace seqs (u, w)
-                    (build_seq g vic ~b ~d_min ~relay_of ~src:u ~dst:w spt_w))
+                    (build_seq g vic ~b ~d_min ~relay_of ~src:u ~dst:w ~dist
+                       ~parent))
               part)
           dests.(j))
       parts;
@@ -223,19 +326,7 @@ let preprocess ?substrate ?(eps = 0.5) ?(mode = `Dense) g ~vicinities ~parts
       eps;
       b;
       vic;
-      store =
-        Lazy
-          {
-            lmutex = Mutex.create ();
-            lcache = Hashtbl.create (2 * lazy_cache_cap);
-            lorder = Queue.create ();
-            lcap = lazy_cache_cap;
-            lws = Dijkstra.workspace n;
-            ldest_group = dest_group;
-            lpart_of = part_of;
-            ld_min = d_min;
-            lmax_hops = 0;
-          };
+      store = Lazy (lazy_store ~n ~dest_group ~part_of ~d_min);
       table_words;
       dense_max_seq_hops = 0;
       breakdown = [ ("vicinities", !vic_total); ("sequences", 0) ];
@@ -253,22 +344,24 @@ let fetch_seq t ~src:u ~dst:w =
     if j < 0 || ls.lpart_of.(u) <> j then raise Not_found;
     Mutex.protect ls.lmutex (fun () ->
         match Hashtbl.find_opt ls.lcache (u, w) with
-        | Some packed -> decode_seq packed
+        | Some packed ->
+          if !Telemetry.on then begin
+            let c = Telemetry.counters_shard () in
+            c.Telemetry.lazy_seq_hits <- c.Telemetry.lazy_seq_hits + 1
+          end;
+          decode_seq packed
         | None ->
+          if !Telemetry.on then begin
+            let c = Telemetry.counters_shard () in
+            c.Telemetry.lazy_seq_misses <- c.Telemetry.lazy_seq_misses + 1
+          end;
           let relay_of x =
             Vicinity.nearest_of t.vic.(x) (fun v -> ls.lpart_of.(v) = j)
           in
-          (* The build reads the destination tree only at vertices strictly
-             closer to [w] than [u] (plus [u] itself): the initial
-             [parent.(u)]/[parent.(u1)] edges and boundary walks that
-             always move rootward. Stopping the search right after [u]
-             settles therefore yields bit-identical sequences to the full
-             SPT the dense store uses, at the cost of the ball around [w]
-             of radius d(u, w) instead of the whole graph. *)
+          let parent = resident_tree ls t.graph w in
           let sq =
-            Dijkstra.with_spt_until ls.lws t.graph w ~until:u (fun spt_w ->
-                build_seq t.graph t.vic ~b:t.b ~d_min:ls.ld_min ~relay_of
-                  ~src:u ~dst:w spt_w)
+            build_seq t.graph t.vic ~b:t.b ~d_min:ls.ld_min ~relay_of ~src:u
+              ~dst:w ~dist:(tree_dist ls t.graph parent) ~parent
           in
           Hashtbl.replace ls.lcache (u, w) (encode_seq sq);
           Queue.push (u, w) ls.lorder;
@@ -360,8 +453,8 @@ let rec step_c c ~at h =
 (* Frozen mirror minus graph, vicinities (frozen by the enclosing scheme)
    and the lazy store's runtime plumbing. The lazy store's decision inputs
    — destination grouping, part map, minimum edge weight — are plain data
-   and must survive the round trip; the cache and [lmax_hops] observation
-   start empty, which never changes an answer. *)
+   and must survive the round trip; the pair and tree caches and the
+   [lmax_hops] observation start empty, which never changes an answer. *)
 type flazy = {
   z_dest_group : int array;
   z_lpart_of : int array;
@@ -406,17 +499,8 @@ let thaw ~graph ~vicinities z =
     | FDense s -> Dense s
     | FLazy f ->
       Lazy
-        {
-          lmutex = Mutex.create ();
-          lcache = Hashtbl.create (2 * lazy_cache_cap);
-          lorder = Queue.create ();
-          lcap = lazy_cache_cap;
-          lws = Dijkstra.workspace (Graph.n graph);
-          ldest_group = f.z_dest_group;
-          lpart_of = f.z_lpart_of;
-          ld_min = f.z_d_min;
-          lmax_hops = 0;
-        }
+        (lazy_store ~n:(Graph.n graph) ~dest_group:f.z_dest_group
+           ~part_of:f.z_lpart_of ~d_min:f.z_d_min)
   in
   {
     graph;
@@ -428,3 +512,22 @@ let thaw ~graph ~vicinities z =
     dense_max_seq_hops = z.z_dense_max_seq_hops;
     breakdown = z.z_breakdown;
   }
+
+(* --- testing ------------------------------------------------------------ *)
+
+module For_testing = struct
+  let rederived_dists g w =
+    let n = Graph.n g in
+    let ls = lazy_store ~n ~dest_group:[||] ~part_of:[||] ~d_min:0.0 in
+    let parent = resident_tree ls g w in
+    Array.init n (tree_dist ls g parent)
+
+  let set_caps t ~pairs ~trees =
+    if pairs < 1 || trees < 1 then invalid_arg "Seq_routing2.set_caps";
+    match t.store with
+    | Dense _ -> ()
+    | Lazy ls ->
+      Mutex.protect ls.lmutex (fun () ->
+          ls.lcap <- pairs;
+          ls.ltree_cap <- trees)
+end

@@ -38,10 +38,13 @@ val preprocess :
     reference: every pair's sequence precomputed and kept, Theta(sum_i
     |U_i| |W_i|) memory — fine at experimental sizes, quadratic death past
     ~10^5. [`Lazy] precomputes nothing: a sequence is built on first use
-    from an early-stopped Dijkstra rooted at the destination (the build
-    only reads tree data strictly closer to the destination than the
-    source, so the truncated search is exact) and cached packed as int32
-    under a FIFO cap. Every routing decision is bit-identical between the
+    from the destination's shortest-path tree and cached packed as int32
+    under a FIFO cap. The trees are cached too, one per destination (the
+    destination sets are small), as int32 parent arrays with distances
+    re-derived exactly along the parent chain, under a recency-evicted
+    cap of [4 n] bytes per tree times a fixed tree count; the first miss
+    for a destination runs its one Dijkstra, later misses read the
+    resident tree. Every routing decision is bit-identical between the
     two modes — cache state never changes an answer — which the rt-scale
     equivalence tests pin. Lazy [table_words]/[breakdown] count only the
     resident vicinity entries.
@@ -96,9 +99,25 @@ type frozen
 (** Marshal-safe mirror of {!t} minus the graph and the vicinity family
     (both supplied again at {!thaw}). A lazy store freezes to its decision
     inputs (destination grouping, part map, minimum edge weight); the
-    cache restarts empty, which never changes an answer. *)
+    caches restart empty, which never changes an answer. *)
 
 val freeze : t -> frozen
 
 val thaw : graph:Graph.t -> vicinities:Vicinity.t array -> frozen -> t
 (** [vicinities] must be the same family the instance was built with. *)
+
+(** {1 Testing} *)
+
+module For_testing : sig
+  val rederived_dists : Graph.t -> int -> float array
+  (** [rederived_dists g w] is every vertex's distance to [w] as the lazy
+      store re-derives it from the resident parent array of [w]'s tree —
+      bit-identical to [(Dijkstra.spt g w).dist] on a connected [g]. *)
+
+  val set_caps : t -> pairs:int -> trees:int -> unit
+  (** [set_caps t ~pairs ~trees] lowers a lazy store's pair-cache and
+      tree-cache caps, so a short query stream exercises eviction. Call it
+      before the first route: eviction removes one entry per insertion.
+      A no-op on a dense store.
+      @raise Invalid_argument if a cap is below 1. *)
+end

@@ -48,6 +48,9 @@ type counters = {
   mutable substrate_misses : int;
   mutable substrate_reused_after_delta : int;
   mutable substrate_dropped_after_delta : int;
+  mutable lazy_seq_hits : int;
+  mutable lazy_seq_misses : int;
+  mutable lazy_tree_builds : int;
 }
 
 let fresh_counters () =
@@ -66,6 +69,9 @@ let fresh_counters () =
     substrate_misses = 0;
     substrate_reused_after_delta = 0;
     substrate_dropped_after_delta = 0;
+    lazy_seq_hits = 0;
+    lazy_seq_misses = 0;
+    lazy_tree_builds = 0;
   }
 
 let null_counters = fresh_counters ()
@@ -84,7 +90,10 @@ let zero_counters c =
   c.substrate_hits <- 0;
   c.substrate_misses <- 0;
   c.substrate_reused_after_delta <- 0;
-  c.substrate_dropped_after_delta <- 0
+  c.substrate_dropped_after_delta <- 0;
+  c.lazy_seq_hits <- 0;
+  c.lazy_seq_misses <- 0;
+  c.lazy_tree_builds <- 0
 
 let add_counters ~into c =
   into.routes <- into.routes + c.routes;
@@ -102,7 +111,10 @@ let add_counters ~into c =
   into.substrate_reused_after_delta <-
     into.substrate_reused_after_delta + c.substrate_reused_after_delta;
   into.substrate_dropped_after_delta <-
-    into.substrate_dropped_after_delta + c.substrate_dropped_after_delta
+    into.substrate_dropped_after_delta + c.substrate_dropped_after_delta;
+  into.lazy_seq_hits <- into.lazy_seq_hits + c.lazy_seq_hits;
+  into.lazy_seq_misses <- into.lazy_seq_misses + c.lazy_seq_misses;
+  into.lazy_tree_builds <- into.lazy_tree_builds + c.lazy_tree_builds
 
 let counter_rows c =
   [
@@ -120,6 +132,9 @@ let counter_rows c =
     ("substrate_misses", c.substrate_misses);
     ("substrate_reused_after_delta", c.substrate_reused_after_delta);
     ("substrate_dropped_after_delta", c.substrate_dropped_after_delta);
+    ("lazy_seq_hits", c.lazy_seq_hits);
+    ("lazy_seq_misses", c.lazy_seq_misses);
+    ("lazy_tree_builds", c.lazy_tree_builds);
   ]
 
 (* --- histograms -------------------------------------------------------- *)
@@ -288,6 +303,9 @@ let sub_counters a b =
       a.substrate_reused_after_delta - b.substrate_reused_after_delta;
     substrate_dropped_after_delta =
       a.substrate_dropped_after_delta - b.substrate_dropped_after_delta;
+    lazy_seq_hits = a.lazy_seq_hits - b.lazy_seq_hits;
+    lazy_seq_misses = a.lazy_seq_misses - b.lazy_seq_misses;
+    lazy_tree_builds = a.lazy_tree_builds - b.lazy_tree_builds;
   }
 
 module Snapshot = struct

@@ -83,6 +83,14 @@ type counters = {
   mutable substrate_dropped_after_delta : int;
       (** cached structures discarded by [Substrate.invalidate] because the
           delta touched their cone *)
+  mutable lazy_seq_hits : int;
+      (** lazy Lemma 8 sequences served from the pair cache *)
+  mutable lazy_seq_misses : int;
+      (** lazy Lemma 8 sequences built on a pair-cache miss *)
+  mutable lazy_tree_builds : int;
+      (** destination shortest-path trees the lazy Lemma 8 store computed
+          (one Dijkstra each); at most one per destination until the tree
+          cache evicts *)
 }
 
 val counters_shard : unit -> counters

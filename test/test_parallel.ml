@@ -158,37 +158,63 @@ let test_tz_scheme_identical () =
       checkb "same route" true (o1 = o2))
     (Scheme.sample_pairs ~seed:7 ~n:(Graph.n g) ~count:120)
 
-(* The batched query engines over a lazy rt instance: the mutex-guarded
-   on-demand stores are filled concurrently by the worker domains, in a
-   schedule-dependent order — the evals must still be bit-identical to the
-   1-domain run, and to the serial reference evaluate, on both planes. *)
+(* The batched query engines over lazy rt instances: the mutex-guarded
+   on-demand stores (Lemma 8 pair and destination-tree caches, cluster
+   trees) are filled concurrently by the worker domains, in a
+   schedule-dependent order. Each 4-domain eval starts from a cold
+   instance; it must still be bit-identical to the 1-domain run, and to the
+   serial reference evaluate, on both planes — for rt-5eps and rt-4km7-k3,
+   on a boxed graph and on a packed float32 one. *)
 let test_lazy_rt_eval_identical () =
-  let g =
+  let boxed =
     Generators.with_random_weights ~seed:23 ~lo:0.5 ~hi:4.0
       (Generators.power_law ~seed:24 600)
   in
-  let t = Cr_core.Scheme5eps.preprocess ~mode:`Lazy ~seed:31 g in
-  let inst = Cr_core.Scheme5eps.instance t in
-  let pairs = Scheme.sample_pairs ~seed:7 ~n:(Graph.n g) ~count:400 in
-  let apsp = Apsp.compute g in
-  let sampled =
-    List.map (fun (u, v) -> ((u, v), Apsp.dist apsp u v)) pairs
+  let packed =
+    Graph.pack ~float32:true
+      (Generators.with_random_weights ~seed:25 ~lo:1.0 ~hi:8.0
+         (Generators.glp ~seed:26 600))
   in
+  let four () = Pool.create ~domains:4 () in
   List.iter
-    (fun fast ->
-      let tag = if fast then "fast" else "interpreted" in
-      let b1 = Scheme.evaluate_batch ~pool:(serial ()) ~fast inst apsp pairs in
-      let b4 = Scheme.evaluate_batch ~pool:(wide ()) ~fast inst apsp pairs in
-      checkb (tag ^ " batch 1 = 4 domains") true (b1 = b4);
-      let s1 = Scheme.evaluate_sampled ~pool:(serial ()) ~fast inst sampled in
-      let s4 = Scheme.evaluate_sampled ~pool:(wide ()) ~fast inst sampled in
-      checkb (tag ^ " sampled 1 = 4 domains") true (s1 = s4);
-      checkb (tag ^ " batch = sampled") true (b1 = s1))
-    [ false; true ];
-  let reference = Scheme.evaluate inst apsp pairs in
-  checkb "interpreted batch = serial evaluate" true
-    (Scheme.evaluate_batch ~pool:(wide ()) ~fast:false inst apsp pairs
-    = reference)
+    (fun (gname, g) ->
+      let pairs = Scheme.sample_pairs ~seed:7 ~n:(Graph.n g) ~count:400 in
+      let apsp = Apsp.compute g in
+      let sampled =
+        List.map (fun (u, v) -> ((u, v), Apsp.dist apsp u v)) pairs
+      in
+      List.iter
+        (fun (sname, cold) ->
+          let warm = cold () in
+          List.iter
+            (fun fast ->
+              let tag =
+                Printf.sprintf "%s %s %s" sname gname
+                  (if fast then "fast" else "interpreted")
+              in
+              let inst = cold () in
+              let batch pool i = Scheme.evaluate_batch ~pool ~fast i apsp pairs in
+              let b4 = batch (four ()) inst and b1 = batch (serial ()) warm in
+              checkb (tag ^ " batch 1 = 4 domains") true (b1 = b4);
+              let by_dist pool i = Scheme.evaluate_sampled ~pool ~fast i sampled in
+              let s4 = by_dist (four ()) inst and s1 = by_dist (serial ()) warm in
+              checkb (tag ^ " sampled 1 = 4 domains") true (s1 = s4);
+              checkb (tag ^ " batch = sampled") true (b1 = s1);
+              if not fast then
+                checkb (tag ^ " batch = serial evaluate") true
+                  (b4 = Scheme.evaluate warm apsp pairs))
+            [ false; true ])
+        [
+          ( "rt-5eps",
+            fun () ->
+              Cr_core.Scheme5eps.instance
+                (Cr_core.Scheme5eps.preprocess ~mode:`Lazy ~seed:31 g) );
+          ( "rt-4km7-k3",
+            fun () ->
+              Cr_core.Scheme4km7.instance
+                (Cr_core.Scheme4km7.preprocess ~mode:`Lazy ~seed:31 g ~k:3) );
+        ])
+    [ ("boxed", boxed); ("packed", packed) ]
 
 (* --- Workspace reuse == fresh runs --- *)
 

@@ -119,6 +119,54 @@ let test_2eps1_all_pairs () =
   in
   compare_modes "rt-2eps1 n=240" ~eager ~lazy_ (all_pairs 240)
 
+(* --- cache eviction --- *)
+
+(* Eviction never changes an answer. The lazy instances' caches are shrunk
+   far below the stream's working set — Lemma 8 pair cache (FIFO), its
+   destination-tree cache (least recently read) and rt-5eps's cluster-tree
+   cache (FIFO) — so a Zipf stream keeps evicting and rebuilding, and every
+   outcome, path included, must still equal the eager instance's. The graph
+   is packed with float32 weights, so the lazy store's re-derived
+   distances are checked against the eager store's Dijkstra distances
+   over rounded weights. The telemetry counters prove the Lemma 8 caches
+   overflowed. *)
+let test_eviction_identical () =
+  let g =
+    Graph.pack ~float32:true
+      (Generators.with_random_weights ~seed:11 ~lo:1.0 ~hi:8.0
+         (Generators.glp ~seed:30 700))
+  in
+  let traffic = Traffic.create ~zipf:1.0 ~seed:12 ~n:700 () in
+  let pairs = Traffic.pairs traffic ~count:3000 in
+  let pair_cap = 16 and tree_cap = 3 in
+  let run name ~eager ~lazy_ =
+    let was_on = Telemetry.enabled () in
+    Fun.protect
+      ~finally:(fun () -> Telemetry.set_enabled was_on)
+      (fun () ->
+        Telemetry.set_enabled true;
+        Telemetry.reset ();
+        compare_modes name ~eager ~lazy_ pairs;
+        let c = Telemetry.totals () in
+        checkb (name ^ ": pair cache evicted") true
+          (c.Telemetry.lazy_seq_misses > pair_cap);
+        checkb (name ^ ": tree cache evicted") true
+          (c.Telemetry.lazy_tree_builds > tree_cap))
+  in
+  let lazy5 = Scheme5eps.preprocess ~mode:`Lazy ~seed:31 g in
+  Scheme5eps.For_testing.set_caps lazy5 ~pairs:pair_cap ~trees:tree_cap
+    ~cluster_trees:2;
+  run "rt-5eps evicting"
+    ~eager:
+      (Scheme5eps.instance (Scheme5eps.preprocess ~mode:`Eager ~seed:31 g))
+    ~lazy_:(Scheme5eps.instance lazy5);
+  let lazy4 = Scheme4km7.preprocess ~mode:`Lazy ~seed:31 g ~k:3 in
+  Scheme4km7.For_testing.set_caps lazy4 ~pairs:pair_cap ~trees:tree_cap;
+  run "rt-4km7-k3 evicting"
+    ~eager:
+      (Scheme4km7.instance (Scheme4km7.preprocess ~mode:`Eager ~seed:31 g ~k:3))
+    ~lazy_:(Scheme4km7.instance lazy4)
+
 (* --- random-graph properties (CSR-seeded generators) --- *)
 
 let prop_5eps_modes_identical =
@@ -281,4 +329,6 @@ let suite =
     case "rt-4km7-k3 bound on lazy tier (n=3000)" test_4km7_bound_lazy;
     case "rt-2eps1 bound on lazy tier (n=1500)" test_2eps1_bound_lazy;
     prop_5eps_bound_random;
+    case "rt-5eps/rt-4km7-k3 lazy = eager under cache eviction"
+      test_eviction_identical;
   ]

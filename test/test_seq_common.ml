@@ -23,7 +23,7 @@ let test_boundary_on_path () =
   let g = Generators.path 10 in
   let spt9 = Dijkstra.spt g 9 in
   let vic0 = Vicinity.compute g 0 3 in
-  let y, z = boundary spt9 vic0 ~x:0 in
+  let y, z = boundary ~parent:(Array.get spt9.Dijkstra.parent) vic0 ~x:0 in
   checki "inside endpoint" 2 y;
   checki "outside endpoint" 3 z
 
@@ -33,7 +33,7 @@ let test_boundary_requires_outside_root () =
   let vic0 = Vicinity.compute g 0 4 in
   (* 3 is inside B(0,4): the walk runs past the root and must complain. *)
   checkb "raises" true
-    (try ignore (boundary spt3 vic0 ~x:0); false
+    (try ignore (boundary ~parent:(Array.get spt3.Dijkstra.parent) vic0 ~x:0); false
      with Invalid_argument _ -> true)
 
 let prop_boundary_straddles =
@@ -50,7 +50,7 @@ let prop_boundary_straddles =
         for x = 0 to n - 1 do
           let vic_x = Vicinity.compute g x l in
           if x <> dst && not (Vicinity.mem vic_x dst) then begin
-            let y, z = boundary spt vic_x ~x in
+            let y, z = boundary ~parent:(Array.get spt.Dijkstra.parent) vic_x ~x in
             if not (Vicinity.mem vic_x y) then ok := false;
             if Vicinity.mem vic_x z then ok := false;
             if not (Graph.has_edge g y z) then ok := false;

@@ -180,6 +180,40 @@ let prop_random_weighted =
       let inst = make_instance ~seed ~dest_fraction:0.4 g in
       check_pairs g inst)
 
+(* The lazy store keeps only a destination tree's parents and re-derives
+   distances along them. They must equal Dijkstra's bit for bit, which
+   pins the summation order: root outward, as the search relaxed. *)
+let same_bits a b =
+  Array.for_all2
+    (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+    a b
+
+let test_rederived_order () =
+  (* From root 0, (0.1 +. 0.2) +. 0.3 <> 0.1 +. (0.2 +. 0.3). *)
+  let g = Graph.of_edges [ (0, 1, 0.1); (1, 2, 0.2); (2, 3, 0.3) ] in
+  checkb "root-outward sums" true
+    (same_bits
+       (Seq_routing2.For_testing.rederived_dists g 0)
+       (Dijkstra.spt g 0).Dijkstra.dist)
+
+let prop_rederived_dists =
+  qcheck ~count:40 "lazy store re-derives tree distances bit for bit"
+    QCheck2.Gen.(
+      let* g = arb_weighted_connected_graph in
+      let* storage = int_range 0 2 in
+      return
+        (match storage with
+        | 0 -> g
+        | 1 -> Graph.pack g
+        | _ -> Graph.pack ~float32:true g))
+    (fun g ->
+      List.for_all
+        (fun w ->
+          same_bits
+            (Seq_routing2.For_testing.rederived_dists g w)
+            (Dijkstra.spt g w).Dijkstra.dist)
+        (List.init (min 5 (Graph.n g)) Fun.id))
+
 let suite =
   [
     case "unweighted zoo" test_zoo_unweighted;
@@ -192,4 +226,6 @@ let suite =
     case "unknown destination raises" test_missing_pair_raises;
     prop_random_graphs;
     prop_random_weighted;
+    case "re-derived distances sum root outward" test_rederived_order;
+    prop_rederived_dists;
   ]

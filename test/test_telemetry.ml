@@ -280,7 +280,7 @@ let test_export () =
             || String.sub l 0 16 = "{\"type\":\"counter"
             || String.sub l 0 16 = "{\"type\":\"histogr"))
        lines);
-  checki "fourteen counter lines" 14
+  checki "seventeen counter lines" 17
     (List.length
        (List.filter
           (fun l ->
@@ -288,8 +288,8 @@ let test_export () =
           lines));
   let csv = Telemetry.to_csv () in
   let csv_lines = String.split_on_char '\n' (String.trim csv) in
-  checkb "csv has a header plus the fourteen counters" true
-    (List.length csv_lines >= 15)
+  checkb "csv has a header plus the seventeen counters" true
+    (List.length csv_lines >= 18)
 
 let suite =
   [
