@@ -62,33 +62,87 @@ let pp_error ppf = function
 let error_to_string e = Format.asprintf "%a" pp_error e
 
 (* ------------------------------------------------------------------ *)
-(* CRC-32 (zlib polynomial, table-driven)                              *)
+(* CRC-32 (zlib polynomial, slicing-by-8)                              *)
 (* ------------------------------------------------------------------ *)
 
-let crc_table =
-  lazy
-    (Array.init 256 (fun i ->
-         let c = ref (Int32.of_int i) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
-
-let crc_update crc b len =
-  let table = Lazy.force crc_table in
-  let c = ref (Int32.lognot crc) in
-  for i = 0 to len - 1 do
-    let idx = Int32.to_int (Int32.logand !c 0xffl) lxor Char.code (Bytes.unsafe_get b i) in
-    c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8)
+(* CRC states are native ints in [0, 2^32). [crc_tables] holds eight
+   256-entry tables back to back: table 0 is the classic byte table, and
+   table k is the contribution of a byte followed by k more bytes, so one
+   step folds eight bytes with eight independent lookups instead of eight
+   dependent ones. *)
+let crc_tables =
+  let t = Array.make (8 * 256) 0 in
+  for i = 0 to 255 do
+    let c = ref i in
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(i) <- !c
   done;
-  Int32.lognot !c
+  for i = 256 to (8 * 256) - 1 do
+    let c = t.(i - 256) in
+    t.(i) <- (c lsr 8) lxor t.(c land 0xff)
+  done;
+  t
 
-let crc_bytes b = crc_update 0l b (Bytes.length b)
+let[@inline] tbl k x = Array.unsafe_get crc_tables ((k lsl 8) lor (x land 0xff))
 
-let crc_string s = crc_bytes (Bytes.unsafe_of_string s)
+(* Fold four bytes [w] (first byte in the low bits) into state [c]. *)
+let[@inline] crc_word4 c w =
+  let x = c lxor w in
+  tbl 3 x lxor tbl 2 (x lsr 8) lxor tbl 1 (x lsr 16) lxor tbl 0 (x lsr 24)
+
+(* Fold eight bytes, given as two such words: [lo] the first four, [hi]
+   the next four. *)
+let[@inline] crc_word8 c lo hi =
+  let x = c lxor lo in
+  tbl 7 x lxor tbl 6 (x lsr 8) lxor tbl 5 (x lsr 16) lxor tbl 4 (x lsr 24)
+  lxor tbl 3 hi lxor tbl 2 (hi lsr 8) lxor tbl 1 (hi lsr 16) lxor tbl 0 (hi lsr 24)
+
+external string_get32u : string -> int -> int32 = "%caml_string_get32u"
+external swap32 : int32 -> int32 = "%bswap_int32"
+
+(* A word loaded from memory as an unsigned int whose low byte is the
+   word's first byte in memory, on either host. *)
+let[@inline] u32_of_mem x =
+  Int32.to_int (if Sys.big_endian then swap32 x else x) land 0xffffffff
+
+(* Continue [crc] over [len] bytes of [s] from [off]; bounds unchecked. *)
+let crc_sub crc s off len =
+  let c = ref (crc lxor 0xffffffff) in
+  let i = ref off in
+  let stop8 = off + (len land lnot 7) in
+  while !i < stop8 do
+    c :=
+      crc_word8 !c
+        (u32_of_mem (string_get32u s !i))
+        (u32_of_mem (string_get32u s (!i + 4)));
+    i := !i + 8
+  done;
+  for j = !i to off + len - 1 do
+    c := tbl 0 (!c lxor Char.code (String.unsafe_get s j)) lxor (!c lsr 8)
+  done;
+  !c lxor 0xffffffff
+
+let crc_string s = crc_sub 0 s 0 (String.length s)
+
+(* Continue [crc] over the raw memory of [a] — host byte order, exactly
+   the bytes a snapshot file holds. Float blobs are checked through int32
+   views of their memory, never through their float values: reading a
+   float32 widens it, and widening quiets a signalling NaN. *)
+let crc_i32 crc (a : i32arr) =
+  let len = Bigarray.Array1.dim a in
+  let c = ref (crc lxor 0xffffffff) in
+  let i = ref 0 in
+  while !i < len - 1 do
+    c :=
+      crc_word8 !c
+        (u32_of_mem (Bigarray.Array1.unsafe_get a !i))
+        (u32_of_mem (Bigarray.Array1.unsafe_get a (!i + 1)));
+    i := !i + 2
+  done;
+  if !i < len then c := crc_word4 !c (u32_of_mem (Bigarray.Array1.unsafe_get a !i));
+  !c lxor 0xffffffff
 
 (* ------------------------------------------------------------------ *)
 (* Graph fingerprint                                                   *)
@@ -203,32 +257,27 @@ let align8 x = (x + 7) land lnot 7
    elems i64, crc u32. *)
 let dirent_size = 1 + 3 + 8 + 8 + 4
 
-type dirent = { kind : int; offset : int; elems : int; crc : int32 }
+type dirent = { kind : int; offset : int; elems : int; crc : int }
 
-let put_u32 buf v =
-  let b = Bytes.create 4 in
-  Bytes.set_int32_le b 0 (Int32.of_int v);
-  Buffer.add_bytes buf b
+let put_u32 buf v = Buffer.add_int32_le buf (Int32.of_int v)
 
-let put_i32v buf (v : int32) =
-  let b = Bytes.create 4 in
-  Bytes.set_int32_le b 0 v;
-  Buffer.add_bytes buf b
-
-let put_i64 buf v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 (Int64.of_int v);
-  Buffer.add_bytes buf b
-
-let put_raw64 buf (v : int64) =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 v;
-  Buffer.add_bytes buf b
+let put_i64 buf v = Buffer.add_int64_le buf (Int64.of_int v)
 
 (* Header size up to (and excluding) the trailing header crc, for a given
    scheme-id length and blob count. *)
 let header_size ~id_len ~nblobs =
   8 + 4 + 1 + 3 + 4 + id_len + (5 * 8) + 4 + (nblobs * dirent_size) + 8 + 8 + 4
+
+(* A [kind] view of [elems] elements of [fd] at byte offset [pos]. *)
+let map_region fd ~pos ~shared kind elems =
+  Bigarray.array1_of_genarray
+    (Unix.map_file fd ~pos:(Int64.of_int pos) kind Bigarray.c_layout shared
+       [| elems |])
+
+(* Every blob is a whole number of 4-byte words, so an int32 view covers
+   its bytes exactly. *)
+let blob_words fd ~pos ~shared bytes =
+  map_region fd ~pos ~shared Bigarray.int32 (bytes / 4)
 
 let save ~path ~meta ~residue s =
   let blobs = Array.of_list (List.rev s.blobs) in
@@ -248,49 +297,30 @@ let save ~path ~meta ~residue s =
   let total = residue_off + residue_len in
   let tmp = path ^ ".tmp" in
   match
-    let fd = Unix.openfile tmp [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+    let fd =
+      Unix.openfile tmp [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+    in
     Fun.protect
       ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
       (fun () ->
-        (* One shared char view of the whole file (this extends it), plus
-           typed views per blob for the raw copies. *)
-        let whole =
-          Bigarray.array1_of_genarray
-            (Unix.map_file fd Bigarray.char Bigarray.c_layout true [| total |])
+        (* Full length up front: alignment padding reads back as zeros. *)
+        Unix.ftruncate fd total;
+        (* Each blob: one memcpy into a shared map of its region, then the
+           CRC of the bytes as written, through an int32 view of the same
+           pages. *)
+        let blob_crcs =
+          Array.mapi
+            (fun i b ->
+              let pos = offsets.(i) in
+              let words = blob_words fd ~pos ~shared:true (blob_bytes b) in
+              let map kind = map_region fd ~pos ~shared:true kind (blob_elems b) in
+              (match b with
+              | I32 a -> Bigarray.Array1.blit a words
+              | F32 a -> Bigarray.Array1.blit a (map Bigarray.float32)
+              | F64 a -> Bigarray.Array1.blit a (map Bigarray.float64));
+              crc_i32 0 words)
+            blobs
         in
-        let blob_crcs = Array.make nblobs 0l in
-        Array.iteri
-          (fun i b ->
-            let bytes = blob_bytes b in
-            let elems = blob_elems b in
-            let blit (type e el) (kind : (e, el) Bigarray.kind)
-                (src : (e, el, Bigarray.c_layout) Bigarray.Array1.t) =
-              let dst =
-                Bigarray.array1_of_genarray
-                  (Unix.map_file fd ~pos:(Int64.of_int offsets.(i)) kind
-                     Bigarray.c_layout true [| elems |])
-              in
-              Bigarray.Array1.blit src dst
-            in
-            (match b with
-            | I32 a -> blit Bigarray.int32 a
-            | F32 a -> blit Bigarray.float32 a
-            | F64 a -> blit Bigarray.float64 a);
-            (* CRC the raw bytes as written. *)
-            let chunk = Bytes.create 65536 in
-            let crc = ref 0l in
-            let off = ref 0 in
-            while !off < bytes do
-              let len = min 65536 (bytes - !off) in
-              for j = 0 to len - 1 do
-                Bytes.unsafe_set chunk j
-                  (Bigarray.Array1.unsafe_get whole (offsets.(i) + !off + j))
-              done;
-              crc := crc_update !crc chunk len;
-              off := !off + len
-            done;
-            blob_crcs.(i) <- !crc)
-          blobs;
         (* Header, built last so it can embed the blob CRCs. *)
         let buf = Buffer.create hsize in
         Buffer.add_string buf magic;
@@ -300,10 +330,10 @@ let save ~path ~meta ~residue s =
         put_u32 buf id_len;
         Buffer.add_string buf meta.scheme_id;
         put_i64 buf meta.seed;
-        put_raw64 buf (Int64.bits_of_float meta.eps);
+        Buffer.add_int64_le buf (Int64.bits_of_float meta.eps);
         put_i64 buf meta.n;
         put_i64 buf meta.m;
-        put_raw64 buf meta.fingerprint;
+        Buffer.add_int64_le buf meta.fingerprint;
         put_u32 buf nblobs;
         Array.iteri
           (fun i b ->
@@ -311,19 +341,18 @@ let save ~path ~meta ~residue s =
             Buffer.add_string buf "\000\000\000";
             put_i64 buf offsets.(i);
             put_i64 buf (blob_elems b);
-            put_i32v buf blob_crcs.(i))
+            put_u32 buf blob_crcs.(i))
           blobs;
         put_i64 buf residue_off;
         put_i64 buf residue_len;
-        put_i32v buf (crc_string residue);
-        put_i32v buf (crc_bytes (Buffer.to_bytes buf));
-        let header = Buffer.to_bytes buf in
-        for j = 0 to Bytes.length header - 1 do
-          Bigarray.Array1.unsafe_set whole j (Bytes.unsafe_get header j)
-        done;
-        String.iteri
-          (fun j c -> Bigarray.Array1.unsafe_set whole (residue_off + j) c)
-          residue);
+        put_u32 buf (crc_string residue);
+        put_u32 buf (crc_string (Buffer.contents buf));
+        let write_at off str =
+          ignore (Unix.lseek fd off Unix.SEEK_SET);
+          ignore (Unix.write_substring fd str 0 (String.length str))
+        in
+        write_at 0 (Buffer.contents buf);
+        write_at residue_off residue);
     Unix.rename tmp path
   with
   | () -> Ok ()
@@ -393,29 +422,30 @@ let load ?(verify = true) path =
                 kind = Char.code (Bytes.get dir o);
                 offset = get_i64 dir (o + 4);
                 elems = get_i64 dir (o + 12);
-                crc = Bytes.get_int32_le dir (o + 20);
+                crc = get_u32 dir (o + 20);
               })
         in
         let tail = nblobs * dirent_size in
         let residue_off = get_i64 dir tail in
         let residue_len = get_i64 dir (tail + 8) in
-        let residue_crc = Bytes.get_int32_le dir (tail + 16) in
-        let header_crc = Bytes.get_int32_le dir (tail + 20) in
+        let residue_crc = get_u32 dir (tail + 16) in
+        let header_crc = get_u32 dir (tail + 20) in
         (* Header CRC covers everything before its own 4 bytes. *)
-        let hbytes =
-          Bytes.concat Bytes.empty
-            [ pre; mid; Bytes.sub dir 0 (Bytes.length dir - 4) ]
-        in
         let* () =
-          if crc_bytes hbytes <> header_crc then
+          let crc_of crc b len = crc_sub crc (Bytes.unsafe_to_string b) 0 len in
+          let crc = crc_of 0 pre 20 in
+          let crc = crc_of crc mid (Bytes.length mid) in
+          if crc_of crc dir (Bytes.length dir - 4) <> header_crc then
             Error (Checksum_mismatch "header")
           else Ok ()
         in
-        (* Bounds: every blob and the residue must live inside the file. *)
+        (* Bounds: every blob and the residue must live inside the file.
+           Compared by subtraction, so a crafted length cannot wrap a sum
+           past [max_int] and slip through. *)
         let* () =
           if
-            residue_len < 0 || residue_off < 0
-            || residue_off + residue_len > file_size
+            residue_len < 0 || residue_off < 0 || residue_off > file_size
+            || residue_len > file_size - residue_off
           then Error Truncated
           else Ok ()
         in
@@ -425,7 +455,9 @@ let load ?(verify = true) path =
               let* () = acc in
               if d.kind < 0 || d.kind > 2 then Error (Malformed "blob kind")
               else if d.elems < 0 then Error (Malformed "blob length")
-              else if d.offset < 0 || d.offset + (d.elems * elem_size d.kind) > file_size
+              else if
+                d.offset < 0 || d.offset > file_size
+                || d.elems > (file_size - d.offset) / elem_size d.kind
               then Error Truncated
               else Ok ())
             (Ok ()) dirents
@@ -434,72 +466,48 @@ let load ?(verify = true) path =
            unmarshals them. *)
         let* residue =
           seek_in ic residue_off;
-          match read_exact ic residue_len with
-          | Ok b -> Ok (Bytes.unsafe_to_string b)
-          | Error _ -> Error Truncated
+          Result.map Bytes.unsafe_to_string (read_exact ic residue_len)
         in
         let* () =
           if crc_string residue <> residue_crc then
             Error (Checksum_mismatch "residue")
           else Ok ()
         in
-        (* Optional blob verification: re-CRC the payload bytes from the
-           channel (page cache) before handing out the mapped views. *)
-        let* () =
-          if not verify then Ok ()
-          else begin
-            let chunk = Bytes.create 65536 in
-            let rec check_blob i =
-              if i >= nblobs then Ok ()
-              else begin
-                let d = dirents.(i) in
-                let bytes = d.elems * elem_size d.kind in
-                seek_in ic d.offset;
-                let crc = ref 0l in
-                let off = ref 0 in
-                let ok = ref true in
-                while !ok && !off < bytes do
-                  let len = min 65536 (bytes - !off) in
-                  (match really_input ic chunk 0 len with
-                  | () -> crc := crc_update !crc chunk len
-                  | exception End_of_file -> ok := false);
-                  off := !off + len
-                done;
-                if not !ok then Error Truncated
-                else if !crc <> d.crc then
-                  Error (Checksum_mismatch (Printf.sprintf "blob %d" i))
-                else check_blob (i + 1)
-              end
-            in
-            check_blob 0
-          end
+        (* Blobs: map each region once, then optionally re-CRC its bytes
+           in place (page cache, no copy). An I32 blob is its own int32
+           view; a float blob is read through an int32 view of its pages.
+           Mappings survive the close. *)
+        let fd = Unix.descr_of_in_channel ic in
+        let mapping f =
+          try f () with Unix.Unix_error (e, _, _) -> Error (Io (Unix.error_message e))
         in
-        (* Map the blobs. The fd backing the maps is independent of [ic];
-           mappings survive the close. *)
         let* loaded =
-          match Unix.openfile path [ Unix.O_RDONLY ] 0 with
-          | exception Unix.Unix_error (e, _, _) -> Error (Io (Unix.error_message e))
-          | fd ->
-            Fun.protect
-              ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-              (fun () ->
-                try
-                  Ok
-                    (Array.map
-                       (fun d ->
-                         let map (type e el) (kind : (e, el) Bigarray.kind) :
-                             (e, el, Bigarray.c_layout) Bigarray.Array1.t =
-                           Bigarray.array1_of_genarray
-                             (Unix.map_file fd ~pos:(Int64.of_int d.offset) kind
-                                Bigarray.c_layout false [| d.elems |])
-                         in
-                         match d.kind with
-                         | 0 -> I32 (map Bigarray.int32)
-                         | 1 -> F32 (map Bigarray.float32)
-                         | _ -> F64 (map Bigarray.float64))
-                       dirents)
-                with Unix.Unix_error (e, _, _) -> Error (Io (Unix.error_message e)))
+          mapping (fun () ->
+              Ok
+                (Array.map
+                   (fun d ->
+                     let map kind =
+                       map_region fd ~pos:d.offset ~shared:false kind d.elems
+                     in
+                     match d.kind with
+                     | 0 -> I32 (map Bigarray.int32)
+                     | 1 -> F32 (map Bigarray.float32)
+                     | _ -> F64 (map Bigarray.float64))
+                   dirents))
         in
+        let rec check_blob i =
+          if i >= nblobs then Ok ()
+          else
+            let words =
+              match loaded.(i) with
+              | I32 a -> a
+              | b -> blob_words fd ~pos:dirents.(i).offset ~shared:false (blob_bytes b)
+            in
+            if crc_i32 0 words <> dirents.(i).crc then
+              Error (Checksum_mismatch (Printf.sprintf "blob %d" i))
+            else check_blob (i + 1)
+        in
+        let* () = if verify then mapping (fun () -> check_blob 0) else Ok () in
         Ok
           {
             meta = { scheme_id; seed; eps; n; m; fingerprint = fp };
@@ -516,3 +524,12 @@ let check loaded ~scheme_id ~seed ~eps ~graph =
   else if m.n <> Graph.n graph || m.m <> Graph.m graph then Error Graph_mismatch
   else if m.fingerprint <> fingerprint graph then Error Graph_mismatch
   else Ok ()
+
+module For_testing = struct
+  let crc32 crc s off len =
+    if off < 0 || len < 0 || off > String.length s - len then
+      invalid_arg "Snapshot.For_testing.crc32";
+    crc_sub crc s off len
+
+  let crc32_i32 = crc_i32
+end

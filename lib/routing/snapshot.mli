@@ -95,3 +95,18 @@ val check :
   (unit, error) result
 (** Validate that a loaded snapshot is usable for [graph] under the given
     scheme and parameters (id, seed, eps, n/m, fingerprint). *)
+
+(** Test-only hooks. *)
+module For_testing : sig
+  val crc32 : int -> string -> int -> int -> int
+  (** [crc32 crc s off len] continues the CRC-32 state [crc] (zlib
+      polynomial; states are ints in [\[0, 2^32)], and [0] starts a
+      fresh checksum) over the [len] bytes of [s] from [off]. It is the
+      kernel behind every header and residue checksum.
+      @raise Invalid_argument if the range is not inside [s]. *)
+
+  val crc32_i32 : int -> i32arr -> int
+  (** [crc32_i32 crc a] continues [crc] over the raw memory of [a], in
+      host byte order — the path every blob payload is checked through,
+      float blobs via int32 views of their memory. *)
+end

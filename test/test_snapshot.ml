@@ -305,6 +305,128 @@ let test_load_or_build_fallback () =
     (route_signature inst0 g = route_signature inst2 g);
   Sys.remove path
 
+(* Bitwise CRC-32 (zlib polynomial): eight shift/xor steps per byte, the
+   reference the table-driven kernel is pinned against. *)
+let crc_reference crc s off len =
+  let c = ref (crc lxor 0xffffffff) in
+  for i = off to off + len - 1 do
+    c := !c lxor Char.code s.[i];
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then (!c lsr 1) lxor 0xEDB88320 else !c lsr 1
+    done
+  done;
+  !c lxor 0xffffffff
+
+(* Version-1 header layout: a 20-byte prelude (magic, version, endianness,
+   scheme-id length), the scheme id, five 8-byte parameters, a u32 blob
+   count, 24-byte directory entries (kind, pad, offset, elems, crc), then
+   the residue offset and length, the residue crc and the header crc. *)
+let hdr_id_len b = Int32.to_int (Bytes.get_int32_le b 16)
+let hdr_nblobs b = Int32.to_int (Bytes.get_int32_le b (60 + hdr_id_len b))
+let hdr_dirent b i = 64 + hdr_id_len b + (24 * i)
+let hdr_blob_offset b i = Int64.to_int (Bytes.get_int64_le b (hdr_dirent b i + 4))
+let hdr_blob_bytes b i =
+  let elem = if Bytes.get b (hdr_dirent b i) = '\002' then 8 else 4 in
+  elem * Int64.to_int (Bytes.get_int64_le b (hdr_dirent b i + 12))
+let hdr_residue_len b = hdr_dirent b (hdr_nblobs b) + 8
+let hdr_crc b = hdr_dirent b (hdr_nblobs b) + 20
+
+(* Recompute the header checksum, so a crafted header passes it and only
+   the later checks stand between the file and the caller. *)
+let reseal b =
+  let at = hdr_crc b in
+  Bytes.set_int32_le b at
+    (Int32.of_int (crc_reference 0 (Bytes.unsafe_to_string b) 0 at))
+
+(* Fixed inputs for the format-stability pin: a fixed meta, one blob of
+   each kind and an odd-length residue. The F32 blob holds signalling-NaN
+   bit patterns; OCaml cannot store those through a float (widening a
+   float32 quiets it), so the blob is mapped from a file of raw words. *)
+let golden_residue = "golden residue \000\001\127\255"
+
+let write_golden path =
+  let i32 =
+    Bigarray.Array1.of_array Bigarray.int32 Bigarray.c_layout
+      [| 0l; 1l; -1l; 0x7fffffffl; Int32.min_int |]
+  in
+  let raw = Filename.concat (Filename.dirname path) "golden-f32.raw" in
+  let words = [| 0x7fa00001l; 0x3fc00000l; 0xffa00000l |] in
+  let b = Bytes.create (4 * Array.length words) in
+  Array.iteri (fun i w -> Bytes.set_int32_ne b (4 * i) w) words;
+  let oc = open_out_bin raw in
+  output_bytes oc b;
+  close_out oc;
+  let fd = Unix.openfile raw [ Unix.O_RDONLY ] 0 in
+  let f32 =
+    Bigarray.array1_of_genarray
+      (Unix.map_file fd Bigarray.float32 Bigarray.c_layout false
+         [| Array.length words |])
+  in
+  Unix.close fd;
+  let f64 =
+    Bigarray.Array1.of_array Bigarray.float64 Bigarray.c_layout
+      [| 0.0; -0.0; 1.5; infinity; Int64.float_of_bits 0x7ff4000000000001L |]
+  in
+  let sink = Snapshot.sink () in
+  List.iter
+    (fun blob -> ignore (Snapshot.put sink blob))
+    [ Snapshot.I32 i32; Snapshot.F32 f32; Snapshot.F64 f64 ];
+  let meta =
+    {
+      Snapshot.scheme_id = "golden";
+      seed = 42;
+      eps = 0.25;
+      n = 5;
+      m = 7;
+      fingerprint = 0x0123456789abcdefL;
+    }
+  in
+  Snapshot.save ~path ~meta ~residue:golden_residue sink
+
+let golden_path =
+  lazy
+    (let path = fresh_path "golden" in
+     (match write_golden path with
+     | Ok () -> ()
+     | Error e -> Alcotest.failf "golden save: %s" (Snapshot.error_to_string e));
+     path)
+
+(* Load a crafted variant of the golden container under both verify
+   modes: each must come back as [Truncated], never [Ok] and never an
+   exception. *)
+let expect_truncated name mutate =
+  let b = read_file (Lazy.force golden_path) in
+  mutate b;
+  reseal b;
+  let path = fresh_path name in
+  write_file path b;
+  List.iter
+    (fun verify ->
+      let what = Printf.sprintf "%s (verify:%b)" name verify in
+      match Snapshot.load ~verify path with
+      | Ok _ -> Alcotest.failf "%s: crafted snapshot was accepted" what
+      | Error e ->
+        checkb
+          (Printf.sprintf "%s -> %s" what (Snapshot.error_to_string e))
+          true (e = Snapshot.Truncated)
+      | exception ex -> Alcotest.failf "%s raised %s" what (Printexc.to_string ex))
+    [ true; false ]
+
+(* [offset + elems * size] wraps to [offset] when [elems * size] is a
+   multiple of 2^63, and a zero-byte payload CRCs to 0. *)
+let test_crafted_blob_length () =
+  let file = read_file (Lazy.force golden_path) in
+  for i = 0 to hdr_nblobs file - 1 do
+    expect_truncated (Printf.sprintf "blob%d-elems-2^61" i) (fun b ->
+        Bytes.set_int64_le b (hdr_dirent b i + 12) (Int64.shift_left 1L 61);
+        Bytes.set_int32_le b (hdr_dirent b i + 20) 0l)
+  done
+
+(* [residue_off + max_int] wraps negative. *)
+let test_crafted_residue_length () =
+  expect_truncated "residue-len-max_int" (fun b ->
+      Bytes.set_int64_le b (hdr_residue_len b) (Int64.of_int max_int))
+
 (* ------------------------------------------------------------------ *)
 (* 3. Succinct planes: Elias-Fano intmaps vs sorted reference.        *)
 
@@ -413,6 +535,173 @@ let qcheck_packed =
         (oneof [ int_range (-4) 4; int_range (-1000) 1000; int_range 0 (1 lsl 30) ]))
     (fun l -> packed_roundtrip (Array.of_list l))
 
+(* ------------------------------------------------------------------ *)
+(* 5. CRC-32 kernel pinned against the bitwise reference.             *)
+
+let crc32 = Snapshot.For_testing.crc32
+
+let test_crc_check_value () =
+  checki "CRC-32 check value" 0xCBF43926 (crc32 0 "123456789" 0 9);
+  checki "reference check value" 0xCBF43926 (crc_reference 0 "123456789" 0 9);
+  checki "empty input" 0 (crc32 0 "" 0 0)
+
+(* Every length 0-64 and the long tail, at every start offset 0-7, and
+   split at a random point into two incremental updates. *)
+let qcheck_crc_kernel =
+  qcheck ~count:100 "CRC-32 kernel equals the bitwise reference"
+    QCheck2.Gen.(pair (string_size (int_range 72 4000)) nat)
+    (fun (s, cut) ->
+      let n = String.length s in
+      let ok = ref true in
+      for off = 0 to 7 do
+        for len = 0 to 64 do
+          if crc32 0 s off len <> crc_reference 0 s off len then ok := false
+        done;
+        let len = n - off in
+        let full = crc_reference 0 s off len in
+        let k = cut mod (len + 1) in
+        if crc32 0 s off len <> full then ok := false;
+        if crc32 (crc32 0 s off k) s (off + k) (len - k) <> full then ok := false
+      done;
+      !ok)
+
+(* The int32-view path reads the same memory the bytes path would. *)
+let qcheck_crc_i32_view =
+  qcheck ~count:200 "CRC-32 of an int32 view equals the CRC of its bytes"
+    QCheck2.Gen.(pair (small_string ~gen:char) (list_size (int_range 0 300) int32))
+    (fun (prefix, words) ->
+      let a =
+        Bigarray.Array1.of_array Bigarray.int32 Bigarray.c_layout
+          (Array.of_list words)
+      in
+      let b = Bytes.create (4 * List.length words) in
+      List.iteri (fun i w -> Bytes.set_int32_ne b (4 * i) w) words;
+      let bytes = Bytes.unsafe_to_string b in
+      let start = crc32 0 prefix 0 (String.length prefix) in
+      Snapshot.For_testing.crc32_i32 0 a = crc32 0 bytes 0 (String.length bytes)
+      && Snapshot.For_testing.crc32_i32 start a
+         = crc32 start bytes 0 (String.length bytes))
+
+(* ------------------------------------------------------------------ *)
+(* 6. Format stability: a golden container pinned by its digest.      *)
+
+(* [Digest.file] of the golden container as the version-1 writer has
+   always produced it: a different digest is a format change, which needs
+   a version bump. Blobs are host memory, so the pin holds on
+   little-endian hosts. *)
+let golden_digest = "9781ea992cddb3f1bf32a7d711600af1"
+
+let test_golden_digest () =
+  let path = Lazy.force golden_path in
+  checki "residue length is odd" 1 (String.length golden_residue land 1);
+  if not Sys.big_endian then
+    check Alcotest.string "golden container digest" golden_digest
+      (Digest.to_hex (Digest.file path));
+  match Snapshot.load ~verify:true path with
+  | Error e -> Alcotest.failf "golden load: %s" (Snapshot.error_to_string e)
+  | Ok l ->
+    checkb "meta round-trips" true
+      (l.Snapshot.meta.Snapshot.scheme_id = "golden"
+      && l.Snapshot.meta.Snapshot.fingerprint = 0x0123456789abcdefL);
+    check Alcotest.string "residue round-trips" golden_residue l.Snapshot.residue;
+    checki "version 1" 1 (Int32.to_int (Bytes.get_int32_le (read_file path) 8));
+    checki "I32 blob" 0x7fffffff
+      (Int32.to_int (Bigarray.Array1.get (Snapshot.get_i32 l.Snapshot.source 0) 3));
+    checkb "F64 blob keeps its sNaN bits" true
+      (Int64.bits_of_float
+         (Bigarray.Array1.get (Snapshot.get_f64 l.Snapshot.source 2) 4)
+      = 0x7ff4000000000001L)
+
+(* ------------------------------------------------------------------ *)
+(* 7. Blob payloads: lazy-regime rt-* instances write their           *)
+(*    packed vicinity families as blobs (eager fixtures write none).  *)
+
+type lazy_case = {
+  name : string;
+  frozen_residue : Snapshot.sink -> string;
+  fresh : Scheme.instance;
+  thaw : Snapshot.source -> string -> Scheme.instance;
+}
+
+let lazy_cases g =
+  let rt5 = Scheme5eps.preprocess ~mode:`Lazy ~eps ~seed g in
+  let rt4 = Scheme4km7.preprocess ~mode:`Lazy ~eps ~seed g ~k:3 in
+  [
+    {
+      name = "rt-5eps";
+      frozen_residue = (fun sink -> Marshal.to_string (Scheme5eps.freeze sink rt5) []);
+      fresh = Scheme5eps.instance rt5;
+      thaw =
+        (fun src r ->
+          Scheme5eps.instance (Scheme5eps.thaw src ~graph:g (Marshal.from_string r 0)));
+    };
+    {
+      name = "rt-4km7-k3";
+      frozen_residue = (fun sink -> Marshal.to_string (Scheme4km7.freeze sink rt4) []);
+      fresh = Scheme4km7.instance rt4;
+      thaw =
+        (fun src r ->
+          Scheme4km7.instance (Scheme4km7.thaw src ~graph:g (Marshal.from_string r 0)));
+    };
+  ]
+
+let test_lazy_blob_roundtrip () =
+  let g = Generators.connect ~seed:13 (Generators.gnp ~seed:131 96 0.06) in
+  List.iter
+    (fun c ->
+      let sink = Snapshot.sink () in
+      let residue = c.frozen_residue sink in
+      let meta =
+        {
+          Snapshot.scheme_id = c.name;
+          seed;
+          eps;
+          n = Graph.n g;
+          m = Graph.m g;
+          fingerprint = Snapshot.fingerprint g;
+        }
+      in
+      let path = fresh_path ("lazy-" ^ c.name) in
+      (match Snapshot.save ~path ~meta ~residue sink with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s save: %s" c.name (Snapshot.error_to_string e));
+      let file = read_file path in
+      let nblobs = hdr_nblobs file in
+      checkb (Printf.sprintf "%s writes blobs (%d)" c.name nblobs) true (nblobs >= 1);
+      let expected = route_signature c.fresh g in
+      List.iter
+        (fun verify ->
+          match Snapshot.load ~verify path with
+          | Error e -> Alcotest.failf "%s load: %s" c.name (Snapshot.error_to_string e)
+          | Ok l ->
+            let inst = c.thaw l.Snapshot.source l.Snapshot.residue in
+            checkb
+              (Printf.sprintf "%s routes bit-identical (verify:%b)" c.name verify)
+              true
+              (route_signature inst g = expected))
+        [ true; false ];
+      (* One flipped byte inside each blob payload is caught by that blob's
+         checksum. *)
+      for i = 0 to nblobs - 1 do
+        let len = hdr_blob_bytes file i in
+        if len > 0 then begin
+          let at = hdr_blob_offset file i + (len / 2) in
+          let b = Bytes.copy file in
+          Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 0x10));
+          let p = fresh_path (Printf.sprintf "lazy-%s-blob%d" c.name i) in
+          write_file p b;
+          match Snapshot.load ~verify:true p with
+          | Ok _ -> Alcotest.failf "%s: flipped blob %d accepted" c.name i
+          | Error e ->
+            checkb
+              (Printf.sprintf "%s blob %d flip -> %s" c.name i
+                 (Snapshot.error_to_string e))
+              true
+              (e = Snapshot.Checksum_mismatch (Printf.sprintf "blob %d" i))
+        end
+      done)
+    (lazy_cases g)
+
 let suite =
   [
     case "round-trip: whole catalog bit-identical" test_roundtrip_whole_catalog;
@@ -428,8 +717,15 @@ let suite =
     case "reject: wrong seed/eps" test_wrong_params;
     case "reject: wrong scheme" test_wrong_scheme;
     case "load_or_build fallback ladder" test_load_or_build_fallback;
+    case "reject: crafted blob length past the file" test_crafted_blob_length;
+    case "reject: crafted residue length past the file" test_crafted_residue_length;
     qcheck_ef_vs_sorted;
     qcheck_lower_bound;
     case "packed width boundaries" test_packed_width_boundaries;
     qcheck_packed;
+    case "CRC-32 check value" test_crc_check_value;
+    qcheck_crc_kernel;
+    qcheck_crc_i32_view;
+    case "format pin: golden container digest" test_golden_digest;
+    case "round-trip: lazy rt-* blobs" test_lazy_blob_roundtrip;
   ]
