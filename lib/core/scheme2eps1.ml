@@ -11,7 +11,7 @@ type t = {
   cluster_labels : (int, (int, Tree_routing.label) Hashtbl.t) Hashtbl.t;
       (* w -> (v in C_A(w) -> label of v in T_{C_A(w)}), stored at w *)
   global_trees : (int, Tree_routing.t) Hashtbl.t; (* a in A -> T(a) *)
-  witness : (int, int) Hashtbl.t array;
+  witness : Compiled.Intmap.t array;
       (* witness.(u) : v -> best w in B(u,q~) ∩ B_A(v) *)
   coloring : Coloring.t;
   reps : (int * float) array array;
@@ -83,9 +83,11 @@ let preprocess ?substrate ?(eps = 0.5) ?(vicinity_factor = 1.0) ?center_target
   let cluster_trees = Hashtbl.create (2 * n) in
   let cluster_labels = Hashtbl.create (2 * n) in
   let cluster_of = Array.make n [||] in
+  let cluster_dist = Array.make n [||] in
   for w = 0 to n - 1 do
     let c = Substrate.cluster sub ~seed ~target w in
     cluster_of.(w) <- c.Dijkstra.order;
+    cluster_dist.(w) <- c.Dijkstra.dist;
     match Substrate.cluster_tree sub ~seed ~target w with
     | None -> ()
     | Some tr ->
@@ -102,30 +104,24 @@ let preprocess ?substrate ?(eps = 0.5) ?(vicinity_factor = 1.0) ?center_target
     (fun a -> Hashtbl.replace global_trees a (Substrate.spt_tree sub a))
     centers.Centers.centers;
   (* Intersection witnesses: for u and each v with B(u,q~) ∩ B_A(v) <> ∅,
-     the w minimizing d(u,w) + d(w,v); enumerate via the clusters of the
-     vicinity members. *)
-  let witness = Array.init n (fun _ -> Hashtbl.create 8) in
-  let best = Array.init n (fun _ -> Hashtbl.create 8) in
-  for u = 0 to n - 1 do
-    Array.iter
-      (fun w ->
-        let duw = Vicinity.dist vic.(u) w in
-        let cluster = cluster_of.(w) in
-        if Array.length cluster > 0 then begin
-          let tr = Hashtbl.find cluster_trees w in
-          Array.iter
-            (fun v ->
-              let s = duw +. Tree_routing.tree_dist tr w v in
-              match Hashtbl.find_opt best.(u) v with
-              | Some (s0, w0) when s0 < s || (s0 = s && w0 <= w) -> ()
-              | _ -> Hashtbl.replace best.(u) v (s, w))
-            cluster
-        end)
-      (Vicinity.members vic.(u))
-  done;
-  for u = 0 to n - 1 do
-    Hashtbl.iter (fun v (_, w) -> Hashtbl.replace witness.(u) v w) best.(u)
-  done;
+     the w minimizing (d(u,w) + d(w,v), w); enumerate via the clusters of
+     the vicinity members. d(w,v) is the cluster search's own distance:
+     exact on the unit-weight graphs this theorem takes. *)
+  let scratch = Scheme_util.Witness_scratch.create n in
+  let witness =
+    Array.init n (fun u ->
+        Array.iter
+          (fun w ->
+            let duw = Vicinity.dist vic.(u) w in
+            let dw = cluster_dist.(w) in
+            Array.iter
+              (fun v ->
+                Scheme_util.Witness_scratch.offer scratch v ~s:(duw +. dw.(v)) ~w
+                  ~tag:0)
+              cluster_of.(w))
+          (Vicinity.members vic.(u));
+        Scheme_util.Witness_scratch.flush scratch)
+  in
   (* Coloring, representatives, Lemma 7 over the color classes. *)
   let coloring = Scheme_util.color_vicinities ~seed g vic ~colors:q in
   let reps = Scheme_util.color_reps vic coloring in
@@ -156,7 +152,7 @@ let preprocess ?substrate ?(eps = 0.5) ?(vicinity_factor = 1.0) ?center_target
           labels 0
     in
     let global_records = 7 * Array.length centers.Centers.centers in
-    let witness_words = 2 * Hashtbl.length witness.(u) in
+    let witness_words = 2 * Compiled.Intmap.cardinal witness.(u) in
     let rep_words = 2 * Array.length reps.(u) in
     tot_cluster := !tot_cluster + cluster_records;
     tot_own := !tot_own + own_labels;
@@ -248,7 +244,7 @@ let initial_header t ~src lbl =
   let v = lbl.vertex in
   if Vicinity.mem t.vic.(src) v then { lbl; phase = Direct }
   else
-    match Hashtbl.find_opt t.witness.(src) v with
+    match Compiled.Intmap.find_opt t.witness.(src) v with
     | Some w -> { lbl; phase = To_witness w }
     | None ->
       let w, d_uw = t.reps.(src).(lbl.color) in
@@ -279,7 +275,8 @@ type compiled = {
 
 (* The vicinity family is physically shared with the embedded Lemma 7
    instance, so its compiled form is reused rather than rebuilt. The
-   witness and cluster-label stores are consulted once per route and stay
+   witness maps are compiled from the start and shared by both planes;
+   the cluster-label stores are consulted once per route and stay
    interpreted; the per-hop tree dispatches are compiled. *)
 let compile t =
   let lemma7_c = Seq_routing.compile t.lemma7 in
@@ -369,7 +366,7 @@ type frozen = {
   z_cluster_trees : (int, Tree_routing.t) Hashtbl.t;
   z_cluster_labels : (int, (int, Tree_routing.label) Hashtbl.t) Hashtbl.t;
   z_global_trees : (int, Tree_routing.t) Hashtbl.t;
-  z_witness : (int, int) Hashtbl.t array;
+  z_witness : Compiled.Intmap.t array;
   z_coloring : Coloring.t;
   z_reps : (int * float) array array;
   z_lemma7 : Seq_routing.frozen;
@@ -413,3 +410,11 @@ let thaw src ~graph z =
     label_words = z.z_label_words;
     breakdown = z.z_breakdown;
   }
+
+module For_testing = struct
+  let witness t ~src v = Compiled.Intmap.find_opt t.witness.(src) v
+
+  let vicinities t = t.vic
+
+  let cluster_tree t w = Hashtbl.find_opt t.cluster_trees w
+end

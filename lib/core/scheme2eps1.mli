@@ -7,7 +7,7 @@ open Cr_routing
     Ingredients (all with [q = n^(1/3)]): vicinities [B(u, q~)]; a Lemma 4
     center set [A] of size [O~(n^(2/3))] with clusters [C_A(w)] of size
     [O(n^(1/3))] and their tree-routing structures; global shortest-path
-    trees [T(a)] for every [a ∈ A]; a per-source hash of the best
+    trees [T(a)] for every [a ∈ A]; a per-source map to the best
     intersection witness [w ∈ B(u, q~) ∩ B_A(v)]; and Lemma 7 over the color
     classes of a Lemma 6 coloring.
 
@@ -69,3 +69,19 @@ val thaw : Snapshot.source -> graph:Graph.t -> frozen -> t
     graph the snapshot was built on (callers validate via
     {!Snapshot.check} first). Answers are bit-identical to the frozen
     instance's. *)
+
+(** {1 Test access} *)
+
+module For_testing : sig
+  val witness : t -> src:int -> int -> int option
+  (** [witness t ~src v] is the intersection witness [src] stores for [v]:
+      the [w ∈ B(src, q~) ∩ B_A(v)] minimizing [(d(src, w) + d(w, v), w)],
+      or [None] when the two sets are disjoint. *)
+
+  val vicinities : t -> Vicinity.t array
+  (** The vicinity family [B(u, q~)]. *)
+
+  val cluster_tree : t -> int -> Tree_routing.t option
+  (** [cluster_tree t w] is the tree over [C_A(w)], or [None] when the
+      cluster is empty. *)
+end

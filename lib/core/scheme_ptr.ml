@@ -25,9 +25,10 @@ type t = {
   centers : Centers.t array;  (* centers.(i) = L_i *)
   cluster_trees : (int, Tree_routing.t) Hashtbl.t array;  (* per level *)
   cluster_labels : (int, (int, Tree_routing.label) Hashtbl.t) Hashtbl.t array;
-  witness : (int, int * int) Hashtbl.t array;
-      (* witness.(u) : v -> (level i, w) with w in B_i(u) ∩ B_{L_(ell-i)}(v),
-         minimizing d(u,w) + d(w,v) over all levels *)
+  witness : Compiled.Intmap.t array;
+      (* witness.(u) : v -> i * n + w for the level i and the w in
+         B_i(u) ∩ B_{L_(ell-i)}(v) minimizing (d(u,w) + d(w,v), w) over all
+         levels, the lowest such level on a tie *)
   colorings : Coloring.t option array;   (* c_i for source levels *)
   reps : (int * float) array array array; (* reps.(i).(u).(color) *)
   lemma8 : Seq_routing2.t option array;   (* instance per source level i *)
@@ -92,11 +93,14 @@ let preprocess ?substrate ?(eps = 0.5) ?(vicinity_factor = 1.0) ~seed ~variant
   let cluster_trees = Array.init (ell + 1) (fun _ -> Hashtbl.create (2 * n)) in
   let cluster_labels = Array.init (ell + 1) (fun _ -> Hashtbl.create (2 * n)) in
   let cluster_members = Array.make (ell + 1) [||] in
+  let cluster_dists = Array.make (ell + 1) [||] in
   for i = 0 to ell do
     let members = Array.make n [||] in
+    let dists = Array.make n [||] in
     for w = 0 to n - 1 do
       let c = Substrate.cluster sub ~seed:(seed + i) ~target:targets.(i) w in
       members.(w) <- c.Dijkstra.order;
+      dists.(w) <- c.Dijkstra.dist;
       match Substrate.cluster_tree sub ~seed:(seed + i) ~target:targets.(i) w with
       | None -> ()
       | Some tr ->
@@ -107,37 +111,34 @@ let preprocess ?substrate ?(eps = 0.5) ?(vicinity_factor = 1.0) ~seed ~variant
           c.Dijkstra.order;
         Hashtbl.replace cluster_labels.(i) w labels
     done;
-    cluster_members.(i) <- members
+    cluster_members.(i) <- members;
+    cluster_dists.(i) <- dists
   done;
   (* Intersection witnesses across levels i in {0..ell-1} (level ell is the
-     plain vicinity check handled at routing time). *)
-  let witness = Array.init n (fun _ -> Hashtbl.create 8) in
-  let best = Array.init n (fun _ -> Hashtbl.create 8) in
-  for i = 0 to ell - 1 do
-    let lev = ell - i in
-    for u = 0 to n - 1 do
-      let b = vic.(u) in
-      let members = Vicinity.members b in
-      let bound = min (Array.length members) sizes.(i) in
-      for r = 0 to bound - 1 do
-        let w = members.(r) in
-        let duw = Vicinity.dist b w in
-        (match Hashtbl.find_opt cluster_trees.(lev) w with
-        | None -> ()
-        | Some tr ->
-          Array.iter
-            (fun v ->
-              let s = duw +. Tree_routing.tree_dist tr w v in
-              match Hashtbl.find_opt best.(u) v with
-              | Some (s0, w0, _) when s0 < s || (s0 = s && w0 <= w) -> ()
-              | _ -> Hashtbl.replace best.(u) v (s, w, i))
-            cluster_members.(lev).(w))
-      done
-    done
-  done;
-  for u = 0 to n - 1 do
-    Hashtbl.iter (fun v (_, w, i) -> Hashtbl.replace witness.(u) v (i, w)) best.(u)
-  done;
+     plain vicinity check handled at routing time). B_i(u) is the prefix of
+     B_ell(u) of size l_i; d(w,v) is the level-(ell-i) cluster search's own
+     distance, exact on the unit-weight graphs these theorems take. Levels
+     are offered in increasing order, so a tie keeps the lowest. *)
+  let scratch = Scheme_util.Witness_scratch.create n in
+  let witness =
+    Array.init n (fun u ->
+        let b = vic.(u) in
+        let members = Vicinity.members b in
+        for i = 0 to ell - 1 do
+          let lev = ell - i in
+          for r = 0 to min (Array.length members) sizes.(i) - 1 do
+            let w = members.(r) in
+            let duw = Vicinity.dist b w in
+            let dw = cluster_dists.(lev).(w) in
+            Array.iter
+              (fun v ->
+                Scheme_util.Witness_scratch.offer scratch v ~s:(duw +. dw.(v)) ~w
+                  ~tag:i)
+              cluster_members.(lev).(w)
+          done
+        done;
+        Scheme_util.Witness_scratch.flush scratch)
+  in
   (* Per-source-level colorings, representatives and Lemma 8 instances. *)
   let src_levels = source_levels variant ell in
   let colorings = Array.make (ell + 1) None in
@@ -233,7 +234,7 @@ let preprocess ?substrate ?(eps = 0.5) ?(vicinity_factor = 1.0) ~seed ~variant
     done
   done;
   for u = 0 to n - 1 do
-    table_words.(u) <- table_words.(u) + (2 * Hashtbl.length witness.(u));
+    table_words.(u) <- table_words.(u) + (2 * Compiled.Intmap.cardinal witness.(u));
     List.iter
       (fun i ->
         table_words.(u) <-
@@ -341,10 +342,11 @@ let initial_header t ~src lbl =
   let v = lbl.vertex in
   if Vicinity.mem t.vic.(src) v then { lbl; phase = Direct }
   else
-    match Hashtbl.find_opt t.witness.(src) v with
-    | Some (i, w) ->
+    match Compiled.Intmap.find_opt t.witness.(src) v with
+    | Some iw ->
       (* The witness was found in B_i(src) ∩ B_{L_(ell-i)}(v): its cluster
          tree lives at level ell - i. *)
+      let i, w = Scheme_util.Witness_scratch.unpack ~n:(Graph.n t.graph) iw in
       { lbl; phase = To_witness (t.ell - i, w) }
     | None ->
       let src_levels = source_levels t.variant t.ell in
@@ -392,7 +394,8 @@ type compiled = {
 (* The scheme's own hops walk the level-ell vicinity family, which is not
    the family inside any Lemma 8 instance (those use the per-level
    families), so it is compiled here; each Lemma 8 instance compiles its
-   own. Witness and cluster-label fetches happen once per route and stay
+   own. The witness maps are compiled from the start and shared by both
+   planes; cluster-label fetches happen once per route and stay
    interpreted. *)
 let compile t =
   {
@@ -516,7 +519,7 @@ type frozen = {
   z_centers : Centers.t array;
   z_cluster_trees : (int, Tree_routing.t) Hashtbl.t array;
   z_cluster_labels : (int, (int, Tree_routing.label) Hashtbl.t) Hashtbl.t array;
-  z_witness : (int, int * int) Hashtbl.t array;
+  z_witness : Compiled.Intmap.t array;
   z_colorings : Coloring.t option array;
   z_reps : (int * float) array array array;
   z_lemma8 : Seq_routing2.frozen option array;
@@ -578,3 +581,16 @@ let thaw src ~graph z =
     table_words = z.z_table_words;
     label_words = z.z_label_words;
   }
+
+module For_testing = struct
+  let witness t ~src v =
+    Option.map
+      (Scheme_util.Witness_scratch.unpack ~n:(Graph.n t.graph))
+      (Compiled.Intmap.find_opt t.witness.(src) v)
+
+  let vicinities t = t.vic
+
+  let sizes t = t.sizes
+
+  let cluster_tree t ~level w = Hashtbl.find_opt t.cluster_trees.(level) w
+end

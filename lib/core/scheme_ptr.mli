@@ -65,3 +65,24 @@ val thaw : Snapshot.source -> graph:Graph.t -> frozen -> t
     graph the snapshot was built on (callers validate via
     {!Snapshot.check} first). Answers are bit-identical to the frozen
     instance's. *)
+
+(** {1 Test access} *)
+
+module For_testing : sig
+  val witness : t -> src:int -> int -> (int * int) option
+  (** [witness t ~src v] is the stored [(i, w)]: the level [i < ell] and
+      the [w ∈ B_i(src) ∩ B_{L_(ell-i)}(v)] minimizing
+      [(d(src, w) + d(w, v), w)] over all levels, the lowest level on a
+      tie; [None] when no level intersects. *)
+
+  val vicinities : t -> Vicinity.t array
+  (** The level-[ell] family [B_ell(u)]; [B_i(u)] is its prefix of size
+      [(sizes t).(i)]. *)
+
+  val sizes : t -> int array
+  (** [l_i], the vicinity size of level [i], for [i = 0..ell]. *)
+
+  val cluster_tree : t -> level:int -> int -> Tree_routing.t option
+  (** [cluster_tree t ~level w] is the tree over [C_{L_level}(w)], or
+      [None] when the cluster is empty. *)
+end

@@ -60,6 +60,65 @@ let color_reps vic (c : Coloring.t) =
           | None -> invalid_arg "color_reps: vicinity misses a color"))
     vic
 
+(* Per-source dense scratch for the intersection-witness passes of
+   Theorems 10, 13 and 15. Each offer proposes witness [w] for
+   destination [v] at length [s]; the scratch keeps the lexicographic
+   minimum [(s, w)] per destination, with the [tag] of the offer that set
+   it (the first offer wins an exact tie). [flush] compiles the touched
+   destinations into a map [v -> tag * n + w] ([unpack] splits a value
+   back into [(tag, w)]) and resets exactly those entries, so one source
+   costs O(offers), not O(n). *)
+module Witness_scratch = struct
+  type t = {
+    n : int;
+    best_s : float array;
+    best_w : int array; (* -1: no offer yet (best_s, best_tag unset) *)
+    best_tag : int array;
+    touched : int array;
+    mutable count : int;
+  }
+
+  let create n =
+    {
+      n;
+      best_s = Array.make n 0.0;
+      best_w = Array.make n (-1);
+      best_tag = Array.make n 0;
+      touched = Array.make n 0;
+      count = 0;
+    }
+
+  let offer t v ~s ~w ~tag =
+    let w0 = t.best_w.(v) in
+    if w0 < 0 then begin
+      t.touched.(t.count) <- v;
+      t.count <- t.count + 1;
+      t.best_s.(v) <- s;
+      t.best_w.(v) <- w;
+      t.best_tag.(v) <- tag
+    end
+    else if s < t.best_s.(v) || (s = t.best_s.(v) && w < w0) then begin
+      t.best_s.(v) <- s;
+      t.best_w.(v) <- w;
+      t.best_tag.(v) <- tag
+    end
+
+  let flush t =
+    let map =
+      Compiled.Intmap.of_pairs
+        (Array.init t.count (fun i ->
+             let v = t.touched.(i) in
+             (v, (t.best_tag.(v) * t.n) + t.best_w.(v))))
+    in
+    for i = 0 to t.count - 1 do
+      t.best_w.(t.touched.(i)) <- -1
+    done;
+    t.count <- 0;
+    map
+
+  let unpack ~n x = (x / n, x mod n)
+end
+
 (* Simulation wrapper shared by all schemes; [?faults] subjects the run to
    a fault plan (the schemes themselves stay fault-oblivious). The two
    simulator knobs default on; the compiled fast paths thread them through

@@ -149,7 +149,9 @@ let lazy_cache_cap = 8192
 
 let preprocess ?substrate ?(eps = 0.5) ?hitting ?(mode = `Dense) g ~vicinities
     ~parts ~part_of =
-  if eps <= 0.0 then invalid_arg "Seq_routing.preprocess: eps must be positive";
+  (* NaN fails every comparison: test for the valid range, not against it. *)
+  if not (Float.is_finite eps && eps > 0.0) then
+    invalid_arg "Seq_routing.preprocess: eps must be finite and positive";
   if not (Bfs.is_connected g) then
     invalid_arg "Seq_routing.preprocess: graph must be connected";
   let sub = Substrate.for_graph substrate g in

@@ -45,7 +45,8 @@ val preprocess :
     eager in both modes. Decisions are bit-identical across modes — cache
     state never changes an answer. Lazy [table_words]/[breakdown] count
     only the resident vicinity and tree-record entries.
-    @raise Invalid_argument if [g] is disconnected. *)
+    @raise Invalid_argument if [eps] is not finite and positive, or if
+    [g] is disconnected. *)
 
 val initial_header : t -> src:int -> dst:int -> header
 (** Reads the sequence stored {e at [src]} for [dst]; both must belong to

@@ -259,7 +259,9 @@ let tree_dist ls g parent =
 
 let preprocess ?substrate ?(eps = 0.5) ?(mode = `Dense) g ~vicinities ~parts
     ~part_of ~dests =
-  if eps <= 0.0 then invalid_arg "Seq_routing2.preprocess: eps must be positive";
+  (* NaN fails every comparison: test for the valid range, not against it. *)
+  if not (Float.is_finite eps && eps > 0.0) then
+    invalid_arg "Seq_routing2.preprocess: eps must be finite and positive";
   if not (Bfs.is_connected g) then
     invalid_arg "Seq_routing2.preprocess: graph must be connected";
   let sub = Substrate.for_graph substrate g in

@@ -48,8 +48,9 @@ val preprocess :
     two modes — cache state never changes an answer — which the rt-scale
     equivalence tests pin. Lazy [table_words]/[breakdown] count only the
     resident vicinity entries.
-    @raise Invalid_argument if [g] is disconnected, or if some vicinity
-    misses some part (the Lemma's hitting hypothesis). *)
+    @raise Invalid_argument if [eps] is not finite and positive, if [g]
+    is disconnected, or if some vicinity misses some part (the Lemma's
+    hitting hypothesis). *)
 
 val initial_header : t -> src:int -> dst:int -> header
 (** Reads the sequence stored at [src ∈ U_i] for [dst ∈ W_i].

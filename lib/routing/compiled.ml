@@ -80,7 +80,9 @@ module Intmap = struct
         vals : Bytes.t;  (** [m] fields of [vbits] bits *)
       }
 
-  let absent = min_int
+  (* Values are [>= 0], so [-1] marks a Direct hole (and a miss in
+     [find_raw]); it marshals in 2 bytes, where [min_int] would take 9. *)
+  let absent = -1
 
   (* Branchless lower bound: index of the first key [>= x] in [0, n].
      The loop body is a compare and two adds per halving — no data-
@@ -237,9 +239,43 @@ module Intmap = struct
         else sorted ()
     end
 
+  (* When the policy would pick the Direct layout anyway ([`Auto]/[`Flat]
+     and a dense span), each pair lands in its slot in one O(m) pass: no
+     sort, no intermediate key/value arrays, and a slot already filled is
+     the duplicate check. Everything else takes the sorted path. Both
+     produce exactly what [of_sorted] builds from the sorted pairs. *)
   let of_pairs pairs =
-    Array.sort (fun (a, _) (b, _) -> compare a b) pairs;
-    of_sorted ~keys:(Array.map fst pairs) ~vals:(Array.map snd pairs)
+    let m = Array.length pairs in
+    let lo = ref max_int and hi = ref (-1) in
+    Array.iter
+      (fun (k, v) ->
+        if k < 0 || v < 0 then
+          invalid_arg "Compiled.Intmap: negative key or value";
+        if k < !lo then lo := k;
+        if k > !hi then hi := k)
+      pairs;
+    let span = !hi - !lo + 1 in
+    let direct =
+      m > 0
+      && (match !policy with `Auto | `Flat -> true | `Succinct -> false)
+      && direct_fits ~m ~span
+    in
+    if direct then begin
+      let arr = Array.make span absent in
+      Array.iter
+        (fun (k, v) ->
+          let i = k - !lo in
+          if arr.(i) <> absent then
+            invalid_arg "Compiled.Intmap.of_pairs: duplicate key";
+          arr.(i) <- v)
+        pairs;
+      Direct { off = !lo; arr }
+    end
+    else begin
+      let sorted = Array.copy pairs in
+      Array.sort (fun (a, _) (b, _) -> Int.compare a b) sorted;
+      of_sorted ~keys:(Array.map fst sorted) ~vals:(Array.map snd sorted)
+    end
 
   let of_hashtbl h =
     (* [Hashtbl.fold] visits every binding, most recent first per key;
@@ -416,9 +452,12 @@ module Table = struct
         end)
       h;
     let pairs = Array.of_list !acc in
-    Array.sort (fun (a, _) (b, _) -> compare a b) pairs;
+    Array.sort (fun (a, _) (b, _) -> Int.compare a b) pairs;
     let items = Array.map snd pairs in
-    let index = Intmap.of_pairs (Array.mapi (fun i (k, _) -> (k, i)) pairs) in
+    let index =
+      Intmap.of_sorted ~keys:(Array.map fst pairs)
+        ~vals:(Array.init (Array.length pairs) Fun.id)
+    in
     { index; items }
 
   let find t k = t.items.(Intmap.find t.index k)

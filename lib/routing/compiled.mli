@@ -32,12 +32,12 @@ val bigarray_bytes : ('a, 'b, 'c) Bigarray.Array1.t -> int
 (** Immutable [int -> int] map with non-negative values.
 
     Three physical forms, chosen at build time: a {e direct} array when
-    the key range is dense (at most ~4 slots per entry), giving O(1)
-    lookups; parallel sorted key/value arrays resolved by a branchless
-    lower-bound otherwise; or — when the key set is large and sparse
-    enough that it pays — an {e Elias-Fano} encoding of the key set with
-    bit-packed values, resolved by a sampled select over the unary upper
-    bitmap. All three answer identically. *)
+    the key range is dense (at most ~4 slots per entry; holes hold [-1]),
+    giving O(1) lookups; parallel sorted key/value arrays resolved by a
+    branchless lower-bound otherwise; or — when the key set is large and
+    sparse enough that it pays — an {e Elias-Fano} encoding of the key set
+    with bit-packed values, resolved by a sampled select over the unary
+    upper bitmap. All three answer identically. *)
 module Intmap : sig
   type t
 
@@ -48,8 +48,11 @@ module Intmap : sig
 
   val of_pairs : (int * int) array -> t
   (** Compile an array of distinct-keyed [(key, value)] pairs, in any
-      order (the array is sorted in place). @raise Invalid_argument on a
-      negative key/value or a duplicate key. *)
+      order; the argument is not modified. The result is structurally
+      equal to {!of_sorted} on the sorted pairs. When that is the direct
+      layout (a dense key span under the [`Auto] or [`Flat] policy) it is
+      filled in one O(m) pass with no sort.
+      @raise Invalid_argument on a negative key/value or a duplicate key. *)
 
   val of_sorted : keys:int array -> vals:int array -> t
   (** Compile parallel arrays already sorted by strictly increasing key.

@@ -249,7 +249,11 @@ let get_f64 src i =
    way PNG's does. *)
 let magic = "CRSNAP\r\n"
 
-let version = 1
+(* Version 2: witness tables and boxed vicinity indexes in the residue
+   became [Compiled.Intmap]s. Marshal is untyped, so a version-1 residue
+   would pass every header check and then unmarshal hashtable bytes into
+   the new fields. *)
+let version = 2
 
 let align8 x = (x + 7) land lnot 7
 

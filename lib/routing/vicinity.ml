@@ -3,12 +3,12 @@ open Cr_graph
 (* Two physical representations behind one abstract [t]:
 
    - [Boxed]: the original per-vertex record (member/dist/port arrays plus
-     a membership hashtable). Built by [compute]/[of_truncated] and by
-     [compute_all] in its default mode.
+     a compiled member -> position map). Built by [compute]/[of_truncated]
+     and by [compute_all] in its default mode.
    - [Slice]: one vertex's window into a packed {e family} — a single
      int32/float64 Bigarray block of stride [l] shared by all n vicinities.
      At l ~ n^(1/3) log n and n = 10^6 the boxed family costs hundreds of
-     bytes per member (boxed arrays, hashtable buckets); the packed family
+     bytes per member (boxed arrays, a per-vertex index); the packed family
      is 16 B/member flat. Slices answer membership by a linear scan of at
      most [l] entries — no per-vertex index — which is far below the cost
      of the searches the answers feed, and keeps the family's memory at
@@ -22,7 +22,7 @@ type boxed = {
   source : int;
   members : int array;
   dists : float array;
-  index : (int, int) Hashtbl.t; (* member -> position in [members] *)
+  index : Compiled.Intmap.t;   (* member -> position in [members] *)
   first_ports : int array;      (* position-indexed *)
   radius : float;
 }
@@ -69,16 +69,18 @@ let radius_of_truncated (tr : Dijkstra.truncated) =
     max_dist
   | Some nd -> if nd > max_dist then max_dist else radius_below tr.dists k nd
 
+(* The member -> position index is built once, here, in the form the
+   compiled plane reads: [compile] shares it rather than rebuilding it. *)
+let index_of members =
+  Compiled.Intmap.of_pairs (Array.mapi (fun i v -> (v, i)) members)
+
 let of_truncated (tr : Dijkstra.truncated) =
-  let k = Array.length tr.vertices in
-  let index = Hashtbl.create (2 * k) in
-  Array.iteri (fun i v -> Hashtbl.replace index v i) tr.vertices;
   Boxed
     {
       source = tr.src;
       members = tr.vertices;
       dists = tr.dists;
-      index;
+      index = index_of tr.vertices;
       first_ports = tr.first_ports;
       radius = radius_of_truncated tr;
     }
@@ -145,15 +147,12 @@ let slice_pos fam u v =
 
 let mem b v =
   match b with
-  | Boxed b -> Hashtbl.mem b.index v
+  | Boxed b -> Compiled.Intmap.mem b.index v
   | Slice (fam, u) -> slice_pos fam u v >= 0
 
 let position b v =
   match b with
-  | Boxed b -> (
-    match Hashtbl.find_opt b.index v with
-    | Some i -> i
-    | None -> raise Not_found)
+  | Boxed b -> Compiled.Intmap.find b.index v
   | Slice (fam, u) ->
     let i = slice_pos fam u v in
     if i < 0 then raise Not_found else i
@@ -188,7 +187,7 @@ let max_dist = function
 
 let rank b v =
   match b with
-  | Boxed b -> Hashtbl.find_opt b.index v
+  | Boxed b -> Compiled.Intmap.find_opt b.index v
   | Slice (fam, u) ->
     let i = slice_pos fam u v in
     if i < 0 then None else Some i
@@ -239,13 +238,11 @@ let to_boxed b =
   | Slice (fam, u) ->
     let base = u * fam.f_l and k = fam.f_len.(u) in
     let members = Array.init k (fun i -> fget fam.f_members (base + i)) in
-    let index = Hashtbl.create (2 * k) in
-    Array.iteri (fun i v -> Hashtbl.replace index v i) members;
     {
       source = u;
       members;
       dists = Array.init k (fun i -> Bigarray.Array1.get fam.f_dists (base + i));
-      index;
+      index = index_of members;
       first_ports = Array.init k (fun i -> fget fam.f_ports (base + i));
       radius = fam.f_radius.(u);
     }
@@ -261,16 +258,15 @@ let remap_ports b f =
 (* --- compiled form ------------------------------------------------------
 
    [first_port] is the hot lookup of every Via hop; the compiled form
-   replaces the membership hashtable with a compiled member->position map
-   (direct or binary-searched int arrays, see [Compiled]) and shares the
-   member/port arrays with the interpreted structure. A packed slice is
-   already flat — compiling it shares the family outright and keeps the
-   linear scan, which at [l] entries is cheaper than materializing n
-   per-vertex maps ever pays back. *)
+   shares the boxed member->position map (direct or binary-searched int
+   arrays, see [Compiled]) and packs the member/port arrays. A packed
+   slice is already flat — compiling it shares the family outright and
+   keeps the linear scan, which at [l] entries is cheaper than
+   materializing n per-vertex maps ever pays back. *)
 
 type compiled =
   | CBoxed of {
-      c_index : Compiled.Intmap.t; (* member -> position, as [index] *)
+      c_index : Compiled.Intmap.t; (* the boxed [index], shared *)
       c_source : int;
       c_members : Compiled.Packed_array.t;
       c_first_ports : Compiled.Packed_array.t; (* ceil(log2 maxdeg)-bit ports *)
@@ -281,7 +277,7 @@ let compile = function
   | Boxed b ->
     CBoxed
       {
-        c_index = Compiled.Intmap.of_pairs (Array.mapi (fun i v -> (v, i)) b.members);
+        c_index = b.index;
         c_source = b.source;
         c_members = Compiled.Packed_array.of_array b.members;
         c_first_ports = Compiled.Packed_array.of_array b.first_ports;
@@ -306,7 +302,7 @@ let step_c vicinities ~at ~dst = first_port_c vicinities.(at) dst
 (* --- snapshot form ------------------------------------------------------
 
    A vicinity array freezes to a marshal-safe mirror: boxed vicinities
-   ride the residue wholesale (plain arrays and an (int,int) hashtable),
+   ride the residue wholesale (plain arrays and the compiled index),
    while a packed family's three Bigarray blocks become snapshot blobs
    referenced by id. Thawing rebuilds each family record once, so every
    slice of one family shares one block again — and a caller that thaws a

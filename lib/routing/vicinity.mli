@@ -22,8 +22,8 @@ val compute_all : ?pool:Pool.t -> ?packed:bool -> Graph.t -> int -> t array
     the result is identical to computing each vicinity serially.
 
     With [~packed:true] the family is stored as one shared int32/float64
-    Bigarray block (16 B per member instead of boxed arrays plus a
-    hashtable per vertex — the difference between ~32 GB and out-of-memory
+    Bigarray block (16 B per member instead of boxed arrays plus an
+    index per vertex — the difference between ~32 GB and out-of-memory
     at n = 10^6, l ~ 2000). The searches are the same ones, so every
     accessor answers bit-identically; membership lookups become linear
     scans of at most [l] entries. Each vertex fills its own disjoint
@@ -89,10 +89,11 @@ val remap_ports : t -> (int -> int) -> t
 (** {1 Compiled form} *)
 
 type compiled
-(** The per-hop lookup compiled to flat arrays (see {!Compiled}): the
-    member-to-position hashtable becomes a direct or binary-searched map;
-    the member and first-port arrays are shared with the interpreted
-    structure, so answers are identical by construction. *)
+(** The per-hop lookup over flat arrays (see {!Compiled}). A boxed
+    vicinity keeps its member-to-position index as a
+    [Compiled.Intmap.t] from the start, and compiling shares that map
+    instead of rebuilding it; the member and first-port arrays are
+    copied into packed form. Answers are identical by construction. *)
 
 val compile : t -> compiled
 

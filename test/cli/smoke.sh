@@ -89,6 +89,9 @@ expect "serve csv has per-scheme rows" 0 $?
   --slo-rps 999999999999 >/dev/null
 expect "serve SLO violation (exit 1)" 1 $?
 
+"$CLI" route -g "$tmp/g.gr" -s rt-5eps --eps=nan --src 0 --dst 1 >/dev/null 2>&1
+expect "non-finite eps rejected (exit 1)" 1 $?
+
 "$CLI" route -g "$tmp/g.gr" -s no-such-scheme --src 0 --dst 1 >/dev/null 2>&1
 rc=$?
 [ "$rc" -ne 0 ]

@@ -78,6 +78,32 @@ let test_all_reject_disconnected () =
          with Invalid_argument _ -> true))
     Catalog.all
 
+(* Every entry whose guarantee carries an eps rejects an eps that is not
+   finite and positive. [eps <= 0.0] alone let NaN through, and the
+   scheme then reported a "nan*d" guarantee. *)
+let test_eps_taking_reject_bad_eps () =
+  let g = Generators.connect ~seed:3 (Generators.gnp ~seed:33 40 0.12) in
+  let takes_eps (e : Catalog.entry) =
+    let s = e.Catalog.paper_stretch in
+    let rec has i =
+      i + 3 <= String.length s && (String.sub s i 3 = "eps" || has (i + 1))
+    in
+    has 0
+  in
+  let entries = List.filter takes_eps Catalog.all in
+  checki "eps-taking entries" 9 (List.length entries);
+  List.iter
+    (fun (e : Catalog.entry) ->
+      List.iter
+        (fun eps ->
+          checkb
+            (Printf.sprintf "%s rejects eps=%g" e.Catalog.id eps)
+            true
+            (try ignore (e.Catalog.build ~seed:1 ~eps g); false
+             with Invalid_argument _ -> true))
+        [ Float.nan; Float.infinity; 0.0; -1.0 ])
+    entries
+
 let test_find_and_ids () =
   checkb "find known" true (Catalog.find "rt-5eps" <> None);
   checkb "find unknown" true (Catalog.find "nope" = None);
@@ -152,6 +178,8 @@ let suite =
     case "every scheme on the torus" test_all_on_torus;
     case "unweighted-only schemes reject weights" test_unweighted_only_schemes_reject_weights;
     case "every scheme rejects disconnected graphs" test_all_reject_disconnected;
+    case "eps-taking schemes reject non-finite or non-positive eps"
+      test_eps_taking_reject_bad_eps;
     case "catalog lookup" test_find_and_ids;
     case "self routes deliver in place" test_self_routes;
     case "degenerate tiny graphs" test_tiny_graphs;

@@ -44,6 +44,78 @@ let test_intmap_sparse =
           && not (Compiled.Intmap.mem m (k + 1_000_001)))
         keys)
 
+(* Random pair arrays for [Intmap.of_pairs]: m distinct keys drawn from a
+   dense span (at most ~4 slots per key, around the Direct threshold) or
+   a sparse one (up to 30 slots per key), offset from 0, in random order,
+   with random non-negative values. *)
+let gen_pairs =
+  QCheck2.Gen.(
+    let* m = int_range 0 2000 in
+    let* sparse = bool in
+    let* slots = if sparse then int_range 5 30 else int_range 1 4 in
+    let* off = int_range 0 100_000 in
+    let* seed = int_range 0 1_000_000 in
+    let st = Random.State.make [| seed |] in
+    let span = max 1 (m * slots) in
+    let used = Hashtbl.create (2 * m + 1) in
+    let pairs =
+      Array.init m (fun _ ->
+          let rec fresh () =
+            let k = off + Random.State.int st span in
+            if Hashtbl.mem used k then fresh () else k
+          in
+          let k = fresh () in
+          Hashtbl.replace used k ();
+          (k, Random.State.int st 1_000_000_000))
+    in
+    return pairs)
+
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+let test_intmap_of_pairs =
+  qcheck ~count:60 "Intmap.of_pairs equals of_sorted under every policy"
+    gen_pairs (fun pairs ->
+      let m = Array.length pairs in
+      let sorted = Array.copy pairs in
+      Array.sort compare sorted;
+      let reference = Hashtbl.create (2 * m + 1) in
+      Array.iter (fun (k, v) -> Hashtbl.replace reference k v) pairs;
+      let lo = if m = 0 then 0 else fst sorted.(0) - 2
+      and hi = if m = 0 then 0 else fst sorted.(m - 1) + 2 in
+      List.for_all
+        (fun policy ->
+          with_policy policy (fun () ->
+              let before = Array.copy pairs in
+              let a = Compiled.Intmap.of_pairs pairs in
+              let b =
+                Compiled.Intmap.of_sorted ~keys:(Array.map fst sorted)
+                  ~vals:(Array.map snd sorted)
+              in
+              let same_answers = ref true in
+              for k = lo to hi do
+                let r = Hashtbl.find_opt reference k in
+                if
+                  Compiled.Intmap.find_opt a k <> r
+                  || Compiled.Intmap.find_opt b k <> r
+                  || Compiled.Intmap.mem a k <> Option.is_some r
+                  || Compiled.Intmap.mem b k <> Option.is_some r
+                then same_answers := false
+              done;
+              let bad f =
+                let c = Array.copy pairs in
+                f c;
+                raises_invalid (fun () -> Compiled.Intmap.of_pairs c)
+              in
+              a = b && pairs = before && !same_answers
+              && Compiled.Intmap.cardinal a = m
+              (* A negative key, a negative value, a duplicate key. *)
+              && (m = 0
+                 || bad (fun c -> c.(m / 2) <- (-1 - fst c.(m / 2), 0))
+                    && bad (fun c -> c.(m / 2) <- (fst c.(m / 2), -1))
+                    && (m < 2 || bad (fun c -> c.(m - 1) <- (fst c.(0), 0))))))
+        [ `Auto; `Flat; `Succinct ])
+
 let test_table_matches_hashtbl =
   qcheck ~count:200 "Table.of_hashtbl answers as Hashtbl.find" gen_bindings
     (fun bindings ->
@@ -251,6 +323,7 @@ let suite =
   [
     test_intmap_matches_hashtbl;
     test_intmap_sparse;
+    test_intmap_of_pairs;
     test_table_matches_hashtbl;
     test_bitset_matches_hashtbl;
     test_tree_step_compiled;

@@ -26,6 +26,7 @@ let () =
       ("tz-hierarchy", Test_tz_hierarchy.suite);
       ("bits", Test_bits.suite);
       ("compiled", Test_compiled.suite);
+      ("witness", Test_witness.suite);
       ("parallel", Test_parallel.suite);
       ("rt-scale", Test_rt_scale.suite);
       ("delta", Test_delta.suite);

@@ -253,6 +253,46 @@ let test_packed_vicinities_identical () =
           checki "step_c packed" p (Vicinity.step_c packed_c ~at:u ~dst:v)
         end)
       (Vicinity.members boxed.(u))
+  done;
+  (* Non-members answer alike on every form: the boxed, packed and
+     compiled ones, and a slice re-boxed by [remap_ports] (its index is
+     rebuilt from the family). *)
+  let raises_not_found f = match f () with _ -> false | exception Not_found -> true in
+  let absent name b c v =
+    checkb (name ^ " mem") false (Vicinity.mem b v);
+    checkb (name ^ " rank") true (Vicinity.rank b v = None);
+    checkb (name ^ " dist") true (raises_not_found (fun () -> Vicinity.dist b v));
+    checkb (name ^ " first_port") true
+      (raises_not_found (fun () -> Vicinity.first_port b v));
+    checkb (name ^ " first_port_c") true
+      (raises_not_found (fun () -> Vicinity.first_port_c c v))
+  in
+  for u = 0 to n - 1 do
+    if u mod 5 = 0 then begin
+      let shift p = p + 1 in
+      let reboxed = Vicinity.remap_ports packed.(u) shift in
+      let reboxed_c = Vicinity.compile reboxed in
+      checkb "re-boxed members" true
+        (Vicinity.members reboxed = Vicinity.members boxed.(u));
+      Array.iter
+        (fun v ->
+          checkb "re-boxed rank" true
+            (Vicinity.rank reboxed v = Vicinity.rank boxed.(u) v);
+          checkf "re-boxed dist" (Vicinity.dist boxed.(u) v) (Vicinity.dist reboxed v);
+          if v <> u then begin
+            let p = shift (Vicinity.first_port boxed.(u) v) in
+            checki "re-boxed first_port" p (Vicinity.first_port reboxed v);
+            checki "re-boxed first_port_c" p (Vicinity.first_port_c reboxed_c v)
+          end)
+        (Vicinity.members boxed.(u));
+      for v = -1 to n do
+        if not (Vicinity.mem boxed.(u) v) then begin
+          absent "boxed" boxed.(u) boxed_c.(u) v;
+          absent "packed" packed.(u) packed_c.(u) v;
+          absent "re-boxed" reboxed reboxed_c v
+        end
+      done
+    end
   done
 
 (* --- stretch bounds at scale (the lazy-only sizes) --- *)

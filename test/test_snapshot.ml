@@ -317,10 +317,11 @@ let crc_reference crc s off len =
   done;
   !c lxor 0xffffffff
 
-(* Version-1 header layout: a 20-byte prelude (magic, version, endianness,
-   scheme-id length), the scheme id, five 8-byte parameters, a u32 blob
-   count, 24-byte directory entries (kind, pad, offset, elems, crc), then
-   the residue offset and length, the residue crc and the header crc. *)
+(* Header layout (unchanged since version 1): a 20-byte prelude (magic,
+   version, endianness, scheme-id length), the scheme id, five 8-byte
+   parameters, a u32 blob count, 24-byte directory entries (kind, pad,
+   offset, elems, crc), then the residue offset and length, the residue
+   crc and the header crc. *)
 let hdr_id_len b = Int32.to_int (Bytes.get_int32_le b 16)
 let hdr_nblobs b = Int32.to_int (Bytes.get_int32_le b (60 + hdr_id_len b))
 let hdr_dirent b i = 64 + hdr_id_len b + (24 * i)
@@ -337,6 +338,44 @@ let reseal b =
   let at = hdr_crc b in
   Bytes.set_int32_le b at
     (Int32.of_int (crc_reference 0 (Bytes.unsafe_to_string b) 0 at))
+
+(* A file written by the version-1 writer, whose residue holds hashtables
+   where version 2 holds [Compiled.Intmap]s: every later header check
+   would pass, so the version alone must refuse it, and the warm-start
+   ladder must rebuild. The stamp is resealed, as the old writer's own
+   header checksum would be. *)
+let test_version1_rebuilt () =
+  let g = Lazy.force small_graph in
+  let e = entry "rt-ptr-minus-l2" in
+  let dir = Filename.concat (Lazy.force scratch_dir) "v1" in
+  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  let path =
+    match Catalog.save_entry ~dir ~seed ~eps g e with
+    | Ok p -> p
+    | Error err -> Alcotest.failf "v1 save failed: %s" (Snapshot.error_to_string err)
+  in
+  let b = read_file path in
+  checki "writer stamps version 2" 2 (Int32.to_int (Bytes.get_int32_le b 8));
+  Bytes.set_int32_le b 8 1l;
+  reseal b;
+  write_file path b;
+  List.iter
+    (fun verify ->
+      match Catalog.load_entry ~verify ~path ~seed ~eps g e with
+      | Ok _ -> Alcotest.failf "version-1 file accepted (verify:%b)" verify
+      | Error err ->
+        checkb
+          (Printf.sprintf "version 1 (verify:%b) -> %s" verify
+             (Snapshot.error_to_string err))
+          true
+          (err = Snapshot.Unsupported_version 1))
+    [ true; false ];
+  let fresh, _ = e.Catalog.build ~seed ~eps g in
+  let (inst, _), how = Catalog.load_or_build ~dir ~seed ~eps g e in
+  checkb "version-1 file -> `Built (Some (Unsupported_version 1))" true
+    (how = `Built (Some (Snapshot.Unsupported_version 1)));
+  checkb "rebuilt instance routes like a fresh build" true
+    (route_signature inst g = route_signature fresh g)
 
 (* Fixed inputs for the format-stability pin: a fixed meta, one blob of
    each kind and an odd-length residue. The F32 blob holds signalling-NaN
@@ -429,11 +468,6 @@ let test_crafted_residue_length () =
 
 (* ------------------------------------------------------------------ *)
 (* 3. Succinct planes: Elias-Fano intmaps vs sorted reference.        *)
-
-let with_policy p f =
-  let p0 = Compiled.current_policy () in
-  Compiled.set_policy p;
-  Fun.protect ~finally:(fun () -> Compiled.set_policy p0) f
 
 (* Random strictly-increasing key set with random non-negative values;
    sized past the Auto floor so the forced-succinct form is the one the
@@ -585,11 +619,13 @@ let qcheck_crc_i32_view =
 (* ------------------------------------------------------------------ *)
 (* 6. Format stability: a golden container pinned by its digest.      *)
 
-(* [Digest.file] of the golden container as the version-1 writer has
-   always produced it: a different digest is a format change, which needs
-   a version bump. Blobs are host memory, so the pin holds on
-   little-endian hosts. *)
-let golden_digest = "9781ea992cddb3f1bf32a7d711600af1"
+(* [Digest.file] of the golden container as the version-2 writer
+   produces it: a different digest is a format change, which needs a
+   version bump. The version-1 writer's digest was
+   9781ea992cddb3f1bf32a7d711600af1; its file differs from this one only
+   in the version field and the header checksum. Blobs are host memory,
+   so the pin holds on little-endian hosts. *)
+let golden_digest = "26273200783cc8e264b4c227f7b734ea"
 
 let test_golden_digest () =
   let path = Lazy.force golden_path in
@@ -604,7 +640,7 @@ let test_golden_digest () =
       (l.Snapshot.meta.Snapshot.scheme_id = "golden"
       && l.Snapshot.meta.Snapshot.fingerprint = 0x0123456789abcdefL);
     check Alcotest.string "residue round-trips" golden_residue l.Snapshot.residue;
-    checki "version 1" 1 (Int32.to_int (Bytes.get_int32_le (read_file path) 8));
+    checki "version 2" 2 (Int32.to_int (Bytes.get_int32_le (read_file path) 8));
     checki "I32 blob" 0x7fffffff
       (Int32.to_int (Bigarray.Array1.get (Snapshot.get_i32 l.Snapshot.source 0) 3));
     checkb "F64 blob keeps its sNaN bits" true
@@ -717,6 +753,7 @@ let suite =
     case "reject: wrong seed/eps" test_wrong_params;
     case "reject: wrong scheme" test_wrong_scheme;
     case "load_or_build fallback ladder" test_load_or_build_fallback;
+    case "reject: version-1 file, rebuilt on load" test_version1_rebuilt;
     case "reject: crafted blob length past the file" test_crafted_blob_length;
     case "reject: crafted residue length past the file" test_crafted_residue_length;
     qcheck_ef_vs_sorted;

@@ -8,6 +8,13 @@ let checkf msg a b = Alcotest.check (Alcotest.float 1e-9) msg a b
 
 let case name f = Alcotest.test_case name `Quick f
 
+(* Run [f] under a compiled-plane representation policy, restoring the
+   previous one afterwards. *)
+let with_policy p f =
+  let p0 = Cr_routing.Compiled.current_policy () in
+  Cr_routing.Compiled.set_policy p;
+  Fun.protect ~finally:(fun () -> Cr_routing.Compiled.set_policy p0) f
+
 let qcheck ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count ~name gen prop)
