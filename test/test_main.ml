@@ -34,4 +34,5 @@ let () =
       ("traffic", Test_traffic.suite);
       ("graph-io", Test_graph_io.suite);
       ("snapshot", Test_snapshot.suite);
+      ("golden-routes", Test_golden_routes.suite);
     ]
