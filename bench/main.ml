@@ -1144,11 +1144,11 @@ let section_bechamel () =
     (List.sort compare rows)
 
 (* ------------------------------------------------------------------ *)
-(* Throughput: interpreted vs compiled vs compiled + parallel           *)
+(* Throughput: knobs on vs knobs off vs knobs off + parallel          *)
 (* ------------------------------------------------------------------ *)
 
 let section_throughput () =
-  banner "[throughput] Batched queries: interpreted vs compiled vs parallel";
+  banner "[throughput] Batched queries: knobs on vs knobs off vs parallel";
   let domains = Pool.domains (Pool.default ()) in
   let g = er_graph ~seed:51 () in
   let apsp = Apsp.compute ~caller:"[throughput] oracle" g in
@@ -1161,13 +1161,13 @@ let section_throughput () =
     "Graph %a; %d pairs per scheme; parallel runs use %d domain(s).@."
     Graph.pp g npairs domains;
   Printf.printf
-    "interp   = Scheme.evaluate (hashtable tables, path + loop detection on)\n\
-     compiled = evaluate_batch on 1 domain (flat tables, both knobs off)\n\
-     par      = evaluate_batch on the default pool\n\
-     Identity: compiled and parallel evals must match the interpreted eval\n\
+    "on  = Scheme.evaluate (path recording + loop detection on)\n\
+     off = evaluate_batch on 1 domain (both knobs off)\n\
+     par = evaluate_batch on the default pool\n\
+     Identity: knobs-off and parallel evals must match the knobs-on eval\n\
      bit for bit (same samples, failures and header peak).\n\n";
-  Printf.printf "%-16s %10s %10s %10s %7s %7s %10s\n" "scheme" "interp/s"
-    "compiled/s" "par/s" "spd-c" "spd-p" "identical";
+  Printf.printf "%-16s %10s %10s %10s %7s %7s %10s\n" "scheme" "on/s"
+    "off/s" "par/s" "spd-off" "spd-p" "identical";
   Printf.printf "%s\n" (String.make 76 '-');
   let all_identical = ref true and all_dominate = ref true in
   (* Best of three: a single GC pause on the small quick workload can
@@ -1185,41 +1185,42 @@ let section_throughput () =
   List.iter
     (fun (e : Catalog.entry) ->
       let inst, _ = e.Catalog.build ~seed:33 ~eps:0.5 g in
-      let ev_int, t_int = best (fun () -> Scheme.evaluate inst apsp pairs) in
-      let ev_c, t_c =
+      let ev_on, t_on = best (fun () -> Scheme.evaluate inst apsp pairs) in
+      let ev_off, t_off =
         best (fun () -> Scheme.evaluate_batch ~pool:serial_pool inst apsp pairs)
       in
       let ev_p, t_p = best (fun () -> Scheme.evaluate_batch inst apsp pairs) in
       let rate t = float_of_int npairs /. Float.max t 1e-9 in
-      let identical = ev_c = ev_int && ev_p = ev_int in
+      let identical = ev_off = ev_on && ev_p = ev_on in
       if not identical then all_identical := false;
-      if rate t_c < rate t_int then all_dominate := false;
+      if rate t_off < rate t_on then all_dominate := false;
       Printf.printf "%-16s %10.0f %10.0f %10.0f %6.2fx %6.2fx %10s\n%!"
-        e.Catalog.id (rate t_int) (rate t_c) (rate t_p) (t_int /. Float.max t_c 1e-9)
-        (t_int /. Float.max t_p 1e-9)
+        e.Catalog.id (rate t_on) (rate t_off) (rate t_p)
+        (t_on /. Float.max t_off 1e-9)
+        (t_on /. Float.max t_p 1e-9)
         (string_of_bool identical);
       csv "throughput"
         ~header:
-          [ "scheme"; "domains"; "pairs"; "interp_routes_per_s";
-            "compiled_routes_per_s"; "parallel_routes_per_s"; "identical" ]
+          [ "scheme"; "domains"; "pairs"; "knobs_on_routes_per_s";
+            "knobs_off_routes_per_s"; "parallel_routes_per_s"; "identical" ]
         [ e.Catalog.id; string_of_int domains; string_of_int npairs;
-          Printf.sprintf "%.1f" (rate t_int); Printf.sprintf "%.1f" (rate t_c);
+          Printf.sprintf "%.1f" (rate t_on); Printf.sprintf "%.1f" (rate t_off);
           Printf.sprintf "%.1f" (rate t_p); string_of_bool identical ])
     Catalog.all;
   Printf.printf "%s\n" (String.make 76 '-');
   Printf.printf "identical stats across planes: %s\n"
     (if !all_identical then "ok" else "VIOLATED");
-  Printf.printf "compiled >= interpreted routes/sec: %s\n"
+  Printf.printf "knobs-off >= knobs-on routes/sec: %s\n"
     (if !all_dominate then "ok" else "VIOLATED");
   (* Succinct planes: rebuild the catalog with the succinct encodings
      forced off ([`Flat]) and with the adaptive policy that ships
      ([`Auto]: Elias-Fano / bit-packed only where it buys at least 2x
-     space), then race the 1-domain compiled plane. The check is that
+     space), then race the 1-domain knobs-off batch. The check is that
      turning the succinct encodings on does not tax the hot loop by more
      than 10%, and that every answer stays bit-identical. The two runs
      interleave so clock drift hits both sides equally. *)
   Printf.printf
-    "\nsuccinct (adaptive Elias-Fano / bit-packed) vs flat compiled planes:\n";
+    "\nsuccinct (adaptive Elias-Fano / bit-packed) vs flat planes:\n";
   Printf.printf "%-16s %11s %11s %7s %9s %9s %7s %9s\n" "scheme" "flat/s"
     "succinct/s" "ratio" "flat-B/v" "succ-B/v" "ident" "within10%";
   Printf.printf "%s\n" (String.make 86 '-');
@@ -1774,7 +1775,7 @@ let section_telemetry () =
   let totals = Telemetry.totals () in
   let runs = 3 in
   Printf.printf
-    "Compiled batch of %d pairs (tz-k2, 1 domain), telemetry off vs on.\n\
+    "Knobs-off batch of %d pairs (tz-k2, 1 domain), telemetry off vs on.\n\
      Disabled overhead is estimated per route as (guard checks) x (measured\n\
      cost of one flag test) against the per-route wall time, because the\n\
      disabled layer IS just flag tests: no shard fetch, no allocation.\n\n"

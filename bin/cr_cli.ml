@@ -31,6 +31,23 @@ let scheme_arg =
     & info [ "scheme"; "s" ] ~docv:"ID"
         ~doc:"Scheme id; run $(b,cr_cli schemes) for the list.")
 
+(* A strictly positive integer. A bad value is a usage error that names
+   the flag, not an exception out of the command body. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some v when v > 0 -> Ok v
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
+let domains_arg =
+  Arg.(
+    value
+    & opt pos_int (Pool.domains (Pool.default ()))
+    & info [ "domains" ] ~docv:"D"
+        ~doc:"Domain-pool width for batched routing.")
+
 let load_graph path =
   try Ok (Graph_io.load path) with Failure m -> Error m
 
@@ -111,7 +128,7 @@ let generate_cmd =
       & info [ "family"; "f" ] ~docv:"FAMILY" ~doc:"Graph family.")
   in
   let n =
-    Arg.(value & opt int 256 & info [ "n" ] ~docv:"N" ~doc:"Vertex count.")
+    Arg.(value & opt pos_int 256 & info [ "n" ] ~docv:"N" ~doc:"Vertex count.")
   in
   let weights =
     Arg.(
@@ -232,11 +249,10 @@ let narrate g (e : Telemetry.event) =
   in
   match e.Telemetry.kind with
   | Telemetry.Hop ->
-    Printf.printf "  at %4d: forward via port %d%s  [header %d words, %s]\n"
+    Printf.printf "  at %4d: forward via port %d%s  [header %d words]\n"
       e.Telemetry.at e.Telemetry.port
       (dest e.Telemetry.at e.Telemetry.port)
       e.Telemetry.header_words
-      (Telemetry.plane_name e.Telemetry.plane)
   | Telemetry.Bounce ->
     Printf.printf "  at %4d: port %d%s is dead, bouncing\n" e.Telemetry.at
       e.Telemetry.port
@@ -414,13 +430,6 @@ let stats_cmd =
       value & opt int 2000
       & info [ "pairs" ] ~docv:"K" ~doc:"Number of sampled source/target pairs.")
   in
-  let domains =
-    Arg.(
-      value
-      & opt int (Pool.domains (Pool.default ()))
-      & info [ "domains" ] ~docv:"D"
-          ~doc:"Domain-pool width for the batched evaluation.")
-  in
   let jsonl =
     Arg.(
       value
@@ -440,7 +449,7 @@ let stats_cmd =
        ~doc:"Preprocess a scheme and report space, stretch, and telemetry")
     Term.(
       const stats $ graph_arg $ scheme_arg $ seed_arg $ eps_arg $ pairs
-      $ domains $ jsonl $ csv)
+      $ domains_arg $ jsonl $ csv)
 
 (* ------------------------------------------------------------------ *)
 (* table1                                                              *)
@@ -489,35 +498,29 @@ let wall f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-let throughput graph_file scheme seed eps pairs domains no_path =
+let throughput graph_file scheme seed eps pairs domains =
   let g = or_die (load_graph graph_file) in
   let e, (inst, _) = or_die (build_scheme ~seed ~eps scheme g) in
   let n = Graph.n g in
   let sampled = Scheme.sample_pairs ~seed ~n ~count:pairs in
   let npairs = List.length sampled in
-  let record = not no_path in
   Printf.printf "scheme: %s (%s)\n" e.Catalog.id e.Catalog.description;
-  Format.printf "graph:  %a; %d pairs; %d domain(s)@." Graph.pp g npairs domains;
-  Printf.printf "compiled plane: %s; path recording %s for the compiled runs\n\n"
-    (if Scheme.has_fast inst then "yes" else "no (falls back to interpreted)")
-    (if record then "on" else "off");
+  Format.printf "graph:  %a; %d pairs; %d domain(s)@.@." Graph.pp g npairs
+    domains;
   let rate t = float_of_int npairs /. Float.max t 1e-9 in
-  let (), t_int =
-    wall (fun () ->
-        List.iter (fun (u, v) -> ignore (Scheme.route inst ~src:u ~dst:v)) sampled)
+  let serial route =
+    snd
+      (wall (fun () ->
+           List.iter (fun (u, v) -> ignore (route ~src:u ~dst:v)) sampled))
   in
-  Printf.printf "%-22s %12.0f routes/s\n%!" "interpreted serial" (rate t_int);
-  let (), t_c =
-    wall (fun () ->
-        List.iter
-          (fun (u, v) ->
-            ignore
-              (Scheme.route_fast ~record_path:record ~detect_loops:record inst
-                 ~src:u ~dst:v))
-          sampled)
+  let t_on = serial (Scheme.route inst) in
+  Printf.printf "%-22s %12.0f routes/s\n%!" "knobs-on serial" (rate t_on);
+  let t_off =
+    serial (Scheme.route_fast ~record_path:false ~detect_loops:false inst)
   in
-  Printf.printf "%-22s %12.0f routes/s  (%.2fx)\n%!" "compiled serial" (rate t_c)
-    (t_int /. Float.max t_c 1e-9);
+  Printf.printf "%-22s %12.0f routes/s  (%.2fx)\n%!" "knobs-off serial"
+    (rate t_off)
+    (t_on /. Float.max t_off 1e-9);
   (* The batch engine also verifies the merge: its eval must match the
      serial evaluation bit for bit. *)
   let apsp = Apsp.compute ~caller:(e.Catalog.id ^ " throughput oracle") g in
@@ -526,9 +529,9 @@ let throughput graph_file scheme seed eps pairs domains no_path =
   let ev_par, t_p =
     wall (fun () -> Scheme.evaluate_batch ~pool inst apsp sampled)
   in
-  Printf.printf "%-22s %12.0f routes/s  (%.2fx)\n" "compiled parallel"
+  Printf.printf "%-22s %12.0f routes/s  (%.2fx)\n" "knobs-off parallel"
     (rate t_p)
-    (t_int /. Float.max t_p 1e-9);
+    (t_on /. Float.max t_p 1e-9);
   let identical = ev_par = ev_serial in
   Printf.printf "\nbatch eval identical to serial evaluate: %s\n"
     (if identical then "ok" else "VIOLATED");
@@ -540,27 +543,14 @@ let throughput_cmd =
       value & opt int 5000
       & info [ "pairs" ] ~docv:"K" ~doc:"Number of sampled source/target pairs.")
   in
-  let domains =
-    Arg.(
-      value
-      & opt int (Pool.domains (Pool.default ()))
-      & info [ "domains" ] ~docv:"D"
-          ~doc:"Domain-pool width for the parallel batched run.")
-  in
-  let no_path =
-    Arg.(
-      value & flag
-      & info [ "no-path" ]
-          ~doc:
-            "Disable path recording and loop detection in the serial compiled \
-             run (the parallel batch engine always runs with both off).")
-  in
   Cmd.v
     (Cmd.info "throughput"
-       ~doc:"Measure routes/sec: interpreted vs compiled vs parallel batch")
+       ~doc:
+         "Measure routes/sec: serial with path recording and loop detection \
+          on, serial with both off, and the parallel batch engine")
     Term.(
       const throughput $ graph_arg $ scheme_arg $ seed_arg $ eps_arg $ pairs
-      $ domains $ no_path)
+      $ domains_arg)
 
 (* ------------------------------------------------------------------ *)
 (* serve                                                               *)
@@ -604,7 +594,7 @@ let schemes_opt_arg =
            $(b,+res) suffix wraps with the resilience ladder). Default: \
            every catalog scheme the graph supports.")
 
-(* The long-running query server: a catalog of compiled planes under an
+(* The long-running query server: a catalog of scheme instances under an
    open-loop Zipf workload, with steady-state telemetry windows, optional
    mid-run fault churn, optional topology churn with hot-swap repair, and
    SLO thresholds that decide the exit code. *)
@@ -634,7 +624,7 @@ let serve_impl graph_file schemes_opt seed eps snapshot_dir duration rate
             match snapshot_dir with
             | None -> fst (e.Catalog.build ~substrate ~seed ~eps g)
             | Some dir ->
-              (* Warm start: memory-map the compiled planes back instead of
+              (* Warm start: memory-map the built tables back instead of
                  re-running preprocessing; any validation failure falls
                  back to a fresh (bit-identical) build. *)
               let (inst, _), how =
@@ -999,12 +989,6 @@ let serve_cmd =
       & info [ "zipf" ] ~docv:"S"
           ~doc:"Zipf popularity exponent for both endpoints (0 = uniform).")
   in
-  let domains =
-    Arg.(
-      value
-      & opt int (Pool.domains (Pool.default ()))
-      & info [ "domains" ] ~docv:"D" ~doc:"Domain-pool width for routing.")
-  in
   let chunk =
     Arg.(
       value & opt int 256
@@ -1106,7 +1090,7 @@ let serve_cmd =
           (hot-swap repair) and SLO checks")
     Term.(
       const serve_impl $ graph_arg $ schemes_opt_arg $ seed_arg $ eps_arg
-      $ snapshot_dir $ duration $ rate $ queries $ zipf $ domains $ chunk
+      $ snapshot_dir $ duration $ rate $ queries $ zipf $ domains_arg $ chunk
       $ no_pace $ churn_every $ churn_rate $ churn_vertex_rate $ topo_every
       $ topo_ops $ repair_deadline $ strict $ window $ slo_p99 $ slo_rps
       $ csv_out)

@@ -32,27 +32,20 @@ let step t ~at dst =
   if at = dst then Port_model.Deliver
   else Port_model.Forward (t.next_port.(at).(dst), dst)
 
-let route ?faults t ~src ~dst =
+let route ?faults ?record_path ?detect_loops t ~src ~dst =
   Port_model.run t.graph ~src ~header:dst ?faults
     ~step:(fun ~at h -> step t ~at h)
     ~header_words:(fun _ -> 1)
-    ()
+    ?record_path ?detect_loops ()
 
 let instance t =
   let n = Graph.n t.graph in
   {
     Scheme.name = "full-tables";
     graph = t.graph;
-    route = (fun ~faults ~src ~dst -> route ?faults t ~src ~dst);
-    (* The tables are flat port matrices already; the fast plane is the
-       same step with the simulator knobs under caller control. *)
-    fast =
-      Some
-        (fun ~faults ~record_path ~detect_loops ~src ~dst ->
-          Port_model.run t.graph ~src ~header:dst ?faults
-            ~step:(fun ~at h -> step t ~at h)
-            ~header_words:(fun _ -> 1)
-            ~record_path ~detect_loops ());
+    route =
+      (fun ~faults ~record_path ~detect_loops ~src ~dst ->
+        route ?faults ~record_path ~detect_loops t ~src ~dst);
     table_words = Array.make n (max 0 (n - 1));
     label_words = Array.make n 1;
     big_bytes = 0;

@@ -12,7 +12,16 @@ val preprocess : ?substrate:Substrate.t -> Graph.t -> t
     shares the [n] shortest-path trees with other constructions on the
     same handle. *)
 
-val route : ?faults:Fault.plan -> t -> src:int -> dst:int -> Port_model.outcome
+val route :
+  ?faults:Fault.plan ->
+  ?record_path:bool ->
+  ?detect_loops:bool ->
+  t ->
+  src:int ->
+  dst:int ->
+  Port_model.outcome
+(** One message through the port matrix; the simulator knobs default on
+    (see {!Port_model.run}). *)
 
 val instance : t -> Scheme.instance
 

@@ -6,8 +6,8 @@ type t = {
   k : int;
   h : Tz_hierarchy.t;
   trees : Tree_routing.t option array; (* T(w) for every w (None if C(w) = ∅) *)
-  in_bunch : (int, unit) Hashtbl.t array; (* membership hash of B(u) *)
-  home_labels : (int, Tree_routing.label) Hashtbl.t array;
+  in_bunch : Compiled.Bitset.t array; (* membership of B(u) *)
+  home_labels : Tree_routing.label Compiled.Table.t array;
       (* at u ∉ A_1: member -> label in T(u) *)
   table_words : int array;
   label_words : int array;
@@ -53,12 +53,13 @@ let preprocess ?substrate ?a1_target ?pool ~seed g ~k =
   in
   let trees = Array.map fst trees_and_members in
   let members_of = Array.map snd trees_and_members in
-  let in_bunch = Array.init n (fun _ -> Hashtbl.create 8) in
+  let bunches = Array.init n (fun _ -> Hashtbl.create 8) in
   for w = 0 to n - 1 do
-    Array.iter (fun v -> Hashtbl.replace in_bunch.(v) w ()) members_of.(w)
+    Array.iter (fun v -> Hashtbl.replace bunches.(v) w ()) members_of.(w)
   done;
+  let in_bunch = Array.map (Compiled.Bitset.of_hashtbl_keys ~n) bunches in
   (* Home labels are per-vertex private tables over read-only trees. *)
-  let home_labels =
+  let homes =
     Pool.map pool ~n (fun u ->
         let tbl = Hashtbl.create 1 in
         (if not h.Tz_hierarchy.in_set.(1).(u) then
@@ -68,18 +69,19 @@ let preprocess ?substrate ?a1_target ?pool ~seed g ~k =
              Array.iter
                (fun v -> Hashtbl.replace tbl v (Tree_routing.label tr v))
                members_of.(u));
-        tbl)
+        let words =
+          Hashtbl.fold
+            (fun _ lbl acc -> acc + 1 + Tree_routing.label_words lbl)
+            tbl 0
+        in
+        (Compiled.Table.of_hashtbl tbl, words))
   in
+  let home_labels = Array.map fst homes in
   let table_words = Array.make n 0 in
   for u = 0 to n - 1 do
-    let bunch_words = 8 * Hashtbl.length in_bunch.(u) in
     (* per tree: 7-word record + 1 word of bunch hash *)
-    let home_words =
-      Hashtbl.fold
-        (fun _ lbl acc -> acc + 1 + Tree_routing.label_words lbl)
-        home_labels.(u) 0
-    in
-    table_words.(u) <- bunch_words + home_words + k
+    let bunch_words = 8 * Compiled.Bitset.cardinal in_bunch.(u) in
+    table_words.(u) <- bunch_words + snd homes.(u) + k
   done;
   let label_words = Array.make n 0 in
   let t =
@@ -121,146 +123,57 @@ let step t ~at h =
     | `Deliver -> Port_model.Deliver
     | `Forward p -> Port_model.Forward (p, h))
 
+let bunch_mem t u w = Compiled.Bitset.mem t.in_bunch.(u) w
+
 (* The source decision: its own cluster if it stores v's label (the 4k-5
    refinement), else the lowest level whose pivot's cluster contains u. *)
 let initial_header t ~src lbl =
   let v = lbl.vertex in
-  match Hashtbl.find_opt t.home_labels.(src) v with
-  | Some _ -> { lbl; root = src }
-  | None ->
+  if Compiled.Table.mem t.home_labels.(src) v then { lbl; root = src }
+  else
     let rec find i =
       if i >= t.k then invalid_arg "Tz_routing: no usable pivot"
       else begin
         let p, _ = lbl.pivots.(i) in
-        if p = src || Hashtbl.mem t.in_bunch.(src) p then { lbl; root = p }
-        else find (i + 1)
+        if p = src || bunch_mem t src p then { lbl; root = p } else find (i + 1)
       end
     in
     find 0
 
 (* Home-cluster routing uses the label stored at the source, not the
-   destination label; splice it into the header's pivot list so the relay
-   vertices can keep routing. *)
-let step_home t ~at (lbl_home : Tree_routing.label) root dst =
+   destination label, so the header is that label with its root and
+   destination. It is forwarded unchanged, so the simulator's hash cache
+   sees one physical header for the whole ride. *)
+let step_home t ~at ((lbl_home, root, _dst) as h : Tree_routing.label * int * int) =
   match t.trees.(root) with
   | None -> invalid_arg "Tz_routing.step_home: empty tree"
   | Some tr -> (
     match Tree_routing.step tr ~at lbl_home with
     | `Deliver -> Port_model.Deliver
-    | `Forward p -> Port_model.Forward (p, (lbl_home, root, dst)))
+    | `Forward p -> Port_model.Forward (p, h))
 
-let route ?faults t ~src ~dst =
+let route ?faults ?record_path ?detect_loops t ~src ~dst =
   if src = dst then
     Port_model.run t.graph ~src ~header:() ?faults
       ~step:(fun ~at:_ () -> Port_model.Deliver)
       ~header_words:(fun () -> 0)
-      ()
+      ?record_path ?detect_loops ()
   else
-    match Hashtbl.find_opt t.home_labels.(src) dst with
+    match Compiled.Table.find_opt t.home_labels.(src) dst with
     | Some lbl_home ->
       Port_model.run t.graph ~src ~header:(lbl_home, src, dst) ?faults
-        ~step:(fun ~at (l, r, d) -> step_home t ~at l r d)
+        ~step:(fun ~at h -> step_home t ~at h)
         ~header_words:(fun (l, _, _) -> 2 + Tree_routing.label_words l)
-        ()
+        ?record_path ?detect_loops ()
     | None ->
       let header = initial_header t ~src (label_of t dst) in
       Port_model.run t.graph ~src ~header ?faults
         ~step:(fun ~at h -> step t ~at h)
-        ~header_words ()
+        ~header_words ?record_path ?detect_loops ()
 
 let tree t w = t.trees.(w)
 
-let bunch_mem t u w = Hashtbl.mem t.in_bunch.(u) w
-
-let home_label t u v = Hashtbl.find_opt t.home_labels.(u) v
-
-(* --- compiled form ------------------------------------------------------ *)
-
-type compiled = {
-  base : t;
-  trees_c : Tree_routing.compiled option array;
-  in_bunch_c : Compiled.Bitset.t array; (* dense over [0, n): one bit per w *)
-  home_labels_c : Tree_routing.label Compiled.Table.t array;
-}
-
-let compile t =
-  let n = Graph.n t.graph in
-  {
-    base = t;
-    trees_c = Array.map (Option.map Tree_routing.compile) t.trees;
-    in_bunch_c = Array.map (Compiled.Bitset.of_hashtbl_keys ~n) t.in_bunch;
-    home_labels_c = Array.map Compiled.Table.of_hashtbl t.home_labels;
-  }
-
-let tree_c c w = c.trees_c.(w)
-
-let bunch_mem_c c u w = Compiled.Bitset.mem c.in_bunch_c.(u) w
-
-let step_c c ~at h =
-  match c.trees_c.(h.root) with
-  | None -> invalid_arg "Tz_routing.step: empty tree"
-  | Some tr -> (
-    let lbl =
-      let rec find i =
-        if i >= Array.length h.lbl.pivots then
-          invalid_arg "Tz_routing.step: root not among pivots"
-        else begin
-          let p, l = h.lbl.pivots.(i) in
-          if p = h.root then l else find (i + 1)
-        end
-      in
-      find 0
-    in
-    match Tree_routing.step_c tr ~at lbl with
-    | `Deliver -> Port_model.Deliver
-    | `Forward p -> Port_model.Forward (p, h))
-
-let initial_header_c c ~src lbl =
-  let t = c.base in
-  let v = lbl.vertex in
-  if Compiled.Table.mem c.home_labels_c.(src) v then { lbl; root = src }
-  else
-    let rec find i =
-      if i >= t.k then invalid_arg "Tz_routing: no usable pivot"
-      else begin
-        let p, _ = lbl.pivots.(i) in
-        if p = src || bunch_mem_c c src p then { lbl; root = p }
-        else find (i + 1)
-      end
-    in
-    find 0
-
-(* Forward the header tuple itself (structurally identical to what the
-   interpreted step rebuilds each hop), so the simulator's hash cache sees
-   one physical header for the whole ride. *)
-let step_home_c c ~at ((lbl_home, root, _dst) as h : Tree_routing.label * int * int) =
-  match c.trees_c.(root) with
-  | None -> invalid_arg "Tz_routing.step_home: empty tree"
-  | Some tr -> (
-    match Tree_routing.step_c tr ~at lbl_home with
-    | `Deliver -> Port_model.Deliver
-    | `Forward p -> Port_model.Forward (p, h))
-
-let route_fast ?faults ?(record_path = true) ?(detect_loops = true) c ~src
-    ~dst =
-  let t = c.base in
-  if src = dst then
-    Port_model.run t.graph ~src ~header:() ?faults
-      ~step:(fun ~at:_ () -> Port_model.Deliver)
-      ~header_words:(fun () -> 0)
-      ~record_path ~detect_loops ()
-  else
-    match Compiled.Table.find_opt c.home_labels_c.(src) dst with
-    | Some lbl_home ->
-      Port_model.run t.graph ~src ~header:(lbl_home, src, dst) ?faults
-        ~step:(fun ~at h -> step_home_c c ~at h)
-        ~header_words:(fun (l, _, _) -> 2 + Tree_routing.label_words l)
-        ~record_path ~detect_loops ()
-    | None ->
-      let header = initial_header_c c ~src (label_of t dst) in
-      Port_model.run t.graph ~src ~header ?faults
-        ~step:(fun ~at h -> step_c c ~at h)
-        ~header_words ~record_path ~detect_loops ()
+let home_label t u v = Compiled.Table.find_opt t.home_labels.(u) v
 
 let table_words t = t.table_words
 
@@ -278,15 +191,12 @@ let label_bits t v =
     id_bits l.pivots
 
 let instance t =
-  let c = compile t in
   {
     Scheme.name = Printf.sprintf "thorup-zwick-k%d" t.k;
     graph = t.graph;
-    route = (fun ~faults ~src ~dst -> route ?faults t ~src ~dst);
-    fast =
-      Some
-        (fun ~faults ~record_path ~detect_loops ~src ~dst ->
-          route_fast ?faults ~record_path ~detect_loops c ~src ~dst);
+    route =
+      (fun ~faults ~record_path ~detect_loops ~src ~dst ->
+        route ?faults ~record_path ~detect_loops t ~src ~dst);
     table_words = t.table_words;
     label_words = t.label_words;
     big_bytes = 0;
@@ -295,14 +205,14 @@ let instance t =
 (* --- snapshot form ------------------------------------------------------ *)
 
 (* Everything except the graph handle is plain data (hierarchy arrays,
-   tree records, bunch/label hashtables), so the frozen mirror is the
+   tree records, bunch sets, label tables), so the frozen mirror is the
    record minus [graph]. *)
 type frozen = {
   z_k : int;
   z_h : Tz_hierarchy.t;
   z_trees : Tree_routing.t option array;
-  z_in_bunch : (int, unit) Hashtbl.t array;
-  z_home_labels : (int, Tree_routing.label) Hashtbl.t array;
+  z_in_bunch : Compiled.Bitset.t array;
+  z_home_labels : Tree_routing.label Compiled.Table.t array;
   z_table_words : int array;
   z_label_words : int array;
 }

@@ -34,7 +34,16 @@ val preprocess :
     cluster trees stay workspace-based and are never cached).
     @raise Invalid_argument if [k < 2] or the graph is disconnected. *)
 
-val route : ?faults:Fault.plan -> t -> src:int -> dst:int -> Port_model.outcome
+val route :
+  ?faults:Fault.plan ->
+  ?record_path:bool ->
+  ?detect_loops:bool ->
+  t ->
+  src:int ->
+  dst:int ->
+  Port_model.outcome
+(** One message through the tables; the simulator knobs default on (see
+    {!Port_model.run}). *)
 
 val instance : t -> Scheme.instance
 
@@ -55,7 +64,7 @@ val tree : t -> int -> Tree_routing.t option
 
 val bunch_mem : t -> int -> int -> bool
 (** [bunch_mem t u w] is [u ∈ C(w)] (equivalently [w ∈ B(u)]), decided from
-    [u]'s local bunch hash. *)
+    [u]'s local bunch set (a {!Compiled.Bitset}). *)
 
 val home_label : t -> int -> int -> Tree_routing.label option
 (** [home_label t u v] is [v]'s label in [T(u)] if [u] stores it (the
@@ -64,34 +73,6 @@ val home_label : t -> int -> int -> Tree_routing.label option
 val table_words : t -> int array
 
 val base_label_words : t -> int array
-
-(** {1 Compiled form} *)
-
-type compiled
-(** The forwarding plane: cluster trees compiled to flat records
-    ({!Tree_routing.compile}), bunch membership packed into one-bit-per-
-    vertex [Bytes] bitmaps, home-label stores compiled to sorted tables.
-    Decisions are identical to the interpreted scheme; [table_words] is
-    a property of the logical tables and does not change. *)
-
-val compile : t -> compiled
-
-val tree_c : compiled -> int -> Tree_routing.compiled option
-(** Compiled counterpart of {!tree} (used by the Theorem 16 scheme). *)
-
-val bunch_mem_c : compiled -> int -> int -> bool
-(** Identical answer to {!bunch_mem} from the compiled bitmap. *)
-
-val route_fast :
-  ?faults:Fault.plan ->
-  ?record_path:bool ->
-  ?detect_loops:bool ->
-  compiled ->
-  src:int ->
-  dst:int ->
-  Port_model.outcome
-(** Same outcomes as {!route} (identical verdict, final vertex, length,
-    hops and header peak; [path] is [[]] under [~record_path:false]). *)
 
 val label_bits : t -> int -> int
 (** [label_bits t v] is the exact size of [v]'s label under the bit-level
@@ -103,7 +84,7 @@ val label_bits : t -> int -> int
 
 type frozen
 (** Marshal-safe mirror of {!t} minus the graph handle (everything else —
-    hierarchy arrays, tree records, bunch and home-label hashtables — is
+    hierarchy arrays, tree records, bunch sets and home-label tables — is
     plain data). *)
 
 val freeze : t -> frozen

@@ -6,11 +6,11 @@ type t = {
   eps : float;
   vic : Vicinity.t array;
   centers : Centers.t;
-  cluster_trees : (int, Tree_routing.t) Hashtbl.t;
+  cluster_trees : Tree_routing.t Compiled.Table.t;
       (* w -> T_{C_A(w)}, for nonempty clusters *)
-  cluster_labels : (int, (int, Tree_routing.label) Hashtbl.t) Hashtbl.t;
+  cluster_labels : Tree_routing.label Compiled.Table.t Compiled.Table.t;
       (* w -> (v in C_A(w) -> label of v in T_{C_A(w)}), stored at w *)
-  global_trees : (int, Tree_routing.t) Hashtbl.t; (* a in A -> T(a) *)
+  global_trees : Tree_routing.t Compiled.Table.t; (* a in A -> T(a) *)
   witness : Compiled.Intmap.t array;
       (* witness.(u) : v -> best w in B(u,q~) ∩ B_A(v) *)
   coloring : Coloring.t;
@@ -50,7 +50,7 @@ let space_breakdown t = t.breakdown
 
 let label_of t v =
   let p_a = t.centers.Centers.p_a.(v) in
-  let tree = Hashtbl.find t.global_trees p_a in
+  let tree = Compiled.Table.find t.global_trees p_a in
   {
     vertex = v;
     color = t.coloring.color.(v);
@@ -184,9 +184,11 @@ let preprocess ?substrate ?(eps = 0.5) ?(vicinity_factor = 1.0) ?center_target
     eps;
     vic;
     centers;
-    cluster_trees;
-    cluster_labels;
-    global_trees;
+    cluster_trees = Compiled.Table.of_hashtbl cluster_trees;
+    cluster_labels =
+      Compiled.Table.map Compiled.Table.of_hashtbl
+        (Compiled.Table.of_hashtbl cluster_labels);
+    global_trees = Compiled.Table.of_hashtbl global_trees;
     witness;
     coloring;
     reps;
@@ -213,18 +215,18 @@ let rec step t ~at h =
   | To_witness w ->
     if at = w then begin
       (* w stores the cluster-tree label of every member of C_A(w). *)
-      let labels = Hashtbl.find t.cluster_labels w in
-      let lbl = Hashtbl.find labels dst in
+      let labels = Compiled.Table.find t.cluster_labels w in
+      let lbl = Compiled.Table.find labels dst in
       step t ~at { h with phase = Cluster_tree (w, lbl) }
     end
     else Port_model.Forward (Vicinity.step t.vic ~at ~dst:w, h)
   | Cluster_tree (w, lbl) -> (
-    let tree = Hashtbl.find t.cluster_trees w in
+    let tree = Compiled.Table.find t.cluster_trees w in
     match Tree_routing.step tree ~at lbl with
     | `Deliver -> Port_model.Deliver
     | `Forward p -> Port_model.Forward (p, h))
   | Global_tree -> (
-    let tree = Hashtbl.find t.global_trees h.lbl.p_a in
+    let tree = Compiled.Table.find t.global_trees h.lbl.p_a in
     match Tree_routing.step tree ~at h.lbl.tree_label with
     | `Deliver -> Port_model.Deliver
     | `Forward p -> Port_model.Forward (p, h))
@@ -251,107 +253,26 @@ let initial_header t ~src lbl =
       if lbl.d_pa <= d_uw then { lbl; phase = Global_tree }
       else { lbl; phase = Seek_rep w }
 
-let route ?faults t ~src ~dst =
+let route ?faults ?record_path ?detect_loops t ~src ~dst =
   let lbl = label_of t dst in
   if src = dst then
-    Scheme_util.run_scheme ?faults t.graph ~src ~header:{ lbl; phase = Direct }
-      ~step:(fun ~at:_ _ -> Port_model.Deliver)
-      ~header_words
-  else
-    Scheme_util.run_scheme ?faults t.graph ~src
-      ~header:(initial_header t ~src lbl)
-      ~step:(fun ~at h -> step t ~at h)
-      ~header_words
-
-(* --- compiled form ------------------------------------------------------ *)
-
-type compiled = {
-  base : t;
-  vic_c : Vicinity.compiled array;
-  lemma7_c : Seq_routing.compiled;
-  cluster_trees_c : Tree_routing.compiled Compiled.Table.t;
-  global_trees_c : Tree_routing.compiled Compiled.Table.t;
-}
-
-(* The vicinity family is physically shared with the embedded Lemma 7
-   instance, so its compiled form is reused rather than rebuilt. The
-   witness maps are compiled from the start and shared by both planes;
-   the cluster-label stores are consulted once per route and stay
-   interpreted; the per-hop tree dispatches are compiled. *)
-let compile t =
-  let lemma7_c = Seq_routing.compile t.lemma7 in
-  {
-    base = t;
-    vic_c = Seq_routing.compiled_vicinities lemma7_c;
-    lemma7_c;
-    cluster_trees_c =
-      Compiled.Table.map Tree_routing.compile
-        (Compiled.Table.of_hashtbl t.cluster_trees);
-    global_trees_c =
-      Compiled.Table.map Tree_routing.compile
-        (Compiled.Table.of_hashtbl t.global_trees);
-  }
-
-let rec step_fast c ~at h =
-  let t = c.base in
-  let dst = h.lbl.vertex in
-  match h.phase with
-  | Direct ->
-    if at = dst then Port_model.Deliver
-    else Port_model.Forward (Vicinity.step_c c.vic_c ~at ~dst, h)
-  | To_witness w ->
-    if at = w then begin
-      let labels = Hashtbl.find t.cluster_labels w in
-      let lbl = Hashtbl.find labels dst in
-      step_fast c ~at { h with phase = Cluster_tree (w, lbl) }
-    end
-    else Port_model.Forward (Vicinity.step_c c.vic_c ~at ~dst:w, h)
-  | Cluster_tree (w, lbl) -> (
-    let tree = Compiled.Table.find c.cluster_trees_c w in
-    match Tree_routing.step_c tree ~at lbl with
-    | `Deliver -> Port_model.Deliver
-    | `Forward p -> Port_model.Forward (p, h))
-  | Global_tree -> (
-    let tree = Compiled.Table.find c.global_trees_c h.lbl.p_a in
-    match Tree_routing.step_c tree ~at h.lbl.tree_label with
-    | `Deliver -> Port_model.Deliver
-    | `Forward p -> Port_model.Forward (p, h))
-  | Seek_rep w ->
-    if at = w then
-      step_fast c ~at
-        { h with phase = Lemma7 (Seq_routing.initial_header t.lemma7 ~src:w ~dst) }
-    else Port_model.Forward (Vicinity.step_c c.vic_c ~at ~dst:w, h)
-  | Lemma7 ih -> (
-    match Seq_routing.step_c c.lemma7_c ~at ih with
-    | Port_model.Deliver -> Port_model.Deliver
-    | Port_model.Forward (p, ih') ->
-      Port_model.Forward (p, { h with phase = Lemma7 ih' }))
-
-let route_fast ?faults ?(record_path = true) ?(detect_loops = true) c ~src
-    ~dst =
-  let t = c.base in
-  let lbl = label_of t dst in
-  if src = dst then
-    Scheme_util.run_scheme ?faults ~record_path ~detect_loops t.graph ~src
+    Scheme_util.run_scheme ?faults ?record_path ?detect_loops t.graph ~src
       ~header:{ lbl; phase = Direct }
       ~step:(fun ~at:_ _ -> Port_model.Deliver)
       ~header_words
   else
-    Scheme_util.run_scheme ?faults ~record_path ~detect_loops t.graph ~src
+    Scheme_util.run_scheme ?faults ?record_path ?detect_loops t.graph ~src
       ~header:(initial_header t ~src lbl)
-      ~step:(fun ~at h -> step_fast c ~at h)
+      ~step:(fun ~at h -> step t ~at h)
       ~header_words
 
 let instance t =
-  let c = compile t in
   {
     Scheme.name = "roditty-tov-2eps1";
     graph = t.graph;
-    route = (fun ~faults ~src ~dst -> route ?faults t ~src ~dst);
-    fast =
-      Some
-        (fun ~faults ~record_path ~detect_loops ~src ~dst ->
-          route_fast ?faults ~record_path ~detect_loops c ~src ~dst);
+    route =
+      (fun ~faults ~record_path ~detect_loops ~src ~dst ->
+        route ?faults ~record_path ~detect_loops t ~src ~dst);
     table_words = t.table_words;
     label_words = t.label_words;
     big_bytes = Vicinity.payload_bytes t.vic;
@@ -363,9 +284,9 @@ type frozen = {
   z_eps : float;
   z_vic : Vicinity.frozen;
   z_centers : Centers.t;
-  z_cluster_trees : (int, Tree_routing.t) Hashtbl.t;
-  z_cluster_labels : (int, (int, Tree_routing.label) Hashtbl.t) Hashtbl.t;
-  z_global_trees : (int, Tree_routing.t) Hashtbl.t;
+  z_cluster_trees : Tree_routing.t Compiled.Table.t;
+  z_cluster_labels : Tree_routing.label Compiled.Table.t Compiled.Table.t;
+  z_global_trees : Tree_routing.t Compiled.Table.t;
   z_witness : Compiled.Intmap.t array;
   z_coloring : Coloring.t;
   z_reps : (int * float) array array;
@@ -416,5 +337,5 @@ module For_testing = struct
 
   let vicinities t = t.vic
 
-  let cluster_tree t w = Hashtbl.find_opt t.cluster_trees w
+  let cluster_tree t w = Compiled.Table.find_opt t.cluster_trees w
 end

@@ -81,76 +81,25 @@ let initial_header t ~src ~dst =
     { dst; dst_color; phase = Seek w }
   end
 
-let route ?faults t ~src ~dst =
+let route ?faults ?record_path ?detect_loops t ~src ~dst =
   if src = dst then
-    Scheme_util.run_scheme ?faults t.graph ~src ~header:{ dst; dst_color = 0; phase = Direct }
-      ~step:(fun ~at:_ h -> ignore h; Port_model.Deliver)
-      ~header_words
-  else
-    Scheme_util.run_scheme ?faults t.graph ~src
-      ~header:(initial_header t ~src ~dst)
-      ~step:(fun ~at h -> step t ~at h)
-      ~header_words
-
-(* --- compiled form ------------------------------------------------------ *)
-
-type compiled = {
-  base : t;
-  vic_c : Vicinity.compiled array;
-  lemma7_c : Seq_routing.compiled;
-}
-
-(* The vicinity family is physically shared with the embedded Lemma 7
-   instance, so its compiled form is reused rather than rebuilt. *)
-let compile t =
-  let lemma7_c = Seq_routing.compile t.lemma7 in
-  { base = t; vic_c = Seq_routing.compiled_vicinities lemma7_c; lemma7_c }
-
-let rec step_fast c ~at h =
-  match h.phase with
-  | Inner ih -> (
-    match Seq_routing.step_c c.lemma7_c ~at ih with
-    | Port_model.Deliver -> Port_model.Deliver
-    | Port_model.Forward (p, ih') ->
-      Port_model.Forward (p, { h with phase = Inner ih' }))
-  | Direct ->
-    if at = h.dst then Port_model.Deliver
-    else Port_model.Forward (Vicinity.step_c c.vic_c ~at ~dst:h.dst, h)
-  | Seek w ->
-    if at = w then
-      (* Once per route: the representative's stored sequence stays on the
-         interpreted store. *)
-      step_fast c ~at
-        { h with
-          phase =
-            Inner (Seq_routing.initial_header c.base.lemma7 ~src:w ~dst:h.dst)
-        }
-    else Port_model.Forward (Vicinity.step_c c.vic_c ~at ~dst:w, h)
-
-let route_fast ?faults ?(record_path = true) ?(detect_loops = true) c ~src
-    ~dst =
-  let t = c.base in
-  if src = dst then
-    Scheme_util.run_scheme ?faults ~record_path ~detect_loops t.graph ~src
+    Scheme_util.run_scheme ?faults ?record_path ?detect_loops t.graph ~src
       ~header:{ dst; dst_color = 0; phase = Direct }
       ~step:(fun ~at:_ h -> ignore h; Port_model.Deliver)
       ~header_words
   else
-    Scheme_util.run_scheme ?faults ~record_path ~detect_loops t.graph ~src
+    Scheme_util.run_scheme ?faults ?record_path ?detect_loops t.graph ~src
       ~header:(initial_header t ~src ~dst)
-      ~step:(fun ~at h -> step_fast c ~at h)
+      ~step:(fun ~at h -> step t ~at h)
       ~header_words
 
 let instance t =
-  let c = compile t in
   {
     Scheme.name = "roditty-tov-3eps";
     graph = t.graph;
-    route = (fun ~faults ~src ~dst -> route ?faults t ~src ~dst);
-    fast =
-      Some
-        (fun ~faults ~record_path ~detect_loops ~src ~dst ->
-          route_fast ?faults ~record_path ~detect_loops c ~src ~dst);
+    route =
+      (fun ~faults ~record_path ~detect_loops ~src ~dst ->
+        route ?faults ~record_path ~detect_loops t ~src ~dst);
     table_words = t.table_words;
     label_words = t.label_words;
     big_bytes = Vicinity.payload_bytes t.vic;

@@ -27,7 +27,16 @@ val preprocess :
     @raise Invalid_argument if [g] is disconnected or the coloring is
     infeasible at this size. *)
 
-val route : ?faults:Fault.plan -> t -> src:int -> dst:int -> Port_model.outcome
+val route :
+  ?faults:Fault.plan ->
+  ?record_path:bool ->
+  ?detect_loops:bool ->
+  t ->
+  src:int ->
+  dst:int ->
+  Port_model.outcome
+(** One message through the scheme's tables; the simulator knobs default
+    on (see {!Port_model.run}). *)
 
 val instance : t -> Scheme.instance
 

@@ -223,120 +223,26 @@ let initial_header t ~src lbl =
       in
       find 0
 
-let route ?faults t ~src ~dst =
+let route ?faults ?record_path ?detect_loops t ~src ~dst =
   let lbl = label_of t dst in
   if src = dst then
-    Scheme_util.run_scheme ?faults t.graph ~src ~header:{ lbl; phase = Direct }
-      ~step:(fun ~at:_ _ -> Port_model.Deliver)
-      ~header_words
-  else
-    Scheme_util.run_scheme ?faults t.graph ~src
-      ~header:(initial_header t ~src lbl)
-      ~step:(fun ~at h -> step t ~at h)
-      ~header_words
-
-(* --- compiled form ------------------------------------------------------ *)
-
-type compiled = {
-  base : t;
-  vic_c : Vicinity.compiled array;
-  lemma8_c : Seq_routing2.compiled;
-  tz_c : Tz_routing.compiled;
-}
-
-(* The vicinity family is physically shared with the embedded Lemma 8
-   instance, so its compiled form is reused rather than rebuilt; the TZ
-   cluster trees ride their own compiled plane. The source decision
-   (home label, bunch membership) runs once per route and stays
-   interpreted. *)
-let compile t =
-  let lemma8_c = Seq_routing2.compile t.lemma8 in
-  {
-    base = t;
-    vic_c = Seq_routing2.compiled_vicinities lemma8_c;
-    lemma8_c;
-    tz_c = Tz_routing.compile t.tz;
-  }
-
-let rec step_fast c ~at h =
-  let t = c.base in
-  let dst = h.lbl.tz_label.Tz_routing.vertex in
-  match h.phase with
-  | Direct ->
-    if at = dst then Port_model.Deliver
-    else Port_model.Forward (Vicinity.step_c c.vic_c ~at ~dst, h)
-  | Home (root, lbl) -> (
-    match Tz_routing.tree_c c.tz_c root with
-    | None -> invalid_arg "Scheme4km7.step: empty home tree"
-    | Some tr -> (
-      match Tree_routing.step_c tr ~at lbl with
-      | `Deliver -> Port_model.Deliver
-      | `Forward p -> Port_model.Forward (p, h)))
-  | Tz_tree root -> (
-    match Tz_routing.tree_c c.tz_c root with
-    | None -> invalid_arg "Scheme4km7.step: empty TZ tree"
-    | Some tr -> (
-      match Tree_routing.step_c tr ~at (pivot_label h root) with
-      | `Deliver -> Port_model.Deliver
-      | `Forward p -> Port_model.Forward (p, h)))
-  | Seek_rep w ->
-    if at = w then begin
-      let p_km2 =
-        let hh = Tz_routing.hierarchy t.tz in
-        hh.Tz_hierarchy.p.(t.k - 2).(dst)
-      in
-      if w = p_km2 then
-        if at = dst then Port_model.Deliver
-        else step_fast c ~at { h with phase = Final_tree }
-      else
-        step_fast c ~at
-          { h with
-            phase = Lemma8 (Seq_routing2.initial_header t.lemma8 ~src:w ~dst:p_km2)
-          }
-    end
-    else Port_model.Forward (Vicinity.step_c c.vic_c ~at ~dst:w, h)
-  | Lemma8 ih -> (
-    match Seq_routing2.step_c c.lemma8_c ~at ih with
-    | Port_model.Deliver ->
-      if at = dst then Port_model.Deliver
-      else step_fast c ~at { h with phase = Final_tree }
-    | Port_model.Forward (p, ih') ->
-      Port_model.Forward (p, { h with phase = Lemma8 ih' }))
-  | Final_tree -> (
-    let hh = Tz_routing.hierarchy t.tz in
-    let root = hh.Tz_hierarchy.p.(t.k - 2).(dst) in
-    match Tz_routing.tree_c c.tz_c root with
-    | None -> invalid_arg "Scheme4km7.step: empty final tree"
-    | Some tr -> (
-      match Tree_routing.step_c tr ~at (pivot_label h root) with
-      | `Deliver -> Port_model.Deliver
-      | `Forward p -> Port_model.Forward (p, h)))
-
-let route_fast ?faults ?(record_path = true) ?(detect_loops = true) c ~src
-    ~dst =
-  let t = c.base in
-  let lbl = label_of t dst in
-  if src = dst then
-    Scheme_util.run_scheme ?faults ~record_path ~detect_loops t.graph ~src
+    Scheme_util.run_scheme ?faults ?record_path ?detect_loops t.graph ~src
       ~header:{ lbl; phase = Direct }
       ~step:(fun ~at:_ _ -> Port_model.Deliver)
       ~header_words
   else
-    Scheme_util.run_scheme ?faults ~record_path ~detect_loops t.graph ~src
+    Scheme_util.run_scheme ?faults ?record_path ?detect_loops t.graph ~src
       ~header:(initial_header t ~src lbl)
-      ~step:(fun ~at h -> step_fast c ~at h)
+      ~step:(fun ~at h -> step t ~at h)
       ~header_words
 
 let instance t =
-  let c = compile t in
   {
     Scheme.name = Printf.sprintf "roditty-tov-4km7-k%d" t.k;
     graph = t.graph;
-    route = (fun ~faults ~src ~dst -> route ?faults t ~src ~dst);
-    fast =
-      Some
-        (fun ~faults ~record_path ~detect_loops ~src ~dst ->
-          route_fast ?faults ~record_path ~detect_loops c ~src ~dst);
+    route =
+      (fun ~faults ~record_path ~detect_loops ~src ~dst ->
+        route ?faults ~record_path ~detect_loops t ~src ~dst);
     table_words = t.table_words;
     label_words = t.label_words;
     big_bytes = Vicinity.payload_bytes t.vic;

@@ -39,7 +39,16 @@ val preprocess :
     vertices (default 10^4). Lazy table accounting counts only resident
     entries. *)
 
-val route : ?faults:Fault.plan -> t -> src:int -> dst:int -> Port_model.outcome
+val route :
+  ?faults:Fault.plan ->
+  ?record_path:bool ->
+  ?detect_loops:bool ->
+  t ->
+  src:int ->
+  dst:int ->
+  Port_model.outcome
+(** One message through the scheme's tables; the simulator knobs default
+    on (see {!Port_model.run}). *)
 
 val instance : t -> Scheme.instance
 

@@ -4,7 +4,7 @@ open Cr_routing
 (* Cluster trees: the eager store keeps every nonempty C_A(w) tree; the
    lazy store builds a tree on first use (restricted Dijkstra in a private
    workspace) and keeps at most [tcap] under FIFO eviction. The cache sits
-   behind a mutex because the compiled fast path runs on pool worker
+   behind a mutex because [Scheme.evaluate_batch] routes on pool worker
    domains; the trees themselves are deterministic functions of the graph
    and the center sample, so cache state never changes a decision. *)
 type lazy_trees = {
@@ -16,7 +16,7 @@ type lazy_trees = {
 }
 
 type trees =
-  | Trees_eager of (int, Tree_routing.t) Hashtbl.t
+  | Trees_eager of Tree_routing.t Compiled.Table.t
   | Trees_lazy of lazy_trees
 
 (* Color representatives: the dense table is Theta(n * q) words; the lazy
@@ -77,7 +77,7 @@ let label_of t v =
    is single-owner by contract and must not be touched from routing. *)
 let cluster_tree_at t root =
   match t.trees with
-  | Trees_eager tbl -> Hashtbl.find_opt tbl root
+  | Trees_eager tbl -> Compiled.Table.find_opt tbl root
   | Trees_lazy lt ->
     Mutex.protect lt.tmutex (fun () ->
         match Hashtbl.find_opt lt.tcache root with
@@ -144,7 +144,7 @@ let preprocess ?substrate ?(eps = 0.5) ?(vicinity_factor = 1.0) ?center_target
         | None -> ()
         | Some tr -> Hashtbl.replace tbl w tr
       done;
-      Trees_eager tbl
+      Trees_eager (Compiled.Table.of_hashtbl tbl)
   in
   (* First edge (p_A(v), z) on a shortest path from each center toward v,
      read off the multi-source forest: [fparent] chains from v reach
@@ -214,7 +214,7 @@ let preprocess ?substrate ?(eps = 0.5) ?(vicinity_factor = 1.0) ?center_target
       for u = 0 to n - 1 do
         let cluster_records = 7 * Array.length bunches.(u) in
         let own_labels =
-          match Hashtbl.find_opt tree_tbl u with
+          match Compiled.Table.find_opt tree_tbl u with
           | None -> 0
           | Some tr ->
             Array.fold_left
@@ -322,120 +322,26 @@ let initial_header t ~src lbl =
       { lbl; phase = Cluster_tree (src, Tree_routing.label tr v) }
     | _ -> { lbl; phase = Seek_rep (rep_of t src lbl.group) }
 
-let route ?faults t ~src ~dst =
+let route ?faults ?record_path ?detect_loops t ~src ~dst =
   let lbl = label_of t dst in
   if src = dst then
-    Scheme_util.run_scheme ?faults t.graph ~src ~header:{ lbl; phase = Direct }
-      ~step:(fun ~at:_ _ -> Port_model.Deliver)
-      ~header_words
-  else
-    Scheme_util.run_scheme ?faults t.graph ~src
-      ~header:(initial_header t ~src lbl)
-      ~step:(fun ~at h -> step t ~at h)
-      ~header_words
-
-(* --- compiled form ------------------------------------------------------ *)
-
-type compiled = {
-  base : t;
-  vic_c : Vicinity.compiled array;
-  lemma8_c : Seq_routing2.compiled;
-  cluster_trees_c : Tree_routing.compiled Compiled.Table.t option;
-      (* [None] on a lazy store: the per-hop tree dispatch falls back to
-         the interpreted [Tree_routing.step] on the on-demand tree, which
-         makes the same decision. *)
-}
-
-(* The vicinity family is physically shared with the embedded Lemma 8
-   instance, so its compiled form is reused rather than rebuilt. The
-   cluster-label fetch at [z] happens once per route and stays
-   interpreted; the per-hop tree dispatch is compiled on an eager store. *)
-let compile t =
-  let lemma8_c = Seq_routing2.compile t.lemma8 in
-  {
-    base = t;
-    vic_c = Seq_routing2.compiled_vicinities lemma8_c;
-    lemma8_c;
-    cluster_trees_c =
-      (match t.trees with
-      | Trees_eager tbl ->
-        Some
-          (Compiled.Table.map Tree_routing.compile (Compiled.Table.of_hashtbl tbl))
-      | Trees_lazy _ -> None);
-  }
-
-let rec step_fast c ~at h =
-  let t = c.base in
-  let dst = h.lbl.vertex in
-  match h.phase with
-  | Direct ->
-    if at = dst then Port_model.Deliver
-    else Port_model.Forward (Vicinity.step_c c.vic_c ~at ~dst, h)
-  | Cluster_tree (root, lbl) -> (
-    let d =
-      match c.cluster_trees_c with
-      | Some tbl -> Tree_routing.step_c (Compiled.Table.find tbl root) ~at lbl
-      | None -> (
-        match cluster_tree_at t root with
-        | Some tr -> Tree_routing.step tr ~at lbl
-        | None -> raise Not_found)
-    in
-    match d with
-    | `Deliver -> Port_model.Deliver
-    | `Forward p -> Port_model.Forward (p, h))
-  | Seek_rep w ->
-    if at = w then
-      if w = h.lbl.p_a then
-        if at = dst then Port_model.Deliver
-        else step_fast c ~at { h with phase = To_z }
-      else
-        step_fast c ~at
-          { h with
-            phase =
-              Lemma8 (Seq_routing2.initial_header t.lemma8 ~src:w ~dst:h.lbl.p_a)
-          }
-    else Port_model.Forward (Vicinity.step_c c.vic_c ~at ~dst:w, h)
-  | Lemma8 ih -> (
-    match Seq_routing2.step_c c.lemma8_c ~at ih with
-    | Port_model.Deliver ->
-      if at = dst then Port_model.Deliver
-      else step_fast c ~at { h with phase = To_z }
-    | Port_model.Forward (p, ih') ->
-      Port_model.Forward (p, { h with phase = Lemma8 ih' }))
-  | To_z ->
-    if at = h.lbl.z then
-      step_fast c ~at { h with phase = Cluster_tree (at, member_label t at dst) }
-    else begin
-      match Graph.port_to t.graph at h.lbl.z with
-      | Some p -> Port_model.Forward (p, h)
-      | None -> invalid_arg "Scheme5eps.step: stored first edge missing"
-    end
-
-let route_fast ?faults ?(record_path = true) ?(detect_loops = true) c ~src
-    ~dst =
-  let t = c.base in
-  let lbl = label_of t dst in
-  if src = dst then
-    Scheme_util.run_scheme ?faults ~record_path ~detect_loops t.graph ~src
+    Scheme_util.run_scheme ?faults ?record_path ?detect_loops t.graph ~src
       ~header:{ lbl; phase = Direct }
       ~step:(fun ~at:_ _ -> Port_model.Deliver)
       ~header_words
   else
-    Scheme_util.run_scheme ?faults ~record_path ~detect_loops t.graph ~src
+    Scheme_util.run_scheme ?faults ?record_path ?detect_loops t.graph ~src
       ~header:(initial_header t ~src lbl)
-      ~step:(fun ~at h -> step_fast c ~at h)
+      ~step:(fun ~at h -> step t ~at h)
       ~header_words
 
 let instance t =
-  let c = compile t in
   {
     Scheme.name = "roditty-tov-5eps";
     graph = t.graph;
-    route = (fun ~faults ~src ~dst -> route ?faults t ~src ~dst);
-    fast =
-      Some
-        (fun ~faults ~record_path ~detect_loops ~src ~dst ->
-          route_fast ?faults ~record_path ~detect_loops c ~src ~dst);
+    route =
+      (fun ~faults ~record_path ~detect_loops ~src ~dst ->
+        route ?faults ~record_path ~detect_loops t ~src ~dst);
     table_words = t.table_words;
     label_words = t.label_words;
     big_bytes = Vicinity.payload_bytes t.vic;
@@ -447,7 +353,7 @@ let instance t =
    tree from the graph and the center distances at call time, so the thawed
    store simply starts with an empty cache — decisions are unchanged. *)
 type ftrees =
-  | FTrees_eager of (int, Tree_routing.t) Hashtbl.t
+  | FTrees_eager of Tree_routing.t Compiled.Table.t
   | FTrees_lazy
 
 type frozen = {

@@ -38,8 +38,8 @@ val preprocess :
     representative and Lemma 8 sequence precomputed — quadratic death past
     ~10^5 vertices. [`Lazy] keeps the same centers, coloring and first
     edges but builds cluster trees and Lemma 8 sequences on first use
-    (FIFO-capped, mutex-guarded caches safe under the pool-parallel fast
-    path), resolves color representatives by scanning the packed vicinity
+    (FIFO-capped, mutex-guarded caches safe under the pool-parallel batch
+    engine), resolves color representatives by scanning the packed vicinity
     on demand, and reads first edges off the multi-source center forest.
     Every routing decision is bit-identical between the two modes — the
     rt-scale equivalence tests pin this. [`Auto] resolves to [`Lazy] past
@@ -48,7 +48,16 @@ val preprocess :
     @raise Invalid_argument if [g] is disconnected or the coloring is
     infeasible. *)
 
-val route : ?faults:Fault.plan -> t -> src:int -> dst:int -> Port_model.outcome
+val route :
+  ?faults:Fault.plan ->
+  ?record_path:bool ->
+  ?detect_loops:bool ->
+  t ->
+  src:int ->
+  dst:int ->
+  Port_model.outcome
+(** One message through the scheme's tables; the simulator knobs default
+    on (see {!Port_model.run}). *)
 
 val instance : t -> Scheme.instance
 

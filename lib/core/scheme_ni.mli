@@ -29,7 +29,16 @@ val color_of_name : t -> int -> int
 (** [color_of_name t v] is the hash color any vertex computes for name [v]
     — the only destination information routing uses. *)
 
-val route : ?faults:Fault.plan -> t -> src:int -> dst:int -> Port_model.outcome
+val route :
+  ?faults:Fault.plan ->
+  ?record_path:bool ->
+  ?detect_loops:bool ->
+  t ->
+  src:int ->
+  dst:int ->
+  Port_model.outcome
+(** One message through the scheme's tables; the simulator knobs default
+    on (see {!Port_model.run}). *)
 
 val instance : t -> Scheme.instance
 (** The instance reports zero label words: the scheme is name-independent. *)

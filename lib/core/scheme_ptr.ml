@@ -23,8 +23,8 @@ type t = {
   vic : Vicinity.t array;     (* the largest vicinity family B_ell(u) *)
   vic_level : Vicinity.t array array; (* vic_level.(i) = B_i family, i = 0..ell *)
   centers : Centers.t array;  (* centers.(i) = L_i *)
-  cluster_trees : (int, Tree_routing.t) Hashtbl.t array;  (* per level *)
-  cluster_labels : (int, (int, Tree_routing.label) Hashtbl.t) Hashtbl.t array;
+  cluster_trees : Tree_routing.t Compiled.Table.t array;  (* per level *)
+  cluster_labels : Tree_routing.label Compiled.Table.t Compiled.Table.t array;
   witness : Compiled.Intmap.t array;
       (* witness.(u) : v -> i * n + w for the level i and the w in
          B_i(u) ∩ B_{L_(ell-i)}(v) minimizing (d(u,w) + d(w,v), w) over all
@@ -256,8 +256,13 @@ let preprocess ?substrate ?(eps = 0.5) ?(vicinity_factor = 1.0) ~seed ~variant
     vic;
     vic_level;
     centers;
-    cluster_trees;
-    cluster_labels;
+    cluster_trees = Array.map Compiled.Table.of_hashtbl cluster_trees;
+    cluster_labels =
+      Array.map
+        (fun tbl ->
+          Compiled.Table.map Compiled.Table.of_hashtbl
+            (Compiled.Table.of_hashtbl tbl))
+        cluster_labels;
     witness;
     colorings;
     reps;
@@ -295,12 +300,13 @@ let rec step t ~at h =
     else Port_model.Forward (Vicinity.step t.vic ~at ~dst, h)
   | To_witness (lev, w) ->
     if at = w then begin
-      let labels = Hashtbl.find t.cluster_labels.(lev) w in
-      step t ~at { h with phase = Cluster_tree (lev, w, Hashtbl.find labels dst) }
+      let labels = Compiled.Table.find t.cluster_labels.(lev) w in
+      step t ~at
+        { h with phase = Cluster_tree (lev, w, Compiled.Table.find labels dst) }
     end
     else Port_model.Forward (Vicinity.step t.vic ~at ~dst:w, h)
   | Cluster_tree (lev, root, lbl) -> (
-    let tree = Hashtbl.find t.cluster_trees.(lev) root in
+    let tree = Compiled.Table.find t.cluster_trees.(lev) root in
     match Tree_routing.step tree ~at lbl with
     | `Deliver -> Port_model.Deliver
     | `Forward p -> Port_model.Forward (p, h))
@@ -327,8 +333,9 @@ let rec step t ~at h =
   | To_z k ->
     let z = h.lbl.pivots.(k).z in
     if at = z then begin
-      let labels = Hashtbl.find t.cluster_labels.(k) at in
-      step t ~at { h with phase = Cluster_tree (k, at, Hashtbl.find labels dst) }
+      let labels = Compiled.Table.find t.cluster_labels.(k) at in
+      step t ~at
+        { h with phase = Cluster_tree (k, at, Compiled.Table.find labels dst) }
     end
     else begin
       match Graph.port_to t.graph at z with
@@ -370,114 +377,17 @@ let initial_header t ~src lbl =
       let w, _ = t.reps.(j).(src).(group) in
       { lbl; phase = Seek_rep (j, w) }
 
-let route ?faults t ~src ~dst =
+let route ?faults ?record_path ?detect_loops t ~src ~dst =
   let lbl = t.labels.(dst) in
   if src = dst then
-    Scheme_util.run_scheme ?faults t.graph ~src ~header:{ lbl; phase = Direct }
-      ~step:(fun ~at:_ _ -> Port_model.Deliver)
-      ~header_words
-  else
-    Scheme_util.run_scheme ?faults t.graph ~src
-      ~header:(initial_header t ~src lbl)
-      ~step:(fun ~at h -> step t ~at h)
-      ~header_words
-
-(* --- compiled form ------------------------------------------------------ *)
-
-type compiled = {
-  base : t;
-  vic_c : Vicinity.compiled array; (* level-ell family, the one [step] walks *)
-  cluster_trees_c : Tree_routing.compiled Compiled.Table.t array; (* per level *)
-  lemma8_c : Seq_routing2.compiled option array; (* per source level *)
-}
-
-(* The scheme's own hops walk the level-ell vicinity family, which is not
-   the family inside any Lemma 8 instance (those use the per-level
-   families), so it is compiled here; each Lemma 8 instance compiles its
-   own. The witness maps are compiled from the start and shared by both
-   planes; cluster-label fetches happen once per route and stay
-   interpreted. *)
-let compile t =
-  {
-    base = t;
-    vic_c = Array.map Vicinity.compile t.vic;
-    cluster_trees_c =
-      Array.map
-        (fun tbl ->
-          Compiled.Table.map Tree_routing.compile (Compiled.Table.of_hashtbl tbl))
-        t.cluster_trees;
-    lemma8_c = Array.map (Option.map Seq_routing2.compile) t.lemma8;
-  }
-
-let rec step_fast c ~at h =
-  let t = c.base in
-  let dst = h.lbl.vertex in
-  match h.phase with
-  | Direct ->
-    if at = dst then Port_model.Deliver
-    else Port_model.Forward (Vicinity.step_c c.vic_c ~at ~dst, h)
-  | To_witness (lev, w) ->
-    if at = w then begin
-      let labels = Hashtbl.find t.cluster_labels.(lev) w in
-      step_fast c ~at
-        { h with phase = Cluster_tree (lev, w, Hashtbl.find labels dst) }
-    end
-    else Port_model.Forward (Vicinity.step_c c.vic_c ~at ~dst:w, h)
-  | Cluster_tree (lev, root, lbl) -> (
-    let tree = Compiled.Table.find c.cluster_trees_c.(lev) root in
-    match Tree_routing.step_c tree ~at lbl with
-    | `Deliver -> Port_model.Deliver
-    | `Forward p -> Port_model.Forward (p, h))
-  | Seek_rep (j, w) ->
-    if at = w then begin
-      let k = dest_level t.variant t.ell j in
-      let p = h.lbl.pivots.(k).p in
-      if w = p then
-        if at = dst then Port_model.Deliver
-        else step_fast c ~at { h with phase = To_z k }
-      else begin
-        let l8 = Option.get t.lemma8.(j) in
-        step_fast c ~at
-          { h with
-            phase = Lemma8 (j, k, Seq_routing2.initial_header l8 ~src:w ~dst:p)
-          }
-      end
-    end
-    else Port_model.Forward (Vicinity.step_c c.vic_c ~at ~dst:w, h)
-  | Lemma8 (j, k, ih) -> (
-    let l8 = Option.get c.lemma8_c.(j) in
-    match Seq_routing2.step_c l8 ~at ih with
-    | Port_model.Deliver ->
-      if at = dst then Port_model.Deliver
-      else step_fast c ~at { h with phase = To_z k }
-    | Port_model.Forward (p, ih') ->
-      Port_model.Forward (p, { h with phase = Lemma8 (j, k, ih') }))
-  | To_z k ->
-    let z = h.lbl.pivots.(k).z in
-    if at = z then begin
-      let labels = Hashtbl.find t.cluster_labels.(k) at in
-      step_fast c ~at
-        { h with phase = Cluster_tree (k, at, Hashtbl.find labels dst) }
-    end
-    else begin
-      match Graph.port_to t.graph at z with
-      | Some p -> Port_model.Forward (p, h)
-      | None -> invalid_arg "Scheme_ptr.step: stored first edge missing"
-    end
-
-let route_fast ?faults ?(record_path = true) ?(detect_loops = true) c ~src
-    ~dst =
-  let t = c.base in
-  let lbl = t.labels.(dst) in
-  if src = dst then
-    Scheme_util.run_scheme ?faults ~record_path ~detect_loops t.graph ~src
+    Scheme_util.run_scheme ?faults ?record_path ?detect_loops t.graph ~src
       ~header:{ lbl; phase = Direct }
       ~step:(fun ~at:_ _ -> Port_model.Deliver)
       ~header_words
   else
-    Scheme_util.run_scheme ?faults ~record_path ~detect_loops t.graph ~src
+    Scheme_util.run_scheme ?faults ?record_path ?detect_loops t.graph ~src
       ~header:(initial_header t ~src lbl)
-      ~step:(fun ~at h -> step_fast c ~at h)
+      ~step:(fun ~at h -> step t ~at h)
       ~header_words
 
 let instance t =
@@ -486,15 +396,12 @@ let instance t =
       (match t.variant with `Minus -> "minus" | `Plus -> "plus")
       t.ell
   in
-  let c = compile t in
   {
     Scheme.name;
     graph = t.graph;
-    route = (fun ~faults ~src ~dst -> route ?faults t ~src ~dst);
-    fast =
-      Some
-        (fun ~faults ~record_path ~detect_loops ~src ~dst ->
-          route_fast ?faults ~record_path ~detect_loops c ~src ~dst);
+    route =
+      (fun ~faults ~record_path ~detect_loops ~src ~dst ->
+        route ?faults ~record_path ~detect_loops t ~src ~dst);
     table_words = t.table_words;
     label_words = t.label_words;
     big_bytes =
@@ -517,8 +424,8 @@ type frozen = {
   z_sizes : int array;
   z_vic_level : Vicinity.frozen array;
   z_centers : Centers.t array;
-  z_cluster_trees : (int, Tree_routing.t) Hashtbl.t array;
-  z_cluster_labels : (int, (int, Tree_routing.label) Hashtbl.t) Hashtbl.t array;
+  z_cluster_trees : Tree_routing.t Compiled.Table.t array;
+  z_cluster_labels : Tree_routing.label Compiled.Table.t Compiled.Table.t array;
   z_witness : Compiled.Intmap.t array;
   z_colorings : Coloring.t option array;
   z_reps : (int * float) array array array;
@@ -592,5 +499,5 @@ module For_testing = struct
 
   let sizes t = t.sizes
 
-  let cluster_tree t ~level w = Hashtbl.find_opt t.cluster_trees.(level) w
+  let cluster_tree t ~level w = Compiled.Table.find_opt t.cluster_trees.(level) w
 end

@@ -38,7 +38,16 @@ val preprocess :
     per-level vicinity families, center samples and cluster trees with
     other schemes on the same handle. *)
 
-val route : ?faults:Fault.plan -> t -> src:int -> dst:int -> Port_model.outcome
+val route :
+  ?faults:Fault.plan ->
+  ?record_path:bool ->
+  ?detect_loops:bool ->
+  t ->
+  src:int ->
+  dst:int ->
+  Port_model.outcome
+(** One message through the scheme's tables; the simulator knobs default
+    on (see {!Port_model.run}). *)
 
 val instance : t -> Scheme.instance
 

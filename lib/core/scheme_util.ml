@@ -121,11 +121,11 @@ end
 
 (* Simulation wrapper shared by all schemes; [?faults] subjects the run to
    a fault plan (the schemes themselves stay fault-oblivious). The two
-   simulator knobs default on; the compiled fast paths thread them through
-   so the throughput engine can turn both off. *)
-let run_scheme ?faults ?(record_path = true) ?(detect_loops = true) g ~src
-    ~header ~step ~header_words =
-  Port_model.run g ~src ~header ~step ~header_words ?faults ~record_path
-    ~detect_loops
+   simulator knobs default on, as in [Port_model.run]; the throughput
+   engine turns both off. *)
+let run_scheme ?faults ?record_path ?detect_loops g ~src ~header ~step
+    ~header_words =
+  Port_model.run g ~src ~header ~step ~header_words ?faults ?record_path
+    ?detect_loops
     ~max_hops:((64 * Graph.n g) + 256)
     ()

@@ -25,8 +25,9 @@ type packed_seq = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1
    are bit-identical across modes. The hitting set and its trees stay
    eager in both modes: there are only O~(n/q~) of them, shared by every
    pair, and the escape-hatch labels embedded in sequences point into
-   them. Guarded by a mutex because [route_fast] runs on pool worker
-   domains; the [Substrate] handle is never touched after preprocess. *)
+   them. Guarded by a mutex because [Scheme.evaluate_batch] routes on
+   pool worker domains; the [Substrate] handle is never touched after
+   preprocess. *)
 type lazy_store = {
   lmutex : Mutex.t;
   lcache : (int * int, packed_seq) Hashtbl.t;
@@ -37,7 +38,7 @@ type lazy_store = {
 }
 
 type store =
-  | Dense of (int * int, seq) Hashtbl.t
+  | Dense of seq Compiled.Table.t array (* source -> (destination -> seq) *)
   | Lazy of lazy_store
 
 type t = {
@@ -46,7 +47,7 @@ type t = {
   b : int;
   vic : Vicinity.t array;
   hset : int list;
-  trees : (int, Tree_routing.t) Hashtbl.t;
+  trees : Tree_routing.t Compiled.Table.t; (* hitting-set vertex -> T(w) *)
   store : store;
   part_of : int array;
   table_words : int array;
@@ -97,7 +98,7 @@ let build_seq g vic in_hset trees ~b ~src:u ~dst:v spt_v =
           match Vicinity.nearest_of vic.(x) (fun w -> in_hset w) with
           | None -> invalid_arg "Seq_routing: hitting set misses a vicinity"
           | Some w ->
-            let tree = Hashtbl.find trees w in
+            let tree = Compiled.Table.find trees w in
             {
               hops = Array.of_list (List.rev acc);
               tail = To_tree (w, Tree_routing.label tree v);
@@ -136,7 +137,7 @@ let decode_seq trees ~dst (a : packed_seq) : seq =
   {
     tail =
       (if kind = 0 then To_target
-       else To_tree (root, Tree_routing.label (Hashtbl.find trees root) dst));
+       else To_tree (root, Tree_routing.label (Compiled.Table.find trees root) dst));
     hops =
       Array.init nh (fun i ->
           let v = geti (3 + (2 * i)) and p = geti (4 + (2 * i)) in
@@ -166,8 +167,11 @@ let preprocess ?substrate ?(eps = 0.5) ?hitting ?(mode = `Dense) g ~vicinities
   in
   let in_hset = Array.make n false in
   List.iter (fun w -> in_hset.(w) <- true) hset;
-  let trees = Hashtbl.create (2 * List.length hset) in
-  List.iter (fun w -> Hashtbl.replace trees w (Substrate.spt_tree sub w)) hset;
+  let trees =
+    let tbl = Hashtbl.create (2 * List.length hset) in
+    List.iter (fun w -> Hashtbl.replace tbl w (Substrate.spt_tree sub w)) hset;
+    Compiled.Table.of_hashtbl tbl
+  in
   (* Sanity: the part index map must agree with the parts themselves. *)
   Array.iteri
     (fun j part ->
@@ -186,7 +190,7 @@ let preprocess ?substrate ?(eps = 0.5) ?hitting ?(mode = `Dense) g ~vicinities
   done;
   match mode with
   | `Dense ->
-    let seqs = Hashtbl.create (4 * n) in
+    let seqs = Array.init n (fun _ -> Hashtbl.create 8) in
     Array.iter
       (fun part ->
         Array.iter
@@ -195,7 +199,7 @@ let preprocess ?substrate ?(eps = 0.5) ?hitting ?(mode = `Dense) g ~vicinities
             Array.iter
               (fun u ->
                 if u <> v then
-                  Hashtbl.replace seqs (u, v)
+                  Hashtbl.replace seqs.(u) v
                     (build_seq g vic (fun w -> in_hset.(w)) trees ~b ~src:u ~dst:v spt_v))
               part)
           part)
@@ -203,11 +207,14 @@ let preprocess ?substrate ?(eps = 0.5) ?hitting ?(mode = `Dense) g ~vicinities
     (* Table accounting: vicinity entries, one tree-routing record per
        hitting-set tree, and the stored sequences (with their tree labels). *)
     let seq_total = ref 0 in
-    Hashtbl.iter
-      (fun (u, _) (sq : seq) ->
-        let w = 1 + seq_words sq.hops + tail_words sq.tail in
-        seq_total := !seq_total + w;
-        table_words.(u) <- table_words.(u) + w)
+    Array.iteri
+      (fun u tbl ->
+        Hashtbl.iter
+          (fun _ (sq : seq) ->
+            let w = 1 + seq_words sq.hops + tail_words sq.tail in
+            seq_total := !seq_total + w;
+            table_words.(u) <- table_words.(u) + w)
+          tbl)
       seqs;
     let breakdown =
       [
@@ -216,7 +223,8 @@ let preprocess ?substrate ?(eps = 0.5) ?hitting ?(mode = `Dense) g ~vicinities
         ("sequences", !seq_total);
       ]
     in
-    { graph = g; eps; b; vic; hset; trees; store = Dense seqs; part_of;
+    { graph = g; eps; b; vic; hset; trees;
+      store = Dense (Array.map Compiled.Table.of_hashtbl seqs); part_of;
       table_words; breakdown }
   | `Lazy ->
     let breakdown =
@@ -250,10 +258,7 @@ let preprocess ?substrate ?(eps = 0.5) ?hitting ?(mode = `Dense) g ~vicinities
 
 let fetch_seq t ~src:u ~dst:v =
   match t.store with
-  | Dense seqs -> (
-    match Hashtbl.find_opt seqs (u, v) with
-    | Some sq -> sq
-    | None -> raise Not_found)
+  | Dense seqs -> Compiled.Table.find seqs.(u) v
   | Lazy ls ->
     if u = v then raise Not_found;
     let j = t.part_of.(u) in
@@ -299,7 +304,7 @@ let header_bits t h =
   (match h.tail with
   | To_target -> ()
   | To_tree (w, lbl) ->
-    let tree = Hashtbl.find t.trees w in
+    let tree = Compiled.Table.find t.trees w in
     acc := !acc + id_bits + snd (Tree_routing.encode_label tree lbl));
   !acc
 
@@ -307,7 +312,7 @@ let rec step t ~at h =
   if h.in_tree then begin
     match h.tail with
     | To_tree (w, lbl) -> (
-      let tree = Hashtbl.find t.trees w in
+      let tree = Compiled.Table.find t.trees w in
       match Tree_routing.step tree ~at lbl with
       | `Deliver -> Port_model.Deliver
       | `Forward p -> Port_model.Forward (p, h))
@@ -330,58 +335,13 @@ let rec step t ~at h =
       | Jump (_, port) -> Port_model.Forward (port, h)
   end
 
-let route ?faults t ~src ~dst =
+let route ?faults ?record_path ?detect_loops t ~src ~dst =
   let header = initial_header t ~src ~dst in
   Port_model.run t.graph ~src ~header ?faults
     ~step:(fun ~at h -> step t ~at h)
     ~header_words
     ~max_hops:((16 * Graph.n t.graph) + 64)
-    ()
-
-(* --- compiled form ------------------------------------------------------ *)
-
-type compiled = {
-  base : t;
-  vic_c : Vicinity.compiled array;
-  trees_c : Tree_routing.compiled Compiled.Table.t;
-}
-
-let compile t =
-  {
-    base = t;
-    vic_c = Array.map Vicinity.compile t.vic;
-    trees_c =
-      Compiled.Table.map Tree_routing.compile (Compiled.Table.of_hashtbl t.trees);
-  }
-
-let compiled_vicinities c = c.vic_c
-
-let rec step_c c ~at h =
-  if h.in_tree then begin
-    match h.tail with
-    | To_tree (w, lbl) -> (
-      let tree = Compiled.Table.find c.trees_c w in
-      match Tree_routing.step_c tree ~at lbl with
-      | `Deliver -> Port_model.Deliver
-      | `Forward p -> Port_model.Forward (p, h))
-    | To_target -> invalid_arg "Seq_routing.step: corrupt header"
-  end
-  else if h.idx >= Array.length h.hops then begin
-    match h.tail with
-    | To_target ->
-      if at = h.dst then Port_model.Deliver
-      else invalid_arg "Seq_routing.step: sequence exhausted off target"
-    | To_tree _ -> step_c c ~at { h with in_tree = true }
-  end
-  else begin
-    let hop = h.hops.(h.idx) in
-    let target = hop_vertex hop in
-    if at = target then step_c c ~at { h with idx = h.idx + 1 }
-    else
-      match hop with
-      | Via x -> Port_model.Forward (Vicinity.step_c c.vic_c ~at ~dst:x, h)
-      | Jump (_, port) -> Port_model.Forward (port, h)
-  end
+    ?record_path ?detect_loops ()
 
 (* --- snapshot form ------------------------------------------------------ *)
 
@@ -390,16 +350,16 @@ let rec step_c c ~at h =
    scheme so physical sharing survives the round trip), and the lazy
    store's runtime plumbing (mutex, workspace, cache — rebuilt empty,
    which never changes an answer). The dense store and the hitting-set
-   trees are plain data and ride the Marshal residue as-is. *)
+   tree table are plain data and ride the Marshal residue as-is. *)
 type fstore =
-  | FDense of (int * int, seq) Hashtbl.t
+  | FDense of seq Compiled.Table.t array
   | FLazy
 
 type frozen = {
   z_eps : float;
   z_b : int;
   z_hset : int list;
-  z_trees : (int, Tree_routing.t) Hashtbl.t;
+  z_trees : Tree_routing.t Compiled.Table.t;
   z_store : fstore;
   z_part_of : int array;
   z_table_words : int array;

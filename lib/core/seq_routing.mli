@@ -62,8 +62,16 @@ val header_bits : t -> header -> int
     vertex ids, ports, plus the encoded tree label when the escape hatch is
     armed) — the Lemma 7 headers are O((1/eps) log n + log^2 n) bits. *)
 
-val route : ?faults:Fault.plan -> t -> src:int -> dst:int -> Port_model.outcome
-(** End-to-end simulation through the port model. *)
+val route :
+  ?faults:Fault.plan ->
+  ?record_path:bool ->
+  ?detect_loops:bool ->
+  t ->
+  src:int ->
+  dst:int ->
+  Port_model.outcome
+(** End-to-end simulation through the port model; the simulator knobs
+    default on (see {!Port_model.run}). *)
 
 val eps : t -> float
 
@@ -77,23 +85,6 @@ val table_words : t -> int array
 val breakdown : t -> (string * int) list
 (** Aggregate (whole-network) space split into components:
     ["vicinities"], ["tree-records"], ["sequences"]. *)
-
-(** {1 Compiled form} *)
-
-type compiled
-(** The forwarding hot path with the vicinity family and hitting-set trees
-    compiled to flat sorted arrays. Decisions are identical to {!step};
-    [table_words] is a property of the logical tables and does not change. *)
-
-val compile : t -> compiled
-
-val compiled_vicinities : compiled -> Vicinity.compiled array
-(** The compiled [B(u, q~)] family — shared (not re-compiled) by the
-    schemes that embed this instance, since they route over the same
-    physical vicinities. *)
-
-val step_c : compiled -> at:int -> header -> header Port_model.decision
-(** Identical decision to {!step} for every reachable [(at, header)]. *)
 
 (** {1 Snapshot form} *)
 

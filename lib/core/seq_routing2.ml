@@ -84,7 +84,7 @@ type lazy_store = {
 }
 
 type store =
-  | Dense of (int * int, seq) Hashtbl.t
+  | Dense of seq Compiled.Table.t array (* source -> (destination -> seq) *)
   | Lazy of lazy_store
 
 type t = {
@@ -279,7 +279,7 @@ let preprocess ?substrate ?(eps = 0.5) ?(mode = `Dense) g ~vicinities ~parts
   done;
   match mode with
   | `Dense ->
-    let seqs = Hashtbl.create (4 * n) in
+    let seqs = Array.init n (fun _ -> Hashtbl.create 8) in
     Array.iteri
       (fun j part ->
         let relay_of x =
@@ -293,7 +293,7 @@ let preprocess ?substrate ?(eps = 0.5) ?(mode = `Dense) g ~vicinities ~parts
             Array.iter
               (fun u ->
                 if u <> w then
-                  Hashtbl.replace seqs (u, w)
+                  Hashtbl.replace seqs.(u) w
                     (build_seq g vic ~b ~d_min ~relay_of ~src:u ~dst:w ~dist
                        ~parent))
               part)
@@ -301,19 +301,22 @@ let preprocess ?substrate ?(eps = 0.5) ?(mode = `Dense) g ~vicinities ~parts
       parts;
     let seq_total = ref 0 in
     let max_seq_hops = ref 0 in
-    Hashtbl.iter
-      (fun (u, _) (sq : seq) ->
-        max_seq_hops := max !max_seq_hops (Array.length sq.hops);
-        let w = 2 + seq_words sq.hops in
-        seq_total := !seq_total + w;
-        table_words.(u) <- table_words.(u) + w)
+    Array.iteri
+      (fun u tbl ->
+        Hashtbl.iter
+          (fun _ (sq : seq) ->
+            max_seq_hops := max !max_seq_hops (Array.length sq.hops);
+            let w = 2 + seq_words sq.hops in
+            seq_total := !seq_total + w;
+            table_words.(u) <- table_words.(u) + w)
+          tbl)
       seqs;
     {
       graph = g;
       eps;
       b;
       vic;
-      store = Dense seqs;
+      store = Dense (Array.map Compiled.Table.of_hashtbl seqs);
       table_words;
       dense_max_seq_hops = !max_seq_hops;
       breakdown = [ ("vicinities", !vic_total); ("sequences", !seq_total) ];
@@ -336,10 +339,7 @@ let preprocess ?substrate ?(eps = 0.5) ?(mode = `Dense) g ~vicinities ~parts
 
 let fetch_seq t ~src:u ~dst:w =
   match t.store with
-  | Dense seqs -> (
-    match Hashtbl.find_opt seqs (u, w) with
-    | Some sq -> sq
-    | None -> raise Not_found)
+  | Dense seqs -> Compiled.Table.find seqs.(u) w
   | Lazy ls ->
     if u = w then raise Not_found;
     let j = ls.ldest_group.(w) in
@@ -412,43 +412,13 @@ let rec step t ~at h =
       | Jump (_, port) -> Port_model.Forward (port, h)
   end
 
-let route ?faults t ~src ~dst =
+let route ?faults ?record_path ?detect_loops t ~src ~dst =
   let header = initial_header t ~src ~dst in
   Port_model.run t.graph ~src ~header ?faults
     ~step:(fun ~at h -> step t ~at h)
     ~header_words
     ~max_hops:((64 * Graph.n t.graph) + 256)
-    ()
-
-(* --- compiled form ------------------------------------------------------ *)
-
-type compiled = { base : t; vic_c : Vicinity.compiled array }
-
-let compile t = { base = t; vic_c = Array.map Vicinity.compile t.vic }
-
-let compiled_vicinities c = c.vic_c
-
-let rec step_c c ~at h =
-  if h.idx >= Array.length h.hops then begin
-    match h.terminal with
-    | At_dst ->
-      if at = h.dst then Port_model.Deliver
-      else invalid_arg "Seq_routing2.step: sequence exhausted off target"
-    | Relay r ->
-      if at <> r then invalid_arg "Seq_routing2.step: relay mismatch"
-        (* The relay's own sequence is fetched once per relay point; the
-           seqs store stays interpreted, only per-hop work is compiled. *)
-      else step_c c ~at (initial_header c.base ~src:r ~dst:h.dst)
-  end
-  else begin
-    let hop = h.hops.(h.idx) in
-    let target = hop_vertex hop in
-    if at = target then step_c c ~at { h with idx = h.idx + 1 }
-    else
-      match hop with
-      | Via x -> Port_model.Forward (Vicinity.step_c c.vic_c ~at ~dst:x, h)
-      | Jump (_, port) -> Port_model.Forward (port, h)
-  end
+    ?record_path ?detect_loops ()
 
 (* --- snapshot form ------------------------------------------------------ *)
 
@@ -464,7 +434,7 @@ type flazy = {
 }
 
 type fstore =
-  | FDense of (int * int, seq) Hashtbl.t
+  | FDense of seq Compiled.Table.t array
   | FLazy of flazy
 
 type frozen = {

@@ -64,7 +64,16 @@ val header_bits : t -> header -> int
 (** Exact bit size of the header under the natural encoding — the Lemma 8
     headers are O((1/eps) log(nD)) bits. *)
 
-val route : ?faults:Fault.plan -> t -> src:int -> dst:int -> Port_model.outcome
+val route :
+  ?faults:Fault.plan ->
+  ?record_path:bool ->
+  ?detect_loops:bool ->
+  t ->
+  src:int ->
+  dst:int ->
+  Port_model.outcome
+(** End-to-end simulation through the port model; the simulator knobs
+    default on (see {!Port_model.run}). *)
 
 val eps : t -> float
 
@@ -77,22 +86,6 @@ val max_sequence_hops : t -> int
 
 val breakdown : t -> (string * int) list
 (** Aggregate space split: ["vicinities"], ["sequences"]. *)
-
-(** {1 Compiled form} *)
-
-type compiled
-(** The forwarding hot path with the vicinity family compiled to flat
-    sorted arrays (the sequence store is consulted once per relay point and
-    stays interpreted). Decisions are identical to {!step}. *)
-
-val compile : t -> compiled
-
-val compiled_vicinities : compiled -> Vicinity.compiled array
-(** The compiled [B(u, q~)] family — shared (not re-compiled) by the
-    schemes that embed this instance. *)
-
-val step_c : compiled -> at:int -> header -> header Port_model.decision
-(** Identical decision to {!step} for every reachable [(at, header)]. *)
 
 (** {1 Snapshot form} *)
 

@@ -1,9 +1,9 @@
-(* Three physical families serve the compiled planes: direct arrays for
-   dense key ranges, sorted parallel arrays for sparse ones, and — new in
-   the succinct tier — Elias-Fano key sets with bit-packed payloads. The
-   representation is chosen per structure at build time; the [policy]
-   override exists so the bench can force the same logical plane into its
-   flat and succinct forms and compare routes/sec on identical decisions. *)
+(* Three physical families serve the forwarding tables: direct arrays for
+   dense key ranges, sorted parallel arrays for sparse ones, and
+   Elias-Fano key sets with bit-packed payloads. The representation is
+   chosen per structure at build time; the [policy] override exists so
+   the bench can force the same logical tables into their flat and
+   succinct forms and compare routes/sec on identical decisions. *)
 
 type policy = [ `Auto | `Flat | `Succinct ]
 

@@ -1,15 +1,17 @@
-(** Compiled lookup structures for the forwarding hot path.
+(** The containers the forwarding plane reads.
 
-    Preprocessing builds its routing tables with [Hashtbl] — convenient to
-    grow, hostile to route through: every per-hop lookup chases buckets and
-    boxes. This module "compiles" those finished tables into flat sorted
-    [int array] / [Bytes] structures resolved by binary search or direct
-    indexing. Compilation never changes a decision — a compiled map answers
-    exactly what the hashtable it was built from answers (the qcheck suite
-    enforces this across every scheme) — and it never changes the space
-    accounting: the word counts reported by the schemes are a property of
-    the {e logical} table (entries of O(log n)-bit words), not of whichever
-    physical container serves the lookup. *)
+    Preprocessing grows its routing tables in [Hashtbl]s — convenient to
+    fill, hostile to route through: every per-hop lookup chases buckets and
+    boxes. Each scheme therefore builds its finished tables, once, at the
+    end of its preprocess, into the flat sorted [int array] / [Bytes]
+    structures here, resolved by binary search or direct indexing. Those
+    are the only runtime form: an instance, and an instance thawed from a
+    snapshot, routes over them as built, with no second copy and no
+    compile pass. A container answers exactly what the hashtable it was
+    built from answers (the qcheck suite enforces this), and it never
+    changes the space accounting: the word counts reported by the schemes
+    are a property of the {e logical} table (entries of O(log n)-bit
+    words), not of whichever physical container serves the lookup. *)
 
 type policy = [ `Auto | `Flat | `Succinct ]
 (** Representation policy for newly compiled structures. [`Auto] (the
@@ -78,8 +80,8 @@ module Intmap : sig
       against the reference binary search. *)
 end
 
-(** Immutable [int array] replacement for small-range payloads (ports,
-    stride-6 tree label fields, color indexes). Packs each value at
+(** Immutable [int array] replacement for small-range payloads. Packs
+    each value at
     [ceil(log2 range)] bits when the policy and size warrant; reads
     return exactly the original values, including negative sentinels. *)
 module Packed_array : sig

@@ -145,8 +145,14 @@ let detour_run t plan ~src ~dst =
 
 (* --- the recovery ladder -------------------------------------------------- *)
 
+(* Every sub-route runs with both simulator knobs on, whatever the caller
+   asked for: the ladder joins the segments' paths and must see a cycling
+   sub-route end [Loop_detected] rather than burn its hop budget. *)
+let sub_route t ~faults ~src ~dst =
+  t.inst.Scheme.route ~faults ~record_path:true ~detect_loops:true ~src ~dst
+
 let route ?faults t ~src ~dst =
-  let bare = t.inst.Scheme.route ~faults ~src ~dst in
+  let bare = sub_route t ~faults ~src ~dst in
   match faults with
   | None -> bare
   | Some plan when Fault.is_empty plan -> bare
@@ -178,7 +184,7 @@ let route ?faults t ~src ~dst =
               recover segs (budget - 1) hop
             else begin
               let from = hop.Port_model.final in
-              let o' = t.inst.Scheme.route ~faults ~src:from ~dst in
+              let o' = sub_route t ~faults ~src:from ~dst in
               let segs = o' :: segs in
               if Port_model.delivered_to o' dst then merge (List.rev segs)
               else recover segs (budget - 1) o'
@@ -207,10 +213,9 @@ let instance t =
   {
     Scheme.name = base.Scheme.name ^ "+res";
     graph = base.Scheme.graph;
-    route = (fun ~faults ~src ~dst -> route ?faults t ~src ~dst);
-    (* The recovery ladder composes whole sub-routes and inspects their
-       paths; it has no compiled plane. *)
-    fast = None;
+    route =
+      (fun ~faults ~record_path:_ ~detect_loops:_ ~src ~dst ->
+        route ?faults t ~src ~dst);
     table_words =
       Array.init n (fun v -> base.Scheme.table_words.(v) + tree_words v);
     label_words = Array.copy base.Scheme.label_words;

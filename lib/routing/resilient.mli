@@ -55,4 +55,6 @@ val route :
 val instance : t -> Scheme.instance
 (** Catalog-compatible view. The name gains a ["+res"] suffix; per-vertex
     table sizes grow by the spanning-tree routing record
-    ({!Tree_routing.table_words}); labels are unchanged. *)
+    ({!Tree_routing.table_words}); labels are unchanged. Its [route]
+    ignores the two simulator knobs: every sub-route of the recovery
+    ladder runs with path recording and loop detection on. *)

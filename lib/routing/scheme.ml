@@ -1,53 +1,39 @@
 open Cr_graph
 
-type fast_route =
-  faults:Fault.plan option ->
-  record_path:bool ->
-  detect_loops:bool ->
-  src:int ->
-  dst:int ->
-  Port_model.outcome
-
 type instance = {
   name : string;
   graph : Graph.t;
-  route : faults:Fault.plan option -> src:int -> dst:int -> Port_model.outcome;
-  fast : fast_route option;
+  route :
+    faults:Fault.plan option ->
+    record_path:bool ->
+    detect_loops:bool ->
+    src:int ->
+    dst:int ->
+    Port_model.outcome;
   table_words : int array;
   label_words : int array;
   big_bytes : int;
 }
 
-(* Telemetry wrapper for one route served by the given plane: stamps the
-   ambient plane for trace events and records wall time into the "route"
-   histogram. Only entered when telemetry is on — the disabled path calls
-   the router directly and allocates nothing. *)
-let tel_route plane f =
-  Telemetry.set_plane plane;
-  Telemetry.timed "route" f
-
+(* The disabled path calls the router directly and allocates nothing. *)
 let route ?faults inst ~src ~dst =
   if !Telemetry.on then
-    tel_route Telemetry.Interpreted (fun () -> inst.route ~faults ~src ~dst)
-  else inst.route ~faults ~src ~dst
+    Telemetry.timed "route" (fun () ->
+        inst.route ~faults ~record_path:true ~detect_loops:true ~src ~dst)
+  else inst.route ~faults ~record_path:true ~detect_loops:true ~src ~dst
 
-let has_fast inst = inst.fast <> None
+let count_fast_plane_hit () =
+  let tc = Telemetry.counters_shard () in
+  tc.Telemetry.fast_plane_hits <- tc.Telemetry.fast_plane_hits + 1
 
 let route_fast ?faults ?(record_path = true) ?(detect_loops = true) inst ~src
     ~dst =
-  match inst.fast with
-  | Some f ->
-    if !Telemetry.on then begin
-      let tc = Telemetry.counters_shard () in
-      tc.Telemetry.fast_plane_hits <- tc.Telemetry.fast_plane_hits + 1;
-      tel_route Telemetry.Compiled (fun () ->
-          f ~faults ~record_path ~detect_loops ~src ~dst)
-    end
-    else f ~faults ~record_path ~detect_loops ~src ~dst
-  | None ->
-    if !Telemetry.on then
-      tel_route Telemetry.Interpreted (fun () -> inst.route ~faults ~src ~dst)
-    else inst.route ~faults ~src ~dst
+  if !Telemetry.on then begin
+    count_fast_plane_hit ();
+    Telemetry.timed "route" (fun () ->
+        inst.route ~faults ~record_path ~detect_loops ~src ~dst)
+  end
+  else inst.route ~faults ~record_path ~detect_loops ~src ~dst
 
 let max_table_words i = Array.fold_left max 0 i.table_words
 
@@ -140,7 +126,10 @@ let evaluate_under_faults ?faults inst apsp pairs =
         (fun (u, v) ->
           let d = Apsp.dist apsp u v in
           if d <> infinity && d > 0.0 then begin
-            let o = inst.route ~faults ~src:u ~dst:v in
+            let o =
+              inst.route ~faults ~record_path:true ~detect_loops:true ~src:u
+                ~dst:v
+            in
             observe_peak o.Port_model.header_words_peak;
             if Port_model.delivered_to o v then sample d o.Port_model.length
             else failure ()
@@ -166,31 +155,20 @@ type slot =
    router. *)
 let batch_core ?pool ?faults ~fast ?verdicts inst np get =
   let pool = match pool with Some p -> p | None -> Pool.default () in
-  let is_fast = match inst.fast with Some _ -> fast | None -> false in
-  let route_one =
-    match inst.fast with
-    | Some f when fast ->
-      fun ~src ~dst ->
-        f ~faults ~record_path:false ~detect_loops:false ~src ~dst
-    | _ -> fun ~src ~dst -> inst.route ~faults ~src ~dst
+  let knobs = not fast in
+  let route_one ~src ~dst =
+    inst.route ~faults ~record_path:knobs ~detect_loops:knobs ~src ~dst
   in
-  (* The ambient plane is stamped once, before the pool spawns its
-     workers; every worker then increments its own counter shard and
-     records latencies into its own histogram shard, so the sweep needs no
-     synchronization and the merged totals match a serial run exactly. *)
-  if !Telemetry.on then
-    Telemetry.set_plane
-      (if is_fast then Telemetry.Compiled else Telemetry.Interpreted);
+  (* Every worker increments its own counter shard and records latencies
+     into its own histogram shard, so the sweep needs no synchronization
+     and the merged totals match a serial run exactly. *)
   let slots = Array.make np Skipped in
   Pool.iter pool ~n:np (fun i ->
       let u, v, d = get i in
       if d <> infinity && d > 0.0 then begin
         let o =
           if !Telemetry.on then begin
-            if is_fast then begin
-              let tc = Telemetry.counters_shard () in
-              tc.Telemetry.fast_plane_hits <- tc.Telemetry.fast_plane_hits + 1
-            end;
+            if fast then count_fast_plane_hit ();
             Telemetry.timed "route" (fun () -> route_one ~src:u ~dst:v)
           end
           else route_one ~src:u ~dst:v

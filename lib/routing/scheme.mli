@@ -6,37 +6,37 @@ open Cr_graph
     Space convention: all sizes are counted in {e words} of O(log n) bits —
     a vertex id, a port, a distance, or a DFS number each cost one word.
     This matches how the paper states table sizes (entries of O(log n) bits)
-    and is robust to machine word width. *)
+    and is robust to machine word width.
 
-type fast_route =
-  faults:Fault.plan option ->
-  record_path:bool ->
-  detect_loops:bool ->
-  src:int ->
-  dst:int ->
-  Port_model.outcome
-(** The compiled forwarding plane of a scheme: same decisions as the
-    interpreted route (the qcheck suite enforces verdict/path/length
-    equality pair by pair), served from flat compiled tables (see
-    {!Compiled}), with the simulator's path recording and loop detection
-    under caller control. *)
+    One forwarding plane: every scheme routes through a single step
+    function over tables built once, at the end of its preprocess, in
+    their runtime form ({!Compiled} containers, tree and vicinity
+    records). Building an instance, or thawing one from a snapshot, does
+    no further work. What differs between a traced route and a
+    throughput run is only the two simulator knobs of [route]. *)
 
 type instance = {
   name : string;
   graph : Graph.t;
-  route : faults:Fault.plan option -> src:int -> dst:int -> Port_model.outcome;
-      (** Simulates one message through the fixed-port simulator, optionally
-          under a fault plan (see {!Fault}); [~faults:None] is the
-          healthy-network run. Prefer the {!route} helper, which makes the
-          plan an ordinary optional argument. *)
-  fast : fast_route option;
-      (** The compiled forwarding plane, when the scheme provides one
-          ([None] e.g. for {!Resilient}-wrapped instances). Prefer the
-          {!route_fast} helper, which falls back to [route]. *)
+  route :
+    faults:Fault.plan option ->
+    record_path:bool ->
+    detect_loops:bool ->
+    src:int ->
+    dst:int ->
+    Port_model.outcome;
+      (** Simulates one message through the fixed-port simulator over the
+          scheme's forwarding tables, optionally under a fault plan (see
+          {!Fault}); [~faults:None] is the healthy-network run. The two
+          simulator knobs are under caller control: with
+          [~record_path:false] the outcome's [path] is [[]], and with
+          [~detect_loops:false] a cycling route runs out its hop budget
+          instead of ending [Loop_detected]; every other field is
+          unchanged. Prefer the {!route} and {!route_fast} helpers. *)
   table_words : int array;
       (** [table_words.(v)] = routing-table size of vertex [v], in words.
-          A property of the logical tables — identical for the interpreted
-          and compiled planes. *)
+          A property of the logical tables, not of the containers that
+          serve the lookups. *)
   label_words : int array;
       (** [label_words.(v)] = size of [v]'s routing label, in words. *)
   big_bytes : int;
@@ -49,10 +49,10 @@ type instance = {
 
 val route :
   ?faults:Fault.plan -> instance -> src:int -> dst:int -> Port_model.outcome
-(** [route inst ~src ~dst] simulates one message; [?faults] subjects the run
-    to a fault plan. This is the ergonomic front for [inst.route]. With
+(** [route inst ~src ~dst] simulates one message with path recording and
+    loop detection on; [?faults] subjects the run to a fault plan. With
     telemetry enabled the call is timed into the ["route"] latency
-    histogram and trace events carry the [Interpreted] plane. *)
+    histogram. *)
 
 val route_fast :
   ?faults:Fault.plan ->
@@ -62,17 +62,11 @@ val route_fast :
   src:int ->
   dst:int ->
   Port_model.outcome
-(** Route through the compiled forwarding plane when the instance has one,
-    else through [inst.route] (in which case the two optional knobs are
-    moot — the interpreted route always records and detects). Both knobs
-    default to [true]; with [~record_path:false] the outcome's [path] is
-    [[]] but every other field is unchanged. The throughput engine runs
-    with both off, relying on the simulator's hop budget. With telemetry
-    enabled the call is timed into the ["route"] histogram, counts a
-    [fast_plane_hits] when the compiled plane serves it, and stamps the
-    ambient plane ([Compiled] or [Interpreted]) for trace events. *)
-
-val has_fast : instance -> bool
+(** [inst.route] with the two simulator knobs as optional arguments, both
+    defaulting to [true] (so with neither given it answers exactly as
+    {!route}). The throughput engine runs with both off, relying on the
+    simulator's hop budget. With telemetry enabled the call is timed into
+    the ["route"] histogram and counts one [fast_plane_hits]. *)
 
 val max_table_words : instance -> int
 
@@ -122,10 +116,10 @@ val evaluate_batch :
     into its own slot, and merges the slots in pair order — so the eval is
     bit-identical to the serial {!evaluate} over the same router regardless
     of domain count or scheduling. With [~fast:true] (the default) pairs
-    route through the compiled plane with path recording and loop detection
-    off; [~fast:false] uses [inst.route] exactly as {!evaluate} does, and
-    then the result is bit-identical to {!evaluate_under_faults}
-    unconditionally.
+    route with path recording and loop detection off, each counting one
+    [fast_plane_hits] when telemetry is on; [~fast:false] routes with both
+    on, exactly as {!evaluate} does, and then the result is bit-identical
+    to {!evaluate_under_faults} unconditionally.
 
     With telemetry enabled each routed pair is timed into the ["route"]
     histogram and counted on the worker domain's own shard;

@@ -249,11 +249,14 @@ let get_f64 src i =
    way PNG's does. *)
 let magic = "CRSNAP\r\n"
 
-(* Version 2: witness tables and boxed vicinity indexes in the residue
-   became [Compiled.Intmap]s. Marshal is untyped, so a version-1 residue
-   would pass every header check and then unmarshal hashtable bytes into
-   the new fields. *)
-let version = 2
+(* Marshal is untyped: a residue written for another layout of the
+   frozen records would pass every header check and then unmarshal the
+   wrong type, so each layout change bumps the version. Version 2:
+   witness tables and boxed vicinity indexes became [Compiled.Intmap]s.
+   Version 3: tree vertex indexes became [Compiled.Intmap]s, tree and
+   label collections [Compiled.Table]s, and TZ bunches
+   [Compiled.Bitset]s, where version 2 held hashtables. *)
+let version = 3
 
 let align8 x = (x + 7) land lnot 7
 

@@ -13,24 +13,6 @@ let enabled () = !on
 
 let set_enabled b = on := b
 
-(* --- planes ------------------------------------------------------------ *)
-
-type plane = Interpreted | Compiled
-
-let plane_name = function
-  | Interpreted -> "interpreted"
-  | Compiled -> "compiled"
-
-(* Ambient plane for trace events. Written only from the domain that
-   orchestrates routing (before a parallel sweep spawns its workers), read
-   by the emitters; a plain ref is enough because writes happen-before the
-   spawn that makes workers read it. *)
-let plane = ref Interpreted
-
-let set_plane p = if !on then plane := p
-
-let current_plane () = !plane
-
 (* --- counters ---------------------------------------------------------- *)
 
 type counters = {
@@ -375,7 +357,6 @@ let timed name f =
 type kind = Hop | Deliver | Bounce | Drop | Corrupt | Retry | Detour | End of string
 
 type event = {
-  plane : plane;
   kind : kind;
   at : int;
   port : int;
@@ -393,7 +374,7 @@ let emit kind ~at ~port ~words =
   match !trace_buf with
   | None -> ()
   | Some buf ->
-    buf := { plane = !plane; kind; at; port; header_words = words } :: !buf
+    buf := { kind; at; port; header_words = words } :: !buf
 
 let with_trace f =
   let was = !on in
@@ -427,8 +408,8 @@ let event_to_json e =
     | _ -> ""
   in
   Printf.sprintf
-    "{\"type\":\"event\",\"kind\":\"%s\",\"plane\":\"%s\",\"at\":%d,\"port\":%d,\"header_words\":%d%s}"
-    (kind_name e.kind) (plane_name e.plane) e.at e.port e.header_words verdict
+    "{\"type\":\"event\",\"kind\":\"%s\",\"at\":%d,\"port\":%d,\"header_words\":%d%s}"
+    (kind_name e.kind) e.at e.port e.header_words verdict
 
 let hist_summary h =
   ( Histogram.count h,

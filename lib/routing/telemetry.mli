@@ -4,7 +4,7 @@
     The layer has three faces, all behind one global enable flag:
 
     - {b Counters} — process-wide totals (simulator runs, hops, table
-      lookups, bounces, detour entries, compiled-plane hits, ...). Each
+      lookups, bounces, detour entries, throughput-mode routes, ...). Each
       domain increments its own {e shard} (domain-local storage), and
       {!totals} merges the shards, so the parallel batched query engine
       needs no synchronization on the hot path and a batched campaign
@@ -13,7 +13,7 @@
       latency histograms around route and preprocessing calls, with
       p50/p90/p99/max readout. Also sharded per domain.
     - {b Trace events} — an optional per-hop event stream (vertex, port,
-      header size, plane, bounce/drop/corrupt/retry/detour), recorded only
+      header size, bounce/drop/corrupt/retry/detour), recorded only
       while a {!with_trace} collector is installed. This is what powers
       [cr_cli trace]'s hop-by-hop narration.
 
@@ -26,8 +26,8 @@
 
     {b Identity.} Telemetry observes; it never steers. Routing outcomes —
     verdicts, paths, lengths, stretch — are bit-identical with the layer
-    on or off ([test_telemetry.ml] pins this across the catalog, both
-    planes, with and without faults). *)
+    on or off ([test_telemetry.ml] pins this across the catalog, with the
+    simulator knobs on and off, with and without faults). *)
 
 val on : bool ref
 (** The hot-path guard. Instrumentation points read it; everything else
@@ -39,22 +39,6 @@ val on : bool ref
 val enabled : unit -> bool
 
 val set_enabled : bool -> unit
-
-(** {1 Planes} *)
-
-(** Which forwarding plane served a route — threaded into trace events so
-    a narration can say whether a hop came from the interpreted hashtable
-    tables or the compiled flat ones. *)
-type plane = Interpreted | Compiled
-
-val plane_name : plane -> string
-
-val set_plane : plane -> unit
-(** Ambient plane for subsequent trace events. Set by [Scheme.route],
-    [Scheme.route_fast] and [Scheme.evaluate_batch]; a no-op when
-    telemetry is disabled. *)
-
-val current_plane : unit -> plane
 
 (** {1 Counters} *)
 
@@ -68,7 +52,10 @@ type counters = {
   mutable table_lookups : int;  (** step-function (local table) consultations *)
   mutable bounces : int;  (** dead ports refused at a sender *)
   mutable detour_entries : int;  (** resilience DFS detours entered *)
-  mutable fast_plane_hits : int;  (** routes served by a compiled plane *)
+  mutable fast_plane_hits : int;
+      (** routes run with both simulator knobs off: one per
+          [Scheme.route_fast] call and per pair of
+          [Scheme.evaluate_batch ~fast:true] *)
   mutable delivered : int;  (** runs that ended [Delivered] *)
   mutable dropped : int;  (** messages lost to a fault [Drop] event *)
   mutable corrupted : int;  (** headers garbled by a fault [Corrupt] event *)
@@ -214,7 +201,6 @@ type kind =
   | End of string  (** run ended; payload is [Port_model.verdict_name] *)
 
 type event = {
-  plane : plane;
   kind : kind;
   at : int;  (** vertex holding the message *)
   port : int;  (** port involved, [-1] when not applicable *)
@@ -226,8 +212,7 @@ val tracing : unit -> bool
     run and skip event construction entirely when it is off. *)
 
 val emit : kind -> at:int -> port:int -> words:int -> unit
-(** Append an event (stamped with the ambient plane) to the installed
-    collector; silently dropped when none is installed. Trace collection
+(** Append an event to the installed collector; silently dropped when none is installed. Trace collection
     is single-domain: install one only around serial routing. *)
 
 val with_trace : (unit -> 'a) -> 'a * event list

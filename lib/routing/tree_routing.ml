@@ -29,7 +29,7 @@ type label = { dfs : int; light : light_entry array }
 type t = {
   root : int;
   member_list : int array;         (* local idx -> vertex *)
-  local : (int, int) Hashtbl.t;    (* vertex -> local idx *)
+  index : Compiled.Intmap.t;       (* vertex -> local idx *)
   nodes : node array;              (* by local idx *)
   labels : label array;            (* by local idx *)
   by_dfs : int array;              (* dfs number -> local idx *)
@@ -39,14 +39,12 @@ type t = {
 let build g ~root ~members ~parent =
   let k = Array.length members in
   if k = 0 then invalid_arg "Tree_routing.build: empty tree";
-  let local = Hashtbl.create (2 * k) in
-  Array.iteri
-    (fun i v ->
-      if Hashtbl.mem local v then invalid_arg "Tree_routing.build: duplicate member";
-      Hashtbl.replace local v i)
-    members;
+  let index =
+    try Compiled.Intmap.of_pairs (Array.mapi (fun i v -> (v, i)) members)
+    with Invalid_argument _ -> invalid_arg "Tree_routing.build: duplicate member"
+  in
   let root_idx =
-    match Hashtbl.find_opt local root with
+    match Compiled.Intmap.find_opt index root with
     | Some i -> i
     | None -> invalid_arg "Tree_routing.build: root not a member"
   in
@@ -57,7 +55,7 @@ let build g ~root ~members ~parent =
     (fun i v ->
       if v <> root then begin
         let p = parent v in
-        match Hashtbl.find_opt local p with
+        match Compiled.Intmap.find_opt index p with
         | None -> invalid_arg "Tree_routing.build: parent not a member"
         | Some pi ->
           parent_idx.(i) <- pi;
@@ -213,7 +211,7 @@ let build g ~root ~members ~parent =
           (max acc nd.parent_port) nd.children)
       0 nodes
   in
-  { root; member_list = Array.copy members; local; nodes; labels; by_dfs; max_port }
+  { root; member_list = Array.copy members; index; nodes; labels; by_dfs; max_port }
 
 let of_tree g (tr : Dijkstra.tree) =
   build g ~root:tr.source ~members:tr.order ~parent:(fun v -> tr.parent.(v))
@@ -222,12 +220,9 @@ let root t = t.root
 
 let members t = t.member_list
 
-let mem t v = Hashtbl.mem t.local v
+let mem t v = Compiled.Intmap.mem t.index v
 
-let idx t v =
-  match Hashtbl.find_opt t.local v with
-  | Some i -> i
-  | None -> raise Not_found
+let idx t v = Compiled.Intmap.find t.index v
 
 let label t v = t.labels.(idx t v)
 
@@ -269,7 +264,7 @@ let decode_label t data =
   { dfs; light }
 
 let label_bits t v =
-  let _, bits = encode_label t t.labels.(Hashtbl.find t.local v) in
+  let _, bits = encode_label t (label t v) in
   bits
 
 let interval_table_words t v = 2 + (3 * Array.length t.nodes.(idx t v).children)
@@ -309,65 +304,6 @@ let step t ~at (l : label) =
       else find (i + 1)
     in
     `Forward (find 0)
-  end
-
-(* --- compiled form -------------------------------------------------------
-
-   [step] resolves [at] through a hashtable and then reads one node record;
-   the compiled form packs the six fields a decision needs into a flat
-   stride-6 [int array] indexed by local slot, with the vertex->slot map
-   compiled to a direct or binary-searched array. Decisions are identical
-   to [step] by construction — the fields are copied, not recomputed — and
-   the space accounting is untouched: [table_words] counts the logical
-   7-word record either way. *)
-
-let stride = 6
-
-type compiled = {
-  c_idx : Compiled.Intmap.t; (* vertex -> local slot, as [idx] *)
-  c_fields : Compiled.Packed_array.t;
-      (* per slot: lo, hi, parent_port, heavy_lo, heavy_hi, heavy_port —
-         DFS numbers and ports both fit a few bits-per-field at scale, so
-         the stride-6 block bit-packs under the adaptive policy *)
-}
-
-let compile t =
-  let k = Array.length t.nodes in
-  let fields = Array.make (stride * k) (-1) in
-  Array.iteri
-    (fun i nd ->
-      let b = stride * i in
-      fields.(b) <- nd.lo;
-      fields.(b + 1) <- nd.hi;
-      fields.(b + 2) <- nd.parent_port;
-      fields.(b + 3) <- nd.heavy_lo;
-      fields.(b + 4) <- nd.heavy_hi;
-      fields.(b + 5) <- nd.heavy_port)
-    t.nodes;
-  {
-    c_idx = Compiled.Intmap.of_pairs (Array.mapi (fun i v -> (v, i)) t.member_list);
-    c_fields = Compiled.Packed_array.of_array fields;
-  }
-
-let step_c c ~at (l : label) =
-  let field = Compiled.Packed_array.get c.c_fields in
-  let b = stride * Compiled.Intmap.find c.c_idx at in
-  let lo = field b in
-  if l.dfs = lo then `Deliver
-  else if l.dfs < lo || l.dfs > field (b + 1) then `Forward (field (b + 2))
-  else begin
-    let heavy_lo = field (b + 3) in
-    if heavy_lo >= 0 && l.dfs >= heavy_lo && l.dfs <= field (b + 4) then
-      `Forward (field (b + 5))
-    else begin
-      let rec find i =
-        if i >= Array.length l.light then
-          invalid_arg "Tree_routing.step: corrupt label"
-        else if l.light.(i).at_lo = lo then l.light.(i).port
-        else find (i + 1)
-      in
-      `Forward (find 0)
-    end
   end
 
 let step_interval t ~at (l : label) =

@@ -82,22 +82,8 @@ val tree_dist : t -> int -> int -> float
 val step : t -> at:int -> label -> [ `Deliver | `Forward of int ]
 (** One heavy-light routing decision at member [at] toward the label's
     vertex: deliver here, or forward through the returned port. Decisions
-    use only [at]'s O(1)-word record and the label. *)
+    use only [at]'s O(1)-word record, found through the tree's vertex
+    index (a {!Compiled.Intmap}), and the label. *)
 
 val step_interval : t -> at:int -> label -> [ `Deliver | `Forward of int ]
 (** Same decision under the interval scheme. *)
-
-(** {1 Compiled form} *)
-
-type compiled
-(** The heavy-light tables flattened into a stride-6 [int array] plus a
-    compiled vertex-to-slot map (see {!Compiled}) — the forwarding-plane
-    representation. Compiling copies the decision fields verbatim, so
-    {!step_c} and {!step} agree on every input, and the logical
-    {!table_words} accounting is unchanged. *)
-
-val compile : t -> compiled
-
-val step_c : compiled -> at:int -> label -> [ `Deliver | `Forward of int ]
-(** Identical decision to {!step}, including raising [Not_found] on a
-    non-member [at] and [Invalid_argument] on a corrupt label. *)

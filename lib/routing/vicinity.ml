@@ -69,8 +69,7 @@ let radius_of_truncated (tr : Dijkstra.truncated) =
     max_dist
   | Some nd -> if nd > max_dist then max_dist else radius_below tr.dists k nd
 
-(* The member -> position index is built once, here, in the form the
-   compiled plane reads: [compile] shares it rather than rebuilding it. *)
+(* The member -> position index every lookup (and Lemma 2 hop) reads. *)
 let index_of members =
   Compiled.Intmap.of_pairs (Array.mapi (fun i v -> (v, i)) members)
 
@@ -162,12 +161,18 @@ let dist b v =
   | Boxed bx -> bx.dists.(position b v)
   | Slice (fam, u) -> Bigarray.Array1.get fam.f_dists ((u * fam.f_l) + position b v)
 
+(* The hot lookup of every Lemma 2 hop: one match, one index probe. *)
 let first_port b v =
-  let i = position b v in
-  if v = source b then invalid_arg "Vicinity.first_port: source";
   match b with
-  | Boxed b -> b.first_ports.(i)
-  | Slice (fam, u) -> fget fam.f_ports ((u * fam.f_l) + i)
+  | Boxed bx ->
+    let i = Compiled.Intmap.find bx.index v in
+    if v = bx.source then invalid_arg "Vicinity.first_port: source";
+    bx.first_ports.(i)
+  | Slice (fam, u) ->
+    let i = slice_pos fam u v in
+    if i < 0 then raise Not_found;
+    if v = u then invalid_arg "Vicinity.first_port: source";
+    fget fam.f_ports ((u * fam.f_l) + i)
 
 let radius = function Boxed b -> b.radius | Slice (fam, u) -> fam.f_radius.(u)
 
@@ -254,50 +259,6 @@ let remap_ports b f =
       bx with
       first_ports = Array.map (fun p -> if p < 0 then p else f p) bx.first_ports;
     }
-
-(* --- compiled form ------------------------------------------------------
-
-   [first_port] is the hot lookup of every Via hop; the compiled form
-   shares the boxed member->position map (direct or binary-searched int
-   arrays, see [Compiled]) and packs the member/port arrays. A packed
-   slice is already flat — compiling it shares the family outright and
-   keeps the linear scan, which at [l] entries is cheaper than
-   materializing n per-vertex maps ever pays back. *)
-
-type compiled =
-  | CBoxed of {
-      c_index : Compiled.Intmap.t; (* the boxed [index], shared *)
-      c_source : int;
-      c_members : Compiled.Packed_array.t;
-      c_first_ports : Compiled.Packed_array.t; (* ceil(log2 maxdeg)-bit ports *)
-    }
-  | CSlice of family * int
-
-let compile = function
-  | Boxed b ->
-    CBoxed
-      {
-        c_index = b.index;
-        c_source = b.source;
-        c_members = Compiled.Packed_array.of_array b.members;
-        c_first_ports = Compiled.Packed_array.of_array b.first_ports;
-      }
-  | Slice (fam, u) -> CSlice (fam, u)
-
-let first_port_c c v =
-  match c with
-  | CBoxed c ->
-    let i = Compiled.Intmap.find c.c_index v in
-    if Compiled.Packed_array.get c.c_members i = c.c_source then
-      invalid_arg "Vicinity.first_port: source";
-    Compiled.Packed_array.get c.c_first_ports i
-  | CSlice (fam, u) ->
-    let i = slice_pos fam u v in
-    if i < 0 then raise Not_found;
-    if v = u then invalid_arg "Vicinity.first_port: source";
-    fget fam.f_ports ((u * fam.f_l) + i)
-
-let step_c vicinities ~at ~dst = first_port_c vicinities.(at) dst
 
 (* --- snapshot form ------------------------------------------------------
 

@@ -86,23 +86,6 @@ val remap_ports : t -> (int -> int) -> t
     vicinity's source had its ports renumbered: [f] maps an old port of
     the source to the same physical link's port on the new graph. *)
 
-(** {1 Compiled form} *)
-
-type compiled
-(** The per-hop lookup over flat arrays (see {!Compiled}). A boxed
-    vicinity keeps its member-to-position index as a
-    [Compiled.Intmap.t] from the start, and compiling shares that map
-    instead of rebuilding it; the member and first-port arrays are
-    copied into packed form. Answers are identical by construction. *)
-
-val compile : t -> compiled
-
-val first_port_c : compiled -> int -> int
-(** Identical answer (and exceptions) to {!first_port}. *)
-
-val step_c : compiled array -> at:int -> dst:int -> int
-(** Identical answer to {!step} over compiled vicinities. *)
-
 (** {1 Snapshot form} *)
 
 type frozen

@@ -92,6 +92,27 @@ expect "serve SLO violation (exit 1)" 1 $?
 "$CLI" route -g "$tmp/g.gr" -s rt-5eps --eps=nan --src 0 --dst 1 >/dev/null 2>&1
 expect "non-finite eps rejected (exit 1)" 1 $?
 
+# Bad counts are usage errors (exit 124) whose message names the flag,
+# never an exception out of the command or an empty graph on disk.
+expect_usage() { # name flag command...
+  local name=$1 flag=$2
+  shift 2
+  "$@" >/dev/null 2>"$tmp/usage.err"
+  expect "$name is a usage error (exit 124)" 124 $?
+  grep -q -- "option '$flag'" "$tmp/usage.err"
+  expect "$name names $flag" 0 $?
+}
+expect_usage "stats --domains 0" --domains \
+  "$CLI" stats -g "$tmp/g.gr" -s tz-k2 --domains 0
+expect_usage "throughput --domains 0" --domains \
+  "$CLI" throughput -g "$tmp/g.gr" -s tz-k2 --domains 0
+expect_usage "serve --domains 0" --domains \
+  "$CLI" serve -g "$tmp/g.gr" --schemes tz-k2 --rate 0 --queries 10 --domains 0
+expect_usage "generate -n 0" -n \
+  "$CLI" generate -f grid -n 0 -o "$tmp/empty.gr"
+test ! -e "$tmp/empty.gr"
+expect "generate -n 0 wrote no file" 0 $?
+
 "$CLI" route -g "$tmp/g.gr" -s no-such-scheme --src 0 --dst 1 >/dev/null 2>&1
 rc=$?
 [ "$rc" -ne 0 ]

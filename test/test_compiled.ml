@@ -1,10 +1,15 @@
-(* The compiled forwarding plane and the batched query engine.
+(* The compiled containers, the forwarding plane built on them, and the
+   batched query engine.
 
-   The contract under test: compilation never changes a decision — for
-   every scheme in the catalog, routing through the compiled plane yields
-   the same verdict, final vertex, path, length, hop count and header peak
-   as the interpreted tables; and [Scheme.evaluate_batch] is bit-identical
-   to the serial [Scheme.evaluate] regardless of domain count. *)
+   The contract under test: each container answers exactly as the
+   hashtable it replaces; tree routing takes the shortest-path-tree next
+   hop; turning the simulator knobs off changes no routing decision — for
+   every scheme in the catalog the verdict, final vertex, length, hop
+   count and header peak are the same, only the path is omitted; and
+   [Scheme.evaluate_batch] is bit-identical to the serial
+   [Scheme.evaluate] regardless of domain count. Bit-identity with the
+   routes of earlier revisions is pinned by the golden digests in
+   [test_golden_routes.ml]. *)
 open Util
 open Cr_graph
 open Cr_routing
@@ -142,33 +147,44 @@ let test_bitset_matches_hashtbl =
       && not (Compiled.Bitset.mem s (-1)))
 
 (* ------------------------------------------------------------------ *)
-(* Tree routing: step_c == step on every (vertex, label)               *)
+(* Tree routing against the next hop read off the SPT parent array    *)
 (* ------------------------------------------------------------------ *)
 
-let test_tree_step_compiled =
-  qcheck ~count:40 "Tree_routing.step_c == step" arb_weighted_connected_graph
+(* Test-only next-hop rule on the tree given by [parent]: deliver at
+   [dst]; if [at] is an ancestor of [dst], forward to [at]'s child on the
+   root->[dst] path; otherwise forward to [at]'s parent. *)
+let spt_next_hop g parent ~at ~dst =
+  if at = dst then `Deliver
+  else begin
+    let rec climb below v =
+      if v < 0 then None else if v = at then Some below else climb v parent.(v)
+    in
+    let next =
+      match climb dst parent.(dst) with Some child -> child | None -> parent.(at)
+    in
+    `Forward (Option.get (Graph.port_to g at next))
+  end
+
+let test_tree_step_spt =
+  qcheck ~count:40 "Tree_routing.step == SPT hop" arb_weighted_connected_graph
     (fun g ->
-      let t = Tree_routing.of_tree g (Dijkstra.spt g 0) in
-      let c = Tree_routing.compile t in
+      let spt = Dijkstra.spt g 0 in
+      let t = Tree_routing.of_tree g spt in
+      let members = Tree_routing.members t in
       Array.for_all
         (fun dst ->
           let lbl = Tree_routing.label t dst in
           Array.for_all
-            (fun at -> Tree_routing.step t ~at lbl = Tree_routing.step_c c ~at lbl)
-            (Tree_routing.members t))
-        (Tree_routing.members t))
+            (fun at ->
+              let want = spt_next_hop g spt.Dijkstra.parent ~at ~dst in
+              Tree_routing.step t ~at lbl = want
+              && Tree_routing.step_interval t ~at lbl = want)
+            members)
+        members)
 
 (* ------------------------------------------------------------------ *)
-(* Whole catalog: the compiled plane routes identically                *)
+(* Whole catalog: the simulator knobs change nothing but the path      *)
 (* ------------------------------------------------------------------ *)
-
-let outcomes_equal (a : Port_model.outcome) (b : Port_model.outcome) =
-  a.Port_model.verdict = b.Port_model.verdict
-  && a.Port_model.final = b.Port_model.final
-  && a.Port_model.path = b.Port_model.path
-  && a.Port_model.length = b.Port_model.length
-  && a.Port_model.hops = b.Port_model.hops
-  && a.Port_model.header_words_peak = b.Port_model.header_words_peak
 
 (* Same outcome except the path, which must be omitted. *)
 let outcomes_equal_pathless (a : Port_model.outcome) (b : Port_model.outcome) =
@@ -194,30 +210,15 @@ let test_catalog_fast_matches_route =
           let inst, _ = e.Catalog.build ~seed:(seed + 7) ~eps:0.5 g in
           List.for_all
             (fun (u, v) ->
-              let interp = Scheme.route inst ~src:u ~dst:v in
-              let fast = Scheme.route_fast inst ~src:u ~dst:v in
-              let pathless =
+              let knobs_on = Scheme.route inst ~src:u ~dst:v in
+              let knobs_off =
                 Scheme.route_fast ~record_path:false ~detect_loops:false inst
                   ~src:u ~dst:v
               in
-              outcomes_equal interp fast
-              && (* ~record_path:false changes no verdict, only the path *)
-              ((not (Scheme.has_fast inst))
-              || outcomes_equal_pathless interp pathless))
+              Scheme.route_fast inst ~src:u ~dst:v = knobs_on
+              && outcomes_equal_pathless knobs_on knobs_off)
             pairs)
         Catalog.all)
-
-let test_every_scheme_has_fast () =
-  (* All catalog schemes carry a compiled plane; only the resilience
-     wrapper legitimately lacks one (it composes whole sub-routes). *)
-  let g = catalog_graph 3 in
-  List.iter
-    (fun (e : Catalog.entry) ->
-      let inst, _ = e.Catalog.build ~seed:5 ~eps:0.5 g in
-      checkb e.Catalog.id true (Scheme.has_fast inst);
-      checkb (e.Catalog.id ^ "+res") false
-        (Scheme.has_fast (Resilient.instance (Resilient.wrap inst))))
-    Catalog.all
 
 (* ------------------------------------------------------------------ *)
 (* Batched query engine: bit-identical merges at any domain count      *)
@@ -237,14 +238,14 @@ let test_batch_matches_serial () =
         (Scheme.evaluate_batch ~pool:pool1 inst apsp pairs = serial);
       checkb (e.Catalog.id ^ " 4-domain fast") true
         (Scheme.evaluate_batch ~pool:pool4 inst apsp pairs = serial);
-      checkb (e.Catalog.id ^ " 4-domain interpreted") true
+      checkb (e.Catalog.id ^ " 4-domain knobs on") true
         (Scheme.evaluate_batch ~pool:pool4 ~fast:false inst apsp pairs = serial))
     Catalog.all
 
 let test_batch_matches_serial_under_faults () =
-  (* With [~fast:false] the batch engine routes through [inst.route], so
-     it must match [evaluate_under_faults] bit for bit even when faults
-     make verdicts diverge between the two planes' knob settings. *)
+  (* With [~fast:false] the batch engine routes with both knobs on, as
+     [evaluate_under_faults] does, so it must match it bit for bit even
+     when faults make verdicts diverge between the two knob settings. *)
   let g = catalog_graph 17 in
   let apsp = Apsp.compute g in
   let pairs = Scheme.sample_pairs ~seed:29 ~n:(Graph.n g) ~count:120 in
@@ -326,9 +327,8 @@ let suite =
     test_intmap_of_pairs;
     test_table_matches_hashtbl;
     test_bitset_matches_hashtbl;
-    test_tree_step_compiled;
+    test_tree_step_spt;
     test_catalog_fast_matches_route;
-    case "every catalog scheme has a compiled plane" test_every_scheme_has_fast;
     case "evaluate_batch == evaluate (1 and 4 domains)" test_batch_matches_serial;
     case "evaluate_batch ~fast:false == evaluate_under_faults"
       test_batch_matches_serial_under_faults;

@@ -163,8 +163,8 @@ let test_tz_scheme_identical () =
    trees) are filled concurrently by the worker domains, in a
    schedule-dependent order. Each 4-domain eval starts from a cold
    instance; it must still be bit-identical to the 1-domain run, and to the
-   serial reference evaluate, on both planes — for rt-5eps and rt-4km7-k3,
-   on a boxed graph and on a packed float32 one. *)
+   serial reference evaluate, with the simulator knobs off and on — for
+   rt-5eps and rt-4km7-k3, on a boxed graph and on a packed float32 one. *)
 let test_lazy_rt_eval_identical () =
   let boxed =
     Generators.with_random_weights ~seed:23 ~lo:0.5 ~hi:4.0
@@ -190,7 +190,7 @@ let test_lazy_rt_eval_identical () =
             (fun fast ->
               let tag =
                 Printf.sprintf "%s %s %s" sname gname
-                  (if fast then "fast" else "interpreted")
+                  (if fast then "knobs off" else "knobs on")
               in
               let inst = cold () in
               let batch pool i = Scheme.evaluate_batch ~pool ~fast i apsp pairs in

@@ -1,10 +1,9 @@
 (* The rt-scale equivalence tier: the lazy/truncated substrates behind the
    schemes' [`Lazy] mode (packed vicinities, on-demand cluster trees and
    color representatives, FIFO-capped sequence caches) must make every
-   routing decision bit-identically to the eager reference construction,
-   on both the interpreted and compiled planes — and the paper stretch
-   bounds must hold at sizes the eager paths cannot reach, with the
-   offending pair named on failure. *)
+   routing decision bit-identically to the eager reference construction
+   — and the paper stretch bounds must hold at sizes the eager paths
+   cannot reach, with the offending pair named on failure. *)
 open Util
 open Cr_graph
 open Cr_routing
@@ -21,19 +20,10 @@ let all_pairs n =
 let compare_modes name ~eager ~lazy_ pairs =
   List.iter
     (fun (u, v) ->
-      let oe = Scheme.route eager ~src:u ~dst:v in
-      let ol = Scheme.route lazy_ ~src:u ~dst:v in
-      if oe <> ol then
-        Alcotest.failf "%s: interpreted planes diverge on (src=%d, dst=%d)"
-          name u v;
-      let fe = Scheme.route_fast eager ~src:u ~dst:v in
-      if oe <> fe then
-        Alcotest.failf "%s: eager compiled plane diverges on (src=%d, dst=%d)"
-          name u v;
-      let fl = Scheme.route_fast lazy_ ~src:u ~dst:v in
-      if oe <> fl then
-        Alcotest.failf "%s: lazy compiled plane diverges on (src=%d, dst=%d)"
-          name u v)
+      if Scheme.route eager ~src:u ~dst:v <> Scheme.route lazy_ ~src:u ~dst:v
+      then
+        Alcotest.failf "%s: lazy diverges from eager on (src=%d, dst=%d)" name u
+          v)
     pairs
 
 (* Replaying the same pairs must also be identical — the second pass is
@@ -217,7 +207,6 @@ let test_packed_vicinities_identical () =
   let l = 24 in
   let boxed = Vicinity.compute_all ~packed:false g l in
   let packed = Vicinity.compute_all ~packed:true g l in
-  let packed_c = Array.map Vicinity.compile packed in
   for u = 0 to n - 1 do
     let b = boxed.(u) and p = packed.(u) in
     checki "source" (Vicinity.source b) (Vicinity.source p);
@@ -230,66 +219,59 @@ let test_packed_vicinities_identical () =
         checkb "mem" true (Vicinity.mem p v);
         checkf "dist" (Vicinity.dist b v) (Vicinity.dist p v);
         checkb "rank" true (Vicinity.rank b v = Vicinity.rank p v);
-        if v <> u then begin
-          checki "first_port" (Vicinity.first_port b v) (Vicinity.first_port p v);
-          checki "first_port_c" (Vicinity.first_port b v)
-            (Vicinity.first_port_c packed_c.(u) v)
-        end)
+        if v <> u then
+          checki "first_port" (Vicinity.first_port b v) (Vicinity.first_port p v))
       (Vicinity.members b);
     let pred v = v land 1 = 0 in
     checkb "nearest_of" true
       (Vicinity.nearest_of b pred = Vicinity.nearest_of p pred)
   done;
-  (* The Lemma 2 forwarding decision over the two representations (and the
-     compiled slices). *)
-  let boxed_c = Array.map Vicinity.compile boxed in
+  (* The Lemma 2 forwarding decision over the two representations. *)
   for u = 0 to n - 1 do
     Array.iter
       (fun v ->
-        if v <> u then begin
-          let p = Vicinity.step boxed ~at:u ~dst:v in
-          checki "step" p (Vicinity.step packed ~at:u ~dst:v);
-          checki "step_c boxed" p (Vicinity.step_c boxed_c ~at:u ~dst:v);
-          checki "step_c packed" p (Vicinity.step_c packed_c ~at:u ~dst:v)
-        end)
+        if v <> u then
+          checki "step" (Vicinity.step boxed ~at:u ~dst:v)
+            (Vicinity.step packed ~at:u ~dst:v))
       (Vicinity.members boxed.(u))
   done;
-  (* Non-members answer alike on every form: the boxed, packed and
-     compiled ones, and a slice re-boxed by [remap_ports] (its index is
-     rebuilt from the family). *)
+  (* Non-members answer alike on every form: the boxed and packed ones,
+     and slices re-boxed by [remap_ports] (their index is rebuilt from the
+     family). *)
   let raises_not_found f = match f () with _ -> false | exception Not_found -> true in
-  let absent name b c v =
+  let shift p = p + 1 in
+  let reboxed = Array.map (fun b -> Vicinity.remap_ports b shift) packed in
+  let absent name fam u v =
+    let b = fam.(u) in
     checkb (name ^ " mem") false (Vicinity.mem b v);
     checkb (name ^ " rank") true (Vicinity.rank b v = None);
     checkb (name ^ " dist") true (raises_not_found (fun () -> Vicinity.dist b v));
     checkb (name ^ " first_port") true
       (raises_not_found (fun () -> Vicinity.first_port b v));
-    checkb (name ^ " first_port_c") true
-      (raises_not_found (fun () -> Vicinity.first_port_c c v))
+    checkb (name ^ " step") true
+      (raises_not_found (fun () -> Vicinity.step fam ~at:u ~dst:v))
   in
   for u = 0 to n - 1 do
     if u mod 5 = 0 then begin
-      let shift p = p + 1 in
-      let reboxed = Vicinity.remap_ports packed.(u) shift in
-      let reboxed_c = Vicinity.compile reboxed in
       checkb "re-boxed members" true
-        (Vicinity.members reboxed = Vicinity.members boxed.(u));
+        (Vicinity.members reboxed.(u) = Vicinity.members boxed.(u));
       Array.iter
         (fun v ->
           checkb "re-boxed rank" true
-            (Vicinity.rank reboxed v = Vicinity.rank boxed.(u) v);
-          checkf "re-boxed dist" (Vicinity.dist boxed.(u) v) (Vicinity.dist reboxed v);
+            (Vicinity.rank reboxed.(u) v = Vicinity.rank boxed.(u) v);
+          checkf "re-boxed dist" (Vicinity.dist boxed.(u) v)
+            (Vicinity.dist reboxed.(u) v);
           if v <> u then begin
             let p = shift (Vicinity.first_port boxed.(u) v) in
-            checki "re-boxed first_port" p (Vicinity.first_port reboxed v);
-            checki "re-boxed first_port_c" p (Vicinity.first_port_c reboxed_c v)
+            checki "re-boxed first_port" p (Vicinity.first_port reboxed.(u) v);
+            checki "re-boxed step" p (Vicinity.step reboxed ~at:u ~dst:v)
           end)
         (Vicinity.members boxed.(u));
       for v = -1 to n do
         if not (Vicinity.mem boxed.(u) v) then begin
-          absent "boxed" boxed.(u) boxed_c.(u) v;
-          absent "packed" packed.(u) packed_c.(u) v;
-          absent "re-boxed" reboxed reboxed_c v
+          absent "boxed" boxed u v;
+          absent "packed" packed u v;
+          absent "re-boxed" reboxed u v
         end
       done
     end

@@ -339,41 +339,46 @@ let reseal b =
   Bytes.set_int32_le b at
     (Int32.of_int (crc_reference 0 (Bytes.unsafe_to_string b) 0 at))
 
-(* A file written by the version-1 writer, whose residue holds hashtables
-   where version 2 holds [Compiled.Intmap]s: every later header check
+(* A file written by an older writer: version 1's residue holds
+   hashtables where version 2 holds [Compiled.Intmap]s, and version 2's
+   holds hashtables where version 3 holds [Compiled.Intmap]s,
+   [Compiled.Table]s and [Compiled.Bitset]s. Every later header check
    would pass, so the version alone must refuse it, and the warm-start
    ladder must rebuild. The stamp is resealed, as the old writer's own
    header checksum would be. *)
-let test_version1_rebuilt () =
+let test_old_version_rebuilt v () =
   let g = Lazy.force small_graph in
   let e = entry "rt-ptr-minus-l2" in
-  let dir = Filename.concat (Lazy.force scratch_dir) "v1" in
+  let dir = Filename.concat (Lazy.force scratch_dir) (Printf.sprintf "v%d" v) in
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let path =
     match Catalog.save_entry ~dir ~seed ~eps g e with
     | Ok p -> p
-    | Error err -> Alcotest.failf "v1 save failed: %s" (Snapshot.error_to_string err)
+    | Error err ->
+      Alcotest.failf "v%d save failed: %s" v (Snapshot.error_to_string err)
   in
   let b = read_file path in
-  checki "writer stamps version 2" 2 (Int32.to_int (Bytes.get_int32_le b 8));
-  Bytes.set_int32_le b 8 1l;
+  checki "writer stamps version 3" 3 (Int32.to_int (Bytes.get_int32_le b 8));
+  Bytes.set_int32_le b 8 (Int32.of_int v);
   reseal b;
   write_file path b;
   List.iter
     (fun verify ->
       match Catalog.load_entry ~verify ~path ~seed ~eps g e with
-      | Ok _ -> Alcotest.failf "version-1 file accepted (verify:%b)" verify
+      | Ok _ -> Alcotest.failf "version-%d file accepted (verify:%b)" v verify
       | Error err ->
         checkb
-          (Printf.sprintf "version 1 (verify:%b) -> %s" verify
+          (Printf.sprintf "version %d (verify:%b) -> %s" v verify
              (Snapshot.error_to_string err))
           true
-          (err = Snapshot.Unsupported_version 1))
+          (err = Snapshot.Unsupported_version v))
     [ true; false ];
   let fresh, _ = e.Catalog.build ~seed ~eps g in
   let (inst, _), how = Catalog.load_or_build ~dir ~seed ~eps g e in
-  checkb "version-1 file -> `Built (Some (Unsupported_version 1))" true
-    (how = `Built (Some (Snapshot.Unsupported_version 1)));
+  checkb
+    (Printf.sprintf "version-%d file -> `Built (Some (Unsupported_version %d))" v v)
+    true
+    (how = `Built (Some (Snapshot.Unsupported_version v)));
   checkb "rebuilt instance routes like a fresh build" true
     (route_signature inst g = route_signature fresh g)
 
@@ -619,13 +624,14 @@ let qcheck_crc_i32_view =
 (* ------------------------------------------------------------------ *)
 (* 6. Format stability: a golden container pinned by its digest.      *)
 
-(* [Digest.file] of the golden container as the version-2 writer
+(* [Digest.file] of the golden container as the version-3 writer
    produces it: a different digest is a format change, which needs a
-   version bump. The version-1 writer's digest was
-   9781ea992cddb3f1bf32a7d711600af1; its file differs from this one only
-   in the version field and the header checksum. Blobs are host memory,
-   so the pin holds on little-endian hosts. *)
-let golden_digest = "26273200783cc8e264b4c227f7b734ea"
+   version bump. The version-1 and version-2 writers' digests were
+   9781ea992cddb3f1bf32a7d711600af1 and 26273200783cc8e264b4c227f7b734ea;
+   their files differ from this one only in the version field and the
+   header checksum. Blobs are host memory, so the pin holds on
+   little-endian hosts. *)
+let golden_digest = "2a63574d2311dd9cc735d7c2920c0ff3"
 
 let test_golden_digest () =
   let path = Lazy.force golden_path in
@@ -640,7 +646,7 @@ let test_golden_digest () =
       (l.Snapshot.meta.Snapshot.scheme_id = "golden"
       && l.Snapshot.meta.Snapshot.fingerprint = 0x0123456789abcdefL);
     check Alcotest.string "residue round-trips" golden_residue l.Snapshot.residue;
-    checki "version 2" 2 (Int32.to_int (Bytes.get_int32_le (read_file path) 8));
+    checki "version 3" 3 (Int32.to_int (Bytes.get_int32_le (read_file path) 8));
     checki "I32 blob" 0x7fffffff
       (Int32.to_int (Bigarray.Array1.get (Snapshot.get_i32 l.Snapshot.source 0) 3));
     checkb "F64 blob keeps its sNaN bits" true
@@ -753,7 +759,8 @@ let suite =
     case "reject: wrong seed/eps" test_wrong_params;
     case "reject: wrong scheme" test_wrong_scheme;
     case "load_or_build fallback ladder" test_load_or_build_fallback;
-    case "reject: version-1 file, rebuilt on load" test_version1_rebuilt;
+    case "reject: version-1 file, rebuilt on load" (test_old_version_rebuilt 1);
+    case "reject: version-2 file, rebuilt on load" (test_old_version_rebuilt 2);
     case "reject: crafted blob length past the file" test_crafted_blob_length;
     case "reject: crafted residue length past the file" test_crafted_residue_length;
     qcheck_ef_vs_sorted;

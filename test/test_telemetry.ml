@@ -2,9 +2,9 @@
 
    The contract under test: observation never changes behavior. Routing
    with telemetry on — counters, histograms, even full per-hop tracing —
-   must produce bit-identical outcomes to routing with it off, on both
-   forwarding planes, with and without faults; the per-domain counter
-   shards must merge to exactly the serial totals; and the histogram
+   must produce bit-identical outcomes to routing with it off, with the
+   simulator knobs on and off, with and without faults; the per-domain
+   counter shards must merge to exactly the serial totals; and the histogram
    arithmetic (buckets, percentiles, merges) must obey its pins. *)
 open Util
 open Cr_graph
@@ -53,7 +53,9 @@ let test_identity =
                g)
       in
       let one ~src ~dst =
-        if use_fast then Scheme.route_fast ?faults inst ~src ~dst
+        if use_fast then
+          Scheme.route_fast ~record_path:false ~detect_loops:false ?faults inst
+            ~src ~dst
         else Scheme.route ?faults inst ~src ~dst
       in
       List.for_all
@@ -135,9 +137,9 @@ let test_batch_merge_matches_serial () =
   List.iter
     (fun domains ->
       let pool = Pool.create ~domains () in
-      (* ~fast:false so the batch routes through the same interpreted
-         tables the serial sweep used; the merged shard totals must then
-         be the serial totals exactly, at any domain count. *)
+      (* ~fast:false so the batch routes with the knobs the serial sweep
+         used; the merged shard totals must then be the serial totals
+         exactly, at any domain count. *)
       let batch =
         counters_of (fun () ->
             ignore (Scheme.evaluate_batch ~pool ~fast:false inst apsp pairs))
@@ -157,7 +159,7 @@ let test_fast_plane_hits () =
   Telemetry.reset ();
   ignore (Scheme.evaluate_batch ~pool:(Pool.create ~domains:2 ()) inst apsp pairs);
   let t = Telemetry.totals () in
-  checki "every routed pair hit the compiled plane" t.Telemetry.routes
+  checki "every routed pair ran with the knobs off" t.Telemetry.routes
     t.Telemetry.fast_plane_hits;
   checki "all pairs routed" (List.length pairs) t.Telemetry.routes
 

@@ -108,8 +108,8 @@ let serve_fixture () =
     let e = Option.get (Catalog.find id) in
     fst (e.Catalog.build ~seed:23 ~eps:0.5 g)
   in
-  (* One compiled-plane scheme, one paper scheme, one resilient wrapper
-     (no fast plane) — the loop must not care which plane serves. *)
+  (* One baseline, one paper scheme, one resilient wrapper (which ignores
+     the simulator knobs) — the loop must not care which serves. *)
   let instances = [ build "tz-k2"; build "rt-3eps"; build "tz-k2+res" ] in
   let plan =
     Fault.compile
