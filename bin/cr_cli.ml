@@ -1,13 +1,111 @@
 (* Command-line interface: generate graphs, inspect schemes, route
-   messages, and print the Table 1 reproduction on demand. *)
+   messages, and print the Table 1 reproduction on demand.
+
+   Every subcommand is composed from the one argument vocabulary below:
+   each kind of value is an [Arg.conv] with its range check, so a bad
+   value is a usage error (exit 124) naming its flag, raised before any
+   graph is read or any scheme is built. The failures that remain are
+   runtime failures (exit 1, "error: <message>"): the graph file, scheme
+   support and every build each go through one term or helper. *)
 open Cmdliner
 open Cr_graph
 open Cr_routing
 open Cr_core
 
 (* ------------------------------------------------------------------ *)
-(* Shared argument definitions                                         *)
+(* Runtime failures and exit statuses                                  *)
 (* ------------------------------------------------------------------ *)
+
+let die fmt =
+  Printf.ksprintf
+    (fun m ->
+      Printf.eprintf "error: %s\n" m;
+      exit 1)
+    fmt
+
+let or_die = function Ok v -> v | Error m -> die "%s" m
+
+(* Preconditions the library checks on graph-dependent input (a
+   disconnected graph for rt-3eps, a malformed delta) raise
+   [Invalid_argument]; here they become errors for the caller to report. *)
+let guarded f = try Ok (f ()) with Invalid_argument m -> Error m
+
+let verdict ok = if ok then "ok" else "VIOLATED"
+
+let success = Cmd.Exit.info 0 ~doc:"on success."
+
+let failure =
+  Cmd.Exit.info 1
+    ~doc:
+      "on a runtime failure: an unreadable graph or output path, a scheme \
+       the graph does not support, a failed build or snapshot load, a \
+       message not delivered, a violated bound or SLO, or a repair that \
+       diverged from a full rebuild."
+
+let divergence =
+  Cmd.Exit.info 2
+    ~doc:
+      "on an identity divergence: a served segment or a loaded or repaired \
+       instance routes differently from its reference."
+
+let usage =
+  Cmd.Exit.info Cmd.Exit.cli_error
+    ~doc:
+      "on a bad argument; the message names the flag, and no graph was \
+       read and no scheme built."
+
+let bug = Cmd.Exit.info Cmd.Exit.internal_error ~doc:"on an internal error (a bug)."
+
+let cmd ?(exits = [ failure ]) name ~doc term =
+  Cmd.v (Cmd.info name ~doc ~exits:((success :: exits) @ [ usage; bug ])) term
+
+(* ------------------------------------------------------------------ *)
+(* Argument vocabulary: one converter per rule                         *)
+(* ------------------------------------------------------------------ *)
+
+(* [conv] narrowed to the values [ok] accepts. *)
+let checked conv what ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" what s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let positive =
+  checked Arg.float "a finite number > 0" (fun x -> Float.is_finite x && x > 0.0)
+
+let non_negative =
+  checked Arg.float "a finite number >= 0" (fun x ->
+      Float.is_finite x && x >= 0.0)
+
+let fraction = checked Arg.float "a number in [0, 1]" (fun x -> x >= 0.0 && x <= 1.0)
+
+let finite = checked Arg.float "a finite number" Float.is_finite
+
+let at_least lo =
+  checked Arg.int (Printf.sprintf "an integer >= %d" lo) (fun v -> v >= lo)
+
+let weight_range =
+  checked
+    Arg.(pair ~sep:',' float float)
+    "LO,HI with 0 < LO <= HI, both finite"
+    (fun (lo, hi) -> 0.0 < lo && lo <= hi && Float.is_finite hi)
+
+(* A catalog id; a "+res" suffix wraps the entry with the resilience
+   ladder. *)
+let scheme =
+  let parse id =
+    match Catalog.find id with
+    | Some e -> Ok e
+    | None ->
+      Error
+        (`Msg
+          (Printf.sprintf "unknown scheme %S; known: %s" id
+             (String.concat ", " (Catalog.ids ()))))
+  in
+  Arg.conv (parse, fun ppf (e : Catalog.entry) -> Format.pp_print_string ppf e.id)
 
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
@@ -15,61 +113,147 @@ let seed_arg =
 let eps_arg =
   Arg.(
     value
-    & opt float 0.5
+    & opt positive 0.5
     & info [ "eps" ] ~docv:"EPS" ~doc:"Stretch slack parameter eps.")
-
-let graph_arg =
-  Arg.(
-    required
-    & opt (some file) None
-    & info [ "graph"; "g" ] ~docv:"FILE" ~doc:"Graph file (see $(b,generate)).")
 
 let scheme_arg =
   Arg.(
     required
-    & opt (some string) None
+    & opt (some scheme) None
     & info [ "scheme"; "s" ] ~docv:"ID"
         ~doc:"Scheme id; run $(b,cr_cli schemes) for the list.")
 
-(* A strictly positive integer. A bad value is a usage error that names
-   the flag, not an exception out of the command body. *)
-let pos_int =
-  let parse s =
-    match int_of_string_opt s with
-    | Some v when v > 0 -> Ok v
-    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
-  in
-  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+let schemes_arg =
+  Arg.(
+    value
+    & opt (some (checked (list scheme) "at least one scheme id" (( <> ) []))) None
+    & info [ "schemes" ] ~docv:"ID1,ID2,..."
+        ~doc:
+          "Schemes to use (ids as in $(b,cr_cli schemes); a \
+           $(b,+res) suffix wraps with the resilience ladder). Default: \
+           every catalog scheme the graph supports.")
 
 let domains_arg =
   Arg.(
     value
-    & opt pos_int (Pool.domains (Pool.default ()))
+    & opt (at_least 1) (Pool.domains (Pool.default ()))
     & info [ "domains" ] ~docv:"D"
         ~doc:"Domain-pool width for batched routing.")
 
-let load_graph path =
-  try Ok (Graph_io.load path) with Failure m -> Error m
+let pairs_arg ?(docv = "K") ?(doc = "Number of sampled source/target pairs.")
+    ~min default =
+  Arg.(value & opt (at_least min) default & info [ "pairs" ] ~docv ~doc)
 
-let build_scheme ~seed ~eps id g =
-  match Catalog.find id with
-  | None ->
-    Error
-      (Printf.sprintf "unknown scheme %S; known: %s" id
-         (String.concat ", " (Catalog.ids ())))
-  | Some e ->
-    if (not e.Catalog.weighted_ok) && not (Graph.is_unit_weighted g) then
-      Error (Printf.sprintf "scheme %s requires an unweighted graph" id)
-    else begin
-      try Ok (e, e.Catalog.build ~seed ~eps g)
-      with Invalid_argument m -> Error m
-    end
+let file_arg names ~doc =
+  Arg.(value & opt (some string) None & info names ~docv:"FILE" ~doc)
 
-let or_die = function
-  | Ok v -> v
-  | Error m ->
-    Printf.eprintf "error: %s\n" m;
-    exit 1
+let jsonl_arg = file_arg [ "jsonl" ]
+
+let csv_arg = file_arg [ "csv" ]
+
+let output_arg = file_arg [ "output"; "o" ]
+
+let fault_rate_arg name ~default ~doc =
+  Arg.(value & opt fraction default & info [ name ] ~docv:"R" ~doc)
+
+(* [with_graph run] reads the graph file only after every argument of
+   [run] has parsed, then hands it over as [run]'s last argument. A
+   missing file is a usage error; an unreadable or malformed one is a
+   runtime failure. *)
+let with_graph run =
+  let path =
+    Arg.(
+      required
+      & opt (some file) None
+      & info [ "graph"; "g" ] ~docv:"FILE" ~doc:"Graph file (see $(b,generate)).")
+  in
+  let load run path =
+    run (try Graph_io.load path with Failure m -> die "%s" m)
+  in
+  Term.(const load $ run $ path)
+
+(* ------------------------------------------------------------------ *)
+(* Shared steps                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let runs_on g (e : Catalog.entry) = e.weighted_ok || Graph.is_unit_weighted g
+
+(* A named scheme the graph cannot run is a runtime failure. *)
+let require g (e : Catalog.entry) =
+  if not (runs_on g e) then die "scheme %s requires an unweighted graph" e.id;
+  e
+
+(* The named entries, or every entry the graph supports. *)
+let select g = function
+  | Some es -> List.map (require g) es
+  | None -> List.filter (runs_on g) Catalog.all
+
+(* Every scheme build goes through here. With [snapshot_dir] the entry
+   warm-starts from its snapshot there: the tables are mapped back
+   instead of re-running preprocessing, and a missing or rejected file
+   falls back to a fresh, bit-identical build. *)
+let build ?substrate ?snapshot_dir ~seed ~eps g (e : Catalog.entry) =
+  guarded @@ fun () ->
+  match snapshot_dir with
+  | None -> e.build ?substrate ~seed ~eps g
+  | Some dir ->
+    let r, how = Catalog.load_or_build ?substrate ~dir ~seed ~eps g e in
+    (match how with
+    | `Loaded ->
+      Printf.printf "  %-18s warm-start from %s\n%!" e.id
+        (Catalog.snapshot_path ~dir e)
+    | `Built None ->
+      Printf.printf "  %-18s no snapshot on disk, built fresh\n%!" e.id
+    | `Built (Some err) ->
+      Printf.printf "  %-18s snapshot rejected (%s), built fresh\n%!" e.id
+        (Snapshot.error_to_string err));
+    r
+
+let build_or_die ?substrate ?snapshot_dir ~seed ~eps g (e : Catalog.entry) =
+  match build ?substrate ?snapshot_dir ~seed ~eps g e with
+  | Ok r -> r
+  | Error m -> die "%s: %s" e.id m
+
+(* The identity tier of load, delta and serve --strict: one scheme
+   reached two ways (a snapshot and a fresh build, an incremental repair
+   and a full rebuild) must evaluate the pair sample [eval] replays bit
+   for bit alike: every routed length, every failure, the header peak. *)
+let same_routes eval a b = eval a = eval b
+
+let check_endpoints g vs =
+  let n = Graph.n g in
+  if List.exists (fun v -> v < 0 || v >= n) vs then
+    die "endpoints must be in [0, %d)" n
+
+(* The verdict and stretch lines route and trace report; [true] iff the
+   message arrived at [dst]. A message delivered anywhere else is a
+   failure, even if some buggy table said Deliver. *)
+let report_outcome g ~src ~dst (alpha, beta) (o : Port_model.outcome) =
+  let d = (Dijkstra.spt g src).Dijkstra.dist.(dst) in
+  let ok = Port_model.delivered_to o dst in
+  Printf.printf "verdict: %s%s  hops: %d  length: %g  distance: %g\n"
+    (Format.asprintf "%a" Port_model.pp_verdict o.verdict)
+    (if Port_model.delivered o && not ok then
+       Printf.sprintf " at vertex %d, not the destination" o.final
+     else "")
+    o.hops o.length d;
+  if ok && d > 0.0 && d < infinity then
+    Printf.printf "stretch: %.4f (guarantee: length <= %.3f*d + %g)\n"
+      (o.length /. d) alpha beta;
+  ok
+
+(* Write [contents ()] to the optional [path] and say so. *)
+let export path contents =
+  Option.iter
+    (fun path ->
+      Out_channel.with_open_text path (fun oc -> output_string oc (contents ()));
+      Printf.printf "wrote %s\n" path)
+    path
+
+let wall f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
 
 (* ------------------------------------------------------------------ *)
 (* generate                                                            *)
@@ -82,8 +266,10 @@ let family_conv =
   in
   Arg.enum (List.map (fun f -> (f, f)) families)
 
+(* Some families need a minimum (or allow a maximum) vertex count; a
+   count the family rejects is a usage error like any other bad flag. *)
 let generate family n seed weights out =
-  let g =
+  let make () =
     match family with
     | "path" -> Generators.path n
     | "cycle" -> Generators.cycle n
@@ -108,17 +294,21 @@ let generate family n seed weights out =
     | "glp" -> Generators.glp ~seed n
     | _ -> assert false
   in
-  let g =
-    match weights with
-    | None -> g
-    | Some (lo, hi) -> Generators.with_random_weights ~seed ~lo ~hi g
-  in
-  (match out with
-  | None -> print_string (Graph_io.to_string g)
-  | Some path ->
-    Graph_io.save g path;
-    Format.printf "wrote %s: %a@." path Graph.pp g);
-  0
+  match guarded make with
+  | Error m ->
+    `Error (true, Printf.sprintf "option '-n': %d does not suit family %s (%s)" n family m)
+  | Ok g ->
+    let g =
+      match weights with
+      | None -> g
+      | Some (lo, hi) -> Generators.with_random_weights ~seed ~lo ~hi g
+    in
+    (match out with
+    | None -> print_string (Graph_io.to_string g)
+    | Some path ->
+      Graph_io.save g path;
+      Format.printf "wrote %s: %a@." path Graph.pp g);
+    `Ok 0
 
 let generate_cmd =
   let family =
@@ -128,24 +318,20 @@ let generate_cmd =
       & info [ "family"; "f" ] ~docv:"FAMILY" ~doc:"Graph family.")
   in
   let n =
-    Arg.(value & opt pos_int 256 & info [ "n" ] ~docv:"N" ~doc:"Vertex count.")
+    Arg.(value & opt (at_least 1) 256 & info [ "n" ] ~docv:"N" ~doc:"Vertex count.")
   in
   let weights =
     Arg.(
       value
-      & opt (some (pair ~sep:',' float float)) None
+      & opt (some weight_range) None
       & info [ "weights"; "w" ] ~docv:"LO,HI"
           ~doc:"Draw edge weights uniformly from [LO,HI].")
   in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "output"; "o" ] ~docv:"FILE" ~doc:"Output file (default stdout).")
-  in
-  Cmd.v
-    (Cmd.info "generate" ~doc:"Generate a synthetic graph")
-    Term.(const generate $ family $ n $ seed_arg $ weights $ out)
+  cmd "generate" ~doc:"Generate a synthetic graph"
+    Term.(
+      ret
+        (const generate $ family $ n $ seed_arg $ weights
+        $ output_arg ~doc:"Output file (default stdout)."))
 
 (* ------------------------------------------------------------------ *)
 (* schemes                                                             *)
@@ -163,23 +349,17 @@ let schemes () =
   0
 
 let schemes_cmd =
-  Cmd.v
-    (Cmd.info "schemes" ~doc:"List the available routing schemes")
+  cmd "schemes" ~exits:[] ~doc:"List the available routing schemes"
     Term.(const schemes $ const ())
 
 (* ------------------------------------------------------------------ *)
 (* route                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let route graph_file scheme src dst seed eps verbose =
-  let g = or_die (load_graph graph_file) in
-  let _e, (inst, (alpha, beta)) = or_die (build_scheme ~seed ~eps scheme g) in
-  if src < 0 || src >= Graph.n g || dst < 0 || dst >= Graph.n g then begin
-    Printf.eprintf "error: endpoints must be in [0, %d)\n" (Graph.n g);
-    exit 1
-  end;
+let route e src dst seed eps verbose g =
+  check_endpoints g [ src; dst ];
+  let inst, bound = build_or_die ~seed ~eps g (require g e) in
   let o = Scheme.route inst ~src ~dst in
-  let d = (Dijkstra.spt g src).Dijkstra.dist.(dst) in
   Printf.printf "path: %s\n"
     (String.concat " -> " (List.map string_of_int o.Port_model.path));
   if verbose then begin
@@ -194,19 +374,8 @@ let route graph_file scheme src dst seed eps verbose =
     in
     hops o.Port_model.path
   end;
-  let ok = Port_model.delivered_to o dst in
-  Printf.printf "verdict: %s%s  hops: %d  length: %g  distance: %g\n"
-    (Format.asprintf "%a" Port_model.pp_verdict o.Port_model.verdict)
-    (if (Port_model.delivered o) && not ok then
-       Printf.sprintf " at vertex %d, not the destination" o.Port_model.final
-     else "")
-    o.Port_model.hops o.Port_model.length d;
-  if ok && d > 0.0 && d < infinity then
-    Printf.printf "stretch: %.4f (guarantee: length <= %.3f*d + %g)\n"
-      (o.Port_model.length /. d) alpha beta;
+  let ok = report_outcome g ~src ~dst bound o in
   Printf.printf "peak header: %d words\n" o.Port_model.header_words_peak;
-  (* A message that did not arrive at its destination is a failure, even if
-     some buggy table said Deliver elsewhere: scripts must see a nonzero. *)
   if ok then 0 else 1
 
 let route_cmd =
@@ -215,21 +384,13 @@ let route_cmd =
   let verbose =
     Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Print every hop with its port.")
   in
-  Cmd.v
-    (Cmd.info "route" ~doc:"Route one message and print the simulated path")
-    Term.(
-      const route $ graph_arg $ scheme_arg $ src $ dst $ seed_arg $ eps_arg
-      $ verbose)
+  cmd "route" ~doc:"Route one message and print the simulated path"
+    (with_graph
+       Term.(const route $ scheme_arg $ src $ dst $ seed_arg $ eps_arg $ verbose))
 
 (* ------------------------------------------------------------------ *)
 (* trace                                                               *)
 (* ------------------------------------------------------------------ *)
-
-let write_file path contents =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc contents)
 
 let fault_plan g ~fault_seed ~rate ~vertex_rate =
   if rate > 0.0 || vertex_rate > 0.0 then
@@ -275,86 +436,52 @@ let narrate g (e : Telemetry.event) =
   | Telemetry.End v ->
     Printf.printf "  at %4d: run segment ended (%s)\n" e.Telemetry.at v
 
-let trace graph_file scheme src dst seed eps rate vertex_rate fault_seed jsonl =
-  let g = or_die (load_graph graph_file) in
-  let _e, (inst, (alpha, beta)) = or_die (build_scheme ~seed ~eps scheme g) in
-  if src < 0 || src >= Graph.n g || dst < 0 || dst >= Graph.n g then begin
-    Printf.eprintf "error: endpoints must be in [0, %d)\n" (Graph.n g);
-    exit 1
-  end;
+let trace (e : Catalog.entry) src dst seed eps rate vertex_rate fault_seed
+    jsonl g =
+  check_endpoints g [ src; dst ];
+  let inst, bound = build_or_die ~seed ~eps g (require g e) in
   let faults = fault_plan g ~fault_seed ~rate ~vertex_rate in
   Telemetry.reset ();
   let o, events =
     Telemetry.with_trace (fun () -> Scheme.route ?faults inst ~src ~dst)
   in
-  Printf.printf "trace %d -> %d (%s%s):\n" src dst scheme
+  Printf.printf "trace %d -> %d (%s%s):\n" src dst e.id
     (match faults with
     | None -> ""
     | Some _ ->
       Printf.sprintf ", faults rate=%g vertex-rate=%g seed=%d" rate vertex_rate
         fault_seed);
   List.iter (narrate g) events;
-  let d = (Dijkstra.spt g src).Dijkstra.dist.(dst) in
-  let ok = Port_model.delivered_to o dst in
-  Printf.printf "verdict: %s%s  hops: %d  length: %g  distance: %g\n"
-    (Format.asprintf "%a" Port_model.pp_verdict o.Port_model.verdict)
-    (if (Port_model.delivered o) && not ok then
-       Printf.sprintf " at vertex %d, not the destination" o.Port_model.final
-     else "")
-    o.Port_model.hops o.Port_model.length d;
-  if ok && d > 0.0 && d < infinity then
-    Printf.printf "stretch: %.4f (guarantee: length <= %.3f*d + %g)\n"
-      (o.Port_model.length /. d) alpha beta;
+  let ok = report_outcome g ~src ~dst bound o in
   Printf.printf "counters:";
   List.iter
     (fun (nm, v) -> if v <> 0 then Printf.printf " %s=%d" nm v)
     (Telemetry.counter_rows (Telemetry.totals ()));
   print_newline ();
-  (match jsonl with
-  | None -> ()
-  | Some path ->
-    let buf = Buffer.create 1024 in
-    List.iter
-      (fun e ->
-        Buffer.add_string buf (Telemetry.event_to_json e);
-        Buffer.add_char buf '\n')
-      events;
-    Buffer.add_string buf (Telemetry.to_jsonl ());
-    write_file path (Buffer.contents buf);
-    Printf.printf "wrote %s\n" path);
+  export jsonl (fun () ->
+      String.concat ""
+        (List.map (fun ev -> Telemetry.event_to_json ev ^ "\n") events)
+      ^ Telemetry.to_jsonl ());
   if ok then 0 else 1
 
 let trace_cmd =
   let src = Arg.(required & pos 0 (some int) None & info [] ~docv:"SRC") in
   let dst = Arg.(required & pos 1 (some int) None & info [] ~docv:"DST") in
-  let rate =
-    Arg.(
-      value & opt float 0.0
-      & info [ "rate" ] ~docv:"R" ~doc:"Link failure rate for the traced run.")
-  in
-  let vertex_rate =
-    Arg.(
-      value & opt float 0.0
-      & info [ "vertex-rate" ] ~docv:"R" ~doc:"Vertex crash rate for the traced run.")
-  in
   let fault_seed =
     Arg.(
       value & opt int 1
       & info [ "fault-seed" ] ~docv:"S" ~doc:"Seed of the frozen fault plan.")
   in
-  let jsonl =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "jsonl" ] ~docv:"FILE"
-          ~doc:"Also write the trace events and counters as JSON lines.")
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:"Route one message with per-hop telemetry narration")
-    Term.(
-      const trace $ graph_arg $ scheme_arg $ src $ dst $ seed_arg $ eps_arg
-      $ rate $ vertex_rate $ fault_seed $ jsonl)
+  cmd "trace" ~doc:"Route one message with per-hop telemetry narration"
+    (with_graph
+       Term.(
+         const trace $ scheme_arg $ src $ dst $ seed_arg $ eps_arg
+         $ fault_rate_arg "rate" ~default:0.0
+             ~doc:"Link failure rate for the traced run."
+         $ fault_rate_arg "vertex-rate" ~default:0.0
+             ~doc:"Vertex crash rate for the traced run."
+         $ fault_seed
+         $ jsonl_arg ~doc:"Also write the trace events and counters as JSON lines."))
 
 (* ------------------------------------------------------------------ *)
 (* stats                                                               *)
@@ -384,8 +511,7 @@ let print_telemetry () =
       hists
   end
 
-let stats graph_file scheme seed eps pairs domains jsonl csv =
-  let g = or_die (load_graph graph_file) in
+let stats e seed eps pairs domains jsonl csv g =
   (* The whole campaign runs with telemetry on — the build lands in the
      "preprocess" histogram, every routed pair in "route" — and the prior
      enabled state is restored before exit so stats composes with traces. *)
@@ -393,7 +519,8 @@ let stats graph_file scheme seed eps pairs domains jsonl csv =
   Telemetry.reset ();
   Telemetry.set_enabled true;
   Fun.protect ~finally:(fun () -> Telemetry.set_enabled was) @@ fun () ->
-  let e, (inst, (alpha, beta)) = or_die (build_scheme ~seed ~eps scheme g) in
+  let e = require g e in
+  let inst, (alpha, beta) = build_or_die ~seed ~eps g e in
   Printf.printf "scheme: %s (%s)\n" e.Catalog.id e.Catalog.description;
   Format.printf "graph:  %a@." Graph.pp g;
   Printf.printf "tables: max %d words, avg %.1f words, labels max %d words\n"
@@ -409,47 +536,23 @@ let stats graph_file scheme seed eps pairs domains jsonl csv =
     ev.Scheme.failures (Scheme.max_stretch ev) (Scheme.avg_stretch ev)
     (Scheme.percentile_stretch ev 0.99);
   Printf.printf "peak header: %d words\n" ev.Scheme.header_words_peak;
+  let within = Scheme.within ev ~alpha ~beta in
   Printf.printf "guarantee (%.3f, %g): %s\n" alpha beta
-    (if Scheme.within ev ~alpha ~beta then "satisfied" else "VIOLATED");
+    (if within then "satisfied" else "VIOLATED");
   print_telemetry ();
-  (match jsonl with
-  | None -> ()
-  | Some path ->
-    write_file path (Telemetry.to_jsonl ());
-    Printf.printf "wrote %s\n" path);
-  (match csv with
-  | None -> ()
-  | Some path ->
-    write_file path (Telemetry.to_csv ());
-    Printf.printf "wrote %s\n" path);
-  if not (Scheme.within ev ~alpha ~beta) then 1 else 0
+  export jsonl Telemetry.to_jsonl;
+  export csv Telemetry.to_csv;
+  if within then 0 else 1
 
 let stats_cmd =
-  let pairs =
-    Arg.(
-      value & opt int 2000
-      & info [ "pairs" ] ~docv:"K" ~doc:"Number of sampled source/target pairs.")
-  in
-  let jsonl =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "jsonl" ] ~docv:"FILE"
-          ~doc:"Write the campaign's counters and histograms as JSON lines.")
-  in
-  let csv =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "csv" ] ~docv:"FILE"
-          ~doc:"Write the campaign's counters and histograms as CSV.")
-  in
-  Cmd.v
-    (Cmd.info "stats"
-       ~doc:"Preprocess a scheme and report space, stretch, and telemetry")
-    Term.(
-      const stats $ graph_arg $ scheme_arg $ seed_arg $ eps_arg $ pairs
-      $ domains_arg $ jsonl $ csv)
+  cmd "stats" ~doc:"Preprocess a scheme and report space, stretch, and telemetry"
+    (with_graph
+       Term.(
+         const stats $ scheme_arg $ seed_arg $ eps_arg
+         $ pairs_arg ~min:1 2000 $ domains_arg
+         $ jsonl_arg
+             ~doc:"Write the campaign's counters and histograms as JSON lines."
+         $ csv_arg ~doc:"Write the campaign's counters and histograms as CSV."))
 
 (* ------------------------------------------------------------------ *)
 (* table1                                                              *)
@@ -471,7 +574,7 @@ let table1 n seed eps pairs =
   List.iter
     (fun (e : Catalog.entry) ->
       let graph, oracle = if e.Catalog.weighted_ok then (gw, apsp_w) else (g, apsp) in
-      let inst, (alpha, beta) = e.Catalog.build ~seed ~eps graph in
+      let inst, (alpha, beta) = build_or_die ~seed ~eps graph e in
       let sampled = Scheme.sample_pairs ~seed ~n:(Graph.n graph) ~count:pairs in
       let ev = Scheme.evaluate inst oracle sampled in
       Printf.printf "%-16s %-11s %-16s %9.3f %9.3f %9d %6s\n%!" e.Catalog.id
@@ -483,24 +586,19 @@ let table1 n seed eps pairs =
   0
 
 let table1_cmd =
-  let n = Arg.(value & opt int 256 & info [ "n" ] ~docv:"N") in
-  let pairs = Arg.(value & opt int 1000 & info [ "pairs" ] ~docv:"K") in
-  Cmd.v
-    (Cmd.info "table1" ~doc:"Print the Table 1 reproduction on a random graph")
-    Term.(const table1 $ n $ seed_arg $ eps_arg $ pairs)
+  let n =
+    Arg.(value & opt (at_least 2) 256 & info [ "n" ] ~docv:"N" ~doc:"Vertex count.")
+  in
+  cmd "table1" ~doc:"Print the Table 1 reproduction on a random graph"
+    Term.(const table1 $ n $ seed_arg $ eps_arg $ pairs_arg ~min:1 1000)
 
 (* ------------------------------------------------------------------ *)
 (* throughput                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let wall f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-let throughput graph_file scheme seed eps pairs domains =
-  let g = or_die (load_graph graph_file) in
-  let e, (inst, _) = or_die (build_scheme ~seed ~eps scheme g) in
+let throughput e seed eps pairs domains g =
+  let e = require g e in
+  let inst, _ = build_or_die ~seed ~eps g e in
   let n = Graph.n g in
   let sampled = Scheme.sample_pairs ~seed ~n ~count:pairs in
   let npairs = List.length sampled in
@@ -534,23 +632,18 @@ let throughput graph_file scheme seed eps pairs domains =
     (t_on /. Float.max t_p 1e-9);
   let identical = ev_par = ev_serial in
   Printf.printf "\nbatch eval identical to serial evaluate: %s\n"
-    (if identical then "ok" else "VIOLATED");
+    (verdict identical);
   if identical then 0 else 1
 
 let throughput_cmd =
-  let pairs =
-    Arg.(
-      value & opt int 5000
-      & info [ "pairs" ] ~docv:"K" ~doc:"Number of sampled source/target pairs.")
-  in
-  Cmd.v
-    (Cmd.info "throughput"
-       ~doc:
-         "Measure routes/sec: serial with path recording and loop detection \
-          on, serial with both off, and the parallel batch engine")
-    Term.(
-      const throughput $ graph_arg $ scheme_arg $ seed_arg $ eps_arg $ pairs
-      $ domains_arg)
+  cmd "throughput"
+    ~doc:
+      "Measure routes/sec: serial with path recording and loop detection \
+       on, serial with both off, and the parallel batch engine"
+    (with_graph
+       Term.(
+         const throughput $ scheme_arg $ seed_arg $ eps_arg
+         $ pairs_arg ~min:1 5000 $ domains_arg))
 
 (* ------------------------------------------------------------------ *)
 (* serve                                                               *)
@@ -558,60 +651,18 @@ let throughput_cmd =
 
 let us x = 1e6 *. x
 
-(* Scheme-id list -> catalog entries, shared by serve and delta: unknown
-   ids and weighted-graph mismatches die with the same message route gives;
-   [None] selects every scheme the graph supports. *)
-let resolve_entries g = function
-  | Some ids ->
-    List.map
-      (fun id ->
-        match Catalog.find id with
-        | None ->
-          or_die
-            (Error
-               (Printf.sprintf "unknown scheme %S; known: %s" id
-                  (String.concat ", " (Catalog.ids ()))))
-        | Some e ->
-          if (not e.Catalog.weighted_ok) && not (Graph.is_unit_weighted g)
-          then
-            or_die
-              (Error
-                 (Printf.sprintf "scheme %s requires an unweighted graph" id))
-          else e)
-      ids
-  | None ->
-    List.filter
-      (fun e -> e.Catalog.weighted_ok || Graph.is_unit_weighted g)
-      Catalog.all
-
-let schemes_opt_arg =
-  Arg.(
-    value
-    & opt (some (list string)) None
-    & info [ "schemes" ] ~docv:"ID1,ID2,..."
-        ~doc:
-          "Schemes to use (ids as in $(b,cr_cli schemes); a \
-           $(b,+res) suffix wraps with the resilience ladder). Default: \
-           every catalog scheme the graph supports.")
-
 (* The long-running query server: a catalog of scheme instances under an
    open-loop Zipf workload, with steady-state telemetry windows, optional
    mid-run fault churn, optional topology churn with hot-swap repair, and
-   SLO thresholds that decide the exit code. *)
-let serve_impl graph_file schemes_opt seed eps snapshot_dir duration rate
-    queries zipf domains chunk no_pace churn_every churn_rate
-    churn_vertex_rate topo_every topo_ops repair_deadline strict window
-    slo_p99 slo_rps csv_out =
-  let g = or_die (load_graph graph_file) in
-  let entries = resolve_entries g schemes_opt in
-  if entries = [] then or_die (Error "no schemes to serve");
-  let rate = if rate <= 0.0 then infinity else rate in
-  let budget =
-    if queries > 0 then queries
-    else if rate < infinity then int_of_float (ceil (rate *. duration))
-    else or_die (Error "--rate 0 (unpaced) needs an explicit --queries budget")
+   SLO thresholds that decide the exit code. [rate] is [infinity] when
+   unpaced. *)
+let serve_impl schemes seed eps snapshot_dir (rate, budget) zipf domains chunk
+    no_pace churn_every churn_rate churn_vertex_rate topo_every topo_ops
+    repair_deadline strict window slo_p99 slo_rps csv_out g =
+  let entries = select g schemes in
+  let traffic =
+    or_die (guarded (fun () -> Traffic.create ~zipf ~rate ~seed ~n:(Graph.n g) ()))
   in
-  let traffic = Traffic.create ~zipf ~rate ~seed ~n:(Graph.n g) () in
   let pool = Pool.create ~domains () in
   let apsp = Apsp.compute ~caller:"serve oracle" g in
   (* One substrate handle across the whole catalog: the builds share the
@@ -620,41 +671,15 @@ let serve_impl graph_file schemes_opt seed eps snapshot_dir duration rate
   let instances, build_t =
     wall (fun () ->
         List.map
-          (fun e ->
-            match snapshot_dir with
-            | None -> fst (e.Catalog.build ~substrate ~seed ~eps g)
-            | Some dir ->
-              (* Warm start: memory-map the built tables back instead of
-                 re-running preprocessing; any validation failure falls
-                 back to a fresh (bit-identical) build. *)
-              let (inst, _), how =
-                Catalog.load_or_build ~substrate ~dir ~seed ~eps g e
-              in
-              (match how with
-              | `Loaded ->
-                Printf.printf "  %-18s warm-start from %s\n%!" e.Catalog.id
-                  (Catalog.snapshot_path ~dir e)
-              | `Built None ->
-                Printf.printf "  %-18s no snapshot on disk, built fresh\n%!"
-                  e.Catalog.id
-              | `Built (Some err) ->
-                Printf.printf "  %-18s snapshot rejected (%s), built fresh\n%!"
-                  e.Catalog.id
-                  (Snapshot.error_to_string err));
-              inst)
+          (fun e -> fst (build_or_die ~substrate ?snapshot_dir ~seed ~eps g e))
           entries)
   in
   let churn =
-    if churn_every > 0 then
-      Traffic.churn_cycle g ~seed:(seed + 1) ~every:churn_every ~budget
-        ~link_rate:churn_rate ~vertex_rate:churn_vertex_rate
-    else []
+    Traffic.churn_cycle g ~seed:(seed + 1) ~every:churn_every ~budget
+      ~link_rate:churn_rate ~vertex_rate:churn_vertex_rate
   in
   let topo =
-    if topo_every > 0 then
-      Traffic.topo_cycle ~seed:(seed + 2) ~every:topo_every ~budget
-        ~ops:topo_ops
-    else []
+    Traffic.topo_cycle ~seed:(seed + 2) ~every:topo_every ~budget ~ops:topo_ops
   in
   (* The repairer the serve loop hands each topology event to: incremental
      Catalog.repair against the previous epoch's (still warm) substrate,
@@ -825,8 +850,7 @@ let serve_impl graph_file schemes_opt seed eps snapshot_dir duration rate
       let name = (snd (List.hd eps_served)).Traffic.instance.Scheme.name in
       Printf.printf "%-20s %9d %9.1f%% %9d  %s\n" name routed
         (100.0 *. Scheme.delivery_rate ev)
-        (List.length segs)
-        (if ok then "ok" else "VIOLATED");
+        (List.length segs) (verdict ok);
       emit csv_oc
         (Printf.sprintf "%s,%d,%.4f,%d,%b,%.1f,%.2f,%.2f,%.2f,%.2f" name
            routed (Scheme.delivery_rate ev) (List.length segs) ok
@@ -848,8 +872,7 @@ let serve_impl graph_file schemes_opt seed eps snapshot_dir duration rate
           (fun (name, c) ->
             if c > 0 then Some (Printf.sprintf "%s=%d" name c) else None)
           report.Traffic.verdicts));
-  Printf.printf "serve == evaluate_batch per segment: %s\n"
-    (if !identical then "ok" else "VIOLATED");
+  Printf.printf "serve == evaluate_batch per segment: %s\n" (verdict !identical);
   (* Per-epoch repair accounting: the staleness window, how long the
      repair blocked the loop, what the dirty-region pass salvaged, and
      how the old tables delivered while the repair ran. *)
@@ -898,55 +921,48 @@ let serve_impl graph_file schemes_opt seed eps snapshot_dir duration rate
       List.iter
         (fun (ep : Traffic.epoch) ->
           if ep.Traffic.index > 0 then begin
-            let fresh_sub = Substrate.create ep.Traffic.graph in
+            let substrate = Substrate.create ep.Traffic.graph in
+            let eval i =
+              Scheme.evaluate_batch ~pool ~fast:true i ep.Traffic.apsp
+                ident_pairs
+            in
             List.iter2
-              (fun (ent : Catalog.entry) (s : Traffic.served) ->
+              (fun (e : Catalog.entry) (s : Traffic.served) ->
                 let fresh, _ =
-                  ent.Catalog.build ~substrate:fresh_sub ~seed ~eps
-                    ep.Traffic.graph
+                  build_or_die ~substrate ~seed ~eps ep.Traffic.graph e
                 in
-                let ev_rep =
-                  Scheme.evaluate_batch ~pool ~fast:true s.Traffic.instance
-                    ep.Traffic.apsp ident_pairs
-                in
-                let ev_fresh =
-                  Scheme.evaluate_batch ~pool ~fast:true fresh ep.Traffic.apsp
-                    ident_pairs
-                in
-                if ev_rep <> ev_fresh then begin
+                if not (same_routes eval s.Traffic.instance fresh) then begin
                   repair_identical := false;
                   Printf.printf
                     "epoch %d: %s diverges from a fresh rebuild\n"
-                    ep.Traffic.index ent.Catalog.id
+                    ep.Traffic.index e.id
                 end)
               entries ep.Traffic.served
           end)
         report.Traffic.epochs;
       Printf.printf "repaired instances == fresh rebuild per epoch: %s\n"
-        (if !repair_identical then "ok" else "VIOLATED")
+        (verdict !repair_identical)
     end
   end;
-  let slo_ok = ref true in
-  (match slo_p99 with
-  | None -> ()
-  | Some ms ->
-    let ok = p99 <= 1e3 *. ms in
-    if not ok then slo_ok := false;
-    Printf.printf "SLO p99 <= %gms: %s\n" ms (if ok then "ok" else "VIOLATED"));
-  (match slo_rps with
-  | None -> ()
-  | Some r ->
-    let ok = report.Traffic.rps >= r in
-    if not ok then slo_ok := false;
-    Printf.printf "SLO sustained rps >= %g: %s\n" r
-      (if ok then "ok" else "VIOLATED"));
+  let slo name ok =
+    Printf.printf "SLO %s: %s\n" name (verdict ok);
+    ok
+  in
+  let p99_ok =
+    Option.fold slo_p99 ~none:true ~some:(fun ms ->
+        slo (Printf.sprintf "p99 <= %gms" ms) (p99 <= 1e3 *. ms))
+  in
+  let rps_ok =
+    Option.fold slo_rps ~none:true ~some:(fun r ->
+        slo (Printf.sprintf "sustained rps >= %g" r) (report.Traffic.rps >= r))
+  in
   (match csv_out with
   | None -> ()
   | Some path ->
     Printf.printf "wrote %s%s\n" path
       (if Option.is_none epochs_oc then "" else " and " ^ epochs_path path));
   if not !identical || not !repair_identical then 2
-  else if not !slo_ok then 1
+  else if not (p99_ok && rps_ok) then 1
   else 0
 
 let serve_cmd =
@@ -962,7 +978,7 @@ let serve_cmd =
   in
   let duration =
     Arg.(
-      value & opt float 10.0
+      value & opt positive 10.0
       & info [ "duration" ] ~docv:"SECONDS"
           ~doc:
             "Length of the run; with $(b,--rate) it fixes the query budget \
@@ -970,7 +986,7 @@ let serve_cmd =
   in
   let rate =
     Arg.(
-      value & opt float 2000.0
+      value & opt non_negative 2000.0
       & info [ "rate" ] ~docv:"QPS"
           ~doc:
             "Offered load in queries/second (open loop: lag accumulates if \
@@ -979,19 +995,36 @@ let serve_cmd =
   in
   let queries =
     Arg.(
-      value & opt int 0
+      value & opt (at_least 0) 0
       & info [ "queries" ] ~docv:"N"
           ~doc:"Explicit query budget (overrides rate * duration).")
   in
+  (* The offered rate (infinity when unpaced) and the query budget: an
+     unpaced run needs an explicit budget, or it would never end, and
+     rate * duration must be a count an int can hold. *)
+  let pacing =
+    let budget rate duration queries =
+      let rate = if rate = 0.0 then infinity else rate in
+      let paced = ceil (rate *. duration) in
+      if queries > 0 then `Ok (rate, queries)
+      else if rate = infinity then
+        `Error
+          (true, "option '--rate': 0 (unpaced) needs an explicit --queries budget")
+      else if paced >= float_of_int max_int then
+        `Error (true, "option '--rate': rate * duration overflows the query budget")
+      else `Ok (rate, int_of_float paced)
+    in
+    Term.(ret (const budget $ rate $ duration $ queries))
+  in
   let zipf =
     Arg.(
-      value & opt float 1.0
+      value & opt non_negative 1.0
       & info [ "zipf" ] ~docv:"S"
           ~doc:"Zipf popularity exponent for both endpoints (0 = uniform).")
   in
   let chunk =
     Arg.(
-      value & opt int 256
+      value & opt (at_least 1) 256
       & info [ "chunk" ] ~docv:"K"
           ~doc:"Queries per instance drained per dispatch window.")
   in
@@ -1003,27 +1036,15 @@ let serve_cmd =
   in
   let churn_every =
     Arg.(
-      value & opt int 0
+      value & opt (at_least 0) 0
       & info [ "churn-every" ] ~docv:"Q"
           ~doc:
             "Alternate fault injection and healing every Q queries \
              (0 = no churn).")
   in
-  let churn_rate =
-    Arg.(
-      value & opt float 0.02
-      & info [ "churn-rate" ] ~docv:"R"
-          ~doc:"Link failure rate of each churn fault plan.")
-  in
-  let churn_vertex_rate =
-    Arg.(
-      value & opt float 0.0
-      & info [ "churn-vertex-rate" ] ~docv:"R"
-          ~doc:"Vertex crash rate of each churn fault plan.")
-  in
   let topo_every =
     Arg.(
-      value & opt int 0
+      value & opt (at_least 0) 0
       & info [ "topo-churn-every" ] ~docv:"Q"
           ~doc:
             "Change the topology itself every Q queries: a random edge \
@@ -1033,14 +1054,14 @@ let serve_cmd =
   in
   let topo_ops =
     Arg.(
-      value & opt int 4
+      value & opt (at_least 1) 4
       & info [ "topo-churn-ops" ] ~docv:"N"
           ~doc:"Edge operations per topology-churn delta batch.")
   in
   let repair_deadline =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some finite) None
       & info [ "repair-deadline" ] ~docv:"SECONDS"
           ~doc:
             "Budget for the incremental dirty-region pass; when exceeded \
@@ -1058,42 +1079,40 @@ let serve_cmd =
   in
   let window =
     Arg.(
-      value & opt float 1.0
+      value & opt positive 1.0
       & info [ "window" ] ~docv:"SECONDS"
           ~doc:"Telemetry reporting window for the steady-state lines.")
   in
   let slo_p99 =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some positive) None
       & info [ "slo-p99" ] ~docv:"MS"
           ~doc:"Exit nonzero if p99 route latency exceeds MS milliseconds.")
   in
   let slo_rps =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some positive) None
       & info [ "slo-rps" ] ~docv:"RPS"
           ~doc:"Exit nonzero if sustained routes/second falls below RPS.")
   in
-  let csv_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "csv" ] ~docv:"FILE" ~doc:"Write per-scheme results as CSV.")
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Run a long-lived query server over a scheme catalog under an \
-          open-loop Zipf workload, with optional fault and topology churn \
-          (hot-swap repair) and SLO checks")
-    Term.(
-      const serve_impl $ graph_arg $ schemes_opt_arg $ seed_arg $ eps_arg
-      $ snapshot_dir $ duration $ rate $ queries $ zipf $ domains_arg $ chunk
-      $ no_pace $ churn_every $ churn_rate $ churn_vertex_rate $ topo_every
-      $ topo_ops $ repair_deadline $ strict $ window $ slo_p99 $ slo_rps
-      $ csv_out)
+  cmd "serve" ~exits:[ failure; divergence ]
+    ~doc:
+      "Run a long-lived query server over a scheme catalog under an \
+       open-loop Zipf workload, with optional fault and topology churn \
+       (hot-swap repair) and SLO checks"
+    (with_graph
+       Term.(
+         const serve_impl $ schemes_arg $ seed_arg $ eps_arg $ snapshot_dir
+         $ pacing $ zipf $ domains_arg $ chunk $ no_pace $ churn_every
+         $ fault_rate_arg "churn-rate" ~default:0.02
+             ~doc:"Link failure rate of each churn fault plan."
+         $ fault_rate_arg "churn-vertex-rate" ~default:0.0
+             ~doc:"Vertex crash rate of each churn fault plan."
+         $ topo_every $ topo_ops $ repair_deadline $ strict $ window $ slo_p99
+         $ slo_rps
+         $ csv_arg ~doc:"Write per-scheme results as CSV."))
 
 (* ------------------------------------------------------------------ *)
 (* compile / load                                                      *)
@@ -1102,19 +1121,10 @@ let serve_cmd =
 (* Build the selected catalog entries once and write each as a versioned
    binary snapshot under the output directory: the files cr_cli load and
    serve --snapshot-dir warm-start from. *)
-let compile_impl graph_file schemes_opt seed eps out_dir =
-  let g = or_die (load_graph graph_file) in
-  let entries = resolve_entries g schemes_opt in
-  if entries = [] then or_die (Error "no schemes to compile");
-  if not (Sys.file_exists out_dir) then
-    (try Unix.mkdir out_dir 0o755
-     with Unix.Unix_error (e, _, _) ->
-       or_die
-         (Error
-            (Printf.sprintf "cannot create %s: %s" out_dir
-               (Unix.error_message e))));
-  if not (Sys.is_directory out_dir) then
-    or_die (Error (Printf.sprintf "%s is not a directory" out_dir));
+let compile_impl schemes seed eps out_dir g =
+  let entries = select g schemes in
+  if not (Sys.file_exists out_dir) then Unix.mkdir out_dir 0o755;
+  if not (Sys.is_directory out_dir) then die "%s is not a directory" out_dir;
   Format.printf "compiling %d scheme(s) on %a -> %s@." (List.length entries)
     Graph.pp g out_dir;
   let substrate = Substrate.create g in
@@ -1122,21 +1132,20 @@ let compile_impl graph_file schemes_opt seed eps out_dir =
   List.iter
     (fun (e : Catalog.entry) ->
       match
-        try
-          let r, t =
+        guarded (fun () ->
             wall (fun () ->
-                Catalog.save_entry ~substrate ~dir:out_dir ~seed ~eps g e)
-          in
-          Result.map (fun path -> (path, t)) r
-          |> Result.map_error Snapshot.error_to_string
-        with Invalid_argument m -> Error m
+                Catalog.save_entry ~substrate ~dir:out_dir ~seed ~eps g e))
       with
-      | Ok (path, t) ->
+      | Ok (Ok path, t) ->
         let bytes = (Unix.stat path).Unix.st_size in
         Printf.printf "  %-18s %10d bytes  %8.1f B/vertex  %7.2fs  %s\n%!"
           e.Catalog.id bytes
           (float_of_int bytes /. float_of_int (Graph.n g))
           t path
+      | Ok (Error err, _) ->
+        incr failed;
+        Printf.printf "  %-18s FAILED: %s\n%!" e.Catalog.id
+          (Snapshot.error_to_string err)
       | Error m ->
         incr failed;
         Printf.printf "  %-18s FAILED: %s\n%!" e.Catalog.id m)
@@ -1151,32 +1160,27 @@ let compile_cmd =
       & info [ "out"; "o" ] ~docv:"DIR"
           ~doc:"Directory for the $(i,<id>.snap) files (created if missing).")
   in
-  Cmd.v
-    (Cmd.info "compile"
-       ~doc:
-         "Preprocess schemes and write each as a versioned binary snapshot")
-    Term.(
-      const compile_impl $ graph_arg $ schemes_opt_arg $ seed_arg $ eps_arg
-      $ out_dir)
+  cmd "compile"
+    ~doc:"Preprocess schemes and write each as a versioned binary snapshot"
+    (with_graph
+       Term.(const compile_impl $ schemes_arg $ seed_arg $ eps_arg $ out_dir))
 
 (* Load snapshots back with strict validation and (by default) pin each
    reconstructed instance against a fresh build on a routed pair sample.
    Exit codes: 0 all ok, 1 a snapshot failed to load, 2 a loaded instance
    diverged from the fresh build — the worst outcome dominates. *)
-let load_impl graph_file schemes_opt seed eps dir pairs_n no_verify =
-  let g = or_die (load_graph graph_file) in
-  let entries = resolve_entries g schemes_opt in
-  if entries = [] then or_die (Error "no schemes to load");
+let load_impl schemes seed eps dir pairs_n no_verify g =
+  let entries = select g schemes in
   (* APSP-free identity probes: sampled source SPTs scale to graphs far
      past the quadratic-oracle threshold, and both instances see the same
      ((src, dst), distance) list. *)
   let sampled =
     lazy
       (Workload.sampled_pairs ~seed:(seed + 6)
-         ~sources:(max 1 ((pairs_n + 31) / 32))
-         ~per_source:(min 32 (max 1 pairs_n))
-         g)
+         ~sources:((pairs_n + 31) / 32)
+         ~per_source:(min 32 pairs_n) g)
   in
+  let eval inst = Scheme.evaluate_sampled inst (Lazy.force sampled) in
   let substrate = Substrate.create g in
   let load_err = ref false and diverged = ref false in
   List.iter
@@ -1190,25 +1194,19 @@ let load_impl graph_file schemes_opt seed eps dir pairs_n no_verify =
         load_err := true;
         Printf.printf "  %-18s FAILED: %s\n%!" e.Catalog.id
           (Snapshot.error_to_string err)
+      | Ok _, t_load when pairs_n = 0 ->
+        Printf.printf "  %-18s loaded in %.3fs\n%!" e.Catalog.id t_load
       | Ok (inst, _), t_load ->
-        if pairs_n <= 0 then
-          Printf.printf "  %-18s loaded in %.3fs\n%!" e.Catalog.id t_load
-        else begin
-          (* Identity pin: the snapshot must answer exactly like the build
-             it replaced — same paths, same lengths, same verdicts. *)
-          let (fresh, _), t_build =
-            wall (fun () -> e.Catalog.build ~substrate ~seed ~eps g)
-          in
-          let ev_load = Scheme.evaluate_sampled inst (Lazy.force sampled) in
-          let ev_fresh = Scheme.evaluate_sampled fresh (Lazy.force sampled) in
-          let same = ev_load = ev_fresh in
-          if not same then diverged := true;
-          Printf.printf
-            "  %-18s load %7.3fs  build %7.3fs  (%6.1fx)  identity %s\n%!"
-            e.Catalog.id t_load t_build
-            (t_build /. Float.max t_load 1e-9)
-            (if same then "ok" else "VIOLATED")
-        end)
+        let (fresh, _), t_build =
+          wall (fun () -> build_or_die ~substrate ~seed ~eps g e)
+        in
+        let same = same_routes eval inst fresh in
+        if not same then diverged := true;
+        Printf.printf
+          "  %-18s load %7.3fs  build %7.3fs  (%6.1fx)  identity %s\n%!"
+          e.Catalog.id t_load t_build
+          (t_build /. Float.max t_load 1e-9)
+          (verdict same))
     entries;
   if !diverged then 2 else if !load_err then 1 else 0
 
@@ -1220,27 +1218,22 @@ let load_cmd =
       & info [ "dir"; "d" ] ~docv:"DIR"
           ~doc:"Directory holding the $(i,<id>.snap) files.")
   in
-  let pairs =
-    Arg.(
-      value & opt int 200
-      & info [ "pairs" ] ~docv:"K"
-          ~doc:
-            "Routed pairs for the loaded-vs-fresh identity check \
-             ($(b,0) skips the check and the fresh build).")
-  in
   let no_verify =
     Arg.(
       value & flag
       & info [ "no-verify" ]
           ~doc:"Skip the per-blob checksum pass when loading.")
   in
-  Cmd.v
-    (Cmd.info "load"
-       ~doc:
-         "Load binary snapshots and verify them against fresh builds")
-    Term.(
-      const load_impl $ graph_arg $ schemes_opt_arg $ seed_arg $ eps_arg
-      $ dir $ pairs $ no_verify)
+  cmd "load" ~exits:[ failure; divergence ]
+    ~doc:"Load binary snapshots and verify them against fresh builds"
+    (with_graph
+       Term.(
+         const load_impl $ schemes_arg $ seed_arg $ eps_arg $ dir
+         $ pairs_arg ~min:0 200
+             ~doc:
+               "Routed pairs for the loaded-vs-fresh identity check \
+                ($(b,0) skips the check and the fresh build)."
+         $ no_verify))
 
 (* ------------------------------------------------------------------ *)
 (* delta                                                               *)
@@ -1249,29 +1242,27 @@ let load_cmd =
 (* Apply one batched topology delta and repair the catalog on the warm
    substrate, against the full-rebuild baseline: walls, per-category
    reuse, and a routed identity check between the two instance sets. *)
-let delta_impl graph_file schemes_opt seed eps ops_n inserts removes reweights
-    deadline pairs_n out =
-  let g = or_die (load_graph graph_file) in
+let delta_impl schemes seed eps ops_n inserts removes reweights deadline
+    pairs_n out g =
   let explicit =
     List.map (fun (u, v, w) -> Graph.Insert (u, v, w)) inserts
     @ List.map (fun (u, v) -> Graph.Remove (u, v)) removes
     @ List.map (fun (u, v, w) -> Graph.Reweight (u, v, w)) reweights
   in
-  let ops =
-    if explicit <> [] then explicit
-    else Delta.random ~seed:(seed + 3) ~size:ops_n g
-  in
   (* Validate the batch up front and resolve schemes against whichever
      side of the delta is weighted: the warm build runs on [g], the
      repair on the post-delta graph, and an insert can make a unit graph
      weighted — a scheme must support both to ride through. *)
-  let g' =
-    try Graph.apply_delta g ops with Invalid_argument m -> or_die (Error m)
+  let ops, g' =
+    or_die
+      (guarded (fun () ->
+           let ops =
+             if explicit <> [] then explicit
+             else Delta.random ~seed:(seed + 3) ~size:ops_n g
+           in
+           (ops, Graph.apply_delta g ops)))
   in
-  let entries =
-    resolve_entries (if Graph.is_unit_weighted g then g' else g) schemes_opt
-  in
-  if entries = [] then or_die (Error "no schemes to repair");
+  let entries = select (if Graph.is_unit_weighted g then g' else g) schemes in
   Printf.printf "delta batch (%d op%s):\n" (List.length ops)
     (if List.length ops = 1 then "" else "s");
   List.iter
@@ -1288,16 +1279,16 @@ let delta_impl graph_file schemes_opt seed eps ops_n inserts removes reweights
   let substrate = Substrate.create g in
   let _, warm_t =
     wall (fun () ->
-        List.map (fun e -> fst (e.Catalog.build ~substrate ~seed ~eps g))
-          entries)
+        List.map (fun e -> build_or_die ~substrate ~seed ~eps g e) entries)
   in
-  let inc =
-    try Catalog.repair ?deadline ~entries ~substrate ~seed ~eps ops
-    with Invalid_argument m -> or_die (Error m)
+  let repair ?deadline ?force_full () =
+    or_die
+      (guarded (fun () ->
+           Catalog.repair ?deadline ?force_full ~entries ~substrate ~seed ~eps
+             ops))
   in
-  let full =
-    Catalog.repair ~force_full:true ~entries ~substrate ~seed ~eps ops
-  in
+  let inc = repair ?deadline () in
+  let full = repair ~force_full:true () in
   Format.printf "graph: %a -> %a@." Graph.pp g Graph.pp inc.Catalog.graph;
   Printf.printf "warm catalog build:  %.3fs (%d scheme%s)\n" warm_t
     (List.length entries)
@@ -1323,17 +1314,15 @@ let delta_impl graph_file schemes_opt seed eps ops_n inserts removes reweights
   let pairs =
     Scheme.sample_pairs ~seed:(seed + 4) ~n:(Graph.n g) ~count:pairs_n
   in
+  let eval i = Scheme.evaluate_batch ~fast:true i apsp' pairs in
   let ok = ref true in
   Printf.printf "\n%-20s %s\n" "scheme" "incremental == full rebuild";
   Printf.printf "%s\n" (String.make 48 '-');
   List.iter2
-    (fun (e1, i1, _) (_, i2, _) ->
-      let ev1 = Scheme.evaluate_batch ~fast:true i1 apsp' pairs in
-      let ev2 = Scheme.evaluate_batch ~fast:true i2 apsp' pairs in
-      let same = ev1 = ev2 in
+    (fun ((e : Catalog.entry), i1, _) (_, i2, _) ->
+      let same = same_routes eval i1 i2 in
       if not same then ok := false;
-      Printf.printf "%-20s %s\n" e1.Catalog.id
-        (if same then "ok" else "VIOLATED"))
+      Printf.printf "%-20s %s\n" e.id (verdict same))
     inc.Catalog.instances full.Catalog.instances;
   (match out with
   | None -> ()
@@ -1345,7 +1334,7 @@ let delta_impl graph_file schemes_opt seed eps ops_n inserts removes reweights
 let delta_cmd =
   let ops_n =
     Arg.(
-      value & opt int 8
+      value & opt (at_least 0) 8
       & info [ "ops" ] ~docv:"N"
           ~doc:
             "Size of the random delta batch (connectivity-preserving, \
@@ -1354,7 +1343,7 @@ let delta_cmd =
   let inserts =
     Arg.(
       value
-      & opt_all (t3 ~sep:',' int int float) []
+      & opt_all (t3 ~sep:',' int int positive) []
       & info [ "insert" ] ~docv:"U,V,W"
           ~doc:"Insert edge (U,V) with weight W (repeatable).")
   in
@@ -1367,40 +1356,29 @@ let delta_cmd =
   let reweights =
     Arg.(
       value
-      & opt_all (t3 ~sep:',' int int float) []
+      & opt_all (t3 ~sep:',' int int positive) []
       & info [ "reweight" ] ~docv:"U,V,W"
           ~doc:"Set edge (U,V)'s weight to W (repeatable).")
   in
   let deadline =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some finite) None
       & info [ "deadline" ] ~docv:"SECONDS"
           ~doc:
             "Budget for the incremental pass; exceeding it degrades to \
              the full-rebuild fallback.")
   in
-  let pairs =
-    Arg.(
-      value & opt int 500
-      & info [ "pairs" ] ~docv:"K"
-          ~doc:"Sampled pairs for the identity check.")
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "output"; "o" ] ~docv:"FILE"
-          ~doc:"Write the post-delta graph.")
-  in
-  Cmd.v
-    (Cmd.info "delta"
-       ~doc:
-         "Apply a batched topology delta and repair the scheme catalog \
-          incrementally against a full-rebuild baseline")
-    Term.(
-      const delta_impl $ graph_arg $ schemes_opt_arg $ seed_arg $ eps_arg
-      $ ops_n $ inserts $ removes $ reweights $ deadline $ pairs $ out)
+  cmd "delta"
+    ~doc:
+      "Apply a batched topology delta and repair the scheme catalog \
+       incrementally against a full-rebuild baseline"
+    (with_graph
+       Term.(
+         const delta_impl $ schemes_arg $ seed_arg $ eps_arg $ ops_n $ inserts
+         $ removes $ reweights $ deadline
+         $ pairs_arg ~min:1 500 ~doc:"Sampled pairs for the identity check."
+         $ output_arg ~doc:"Write the post-delta graph."))
 
 (* ------------------------------------------------------------------ *)
 (* faults                                                              *)
@@ -1429,24 +1407,9 @@ let acc_stretch a =
   if a.delivered = 0 then nan
   else a.stretch_sum /. float_of_int a.delivered
 
-let faults_cmd_impl graph_file scheme_opt seed eps pairs rates vertex_rate
-    fault_seeds retries strict =
-  let g = or_die (load_graph graph_file) in
-  let entries =
-    match scheme_opt with
-    | Some id -> (
-      match Catalog.find id with
-      | Some e -> [ e ]
-      | None ->
-        or_die
-          (Error
-             (Printf.sprintf "unknown scheme %S; known: %s" id
-                (String.concat ", " (Catalog.ids ())))))
-    | None ->
-      List.filter
-        (fun e -> e.Catalog.weighted_ok || Graph.is_unit_weighted g)
-        Catalog.all
-  in
+let faults_cmd_impl scheme seed eps pairs rates vertex_rate fault_seeds
+    retries strict g =
+  let entries = select g (Option.map (fun e -> [ e ]) scheme) in
   Format.printf "fault campaign on %a@." Graph.pp g;
   Printf.printf
     "link failure rates: %s; %d fault seed(s); %d sampled pairs; retries %d\n\n"
@@ -1461,10 +1424,9 @@ let faults_cmd_impl graph_file scheme_opt seed eps pairs rates vertex_rate
   let zero_fault_ok = ref true in
   List.iter
     (fun (e : Catalog.entry) ->
-      match e.Catalog.build ~seed ~eps g with
-      | exception Invalid_argument m ->
-        Printf.printf "%-20s skipped: %s\n" e.Catalog.id m
-      | inst, _ ->
+      match build ~seed ~eps g e with
+      | Error m -> Printf.printf "%-20s skipped: %s\n" e.Catalog.id m
+      | Ok (inst, _) ->
         let res = Resilient.instance (Resilient.wrap ~retries inst) in
         (* Zero faults first: both the bare scheme and the wrapper must
            deliver everything on the healthy network. *)
@@ -1503,48 +1465,34 @@ let faults_cmd_impl graph_file scheme_opt seed eps pairs rates vertex_rate
               (acc_stretch res_acc /. healthy))
           rates)
     entries;
-  if strict && not !zero_fault_ok then begin
-    Printf.eprintf
-      "error: a scheme failed to deliver every pair on the healthy network\n";
-    1
-  end
+  if strict && not !zero_fault_ok then
+    die "a scheme failed to deliver every pair on the healthy network"
   else 0
 
 let faults_cmd =
   let scheme_opt =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some scheme) None
       & info [ "scheme"; "s" ] ~docv:"ID"
           ~doc:"Restrict the campaign to one scheme (default: whole catalog).")
-  in
-  let pairs =
-    Arg.(
-      value & opt int 500
-      & info [ "pairs" ] ~docv:"K" ~doc:"Number of sampled source/target pairs.")
   in
   let rates =
     Arg.(
       value
-      & opt (list float) [ 0.01; 0.02; 0.05 ]
+      & opt (list fraction) [ 0.01; 0.02; 0.05 ]
       & info [ "rates" ] ~docv:"R1,R2,..."
           ~doc:"Link failure rates (fractions of edges down).")
   in
-  let vertex_rate =
-    Arg.(
-      value & opt float 0.0
-      & info [ "vertex-rate" ] ~docv:"R"
-          ~doc:"Vertex crash rate applied alongside every link rate.")
-  in
   let fault_seeds =
     Arg.(
-      value & opt int 3
+      value & opt (at_least 1) 3
       & info [ "fault-seeds" ] ~docv:"S"
           ~doc:"Number of independent fault plans per rate.")
   in
   let retries =
     Arg.(
-      value & opt int 3
+      value & opt (at_least 0) 3
       & info [ "retries" ] ~docv:"N"
           ~doc:"Escape-hop retries before the resilience wrapper's detour.")
   in
@@ -1555,19 +1503,21 @@ let faults_cmd =
           ~doc:
             "Exit nonzero unless every scheme delivers 100% with zero faults.")
   in
-  Cmd.v
-    (Cmd.info "faults"
-       ~doc:"Run a fault-injection campaign over the scheme catalog")
-    Term.(
-      const faults_cmd_impl $ graph_arg $ scheme_opt $ seed_arg $ eps_arg
-      $ pairs $ rates $ vertex_rate $ fault_seeds $ retries $ strict)
+  cmd "faults" ~doc:"Run a fault-injection campaign over the scheme catalog"
+    (with_graph
+       Term.(
+         const faults_cmd_impl $ scheme_opt $ seed_arg $ eps_arg
+         $ pairs_arg ~min:1 500 $ rates
+         $ fault_rate_arg "vertex-rate" ~default:0.0
+             ~doc:"Vertex crash rate applied alongside every link rate."
+         $ fault_seeds $ retries $ strict))
 
 (* ------------------------------------------------------------------ *)
 (* oracle                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let oracle graph_file kind k seed pairs query =
-  let g = or_die (load_graph graph_file) in
+let oracle kind k seed pairs query g =
+  Option.iter (fun (u, v) -> check_endpoints g [ u; v ]) query;
   let name, q, total =
     match kind with
     | "tz" ->
@@ -1576,10 +1526,8 @@ let oracle graph_file kind k seed pairs query =
         Cr_baselines.Tz_oracle.query o,
         Cr_baselines.Tz_oracle.total_words o )
     | "pr" ->
-      if not (Graph.is_unit_weighted g) then begin
-        Printf.eprintf "error: the PR (2,1) oracle requires an unweighted graph\n";
-        exit 1
-      end;
+      if not (Graph.is_unit_weighted g) then
+        die "the PR (2,1) oracle requires an unweighted graph";
       let o = Cr_baselines.Pr_oracle.preprocess g in
       ( "pr-oracle (stretch (2,1))",
         Cr_baselines.Pr_oracle.query o,
@@ -1619,28 +1567,27 @@ let oracle_cmd =
       & opt (enum [ ("tz", "tz"); ("pr", "pr") ]) "tz"
       & info [ "kind" ] ~docv:"KIND" ~doc:"Oracle: $(b,tz) (2k-1) or $(b,pr) (2,1).")
   in
-  let k = Arg.(value & opt int 2 & info [ "k" ] ~docv:"K") in
-  let pairs = Arg.(value & opt int 1000 & info [ "pairs" ] ~docv:"P") in
+  let k = Arg.(value & opt (at_least 1) 2 & info [ "k" ] ~docv:"K") in
   let query =
     Arg.(
       value
       & opt (some (pair ~sep:',' int int)) None
       & info [ "query" ] ~docv:"U,V" ~doc:"Print one distance estimate.")
   in
-  Cmd.v
-    (Cmd.info "oracle" ~doc:"Build a distance oracle and query it")
-    Term.(const oracle $ graph_arg $ kind $ k $ seed_arg $ pairs $ query)
+  cmd "oracle" ~doc:"Build a distance oracle and query it"
+    (with_graph
+       Term.(
+         const oracle $ kind $ k $ seed_arg
+         $ pairs_arg ~min:0 1000 ~docv:"P"
+             ~doc:"Sampled pairs for the stretch check ($(b,0) skips it)."
+         $ query))
 
 (* ------------------------------------------------------------------ *)
 (* spanner                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let spanner graph_file algo kk out =
-  let g = or_die (load_graph graph_file) in
-  if not (Bfs.is_connected g) then begin
-    Printf.eprintf "error: graph must be connected\n";
-    exit 1
-  end;
+let spanner algo kk out g =
+  if not (Bfs.is_connected g) then die "graph must be connected";
   let h =
     match algo with
     | "greedy" -> Spanner.greedy g ~k:kk
@@ -1667,22 +1614,33 @@ let spanner_cmd =
       & opt (enum [ ("greedy", "greedy"); ("baswana-sen", "baswana-sen") ]) "greedy"
       & info [ "algo"; "a" ] ~docv:"ALGO")
   in
-  let kk = Arg.(value & opt int 2 & info [ "k" ] ~docv:"K") in
-  let out =
-    Arg.(value & opt (some string) None & info [ "output"; "o" ] ~docv:"FILE")
-  in
-  Cmd.v
-    (Cmd.info "spanner" ~doc:"Compute a (2k-1)-spanner of a graph")
-    Term.(const spanner $ graph_arg $ algo $ kk $ out)
+  let kk = Arg.(value & opt (at_least 1) 2 & info [ "k" ] ~docv:"K") in
+  cmd "spanner" ~doc:"Compute a (2k-1)-spanner of a graph"
+    (with_graph
+       Term.(const spanner $ algo $ kk $ output_arg ~doc:"Write the spanner."))
 
 let main_cmd =
   Cmd.group
     (Cmd.info "cr_cli" ~version:"1.0.0"
-       ~doc:"Compact routing schemes of Roditty and Tov (PODC'15)")
+       ~doc:"Compact routing schemes of Roditty and Tov (PODC'15)"
+       ~exits:[ success; failure; divergence; usage; bug ])
     [
       generate_cmd; schemes_cmd; route_cmd; trace_cmd; stats_cmd; table1_cmd;
       throughput_cmd; serve_cmd; compile_cmd; load_cmd; delta_cmd; faults_cmd;
       oracle_cmd; spanner_cmd;
     ]
 
-let () = exit (Cmd.eval' main_cmd)
+(* Cmdliner turns a bad argument into exit 124. An I/O failure escaping a
+   command (an unwritable output path, a graph path that is a directory)
+   is a runtime failure; anything else is a bug. *)
+let () =
+  match Cmd.eval' ~catch:false main_cmd with
+  | code -> exit code
+  | exception Sys_error m -> die "%s" m
+  | exception Unix.Unix_error (err, fn, arg) ->
+    die "%s %s: %s" fn arg (Unix.error_message err)
+  | exception e ->
+    Printf.eprintf "cr_cli: internal error, uncaught exception:\n%s\n%s%!"
+      (Printexc.to_string e)
+      (Printexc.get_backtrace ());
+    exit Cmd.Exit.internal_error

@@ -29,7 +29,7 @@ type entry = {
     eps:float ->
     Cr_graph.Graph.t ->
     Scheme.instance * (float * float);
-  snap : codec option;
+  snap : codec;
 }
 
 (* Snapshot codecs. [enc] runs the same preprocess the entry's [build]
@@ -162,7 +162,7 @@ let all =
         (fun ?substrate ~seed:_ ~eps:_ g ->
           let t = Full_tables.preprocess ?substrate g in
           (Full_tables.instance t, Full_tables.stretch_bound t));
-      snap = Some (snap_full);
+      snap = snap_full;
     };
     {
       id = "tz-k2";
@@ -175,7 +175,7 @@ let all =
         (fun ?substrate ~seed ~eps:_ g ->
           let t = Tz_routing.preprocess ?substrate ~seed g ~k:2 in
           (Tz_routing.instance t, Tz_routing.stretch_bound t));
-      snap = Some (snap_tz 2);
+      snap = snap_tz 2;
     };
     {
       id = "tz-k3";
@@ -188,7 +188,7 @@ let all =
         (fun ?substrate ~seed ~eps:_ g ->
           let t = Tz_routing.preprocess ?substrate ~seed g ~k:3 in
           (Tz_routing.instance t, Tz_routing.stretch_bound t));
-      snap = Some (snap_tz 3);
+      snap = snap_tz 3;
     };
     {
       id = "tz-k4";
@@ -201,7 +201,7 @@ let all =
         (fun ?substrate ~seed ~eps:_ g ->
           let t = Tz_routing.preprocess ?substrate ~seed g ~k:4 in
           (Tz_routing.instance t, Tz_routing.stretch_bound t));
-      snap = Some (snap_tz 4);
+      snap = snap_tz 4;
     };
     {
       id = "rt-3eps";
@@ -214,7 +214,7 @@ let all =
         (fun ?substrate ~seed ~eps g ->
           let t = Scheme3eps.preprocess ?substrate ~eps ~seed g in
           (Scheme3eps.instance t, Scheme3eps.stretch_bound t));
-      snap = Some (snap_3eps);
+      snap = snap_3eps;
     };
     {
       id = "rt-3eps-ni";
@@ -227,7 +227,7 @@ let all =
         (fun ?substrate ~seed ~eps g ->
           let t = Scheme_ni.preprocess ?substrate ~eps ~seed g in
           (Scheme_ni.instance t, Scheme_ni.stretch_bound t));
-      snap = Some (snap_ni);
+      snap = snap_ni;
     };
     {
       id = "rt-2eps1";
@@ -240,7 +240,7 @@ let all =
         (fun ?substrate ~seed ~eps g ->
           let t = Scheme2eps1.preprocess ?substrate ~eps ~seed g in
           (Scheme2eps1.instance t, Scheme2eps1.stretch_bound t));
-      snap = Some (snap_2eps1);
+      snap = snap_2eps1;
     };
     {
       id = "rt-5eps";
@@ -253,7 +253,7 @@ let all =
         (fun ?substrate ~seed ~eps g ->
           let t = Scheme5eps.preprocess ?substrate ~eps ~seed g in
           (Scheme5eps.instance t, Scheme5eps.stretch_bound t));
-      snap = Some (snap_5eps);
+      snap = snap_5eps;
     };
     {
       id = "rt-ptr-minus-l3";
@@ -266,7 +266,7 @@ let all =
         (fun ?substrate ~seed ~eps g ->
           let t = Scheme_ptr.preprocess ?substrate ~eps ~seed ~variant:`Minus ~ell:3 g in
           (Scheme_ptr.instance t, Scheme_ptr.stretch_bound t));
-      snap = Some (snap_ptr ~variant:`Minus ~ell:3);
+      snap = snap_ptr ~variant:`Minus ~ell:3;
     };
     {
       id = "rt-ptr-minus-l2";
@@ -279,7 +279,7 @@ let all =
         (fun ?substrate ~seed ~eps g ->
           let t = Scheme_ptr.preprocess ?substrate ~eps ~seed ~variant:`Minus ~ell:2 g in
           (Scheme_ptr.instance t, Scheme_ptr.stretch_bound t));
-      snap = Some (snap_ptr ~variant:`Minus ~ell:2);
+      snap = snap_ptr ~variant:`Minus ~ell:2;
     };
     {
       id = "rt-ptr-plus-l2";
@@ -292,7 +292,7 @@ let all =
         (fun ?substrate ~seed ~eps g ->
           let t = Scheme_ptr.preprocess ?substrate ~eps ~seed ~variant:`Plus ~ell:2 g in
           (Scheme_ptr.instance t, Scheme_ptr.stretch_bound t));
-      snap = Some (snap_ptr ~variant:`Plus ~ell:2);
+      snap = snap_ptr ~variant:`Plus ~ell:2;
     };
     {
       id = "rt-4km7-k3";
@@ -305,7 +305,7 @@ let all =
         (fun ?substrate ~seed ~eps g ->
           let t = Scheme4km7.preprocess ?substrate ~eps ~seed g ~k:3 in
           (Scheme4km7.instance t, Scheme4km7.stretch_bound t));
-      snap = Some (snap_4km7 3);
+      snap = snap_4km7 3;
     };
     {
       id = "rt-4km7-k4";
@@ -318,7 +318,7 @@ let all =
         (fun ?substrate ~seed ~eps g ->
           let t = Scheme4km7.preprocess ?substrate ~eps ~seed g ~k:4 in
           (Scheme4km7.instance t, Scheme4km7.stretch_bound t));
-      snap = Some (snap_4km7 4);
+      snap = snap_4km7 4;
     };
   ]
 
@@ -348,16 +348,13 @@ let resilient ?retries e =
        wrapped id, so [Snapshot.check] still discriminates); the wrapper
        is reapplied on load. *)
     snap =
-      Option.map
-        (fun c ->
-          {
-            c with
-            dec =
-              (fun src residue g ->
-                let inst, bound = c.dec src residue g in
-                (Resilient.instance (Resilient.wrap ?retries inst), bound));
-          })
-        e.snap;
+      {
+        e.snap with
+        dec =
+          (fun src residue g ->
+            let inst, bound = e.snap.dec src residue g in
+            (Resilient.instance (Resilient.wrap ?retries inst), bound));
+      };
   }
 
 let find id =
@@ -376,48 +373,38 @@ let ids () = List.map (fun e -> e.id) all
 let snapshot_path ~dir e = Filename.concat dir (e.id ^ ".snap")
 
 let save_entry ?substrate ~dir ~seed ~eps g e =
-  match e.snap with
-  | None -> Error (Snapshot.Malformed (e.id ^ ": entry has no snapshot codec"))
-  | Some c ->
-    let sink = Snapshot.sink () in
-    let residue = c.enc ?substrate ~seed ~eps g sink in
-    let meta =
-      {
-        Snapshot.scheme_id = e.id;
-        seed;
-        eps;
-        n = Cr_graph.Graph.n g;
-        m = Cr_graph.Graph.m g;
-        fingerprint = Snapshot.fingerprint g;
-      }
-    in
-    let path = snapshot_path ~dir e in
-    Result.map (fun () -> path) (Snapshot.save ~path ~meta ~residue sink)
+  let sink = Snapshot.sink () in
+  let residue = e.snap.enc ?substrate ~seed ~eps g sink in
+  let meta =
+    {
+      Snapshot.scheme_id = e.id;
+      seed;
+      eps;
+      n = Cr_graph.Graph.n g;
+      m = Cr_graph.Graph.m g;
+      fingerprint = Snapshot.fingerprint g;
+    }
+  in
+  let path = snapshot_path ~dir e in
+  Result.map (fun () -> path) (Snapshot.save ~path ~meta ~residue sink)
 
 let load_entry ?verify ~path ~seed ~eps g e =
-  match e.snap with
-  | None -> Error (Snapshot.Malformed (e.id ^ ": entry has no snapshot codec"))
-  | Some c ->
-    Result.bind (Snapshot.load ?verify path) (fun loaded ->
-        Result.map
-          (fun () ->
-            c.dec loaded.Snapshot.source loaded.Snapshot.residue g)
-          (Snapshot.check loaded ~scheme_id:e.id ~seed ~eps ~graph:g))
+  Result.bind (Snapshot.load ?verify path) (fun loaded ->
+      Result.map
+        (fun () -> e.snap.dec loaded.Snapshot.source loaded.Snapshot.residue g)
+        (Snapshot.check loaded ~scheme_id:e.id ~seed ~eps ~graph:g))
 
 let load_or_build ?substrate ?verify ~dir ~seed ~eps g e =
   let build err =
     let r = e.build ?substrate ~seed ~eps g in
     (r, `Built err)
   in
-  match e.snap with
-  | None -> build None
-  | Some _ ->
-    let path = snapshot_path ~dir e in
-    if not (Sys.file_exists path) then build None
-    else (
-      match load_entry ?verify ~path ~seed ~eps g e with
-      | Ok r -> (r, `Loaded)
-      | Error err -> build (Some err))
+  let path = snapshot_path ~dir e in
+  if not (Sys.file_exists path) then build None
+  else
+    match load_entry ?verify ~path ~seed ~eps g e with
+    | Ok r -> (r, `Loaded)
+    | Error err -> build (Some err)
 
 (* --- churn repair --------------------------------------------------------
 

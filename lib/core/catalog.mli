@@ -48,8 +48,7 @@ type entry = {
           common preprocessing substrates (vicinities, SPTs, center
           samples, clusters) between them — results are bit-identical to
           uncached builds. *)
-  snap : codec option;
-      (** snapshot codec; [None] for entries that cannot be serialized. *)
+  snap : codec;  (** snapshot codec *)
 }
 
 val all : entry list
@@ -90,7 +89,7 @@ val save_entry :
   entry ->
   (string, Snapshot.error) result
 (** Build the entry on [g] and write its snapshot under [dir], returning
-    the file path. Fails with [Malformed] when the entry has no codec. *)
+    the file path. *)
 
 val load_entry :
   ?verify:bool ->

@@ -373,68 +373,6 @@ module Intmap = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Packed payload arrays                                               *)
-(* ------------------------------------------------------------------ *)
-
-module Packed_array = struct
-  (* Immutable [int array] replacement for small-range payloads: ports in
-     ceil(log2 maxdeg) bits, stride-6 tree label fields, color indexes.
-     Values may be negative ([-1] sentinels included) — they are stored
-     biased by the minimum. [`Auto] packs only when the array is big
-     enough for the saving to matter; the answers are identical either
-     way. *)
-  type t =
-    | Flat of int array
-    | Packed of { base : int; width : int; len : int; data : Bytes.t }
-
-  let max_width = 32
-
-  let of_array a =
-    let len = Array.length a in
-    let geometry () =
-      if len = 0 then None
-      else begin
-        let lo = Array.fold_left min max_int a
-        and hi = Array.fold_left max min_int a in
-        let width = Bits.bits_for (hi - lo + 1) in
-        if width > max_width then None else Some (lo, width)
-      end
-    in
-    let pack () =
-      match geometry () with
-      | None -> Flat (Array.copy a)
-      | Some (base, width) ->
-        Packed
-          {
-            base;
-            width;
-            len;
-            data = pack_fields ~count:len ~width (fun i -> a.(i) - base);
-          }
-    in
-    match !policy with
-    | `Flat -> Flat (Array.copy a)
-    | `Succinct -> pack ()
-    | `Auto ->
-      if len >= 64 then pack () else Flat (Array.copy a)
-
-  let get t i =
-    match t with
-    | Flat a -> a.(i)
-    | Packed { base; width; len; data } ->
-      if i < 0 || i >= len then invalid_arg "Compiled.Packed_array.get";
-      base + get_field data ~width (i * width)
-
-  let length = function
-    | Flat a -> Array.length a
-    | Packed { len; _ } -> len
-
-  let bytes = function
-    | Flat a -> 8 * Array.length a
-    | Packed { data; _ } -> Bytes.length data
-end
-
-(* ------------------------------------------------------------------ *)
 (* Table                                                               *)
 (* ------------------------------------------------------------------ *)
 

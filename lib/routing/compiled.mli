@@ -80,26 +80,6 @@ module Intmap : sig
       against the reference binary search. *)
 end
 
-(** Immutable [int array] replacement for small-range payloads. Packs
-    each value at
-    [ceil(log2 range)] bits when the policy and size warrant; reads
-    return exactly the original values, including negative sentinels. *)
-module Packed_array : sig
-  type t
-
-  val of_array : int array -> t
-  (** The input array is copied (or packed); later mutation of the
-      argument does not affect the result. *)
-
-  val get : t -> int -> int
-  (** @raise Invalid_argument when the index is out of bounds. *)
-
-  val length : t -> int
-
-  val bytes : t -> int
-  (** Payload bytes of the physical representation. *)
-end
-
 (** Immutable [int -> 'a] table: an {!Intmap} from key to slot plus a flat
     payload array. *)
 module Table : sig

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end smoke tests for cr_cli: every user-facing command runs on a
 # real (generated) graph, and the exit codes scripts rely on are pinned —
-# 0 on delivery, nonzero on forced non-delivery or bad input.
+# 0 on success, 1 on a runtime failure (non-delivery, a violated SLO, an
+# unreadable graph, an unsupported scheme, a failed build or load), 124 on
+# a bad argument.
 set -u
 
 CLI="$1"
@@ -89,11 +91,9 @@ expect "serve csv has per-scheme rows" 0 $?
   --slo-rps 999999999999 >/dev/null
 expect "serve SLO violation (exit 1)" 1 $?
 
-"$CLI" route -g "$tmp/g.gr" -s rt-5eps --eps=nan --src 0 --dst 1 >/dev/null 2>&1
-expect "non-finite eps rejected (exit 1)" 1 $?
-
-# Bad counts are usage errors (exit 124) whose message names the flag,
-# never an exception out of the command or an empty graph on disk.
+# Bad values are usage errors (exit 124) whose message names the flag,
+# never an exception out of the command or an empty graph on disk. One
+# case per rule of the argument vocabulary at least.
 expect_usage() { # name flag command...
   local name=$1 flag=$2
   shift 2
@@ -102,6 +102,21 @@ expect_usage() { # name flag command...
   grep -q -- "option '$flag'" "$tmp/usage.err"
   expect "$name names $flag" 0 $?
 }
+# finite, > 0
+expect_usage "route --eps=nan" --eps \
+  "$CLI" route -g "$tmp/g.gr" -s rt-5eps --eps=nan --src 0 --dst 1
+expect_usage "route --eps 0" --eps \
+  "$CLI" route -g "$tmp/g.gr" -s rt-5eps --eps 0 --src 0 --dst 1
+expect_usage "serve --duration=-1" --duration \
+  "$CLI" serve -g "$tmp/g.gr" --duration=-1
+# finite, >= 0
+expect_usage "serve --zipf nan" --zipf "$CLI" serve -g "$tmp/g.gr" --zipf nan
+expect_usage "serve --rate=-5" --rate "$CLI" serve -g "$tmp/g.gr" --rate=-5
+# in [0, 1]
+expect_usage "trace --rate 1.5" --rate \
+  "$CLI" trace -g "$tmp/g.gr" -s tz-k2 0 35 --rate 1.5
+expect_usage "faults --rates 2" --rates "$CLI" faults -g "$tmp/g.gr" --rates 2
+# integer >= 1
 expect_usage "stats --domains 0" --domains \
   "$CLI" stats -g "$tmp/g.gr" -s tz-k2 --domains 0
 expect_usage "throughput --domains 0" --domains \
@@ -112,10 +127,87 @@ expect_usage "generate -n 0" -n \
   "$CLI" generate -f grid -n 0 -o "$tmp/empty.gr"
 test ! -e "$tmp/empty.gr"
 expect "generate -n 0 wrote no file" 0 $?
+expect_usage "stats --pairs 0" --pairs \
+  "$CLI" stats -g "$tmp/g.gr" -s tz-k2 --pairs 0
+expect_usage "oracle -k 0" -k "$CLI" oracle -g "$tmp/g.gr" -k 0
+expect_usage "faults --fault-seeds 0" --fault-seeds \
+  "$CLI" faults -g "$tmp/g.gr" --fault-seeds 0
+# integer >= 2
+expect_usage "table1 -n 1" -n "$CLI" table1 -n 1
+# integer >= 0
+expect_usage "delta --ops=-1" --ops "$CLI" delta -g "$tmp/g.gr" --ops=-1
+expect_usage "load --pairs=-1" --pairs \
+  "$CLI" load -g "$tmp/g.gr" -d "$tmp/snaps" --pairs=-1
+# LO,HI with 0 < LO <= HI
+expect_usage "generate --weights 5,1" --weights \
+  "$CLI" generate -f grid -n 9 --weights 5,1
+# finite
+expect_usage "delta --deadline nan" --deadline \
+  "$CLI" delta -g "$tmp/g.gr" --deadline nan
+# a known catalog id, named as typed
+expect_usage "unknown scheme" -s \
+  "$CLI" route -g "$tmp/g.gr" -s no-such-scheme --src 0 --dst 1
+expect_usage "unknown scheme in a list" --schemes \
+  "$CLI" serve -g "$tmp/g.gr" --schemes tz-k2,no-such-scheme --rate 0 --queries 10
+# flags that only fail together
+expect_usage "serve --rate 0 without --queries" --rate \
+  "$CLI" serve -g "$tmp/g.gr" --rate 0
+expect_usage "serve rate * duration past an int" --rate \
+  "$CLI" serve -g "$tmp/g.gr" --rate 1e300
+expect_usage "generate -n 2 for a cycle" -n "$CLI" generate -f cycle -n 2
 
-"$CLI" route -g "$tmp/g.gr" -s no-such-scheme --src 0 --dst 1 >/dev/null 2>&1
-rc=$?
-[ "$rc" -ne 0 ]
-expect "unknown scheme rejected (nonzero exit)" 0 $?
+# Runtime failures exit 1 with "error: <message>"; a bad flag is reported
+# before the graph file is even read.
+printf 'p 3 2\ne 0 1 1\nbogus\n' >"$tmp/bad.gr"
+printf 'p 6 4\ne 0 1 1\ne 1 2 1\ne 3 4 1\ne 4 5 1\n' >"$tmp/split.gr"
+"$CLI" generate -f grid -n 36 --seed 7 --weights 1,4 -o "$tmp/w.gr" >/dev/null
+expect_runtime() { # name command...
+  local name=$1
+  shift
+  "$@" >/dev/null 2>"$tmp/runtime.err"
+  expect "$name is a runtime failure (exit 1)" 1 $?
+  grep -q "^error: " "$tmp/runtime.err"
+  expect "$name says why" 0 $?
+}
+expect_runtime "malformed graph file" \
+  "$CLI" route -g "$tmp/bad.gr" -s tz-k2 --src 0 --dst 1
+expect_usage "bad flag with a malformed graph file" -s \
+  "$CLI" route -g "$tmp/bad.gr" -s no-such-scheme --src 0 --dst 1
+expect_runtime "endpoint outside the graph" \
+  "$CLI" route -g "$tmp/g.gr" -s tz-k2 --src 0 --dst 36
+expect_runtime "unweighted-only scheme on a weighted graph" \
+  "$CLI" route -g "$tmp/w.gr" -s rt-2eps1 --src 0 --dst 1
+expect_runtime "faults on an unsupported scheme" \
+  "$CLI" faults -g "$tmp/w.gr" -s rt-2eps1 --pairs 10
+expect_runtime "route build failure (disconnected graph)" \
+  "$CLI" route -g "$tmp/split.gr" -s rt-3eps --src 0 --dst 1
+expect_runtime "serve build failure (disconnected graph)" \
+  "$CLI" serve -g "$tmp/split.gr" --schemes rt-3eps --rate 0 --queries 10
+expect_runtime "delta build failure (disconnected graph)" \
+  "$CLI" delta -g "$tmp/split.gr" --schemes rt-3eps
+expect_runtime "unwritable output path" \
+  "$CLI" generate -f grid -n 9 -o "$tmp/no-such-dir/g.gr"
+"$CLI" faults -g "$tmp/split.gr" -s rt-3eps --pairs 10 >"$tmp/skip.out"
+expect "faults reports a failed build as skipped (exit 0)" 0 $?
+grep -q "skipped:" "$tmp/skip.out"
+expect "faults names the skipped scheme" 0 $?
+
+# Every subcommand's help evaluates its whole composed term (a flag
+# defined twice in one command only shows up then) and lists the exit
+# statuses: 124 for a bad argument, and the command's runtime codes.
+for c in generate schemes route trace stats table1 throughput serve compile \
+  load delta faults oracle spanner; do
+  "$CLI" "$c" --help=plain >"$tmp/help.out" 2>&1
+  expect "$c --help (exit 0)" 0 $?
+  case $c in
+  schemes) codes="124" ;;
+  serve | load) codes="1 2 124" ;;
+  *) codes="1 124" ;;
+  esac
+  for code in $codes; do
+    grep -Eq "^ +$code +on " "$tmp/help.out"
+    expect "$c --help lists exit status $code" 0 $?
+  done
+done
 
 exit $fail

@@ -1,6 +1,6 @@
 (* Binary snapshots: round-trip bit-identity across the whole catalog,
    typed rejection of damaged / mismatched files, and the succinct plane
-   encodings (Elias-Fano intmaps, bit-packed arrays, branchless
+   encodings (Elias-Fano intmaps with bit-packed values, branchless
    lower_bound) pinned against their flat references. *)
 open Util
 open Cr_graph
@@ -533,46 +533,41 @@ let qcheck_lower_bound =
       !ok)
 
 (* ------------------------------------------------------------------ *)
-(* 4. Packed arrays: width boundaries and negative sentinels.         *)
-
-let packed_roundtrip a =
-  let p = with_policy `Succinct (fun () -> Compiled.Packed_array.of_array a) in
-  Compiled.Packed_array.length p = Array.length a
-  && Array.for_all
-       (fun i -> Compiled.Packed_array.get p i = a.(i))
-       (Array.init (Array.length a) Fun.id)
+(* 4. Bit-packed Elias-Fano values: every accepted field width.       *)
 
 let test_packed_width_boundaries () =
-  (* One array per bit width k: values straddling 2^k - 1 / 2^k, plus the
-     negative-sentinel bias the port planes rely on. *)
-  for k = 0 to 31 do
-    let top = if k = 31 then max_int lsr 1 else (1 lsl k) - 1 in
-    let a =
+  (* One sparse map per value width w the succinct layout accepts (1 to
+     32 bits): values straddle 2^(w-1) - 1 / 2^(w-1) and reach the
+     width's top 2^w - 1, so pack_fields/get_field read fields across
+     byte and 64-bit-load boundaries. The sparse keys keep the flat
+     policy on the sorted form, the reference every read must match. *)
+  let keys = Array.init 80 (fun i -> 1000 * i) in
+  for w = 1 to 32 do
+    let top = (1 lsl w) - 1 and half = 1 lsl (w - 1) in
+    let vals =
       Array.init 80 (fun i ->
-          match i mod 4 with
+          match i mod 5 with
           | 0 -> 0
           | 1 -> top
-          | 2 -> top / 2
-          | _ -> i land top)
+          | 2 -> half - 1
+          | 3 -> half
+          | _ -> (i * 2654435761) land top)
     in
-    checkb (Printf.sprintf "width %d round-trips" k) true (packed_roundtrip a)
-  done;
-  (* Negative sentinels: packed with a base bias, must come back exact. *)
-  checkb "constant array" true (packed_roundtrip (Array.make 100 7));
-  checkb "all -1 sentinels" true (packed_roundtrip (Array.make 100 (-1)));
-  checkb "mixed sentinels" true
-    (packed_roundtrip (Array.init 128 (fun i -> if i land 3 = 0 then -1 else i)));
-  checkb "negative base bias" true
-    (packed_roundtrip (Array.init 90 (fun i -> i - 45)));
-  checkb "empty array" true (packed_roundtrip [||]);
-  checkb "below packing floor" true (packed_roundtrip (Array.init 7 Fun.id))
-
-let qcheck_packed =
-  qcheck ~count:300 "packed array reads back the original values"
-    QCheck2.Gen.(
-      list_size (int_range 0 300)
-        (oneof [ int_range (-4) 4; int_range (-1000) 1000; int_range 0 (1 lsl 30) ]))
-    (fun l -> packed_roundtrip (Array.of_list l))
+    let flat = with_policy `Flat (fun () -> Compiled.Intmap.of_sorted ~keys ~vals) in
+    let succ =
+      with_policy `Succinct (fun () -> Compiled.Intmap.of_sorted ~keys ~vals)
+    in
+    checkb (Printf.sprintf "width %d takes the succinct form" w) true
+      (Compiled.Intmap.bytes succ < Compiled.Intmap.bytes flat);
+    checkb (Printf.sprintf "width %d answers like the flat map" w) true
+      (Array.for_all
+         (fun k ->
+           List.for_all
+             (fun x ->
+               Compiled.Intmap.find_opt succ x = Compiled.Intmap.find_opt flat x)
+             [ k - 1; k; k + 1 ])
+         keys)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* 5. CRC-32 kernel pinned against the bitwise reference.             *)
@@ -766,7 +761,6 @@ let suite =
     qcheck_ef_vs_sorted;
     qcheck_lower_bound;
     case "packed width boundaries" test_packed_width_boundaries;
-    qcheck_packed;
     case "CRC-32 check value" test_crc_check_value;
     qcheck_crc_kernel;
     qcheck_crc_i32_view;
