@@ -32,308 +32,164 @@ type entry = {
   snap : codec;
 }
 
-(* Snapshot codecs. [enc] runs the same preprocess the entry's [build]
-   runs, then freezes the scheme state: Bigarray payloads become snapshot
-   blobs, the rest one Marshal residue. [dec] is only reached after
+(* A scheme module as the catalog sees it: the built state, the instance
+   and proven guarantee it answers with, and its snapshot form. *)
+module type SCHEME = sig
+  type t
+  type frozen
+
+  val instance : t -> Scheme.instance
+  val stretch_bound : t -> float * float
+  val freeze : Snapshot.sink -> t -> frozen
+  val thaw : Snapshot.source -> graph:Cr_graph.Graph.t -> frozen -> t
+end
+
+(* The baselines hold no Bigarray plane, so they freeze without a sink. *)
+module Sinkless (S : sig
+  type t
+  type frozen
+
+  val instance : t -> Scheme.instance
+  val stretch_bound : t -> float * float
+  val freeze : t -> frozen
+  val thaw : graph:Cr_graph.Graph.t -> frozen -> t
+end) : SCHEME with type t = S.t = struct
+  include S
+
+  let freeze _ t = S.freeze t
+  let thaw _ ~graph z = S.thaw ~graph z
+end
+
+module Full = Sinkless (Full_tables)
+module Tz = Sinkless (Tz_routing)
+
+(* One entry from one scheme module and one preprocess call; [build] and
+   the snapshot codec both derive from them.
+
+   [build] lands one span in the "preprocess" latency histogram (so the
+   scheme modules stay telemetry-free) and, given a handle, leaves the
+   state it built in the handle's last-build slot. The slot is emptied
+   first, so a build never runs while the handle pins an older state.
+
+   [enc] freezes that kept state when the handle's slot holds exactly this
+   build — same codec id, seed and eps, on the handle's own graph — and
+   runs the preprocess otherwise. Freezing turns Bigarray payloads into
+   snapshot blobs and the rest into one Marshal residue; it reads only
+   what preprocess set, never a lazy cache, so a routed state freezes to
+   the same bytes as a fresh one. [dec] is only reached after
    [Snapshot.check] validated the scheme id and residue checksum, so the
-   unmarshal below cannot be handed another scheme's bytes. *)
-
-let snap_full =
-  {
-    enc =
-      (fun ?substrate ~seed:_ ~eps:_ g sink ->
-        ignore sink;
-        Marshal.to_string (Full_tables.freeze (Full_tables.preprocess ?substrate g)) []);
-    dec =
-      (fun _src residue g ->
-        let z : Full_tables.frozen = Marshal.from_string residue 0 in
-        let t = Full_tables.thaw ~graph:g z in
-        (Full_tables.instance t, Full_tables.stretch_bound t));
-  }
-
-let snap_tz k =
-  {
-    enc =
-      (fun ?substrate ~seed ~eps:_ g sink ->
-        ignore sink;
-        Marshal.to_string (Tz_routing.freeze (Tz_routing.preprocess ?substrate ~seed g ~k)) []);
-    dec =
-      (fun _src residue g ->
-        let z : Tz_routing.frozen = Marshal.from_string residue 0 in
-        let t = Tz_routing.thaw ~graph:g z in
-        (Tz_routing.instance t, Tz_routing.stretch_bound t));
-  }
-
-let snap_3eps =
-  {
-    enc =
-      (fun ?substrate ~seed ~eps g sink ->
-        Marshal.to_string
-          (Scheme3eps.freeze sink (Scheme3eps.preprocess ?substrate ~eps ~seed g))
-          []);
-    dec =
-      (fun src residue g ->
-        let z : Scheme3eps.frozen = Marshal.from_string residue 0 in
-        let t = Scheme3eps.thaw src ~graph:g z in
-        (Scheme3eps.instance t, Scheme3eps.stretch_bound t));
-  }
-
-let snap_ni =
-  {
-    enc =
-      (fun ?substrate ~seed ~eps g sink ->
-        Marshal.to_string
-          (Scheme_ni.freeze sink (Scheme_ni.preprocess ?substrate ~eps ~seed g))
-          []);
-    dec =
-      (fun src residue g ->
-        let z : Scheme_ni.frozen = Marshal.from_string residue 0 in
-        let t = Scheme_ni.thaw src ~graph:g z in
-        (Scheme_ni.instance t, Scheme_ni.stretch_bound t));
-  }
-
-let snap_2eps1 =
-  {
-    enc =
-      (fun ?substrate ~seed ~eps g sink ->
-        Marshal.to_string
-          (Scheme2eps1.freeze sink (Scheme2eps1.preprocess ?substrate ~eps ~seed g))
-          []);
-    dec =
-      (fun src residue g ->
-        let z : Scheme2eps1.frozen = Marshal.from_string residue 0 in
-        let t = Scheme2eps1.thaw src ~graph:g z in
-        (Scheme2eps1.instance t, Scheme2eps1.stretch_bound t));
-  }
-
-let snap_5eps =
-  {
-    enc =
-      (fun ?substrate ~seed ~eps g sink ->
-        Marshal.to_string
-          (Scheme5eps.freeze sink (Scheme5eps.preprocess ?substrate ~eps ~seed g))
-          []);
-    dec =
-      (fun src residue g ->
-        let z : Scheme5eps.frozen = Marshal.from_string residue 0 in
-        let t = Scheme5eps.thaw src ~graph:g z in
-        (Scheme5eps.instance t, Scheme5eps.stretch_bound t));
-  }
-
-let snap_ptr ~variant ~ell =
-  {
-    enc =
-      (fun ?substrate ~seed ~eps g sink ->
-        Marshal.to_string
-          (Scheme_ptr.freeze sink
-             (Scheme_ptr.preprocess ?substrate ~eps ~seed ~variant ~ell g))
-          []);
-    dec =
-      (fun src residue g ->
-        let z : Scheme_ptr.frozen = Marshal.from_string residue 0 in
-        let t = Scheme_ptr.thaw src ~graph:g z in
-        (Scheme_ptr.instance t, Scheme_ptr.stretch_bound t));
-  }
-
-let snap_4km7 k =
-  {
-    enc =
-      (fun ?substrate ~seed ~eps g sink ->
-        Marshal.to_string
-          (Scheme4km7.freeze sink (Scheme4km7.preprocess ?substrate ~eps ~seed g ~k))
-          []);
-    dec =
-      (fun src residue g ->
-        let z : Scheme4km7.frozen = Marshal.from_string residue 0 in
-        let t = Scheme4km7.thaw src ~graph:g z in
-        (Scheme4km7.instance t, Scheme4km7.stretch_bound t));
-  }
+   unmarshal cannot be handed another scheme's bytes. *)
+let scheme (type s) (module S : SCHEME with type t = s) ~id ~description
+    ~paper_stretch ~paper_space ~source ~weighted_ok
+    ~(preprocess :
+       ?substrate:Substrate.t -> seed:int -> eps:float -> Cr_graph.Graph.t -> s)
+    =
+  let residue t sink = Marshal.to_string (S.freeze sink t) [] in
+  let result t = (S.instance t, S.stretch_bound t) in
+  let key ~seed ~eps = { Substrate.codec = id; seed; eps } in
+  let build ?substrate ~seed ~eps g =
+    Telemetry.timed "preprocess" (fun () ->
+        Option.iter Substrate.drop_build substrate;
+        let t = preprocess ?substrate ~seed ~eps g in
+        Option.iter
+          (fun sub -> Substrate.keep_build sub (key ~seed ~eps) (residue t))
+          substrate;
+        result t)
+  in
+  let enc ?substrate ~seed ~eps g sink =
+    let kept =
+      match substrate with
+      | Some sub when Substrate.graph sub == g ->
+        Substrate.take_build sub (key ~seed ~eps)
+      | _ -> None
+    in
+    match kept with
+    | Some freeze -> freeze sink
+    | None -> residue (preprocess ?substrate ~seed ~eps g) sink
+  in
+  let dec src residue g =
+    result (S.thaw src ~graph:g (Marshal.from_string residue 0))
+  in
+  { id; description; paper_stretch; paper_space; source; weighted_ok; build;
+    snap = { enc; dec } }
 
 let all =
   [
-    {
-      id = "full";
-      description = "shortest-path routing with full tables";
-      paper_stretch = "1";
-      paper_space = "n";
-      source = "folklore";
-      weighted_ok = true;
-      build =
-        (fun ?substrate ~seed:_ ~eps:_ g ->
-          let t = Full_tables.preprocess ?substrate g in
-          (Full_tables.instance t, Full_tables.stretch_bound t));
-      snap = snap_full;
-    };
-    {
-      id = "tz-k2";
-      description = "Thorup-Zwick compact routing, k=2";
-      paper_stretch = "3";
-      paper_space = "n^1/2";
-      source = "Thorup-Zwick SPAA'01";
-      weighted_ok = true;
-      build =
-        (fun ?substrate ~seed ~eps:_ g ->
-          let t = Tz_routing.preprocess ?substrate ~seed g ~k:2 in
-          (Tz_routing.instance t, Tz_routing.stretch_bound t));
-      snap = snap_tz 2;
-    };
-    {
-      id = "tz-k3";
-      description = "Thorup-Zwick compact routing, k=3";
-      paper_stretch = "7";
-      paper_space = "n^1/3";
-      source = "Thorup-Zwick SPAA'01";
-      weighted_ok = true;
-      build =
-        (fun ?substrate ~seed ~eps:_ g ->
-          let t = Tz_routing.preprocess ?substrate ~seed g ~k:3 in
-          (Tz_routing.instance t, Tz_routing.stretch_bound t));
-      snap = snap_tz 3;
-    };
-    {
-      id = "tz-k4";
-      description = "Thorup-Zwick compact routing, k=4";
-      paper_stretch = "11";
-      paper_space = "n^1/4";
-      source = "Thorup-Zwick SPAA'01";
-      weighted_ok = true;
-      build =
-        (fun ?substrate ~seed ~eps:_ g ->
-          let t = Tz_routing.preprocess ?substrate ~seed g ~k:4 in
-          (Tz_routing.instance t, Tz_routing.stretch_bound t));
-      snap = snap_tz 4;
-    };
-    {
-      id = "rt-3eps";
-      description = "Roditty-Tov warm-up (3+eps)-stretch scheme";
-      paper_stretch = "3+eps";
-      paper_space = "n^1/2 / eps";
-      source = "paper Section 4";
-      weighted_ok = true;
-      build =
-        (fun ?substrate ~seed ~eps g ->
-          let t = Scheme3eps.preprocess ?substrate ~eps ~seed g in
-          (Scheme3eps.instance t, Scheme3eps.stretch_bound t));
-      snap = snap_3eps;
-    };
-    {
-      id = "rt-3eps-ni";
-      description = "Roditty-Tov name-independent (3+eps)-stretch scheme";
-      paper_stretch = "3+eps";
-      paper_space = "n^1/2 / eps";
-      source = "paper Section 4 (remark)";
-      weighted_ok = true;
-      build =
-        (fun ?substrate ~seed ~eps g ->
-          let t = Scheme_ni.preprocess ?substrate ~eps ~seed g in
-          (Scheme_ni.instance t, Scheme_ni.stretch_bound t));
-      snap = snap_ni;
-    };
-    {
-      id = "rt-2eps1";
-      description = "Roditty-Tov (2+eps,1)-stretch scheme (Theorem 10)";
-      paper_stretch = "(2+eps,1)";
-      paper_space = "n^2/3 / eps";
-      source = "paper Theorem 10";
-      weighted_ok = false;
-      build =
-        (fun ?substrate ~seed ~eps g ->
-          let t = Scheme2eps1.preprocess ?substrate ~eps ~seed g in
-          (Scheme2eps1.instance t, Scheme2eps1.stretch_bound t));
-      snap = snap_2eps1;
-    };
-    {
-      id = "rt-5eps";
-      description = "Roditty-Tov (5+eps)-stretch scheme (Theorem 11)";
-      paper_stretch = "5+eps";
-      paper_space = "n^1/3 logD / eps";
-      source = "paper Theorem 11";
-      weighted_ok = true;
-      build =
-        (fun ?substrate ~seed ~eps g ->
-          let t = Scheme5eps.preprocess ?substrate ~eps ~seed g in
-          (Scheme5eps.instance t, Scheme5eps.stretch_bound t));
-      snap = snap_5eps;
-    };
-    {
-      id = "rt-ptr-minus-l3";
-      description = "Roditty-Tov (2 1/3+eps,2)-stretch scheme (Theorem 13, l=3)";
-      paper_stretch = "(2 1/3+eps,2)";
-      paper_space = "n^3/5 / eps";
-      source = "paper Theorem 13";
-      weighted_ok = false;
-      build =
-        (fun ?substrate ~seed ~eps g ->
-          let t = Scheme_ptr.preprocess ?substrate ~eps ~seed ~variant:`Minus ~ell:3 g in
-          (Scheme_ptr.instance t, Scheme_ptr.stretch_bound t));
-      snap = snap_ptr ~variant:`Minus ~ell:3;
-    };
-    {
-      id = "rt-ptr-minus-l2";
-      description = "Roditty-Tov (2+eps,2)-stretch scheme (Theorem 13, l=2)";
-      paper_stretch = "(2+eps,2)";
-      paper_space = "n^2/3 / eps";
-      source = "paper Theorem 13";
-      weighted_ok = false;
-      build =
-        (fun ?substrate ~seed ~eps g ->
-          let t = Scheme_ptr.preprocess ?substrate ~eps ~seed ~variant:`Minus ~ell:2 g in
-          (Scheme_ptr.instance t, Scheme_ptr.stretch_bound t));
-      snap = snap_ptr ~variant:`Minus ~ell:2;
-    };
-    {
-      id = "rt-ptr-plus-l2";
-      description = "Roditty-Tov (4+eps,2)-stretch scheme (Theorem 15, l=2)";
-      paper_stretch = "(4+eps,2)";
-      paper_space = "n^2/5 / eps";
-      source = "paper Theorem 15";
-      weighted_ok = false;
-      build =
-        (fun ?substrate ~seed ~eps g ->
-          let t = Scheme_ptr.preprocess ?substrate ~eps ~seed ~variant:`Plus ~ell:2 g in
-          (Scheme_ptr.instance t, Scheme_ptr.stretch_bound t));
-      snap = snap_ptr ~variant:`Plus ~ell:2;
-    };
-    {
-      id = "rt-4km7-k3";
-      description = "Roditty-Tov (5+eps)-stretch via Theorem 16, k=3";
-      paper_stretch = "5+eps";
-      paper_space = "n^1/3 logD / eps";
-      source = "paper Theorem 16";
-      weighted_ok = true;
-      build =
-        (fun ?substrate ~seed ~eps g ->
-          let t = Scheme4km7.preprocess ?substrate ~eps ~seed g ~k:3 in
-          (Scheme4km7.instance t, Scheme4km7.stretch_bound t));
-      snap = snap_4km7 3;
-    };
-    {
-      id = "rt-4km7-k4";
-      description = "Roditty-Tov (9+eps)-stretch scheme (Theorem 16, k=4)";
-      paper_stretch = "9+eps";
-      paper_space = "n^1/4 logD / eps";
-      source = "paper Theorem 16";
-      weighted_ok = true;
-      build =
-        (fun ?substrate ~seed ~eps g ->
-          let t = Scheme4km7.preprocess ?substrate ~eps ~seed g ~k:4 in
-          (Scheme4km7.instance t, Scheme4km7.stretch_bound t));
-      snap = snap_4km7 4;
-    };
+    scheme (module Full) ~id:"full"
+      ~description:"shortest-path routing with full tables" ~paper_stretch:"1"
+      ~paper_space:"n" ~source:"folklore" ~weighted_ok:true
+      ~preprocess:(fun ?substrate ~seed:_ ~eps:_ g ->
+        Full_tables.preprocess ?substrate g);
+    scheme (module Tz) ~id:"tz-k2"
+      ~description:"Thorup-Zwick compact routing, k=2" ~paper_stretch:"3"
+      ~paper_space:"n^1/2" ~source:"Thorup-Zwick SPAA'01" ~weighted_ok:true
+      ~preprocess:(fun ?substrate ~seed ~eps:_ g ->
+        Tz_routing.preprocess ?substrate ~seed g ~k:2);
+    scheme (module Tz) ~id:"tz-k3"
+      ~description:"Thorup-Zwick compact routing, k=3" ~paper_stretch:"7"
+      ~paper_space:"n^1/3" ~source:"Thorup-Zwick SPAA'01" ~weighted_ok:true
+      ~preprocess:(fun ?substrate ~seed ~eps:_ g ->
+        Tz_routing.preprocess ?substrate ~seed g ~k:3);
+    scheme (module Tz) ~id:"tz-k4"
+      ~description:"Thorup-Zwick compact routing, k=4" ~paper_stretch:"11"
+      ~paper_space:"n^1/4" ~source:"Thorup-Zwick SPAA'01" ~weighted_ok:true
+      ~preprocess:(fun ?substrate ~seed ~eps:_ g ->
+        Tz_routing.preprocess ?substrate ~seed g ~k:4);
+    scheme (module Scheme3eps) ~id:"rt-3eps"
+      ~description:"Roditty-Tov warm-up (3+eps)-stretch scheme"
+      ~paper_stretch:"3+eps" ~paper_space:"n^1/2 / eps"
+      ~source:"paper Section 4" ~weighted_ok:true
+      ~preprocess:(fun ?substrate ~seed ~eps g ->
+        Scheme3eps.preprocess ?substrate ~eps ~seed g);
+    scheme (module Scheme_ni) ~id:"rt-3eps-ni"
+      ~description:"Roditty-Tov name-independent (3+eps)-stretch scheme"
+      ~paper_stretch:"3+eps" ~paper_space:"n^1/2 / eps"
+      ~source:"paper Section 4 (remark)" ~weighted_ok:true
+      ~preprocess:(fun ?substrate ~seed ~eps g ->
+        Scheme_ni.preprocess ?substrate ~eps ~seed g);
+    scheme (module Scheme2eps1) ~id:"rt-2eps1"
+      ~description:"Roditty-Tov (2+eps,1)-stretch scheme (Theorem 10)"
+      ~paper_stretch:"(2+eps,1)" ~paper_space:"n^2/3 / eps"
+      ~source:"paper Theorem 10" ~weighted_ok:false
+      ~preprocess:(fun ?substrate ~seed ~eps g ->
+        Scheme2eps1.preprocess ?substrate ~eps ~seed g);
+    scheme (module Scheme5eps) ~id:"rt-5eps"
+      ~description:"Roditty-Tov (5+eps)-stretch scheme (Theorem 11)"
+      ~paper_stretch:"5+eps" ~paper_space:"n^1/3 logD / eps"
+      ~source:"paper Theorem 11" ~weighted_ok:true
+      ~preprocess:(fun ?substrate ~seed ~eps g ->
+        Scheme5eps.preprocess ?substrate ~eps ~seed g);
+    scheme (module Scheme_ptr) ~id:"rt-ptr-minus-l3"
+      ~description:"Roditty-Tov (2 1/3+eps,2)-stretch scheme (Theorem 13, l=3)"
+      ~paper_stretch:"(2 1/3+eps,2)" ~paper_space:"n^3/5 / eps"
+      ~source:"paper Theorem 13" ~weighted_ok:false
+      ~preprocess:(fun ?substrate ~seed ~eps g ->
+        Scheme_ptr.preprocess ?substrate ~eps ~seed ~variant:`Minus ~ell:3 g);
+    scheme (module Scheme_ptr) ~id:"rt-ptr-minus-l2"
+      ~description:"Roditty-Tov (2+eps,2)-stretch scheme (Theorem 13, l=2)"
+      ~paper_stretch:"(2+eps,2)" ~paper_space:"n^2/3 / eps"
+      ~source:"paper Theorem 13" ~weighted_ok:false
+      ~preprocess:(fun ?substrate ~seed ~eps g ->
+        Scheme_ptr.preprocess ?substrate ~eps ~seed ~variant:`Minus ~ell:2 g);
+    scheme (module Scheme_ptr) ~id:"rt-ptr-plus-l2"
+      ~description:"Roditty-Tov (4+eps,2)-stretch scheme (Theorem 15, l=2)"
+      ~paper_stretch:"(4+eps,2)" ~paper_space:"n^2/5 / eps"
+      ~source:"paper Theorem 15" ~weighted_ok:false
+      ~preprocess:(fun ?substrate ~seed ~eps g ->
+        Scheme_ptr.preprocess ?substrate ~eps ~seed ~variant:`Plus ~ell:2 g);
+    scheme (module Scheme4km7) ~id:"rt-4km7-k3"
+      ~description:"Roditty-Tov (5+eps)-stretch via Theorem 16, k=3"
+      ~paper_stretch:"5+eps" ~paper_space:"n^1/3 logD / eps"
+      ~source:"paper Theorem 16" ~weighted_ok:true
+      ~preprocess:(fun ?substrate ~seed ~eps g ->
+        Scheme4km7.preprocess ?substrate ~eps ~seed g ~k:3);
+    scheme (module Scheme4km7) ~id:"rt-4km7-k4"
+      ~description:"Roditty-Tov (9+eps)-stretch scheme (Theorem 16, k=4)"
+      ~paper_stretch:"9+eps" ~paper_space:"n^1/4 logD / eps"
+      ~source:"paper Theorem 16" ~weighted_ok:true
+      ~preprocess:(fun ?substrate ~seed ~eps g ->
+        Scheme4km7.preprocess ?substrate ~eps ~seed g ~k:4);
   ]
-
-(* Every catalog build lands one span in the "preprocess" latency
-   histogram; wrapping here keeps the scheme modules telemetry-free. *)
-let all =
-  List.map
-    (fun e ->
-      {
-        e with
-        build =
-          (fun ?substrate ~seed ~eps g ->
-            Telemetry.timed "preprocess" (fun () -> e.build ?substrate ~seed ~eps g));
-      })
-    all
 
 let resilient ?retries e =
   {
@@ -345,8 +201,10 @@ let resilient ?retries e =
         let inst, bound = e.build ?substrate ~seed ~eps g in
         (Resilient.instance (Resilient.wrap ?retries inst), bound));
     (* A "+res" snapshot stores the base scheme's payload (under the
-       wrapped id, so [Snapshot.check] still discriminates); the wrapper
-       is reapplied on load. *)
+       wrapped id, so [Snapshot.check] still discriminates) through the
+       base codec, whose [enc] keys the last-build slot by the base id —
+       the slot the base build above fills; the wrapper is reapplied on
+       load. *)
     snap =
       {
         e.snap with

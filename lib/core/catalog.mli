@@ -13,9 +13,13 @@ type codec = {
     Graph.t ->
     Snapshot.sink ->
     string;
-      (** run the same preprocessing as [build], register the instance's
-          Bigarray planes with the sink and return the marshalled residue
-          (the scheme's plain-data skeleton). *)
+      (** freeze one build of the entry: register its Bigarray planes
+          with the sink and return the marshalled residue (the scheme's
+          plain-data skeleton). The build frozen is the one [substrate]'s
+          last-build slot holds when it is this build — same codec id,
+          seed and eps, on the handle's own graph — and the slot is then
+          emptied; otherwise [enc] runs the same preprocessing as
+          [build]. *)
   dec :
     Snapshot.source ->
     string ->
@@ -25,9 +29,11 @@ type codec = {
           zero-copy from the mapped [source], the residue is the string
           produced by [enc]. *)
 }
-(** Binary snapshot codec for one catalog entry. [dec (enc g)] is
-    bit-identical to [build g] — the on-disk form is just a faster way to
-    reach the same instance. *)
+(** Binary snapshot codec for one catalog entry, derived with [build]
+    from the scheme module's [freeze]/[thaw] and the entry's one
+    preprocess call. [dec (enc g)] is bit-identical to [build g] — the
+    on-disk form is just a faster way to reach the same instance. A
+    ["+res"] entry shares its base entry's [enc], codec id included. *)
 
 type entry = {
   id : string;                 (** e.g. ["rt-5eps"], ["tz-k2"] *)
@@ -47,7 +53,9 @@ type entry = {
           handle across several builds on the same graph to share the
           common preprocessing substrates (vicinities, SPTs, center
           samples, clusters) between them — results are bit-identical to
-          uncached builds. *)
+          uncached builds. The handle also keeps this build's state in its
+          one last-build slot ({!Substrate.keep_build}), replacing what was
+          there, for a {!save_entry} that follows. *)
   snap : codec;  (** snapshot codec *)
 }
 
@@ -70,11 +78,13 @@ val ids : unit -> string list
 (** {1 Binary snapshots}
 
     Compiled catalog entries serialize to versioned, checksummed binary
-    files ({!Snapshot}). Saving runs the ordinary build once and writes
-    the result; loading memory-maps the plane arrays back without
-    re-running any preprocessing, and the reconstructed instance answers
-    every query bit-identically to a fresh build with the same seed/eps
-    on the same graph. *)
+    files ({!Snapshot}). A save right after a build on the same
+    {!Substrate} handle freezes the state that build made, so each
+    preprocess runs once per deployment; any other save runs the
+    ordinary build once and writes the result. Loading memory-maps the
+    plane arrays back without re-running any preprocessing, and the
+    reconstructed instance answers every query bit-identically to a
+    fresh build with the same seed/eps on the same graph. *)
 
 val snapshot_path : dir:string -> entry -> string
 (** [dir/<id>.snap] — where {!save_entry} writes and {!load_or_build}
@@ -88,8 +98,19 @@ val save_entry :
   Graph.t ->
   entry ->
   (string, Snapshot.error) result
-(** Build the entry on [g] and write its snapshot under [dir], returning
-    the file path. *)
+(** Write the entry's snapshot for [g] under [dir], returning the file
+    path. When [substrate]'s last build is this entry's (the base entry's
+    for a ["+res"] one) with this [seed] and [eps], and [g] is the
+    handle's graph, the save takes that build's state out of the slot
+    and freezes it: no preprocess runs and no substrate lookup is made.
+    It misses, and builds the entry on [g] as before, when there is no
+    handle, when another entry, seed or eps was built last, when [g] is
+    not the handle's graph (a save through a handle bound to another
+    graph raises [Invalid_argument], as a build does), and when the slot
+    was already taken by an earlier save or emptied by
+    {!Substrate.invalidate}. Either way the file is byte-identical: a
+    build's state freezes to the same bytes after any amount of routing,
+    since freezing reads only what preprocessing set. *)
 
 val load_entry :
   ?verify:bool ->

@@ -286,6 +286,27 @@ let map_region fd ~pos ~shared kind elems =
 let blob_words fd ~pos ~shared bytes =
   map_region fd ~pos ~shared Bigarray.int32 (bytes / 4)
 
+(* Each save writes through a temp file of its own, created exclusively
+   next to [path] (one file system, so the final rename is atomic). Two
+   writers of one path, in two domains or two processes, never truncate,
+   map or rename each other's temp file: the last rename wins whole. The
+   name carries the pid and a per-process sequence number; [O_EXCL] makes
+   a clash with a stale file from another process try the next number. *)
+let temp_seq = Atomic.make 0
+
+let rec open_temp path =
+  let tmp =
+    Printf.sprintf "%s.%d.%d.tmp" path (Unix.getpid ())
+      (Atomic.fetch_and_add temp_seq 1)
+  in
+  match
+    Unix.openfile tmp
+      [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_EXCL; Unix.O_CLOEXEC ]
+      0o644
+  with
+  | fd -> (tmp, fd)
+  | exception Unix.Unix_error (Unix.EEXIST, _, _) -> open_temp path
+
 let save ~path ~meta ~residue s =
   let blobs = Array.of_list (List.rev s.blobs) in
   let nblobs = Array.length blobs in
@@ -302,11 +323,10 @@ let save ~path ~meta ~residue s =
   let residue_off = !pos in
   let residue_len = String.length residue in
   let total = residue_off + residue_len in
-  let tmp = path ^ ".tmp" in
+  match open_temp path with
+  | exception Unix.Unix_error (e, _, _) -> Error (Io (Unix.error_message e))
+  | tmp, fd ->
   match
-    let fd =
-      Unix.openfile tmp [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-    in
     Fun.protect
       ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
       (fun () ->

@@ -64,7 +64,10 @@ val blob_bytes : blob -> int
 
 val save :
   path:string -> meta:meta -> residue:string -> sink -> (unit, error) result
-(** Write atomically (temp file + rename). *)
+(** Write atomically: through a temp file of this call's own in [path]'s
+    directory, then one rename. Concurrent saves of one path (other
+    domains, other processes) each write a whole file and the last
+    rename wins; no temp file is left behind, on success or error. *)
 
 (** {1 Decoding} *)
 

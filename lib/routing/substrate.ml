@@ -1,5 +1,7 @@
 open Cr_graph
 
+type build_key = { codec : string; seed : int; eps : float }
+
 (* Each cache is a plain hashtable: the handle is consulted only from the
    orchestrating domain (the parallel sweeps inside the cached functions
    use their own per-domain workspaces), so no synchronization is needed. *)
@@ -17,6 +19,9 @@ type t = {
      over all w never materializes (or caches) the raw five-n-array
      Dijkstra trees. Lazily allocated; single-owner like the handle. *)
   mutable cws : Dijkstra.workspace option;
+  (* The handle's most recent catalog build (see [keep_build]): outside
+     every memo table and every counter. *)
+  mutable last_build : (build_key * (Snapshot.sink -> string)) option;
   mutable spt_h : int;
   mutable spt_m : int;
   mutable tree_h : int;
@@ -53,6 +58,7 @@ let create g =
     cluster_trees = Hashtbl.create 64;
     bunch = Hashtbl.create 4;
     cws = None;
+    last_build = None;
     spt_h = 0;
     spt_m = 0;
     tree_h = 0;
@@ -160,6 +166,29 @@ let bunches ?pool s ~seed ~target =
     ~miss:(fun () -> s.clus_m <- s.clus_m + 1)
     (fun () -> Centers.bunches ?pool s.g (centers s ~seed ~target))
 
+(* --- the last build -------------------------------------------------------
+
+   One slot, not a table: a caller that saves after building saves each
+   entry right after its build, and a table would pin every state built
+   on the handle and never saved. Eps compares by its bits, as the
+   snapshot header stores it. *)
+
+let same_build a b =
+  String.equal a.codec b.codec
+  && a.seed = b.seed
+  && Int64.equal (Int64.bits_of_float a.eps) (Int64.bits_of_float b.eps)
+
+let keep_build s key freeze = s.last_build <- Some (key, freeze)
+
+let drop_build s = s.last_build <- None
+
+let take_build s key =
+  match s.last_build with
+  | Some (k, freeze) when same_build k key ->
+    s.last_build <- None;
+    Some freeze
+  | _ -> None
+
 (* --- delta invalidation -------------------------------------------------
 
    Dirty-region repair after a topology delta: every cached structure is
@@ -210,6 +239,10 @@ let invalidation_rows inv =
   ]
 
 let invalidate s ops =
+  (* The source handle's last build is of the old graph, and a caller may
+     keep that handle alive for a while: release it. The new handle starts
+     with an empty slot. *)
+  drop_build s;
   let d = Delta.classify s.g ops in
   let g' = Delta.new_graph d in
   let s' = create g' in

@@ -73,6 +73,33 @@ val bunches : ?pool:Pool.t -> t -> seed:int -> target:int -> int array array
 (** [Centers.bunches] for {!centers}[ ~seed ~target], keyed by
     [(seed, target)]. [pool] is used only on a miss. *)
 
+(** {1 The last build}
+
+    One slot per handle holds the handle's most recent catalog build: a
+    key naming it and a closure that freezes that build's state into a
+    snapshot payload. [Catalog] fills it on every build made with the
+    handle and takes it on a save of exactly that build, so saving right
+    after building freezes the state the build made instead of running
+    its preprocess again. The slot holds one build, never a table, so it
+    pins at most one built state. It counts in no {!stats} field, and
+    {!invalidate} empties the source handle's slot and never copies it. *)
+
+type build_key = {
+  codec : string;  (** the snapshot codec's id: a ["+res"] entry's base id *)
+  seed : int;
+  eps : float;  (** compared by its bits *)
+}
+
+val keep_build : t -> build_key -> (Snapshot.sink -> string) -> unit
+(** Put a build in the slot, replacing what was there. *)
+
+val drop_build : t -> unit
+(** Empty the slot. *)
+
+val take_build : t -> build_key -> (Snapshot.sink -> string) option
+(** [Some freeze] when the slot holds [key], emptying the slot; [None],
+    with the slot left as it was, otherwise. *)
+
 (** {1 Delta invalidation} *)
 
 type invalidation = {
@@ -99,6 +126,8 @@ val invalidate : t -> Graph.delta_op list -> t * invalidation
     and their derivatives are always dropped. Every carried structure is
     exactly what a fresh handle on the new graph would compute, so
     downstream scheme builds are bit-identical to an uncached build.
+    The source handle's last-build slot is emptied, and the new handle's
+    starts empty.
     Bumps [Telemetry.counters.substrate_reused_after_delta] /
     [substrate_dropped_after_delta] when telemetry is enabled.
     @raise Invalid_argument on an invalid batch (see {!Graph.apply_delta}). *)

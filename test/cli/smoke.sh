@@ -187,6 +187,13 @@ expect_runtime "delta build failure (disconnected graph)" \
   "$CLI" delta -g "$tmp/split.gr" --schemes rt-3eps
 expect_runtime "unwritable output path" \
   "$CLI" generate -f grid -n 9 -o "$tmp/no-such-dir/g.gr"
+"$CLI" generate -f path -n 1 -o "$tmp/one.gr" >/dev/null
+"$CLI" stats -g "$tmp/one.gr" -s tz-k2 >"$tmp/one.out"
+expect "stats with no pair to route (exit 1)" 1 $?
+grep -q "not checked (no pair to route)" "$tmp/one.out"
+expect "stats says it checked nothing" 0 $?
+grep -q "VIOLATED" "$tmp/one.out"
+expect "stats does not call an unchecked guarantee violated" 1 $?
 "$CLI" faults -g "$tmp/split.gr" -s rt-3eps --pairs 10 >"$tmp/skip.out"
 expect "faults reports a failed build as skipped (exit 0)" 0 $?
 grep -q "skipped:" "$tmp/skip.out"

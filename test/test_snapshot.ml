@@ -739,6 +739,260 @@ let test_lazy_blob_roundtrip () =
       done)
     (lazy_cases g)
 
+(* ------------------------------------------------------------------ *)
+(* 8. Saving right after a build freezes that build's own state.      *)
+
+let subdir name =
+  let d = Filename.concat (Lazy.force scratch_dir) name in
+  (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  d
+
+(* The bytes [save_entry] writes. *)
+let saved_bytes ?substrate ?(seed = seed) ?(eps = eps) ~dir g
+    (e : Catalog.entry) =
+  match Catalog.save_entry ?substrate ~dir ~seed ~eps g e with
+  | Ok path -> Bytes.to_string (read_file path)
+  | Error err ->
+    Alcotest.failf "%s: save_entry failed: %s" e.Catalog.id
+      (Snapshot.error_to_string err)
+
+(* The reference: a save on a fresh handle, with no build before it. *)
+let fresh_bytes ?seed ?eps g e =
+  saved_bytes ~substrate:(Substrate.create g) ?seed ?eps ~dir:(subdir "fresh")
+    g e
+
+(* Save [e] on [h] and report whether the save made no substrate lookup,
+   i.e. froze the handle's last build instead of preprocessing. *)
+let save_on h ?seed ?eps ~dir g e =
+  let st = Substrate.stats h in
+  let bytes = saved_bytes ~substrate:h ?seed ?eps ~dir g e in
+  (bytes, Substrate.stats h = st)
+
+(* Build on [h], route every pair (so the lazy stores' caches hold
+   entries when the state is frozen), save on [h]: the save reuses the
+   build and writes the bytes of a fresh save; the slot is then consumed,
+   so a second save preprocesses again and writes the same bytes. *)
+let check_reuse ~what h g (e : Catalog.entry) =
+  let name = Printf.sprintf "%s %s" what e.Catalog.id in
+  let inst, _ = e.Catalog.build ~substrate:h ~seed ~eps g in
+  let routed = route_signature inst g in
+  let reused, no_lookup = save_on h ~dir:(subdir "reuse") g e in
+  checkb (name ^ ": the save after the build makes no lookup") true no_lookup;
+  checkb (name ^ ": reuse writes a fresh save's bytes") true
+    (reused = fresh_bytes g e);
+  let again, no_lookup = save_on h ~dir:(subdir "again") g e in
+  checkb (name ^ ": a second save preprocesses again") false no_lookup;
+  checkb (name ^ ": a second save writes the same bytes") true (again = reused);
+  let loaded, _ =
+    load_one ~path:(Catalog.snapshot_path ~dir:(subdir "reuse") e) g e
+  in
+  checkb (name ^ ": the reused save loads bit-identical") true
+    (route_signature loaded g = routed)
+
+let reuse_gnp =
+  lazy (Generators.connect ~seed:31 (Generators.gnp ~seed:501 48 0.12))
+
+let reuse_weighted =
+  lazy
+    (Generators.with_random_weights ~seed:33 ~lo:0.5 ~hi:4.0
+       (Generators.connect ~seed:35 (Generators.gnp ~seed:503 40 0.14)))
+
+let test_reuse_same_bytes () =
+  let g = Lazy.force reuse_gnp in
+  let h = Substrate.create g in
+  List.iter (check_reuse ~what:"gnp48" h g) Catalog.all;
+  let g = Lazy.force reuse_weighted in
+  let h = Substrate.create g in
+  List.iter
+    (fun (e : Catalog.entry) ->
+      if e.Catalog.weighted_ok then check_reuse ~what:"weighted gnp40" h g e)
+    Catalog.all
+
+(* Past [CR_RT_LAZY_N] the rt-* stores fill on-demand caches as they
+   route; the frozen state must not see them. *)
+let with_lazy_n v f =
+  let old = Option.value (Sys.getenv_opt "CR_RT_LAZY_N") ~default:"" in
+  Unix.putenv "CR_RT_LAZY_N" v;
+  Fun.protect ~finally:(fun () -> Unix.putenv "CR_RT_LAZY_N" old) f
+
+let test_reuse_lazy () =
+  with_lazy_n "32" @@ fun () ->
+  let g = Generators.connect ~seed:13 (Generators.gnp ~seed:131 96 0.06) in
+  let h = Substrate.create g in
+  List.iter
+    (fun id -> check_reuse ~what:"lazy gnp96" h g (entry id))
+    [ "rt-5eps"; "rt-4km7-k3" ]
+
+(* A save that asks for anything but the last build — another seed,
+   another eps, another entry — preprocesses, writes what a fresh save
+   writes, and leaves the slot to the save it belongs to. *)
+let test_no_false_reuse () =
+  let g = Lazy.force reuse_gnp in
+  let h = Substrate.create g in
+  let all = Array.of_list Catalog.all in
+  Array.iteri
+    (fun i (e : Catalog.entry) ->
+      let other = all.((i + 1) mod Array.length all) in
+      let name = e.Catalog.id in
+      ignore (e.Catalog.build ~substrate:h ~seed ~eps g);
+      let dir = subdir "false-reuse" in
+      let b, no_lookup = save_on h ~seed:(seed + 1) ~dir g e in
+      checkb (name ^ ": seed + 1 preprocesses") false no_lookup;
+      checkb (name ^ ": seed + 1 writes a fresh save's bytes") true
+        (b = fresh_bytes ~seed:(seed + 1) g e);
+      let b, no_lookup = save_on h ~eps:(eps +. 0.25) ~dir g e in
+      checkb (name ^ ": eps + 0.25 preprocesses") false no_lookup;
+      checkb (name ^ ": eps + 0.25 writes a fresh save's bytes") true
+        (b = fresh_bytes ~eps:(eps +. 0.25) g e);
+      let b, no_lookup = save_on h ~dir g other in
+      checkb (name ^ ": " ^ other.Catalog.id ^ " preprocesses") false no_lookup;
+      checkb (name ^ ": " ^ other.Catalog.id ^ " writes a fresh save's bytes")
+        true
+        (b = fresh_bytes g other);
+      let b, no_lookup = save_on h ~dir g e in
+      checkb (name ^ ": the slot waits for its own save") true no_lookup;
+      checkb (name ^ ": which writes a fresh save's bytes") true
+        (b = fresh_bytes g e))
+    all;
+  (* The slot is per handle: a build on [h] is not reused by a save on
+     another handle of the same graph. *)
+  let e = entry "rt-5eps" in
+  ignore (e.Catalog.build ~substrate:h ~seed ~eps g);
+  let h2 = Substrate.create g in
+  let _, no_lookup = save_on h2 ~dir:(subdir "false-reuse") g e in
+  checkb "another handle preprocesses" false no_lookup;
+  (* A handle is bound to its graph: saving another graph through it is
+     refused as it always was, never answered from the slot. *)
+  let g2 = Lazy.force reuse_weighted in
+  checkb "a save of another graph on the handle is refused" true
+    (match
+       Catalog.save_entry ~substrate:h ~dir:(subdir "false-reuse") ~seed ~eps
+         g2 e
+     with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  let _, no_lookup = save_on h ~dir:(subdir "false-reuse") g e in
+  checkb "and leaves the slot to its own save" true no_lookup
+
+(* A "+res" entry's snapshot stores the base payload: its save reuses the
+   base state its build made, and loads back wrapped. *)
+let test_reuse_resilient () =
+  let g = Lazy.force reuse_gnp in
+  let h = Substrate.create g in
+  List.iter
+    (fun id ->
+      let e = entry (id ^ "+res") in
+      let inst, _ = e.Catalog.build ~substrate:h ~seed ~eps g in
+      let routed = route_signature inst g in
+      let b, no_lookup = save_on h ~dir:(subdir "res") g e in
+      checkb (e.Catalog.id ^ ": reuses the base build") true no_lookup;
+      checkb (e.Catalog.id ^ ": writes a fresh +res save's bytes") true
+        (b = fresh_bytes g e);
+      let loaded, _ =
+        load_one ~path:(Catalog.snapshot_path ~dir:(subdir "res") e) g e
+      in
+      check Alcotest.string (e.Catalog.id ^ ": loads back wrapped")
+        inst.Scheme.name loaded.Scheme.name;
+      checkb (e.Catalog.id ^ ": loaded routes bit-identical") true
+        (route_signature loaded g = routed))
+    [ "tz-k2"; "rt-5eps" ]
+
+(* After a repair, the repaired handle's last build is the last repaired
+   entry, on the new graph; the source handle keeps nothing. *)
+let test_reuse_after_repair () =
+  let g = Generators.connect ~seed:9 (Generators.gnp ~seed:9 60 0.08) in
+  let entries = List.map entry [ "full"; "tz-k2"; "rt-3eps"; "rt-5eps" ] in
+  let last = List.nth entries (List.length entries - 1) in
+  let h = Substrate.create g in
+  List.iter
+    (fun (e : Catalog.entry) ->
+      ignore (e.Catalog.build ~substrate:h ~seed ~eps g))
+    entries;
+  let ops = Delta.random ~seed:41 ~size:6 g in
+  let r = Catalog.repair ~entries ~substrate:h ~seed ~eps ops in
+  let g' = r.Catalog.graph in
+  let b, no_lookup =
+    save_on r.Catalog.substrate ~dir:(subdir "repaired") g' last
+  in
+  checkb "the repaired handle reuses the last repaired build" true no_lookup;
+  checkb "and writes a fresh save's bytes on the new graph" true
+    (b = fresh_bytes g' last);
+  let b, no_lookup = save_on h ~dir:(subdir "pre-repair") g last in
+  checkb "the source handle does not reuse" false no_lookup;
+  checkb "and writes a fresh save's bytes on the old graph" true
+    (b = fresh_bytes g last);
+  (* [invalidate] alone: the new handle starts empty, though its graph
+     and the key match what the source held. *)
+  List.iter
+    (fun (e : Catalog.entry) ->
+      ignore (e.Catalog.build ~substrate:h ~seed ~eps g);
+      let h', _ = Substrate.invalidate h ops in
+      let g' = Substrate.graph h' in
+      let b, no_lookup = save_on h' ~dir:(subdir "invalidated") g' e in
+      checkb (e.Catalog.id ^ ": the invalidated handle does not reuse") false
+        no_lookup;
+      checkb (e.Catalog.id ^ ": and writes a fresh save's bytes") true
+        (b = fresh_bytes g' e);
+      let _, no_lookup = save_on h ~dir:(subdir "invalidated") g e in
+      checkb (e.Catalog.id ^ ": nor does the source handle") false no_lookup)
+    entries
+
+(* ------------------------------------------------------------------ *)
+(* 9. Concurrent saves of one path.                                   *)
+
+(* Two domains save different payloads to one path, over and over: the
+   blob sizes differ, so a shared temp file would be shrunk under the
+   other writer's mapped blit. Every save must succeed, the last file
+   must be one writer's whole payload, and no temp file may remain. *)
+let test_concurrent_saves () =
+  let dir = subdir "concurrent" in
+  let path = Filename.concat dir "one.snap" in
+  let meta =
+    { Snapshot.scheme_id = "concurrent"; seed; eps; n = 1; m = 0;
+      fingerprint = 0L }
+  in
+  let payload tag words =
+    let a = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout words in
+    Bigarray.Array1.fill a (Int32.of_int tag);
+    (String.make (100 * tag) (Char.chr (Char.code 'a' + tag)), a)
+  in
+  let writers = [ payload 1 (1 lsl 18); payload 2 (1 lsl 10) ] in
+  let write (residue, blob) () =
+    List.init 40 (fun _ ->
+        let sink = Snapshot.sink () in
+        ignore (Snapshot.put sink (Snapshot.I32 blob));
+        Snapshot.save ~path ~meta ~residue sink)
+  in
+  let results =
+    List.map Domain.join (List.map (fun w -> Domain.spawn (write w)) writers)
+  in
+  List.iteri
+    (fun i rs ->
+      List.iter
+        (function
+          | Ok () -> ()
+          | Error e ->
+            Alcotest.failf "writer %d: %s" i (Snapshot.error_to_string e))
+        rs)
+    results;
+  (match Snapshot.load ~verify:true path with
+  | Error e -> Alcotest.failf "final file: %s" (Snapshot.error_to_string e)
+  | Ok l ->
+    let blob = Snapshot.get_i32 l.Snapshot.source 0 in
+    checkb "the final file is one writer's whole payload" true
+      (List.exists
+         (fun (residue, a) ->
+           l.Snapshot.residue = residue
+           && Bigarray.Array1.dim blob = Bigarray.Array1.dim a
+           && Bigarray.Array1.get blob 0 = Bigarray.Array1.get a 0
+           && Bigarray.Array1.get blob (Bigarray.Array1.dim a - 1)
+              = Bigarray.Array1.get a 0)
+         writers));
+  check
+    Alcotest.(list string)
+    "no temp file is left behind" [ "one.snap" ]
+    (Array.to_list (Sys.readdir dir))
+
 let suite =
   [
     case "round-trip: whole catalog bit-identical" test_roundtrip_whole_catalog;
@@ -766,4 +1020,11 @@ let suite =
     qcheck_crc_i32_view;
     case "format pin: golden container digest" test_golden_digest;
     case "round-trip: lazy rt-* blobs" test_lazy_blob_roundtrip;
+    case "reuse: a save after a build writes a fresh save's bytes"
+      test_reuse_same_bytes;
+    case "reuse: lazy rt-* routed before the save" test_reuse_lazy;
+    case "reuse: other seed, eps or entry preprocesses" test_no_false_reuse;
+    case "reuse: +res entries reuse the base build" test_reuse_resilient;
+    case "reuse: after repair and invalidate" test_reuse_after_repair;
+    case "save: concurrent writers of one path" test_concurrent_saves;
   ]
