@@ -531,10 +531,17 @@ let stats e seed eps pairs domains jsonl csv g =
   let sampled = Scheme.sample_pairs ~seed ~n:(Graph.n g) ~count:pairs in
   let pool = Pool.create ~domains () in
   let ev = Scheme.evaluate_batch ~pool inst apsp sampled in
-  Printf.printf "routed %d pairs: failures %d, max stretch %.4f, avg %.4f, p99 %.4f\n"
+  Printf.printf "routed %d pairs: failures %d, "
     (Array.length ev.Scheme.samples + ev.Scheme.failures)
-    ev.Scheme.failures (Scheme.max_stretch ev) (Scheme.avg_stretch ev)
-    (Scheme.percentile_stretch ev 0.99);
+    ev.Scheme.failures;
+  (* The stretch summaries read 1.0 on an empty sample: with no delivered
+     pair there is no stretch to report. *)
+  if Array.length ev.Scheme.samples = 0 then
+    print_endline "stretch n/a (no pair delivered)"
+  else
+    Printf.printf "max stretch %.4f, avg %.4f, p99 %.4f\n"
+      (Scheme.max_stretch ev) (Scheme.avg_stretch ev)
+      (Scheme.percentile_stretch ev 0.99);
   Printf.printf "peak header: %d words\n" ev.Scheme.header_words_peak;
   (* An empty sample (a one-vertex graph has no pair to route) checks
      nothing: say so, and exit 1, since only a checked guarantee that

@@ -1,7 +1,7 @@
-(* Classified batched deltas and the dirty-region ("cone") bounds the
-   substrate invalidation uses to decide what survives a topology change.
+(* Classified batched deltas and the tests the substrate invalidation uses
+   to decide what survives a topology change.
 
-   The two primitives:
+   The three primitives:
 
    - [spt_affected]: an exact per-tree test. A cached shortest-path tree
      (dist, parent) stays bit-identical on the new graph unless (a) some
@@ -17,24 +17,27 @@
      final value and no tie changes; the <= catches tie-induced parent
      flips conservatively.
 
-   - [cone]: a distance bound for truncated structures. Any vertex whose
-     distance from u changes must route through a delta edge, so its new
-     (or old) distance from u is at least [ins_dist u] (resp.
-     [del_dist u]): the multi-source distance to the delta's entry points.
-     A structure of u that only depends on distances up to [bound u] is
-     untouched when both exceed the bound. [del_dist] is measured in the
-     old graph (increases travel old shortest paths), [ins_dist] in the
-     new graph seeded at offset w from the endpoints of each inserted or
-     cheapened edge (a changed path crosses the edge, paying w after
-     reaching an endpoint). Both are lazy: they cost a Dijkstra each and
-     only truncated consumers (vicinities) need them. *)
+   - [ball_affected]: the same idea for a truncated ball B(u, l), decided
+     from the ball's own stored distances (see the proof sketch at the
+     function).
+
+   - [reaches]: a distance cone, used as a cheap prefilter for
+     [ball_affected]. Any vertex whose distance from u changes must route
+     through a delta edge, so its new (or old) distance from u is at least
+     [ins_dist u] (resp. [del_dist u]): the multi-source distance to the
+     delta's entry points. [del_dist] is measured in the old graph
+     (increases travel old shortest paths), [ins_dist] in the new graph
+     seeded at offset w from the endpoints of each inserted or cheapened
+     edge (a changed path crosses the edge, paying w after reaching an
+     endpoint). Both are lazy: they cost a Dijkstra each and only
+     truncated consumers (vicinities) need them. *)
 
 type t = {
   old_graph : Graph.t;
   new_graph : Graph.t;
   ops : Graph.delta_op list;
-  removals : (int * int) list;
-      (* removed or weight-increased edges, old endpoints *)
+  removals : (int * int * float) list;
+      (* removed or weight-increased edges, with their old weight *)
   inserts : (int * int * float) list;
       (* inserted or weight-decreased edges, new weight *)
   structural : bool; (* any Insert/Remove in the batch *)
@@ -106,10 +109,10 @@ let classify g ops =
         structural := true;
         shifted.(u) <- true;
         shifted.(v) <- true;
-        removals := (u, v) :: !removals
+        removals := (u, v, Option.get (Graph.edge_weight g u v)) :: !removals
       | Graph.Reweight (u, v, w) -> (
         match Graph.edge_weight g u v with
-        | Some w0 when w > w0 -> removals := (u, v) :: !removals
+        | Some w0 when w > w0 -> removals := (u, v, w0) :: !removals
         | Some w0 when w < w0 -> inserts := (u, v, w) :: !inserts
         | _ -> () (* equal weight: a no-op for every cached structure *)))
     ops;
@@ -127,7 +130,7 @@ let classify g ops =
         (if removals = [] then Array.make (max (Graph.n g) 1) infinity
          else
            offset_multi_source g
-             (List.concat_map (fun (x, y) -> [ (x, 0.0); (y, 0.0) ]) removals));
+             (List.concat_map (fun (x, y, _) -> [ (x, 0.0); (y, 0.0) ]) removals));
     ins_dist =
       lazy
         (if inserts = [] then Array.make (max (Graph.n g') 1) infinity
@@ -146,20 +149,58 @@ let inserts d = d.inserts
 
 let is_empty d = d.removals = [] && d.inserts = [] && not d.structural
 
+(* The cone sums a path from the delta's side and a ball sums it from u's
+   side: the same weights added in the other order, which rounding may
+   leave a few ulps apart. The relative slack (far above the 2k·2^-53
+   worst case for paths of up to 10^6 edges) keeps every ball
+   [ball_affected] drops inside the cone whatever the rounding; a looser
+   prefilter only runs the exact test more often. *)
+let cone_slack = 1e-9
+
 let reaches d u ~bound =
   let del = Lazy.force d.del_dist and ins = Lazy.force d.ins_dist in
+  let bound = bound +. (bound *. cone_slack) in
   (* Explicit finiteness guards: infinity <= infinity holds in float. *)
   (del.(u) < infinity && del.(u) <= bound)
   || (ins.(u) < infinity && ins.(u) <= bound)
 
-let cone d ~bound =
-  let n = Graph.n d.old_graph in
-  Array.init n (fun u ->
-      d.ports_shifted.(u) || reaches d u ~bound:(bound u))
+(* Why the ball test is sound. Write d for the old distances from u, M for
+   the ball's members. Apply the removals and increases first (graph G1),
+   then the inserts and decreases (the new graph).
+
+   - G -> G1: distances only grow. The tree path to a member uses tight
+     member-to-member edges (d x + w = d y), so none was removed or
+     lengthened, and every member keeps its distance. Its G1 achievers are
+     old achievers (a longer edge or a farther tail cannot tie), and its old
+     parent still achieves, so the parent — the earliest-settled achiever —
+     and with it the first port are unchanged. The radius depends on
+     whether an excluded vertex ties the farthest member ([bound]); such a
+     vertex is reached through a member x with d x + w = bound, and the
+     test keeps the ball only when none of these edges went away.
+   - G1 -> new graph: distances only shrink. Take the first vertex z, in
+     the new settling order, whose distance (<= bound) or parent differs
+     from G1. Everything before z agrees, so z gains an achiever through a
+     new edge (x, z, w) from a member x with d x + w <= d z, or, when z is
+     not a member, <= bound. Ties count (<=): an equal path through an
+     earlier-settled x flips the parent, and so the first port.
+   - A ball holding its whole component (fewer than l members) takes
+     bound = infinity: an insert to any outside vertex joins a component
+     whose vertices the new ball takes in.
+
+   So if no edge is tight in this sense, the new search settles the same
+   members at the same distances with the same parents, and leaves the
+   same tie (or no tie) at the boundary. *)
+let ball_affected d ~dist ~bound =
+  let enters x y w =
+    let dx = dist x in
+    dx < infinity && dx +. w <= Float.min (dist y) bound
+  in
+  let tight (x, y, w) = enters x y w || enters y x w in
+  List.exists tight d.removals || List.exists tight d.inserts
 
 let spt_affected d (t : Dijkstra.tree) =
   List.exists
-    (fun (x, y) -> t.Dijkstra.parent.(x) = y || t.Dijkstra.parent.(y) = x)
+    (fun (x, y, _) -> t.Dijkstra.parent.(x) = y || t.Dijkstra.parent.(y) = x)
     d.removals
   || List.exists
        (fun (x, y, w) ->

@@ -1,10 +1,11 @@
-(** Classified batched deltas and dirty-region bounds.
+(** Classified batched deltas and dirty-region tests.
 
     A {!t} pairs the old and new graph of one {!Graph.apply_delta} batch
     with the machinery the incremental repair path needs: an exact test for
-    whether a cached shortest-path tree survives the delta, a distance
-    {e cone} bounding which vertices' truncated structures (vicinities) can
-    change, and a port-patching helper for surviving trees. *)
+    whether a cached shortest-path tree survives the delta, a test deciding
+    the same for a truncated ball (a vicinity) from the ball's own stored
+    distances, a distance {e cone} that prefilters the ball test, and a
+    port-patching helper for surviving trees. *)
 
 type t
 
@@ -29,8 +30,8 @@ val ports_shifted : t -> int -> bool
     the old and new graph — true exactly for endpoints of structural ops
     (every other vertex keeps its slice verbatim). *)
 
-val removals : t -> (int * int) list
-(** Removed or weight-increased edges (old endpoints). *)
+val removals : t -> (int * int * float) list
+(** Removed or weight-increased edges, with their old weight. *)
 
 val inserts : t -> (int * int * float) list
 (** Inserted or weight-decreased edges, with their new weight. *)
@@ -40,21 +41,43 @@ val is_empty : t -> bool
     reweight batch). *)
 
 val reaches : t -> int -> bound:float -> bool
-(** [reaches d u ~bound]: whether the delta can change any distance from
-    [u] within radius [bound]. Sound, not exact: any vertex whose distance
-    from [u] changes lies on a path through a delta edge, so its old (for
+(** [reaches d u ~bound]: whether [u] lies in the delta's distance cone of
+    radius [bound], i.e. whether the delta can change any distance from
+    [u] within [bound]. Sound, not exact: any vertex whose distance from
+    [u] changes lies on a path through a delta edge, so its old (for
     increases) or new (for decreases) distance from [u] is at least the
-    multi-source distance from [u] to the delta's entry points; [false]
-    therefore guarantees every distance [<= bound] from [u] — and, for a
-    vicinity whose farthest member sits at [bound], its members, distances
-    and radius — is unchanged. Forces one Dijkstra per delta side on first
-    use (lazy, shared across calls). *)
+    multi-source distance from [u] to the delta's entry points. The
+    comparison carries a relative slack of 10^-9, so rounding in those
+    sums can only widen the cone. Every ball {!ball_affected} drops lies
+    inside the cone, which makes [reaches] a free prefilter for it: cheap
+    per vertex, and small on high-diameter graphs. Forces one Dijkstra per
+    delta side on first use (lazy, shared across calls). *)
 
-val cone : t -> bound:(int -> float) -> bool array
-(** [cone d ~bound] is the dirty region: entry [u] is [false] only if
-    [u]'s ports are unshifted and [reaches d u ~bound:(bound u)] is
-    [false] — i.e. every structure of [u] looking no farther than
-    [bound u] is untouched by the delta. *)
+val ball_affected : t -> dist:(int -> float) -> bound:float -> bool
+(** [ball_affected d ~dist ~bound]: whether the delta can change the
+    truncated ball [B(u, l)] (the [l] vertices nearest to [u] under
+    [(distance, id)] order: members, distances, first ports, radius).
+    [dist x] is [x]'s stored distance from [u] for a member and [infinity]
+    otherwise; [bound] is the farthest member's distance, or [infinity]
+    when the ball holds its whole component (fewer than [l] members).
+
+    The test holds iff some delta edge [(x, y, w)] satisfies
+    [dist x + w <= min (dist y) bound] in either orientation, where [w] is
+    the old weight for removals and increases and the new weight for
+    inserts and decreases. [false] guarantees that a fresh search on the
+    new graph settles the same members at the same distances, through the
+    same parents (so the same first links; ports may still shift, see
+    {!ports_shifted}), with the same radius. Proof sketch:
+    - a removal changes the ball only if it is tight for a member
+      ([dist x + w = dist y]: it set a distance or a parent) or realises a
+      tie at the boundary ([= bound] for an excluded [y], which fixes the
+      radius);
+    - an improving or tying path made by inserts leaves the old ball
+      through its first new edge, from a member [x], with
+      [dist x + w <= dist y] (or [<= bound] when [y] is not a member);
+    - ties count ([<=]) because they flip parents, and so first ports;
+    - a whole-component ball needs [bound = infinity], since an insert
+      may join a second component. *)
 
 val spt_affected : t -> Dijkstra.tree -> bool
 (** Exact keep/drop test for a full shortest-path tree: [false] guarantees

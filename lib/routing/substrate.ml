@@ -199,11 +199,16 @@ let take_build s key =
      labels re-derived ([Delta.patch_tree]) when the batch renumbered any
      ports. The derived [Tree_routing] is then re-extracted from the kept
      tree (structural, O(n)) instead of re-running Dijkstra.
-   - A vicinity of [u] survives iff the delta cannot change any distance
-     from [u] within its own farthest-member radius ([Delta.reaches] with
-     bound [max_dist], or unbounded when the vicinity swallowed its whole
-     component); a surviving vicinity whose source had ports renumbered
-     gets its first-hop ports remapped in place.
+   - A vicinity of [u] survives unless some delta edge is tight for it,
+     judged from its own stored distances ([Delta.ball_affected] with bound
+     [max_dist], or unbounded when the vicinity swallowed its whole
+     component). The distance cone ([Delta.reaches], same bound) runs
+     first: the ball test only ever drops a vicinity whose source lies in
+     the cone, so the prefilter changes no decision and saves the per-ball
+     lookups where the cone is small. A dropped vicinity is recomputed in
+     one workspace shared by the whole pass; a surviving vicinity whose
+     source had ports renumbered gets its first-hop ports remapped in
+     place.
    - Center samples (and everything derived: clusters, cluster trees,
      bunches) are dropped on any distance-relevant delta: the sampling
      refinement loop consumes seeded random coins conditioned on cluster
@@ -291,6 +296,7 @@ let invalidate s ops =
           | None -> incr tree_dropped)
         s.spt_trees;
       let vic_reused = ref 0 and vic_dropped = ref 0 in
+      let ws = lazy (Dijkstra.workspace (Graph.n g')) in
       Hashtbl.iter
         (fun l arr ->
           let arr' =
@@ -300,9 +306,13 @@ let invalidate s ops =
                   if Vicinity.size vic < l then infinity
                   else Vicinity.max_dist vic
                 in
-                if Delta.reaches d u ~bound then begin
+                if
+                  Delta.reaches d u ~bound
+                  && Delta.ball_affected d
+                       ~dist:(Vicinity.dist_or_infinity vic) ~bound
+                then begin
                   incr vic_dropped;
-                  Vicinity.compute g' u l
+                  Vicinity.compute ~ws:(Lazy.force ws) g' u l
                 end
                 else begin
                   incr vic_reused;

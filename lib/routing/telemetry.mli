@@ -69,7 +69,7 @@ type counters = {
           [Substrate.invalidate] *)
   mutable substrate_dropped_after_delta : int;
       (** cached structures discarded by [Substrate.invalidate] because the
-          delta touched their cone *)
+          delta could change them *)
   mutable lazy_seq_hits : int;
       (** lazy Lemma 8 sequences served from the pair cache *)
   mutable lazy_seq_misses : int;

@@ -84,7 +84,11 @@ let of_truncated (tr : Dijkstra.truncated) =
       radius = radius_of_truncated tr;
     }
 
-let compute g u l = of_truncated (Dijkstra.truncated g u l)
+let compute ?ws g u l =
+  of_truncated
+    (match ws with
+    | Some ws -> Dijkstra.truncated_ws ws g u l
+    | None -> Dijkstra.truncated g u l)
 
 let compute_all ?pool ?(packed = false) g l =
   let pool = match pool with Some p -> p | None -> Pool.default () in
@@ -160,6 +164,16 @@ let dist b v =
   match b with
   | Boxed bx -> bx.dists.(position b v)
   | Slice (fam, u) -> Bigarray.Array1.get fam.f_dists ((u * fam.f_l) + position b v)
+
+let dist_or_infinity b v =
+  match b with
+  | Boxed bx -> (
+    match Compiled.Intmap.find_opt bx.index v with
+    | Some i -> bx.dists.(i)
+    | None -> infinity)
+  | Slice (fam, u) ->
+    let i = slice_pos fam u v in
+    if i < 0 then infinity else Bigarray.Array1.get fam.f_dists ((u * fam.f_l) + i)
 
 (* The hot lookup of every Lemma 2 hop: one match, one index probe. *)
 let first_port b v =

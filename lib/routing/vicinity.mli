@@ -12,8 +12,10 @@ open Cr_graph
 
 type t
 
-val compute : Graph.t -> int -> int -> t
-(** [compute g u l] is the vicinity [B(u, l)] (clamped to the component). *)
+val compute : ?ws:Dijkstra.workspace -> Graph.t -> int -> int -> t
+(** [compute g u l] is the vicinity [B(u, l)] (clamped to the component).
+    With [ws] the search runs in that workspace instead of allocating a
+    fresh one; the result is the same. *)
 
 val compute_all : ?pool:Pool.t -> ?packed:bool -> Graph.t -> int -> t array
 (** [compute_all g l] is [B(u, l)] for every vertex, indexed by vertex.
@@ -37,6 +39,10 @@ val mem : t -> int -> bool
 
 val dist : t -> int -> float
 (** [dist b v] is d(source, v). @raise Not_found if [v] is not a member. *)
+
+val dist_or_infinity : t -> int -> float
+(** [dist_or_infinity b v] is [dist b v] for a member and [infinity]
+    otherwise, in one lookup. *)
 
 val first_port : t -> int -> int
 (** [first_port b v] is the first port on a shortest path from the source to

@@ -194,6 +194,10 @@ grep -q "not checked (no pair to route)" "$tmp/one.out"
 expect "stats says it checked nothing" 0 $?
 grep -q "VIOLATED" "$tmp/one.out"
 expect "stats does not call an unchecked guarantee violated" 1 $?
+grep -q "stretch n/a (no pair delivered)" "$tmp/one.out"
+expect "stats reports no stretch for an empty sample" 0 $?
+grep -q "max stretch" "$tmp/one.out"
+expect "stats prints no stretch figure it did not measure" 1 $?
 "$CLI" faults -g "$tmp/split.gr" -s rt-3eps --pairs 10 >"$tmp/skip.out"
 expect "faults reports a failed build as skipped (exit 0)" 0 $?
 grep -q "skipped:" "$tmp/skip.out"

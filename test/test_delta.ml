@@ -110,44 +110,157 @@ let test_classification () =
   checkb "pure reweight batch is not structural" true (not (Delta.structural d));
   checkb "reweight shifts no ports" true
     (not (Delta.ports_shifted d 0 || Delta.ports_shifted d 1));
-  checkb "weight increase is removal-like" true
-    (Delta.removals d = [ (0, 1) ] && Delta.inserts d = []);
+  checkb "weight increase is removal-like, with its old weight" true
+    (Delta.removals d = [ (0, 1, w01) ] && Delta.inserts d = []);
   let d2 = Delta.classify g [ Graph.Reweight (0, 1, w01 /. 2.0) ] in
   checkb "weight decrease is insert-like" true
     (Delta.removals d2 = [] && Delta.inserts d2 = [ (0, 1, w01 /. 2.0) ])
 
 (* ------------------------------------------------------------------ *)
-(* Cone soundness: outside the dirty region, vicinities are untouched   *)
+(* Vicinity invalidation: every carried ball equals a fresh compute     *)
 (* ------------------------------------------------------------------ *)
 
-let prop_cone_sound (g, seed) =
-  let ops = Delta.random ~seed ~size:5 g in
-  let d = Delta.classify g ops in
-  let g' = Delta.new_graph d in
-  let n = Graph.n g in
-  let l = min 8 n in
-  let vics = Array.init n (fun u -> Vicinity.compute g u l) in
-  let cone = Delta.cone d ~bound:(fun u -> Vicinity.max_dist vics.(u)) in
-  let ok = ref true in
-  for u = 0 to n - 1 do
-    if not cone.(u) then begin
-      let old_v = vics.(u) and new_v = Vicinity.compute g' u l in
-      if
-        Array.to_list (Vicinity.members old_v)
-        <> Array.to_list (Vicinity.members new_v)
-      then ok := false
-      else
-        Array.iter
-          (fun v ->
-            if
-              Vicinity.dist old_v v <> Vicinity.dist new_v v
-              || v <> u
-                 && Vicinity.first_port old_v v <> Vicinity.first_port new_v v
-            then ok := false)
-          (Vicinity.members old_v)
-    end
-  done;
-  !ok
+(* Members (in order), distances, first ports and radius. *)
+let same_vicinity a b =
+  let ms = Vicinity.members a in
+  ms = Vicinity.members b
+  && Vicinity.radius a = Vicinity.radius b
+  && Array.for_all
+       (fun v ->
+         Vicinity.dist a v = Vicinity.dist b v
+         && (v = Vicinity.source a
+            || Vicinity.first_port a v = Vicinity.first_port b v))
+       ms
+
+(* One handle holding the families [fams] ([(l, packed)] pairs),
+   invalidated across [ops]: whether every family the new handle carries
+   equals [Vicinity.compute] on the new graph, and how many vicinities it
+   kept rather than recomputed. *)
+let carried_fresh g fams ops =
+  let sub = Substrate.create g in
+  List.iter
+    (fun (l, packed) -> ignore (Substrate.vicinities ~packed sub l))
+    fams;
+  let sub', inv = Substrate.invalidate sub ops in
+  let g' = Substrate.graph sub' in
+  let ok =
+    List.for_all
+      (fun (l, _) ->
+        let fam = Substrate.vicinities sub' l in
+        let ok = ref true in
+        Array.iteri
+          (fun u b ->
+            if not (same_vicinity b (Vicinity.compute g' u l)) then ok := false)
+          fam;
+        !ok)
+      fams
+  in
+  (ok, inv.Substrate.vicinity_reused)
+
+(* l in {1, 2, small, n-1, n}. *)
+let sizes n = List.sort_uniq compare [ 1; 2; min 5 n; max 1 (n - 1); n ]
+
+let families ~packed n = List.map (fun l -> (l, packed)) (sizes n)
+
+let arb_invalidation_case =
+  QCheck2.Gen.(
+    let* g = oneof [ arb_connected_graph; arb_weighted_connected_graph ] in
+    let* packed_graph = bool in
+    let* seed = int_range 0 10_000 in
+    let* size = int_range 1 8 in
+    let* packed = bool in
+    let g = if packed_graph then Graph.pack g else g in
+    return (g, seed, size, packed))
+
+let prop_carried_fresh (g, seed, size, packed) =
+  let ops = Delta.random ~seed ~size g in
+  fst (carried_fresh g (families ~packed (Graph.n g)) ops)
+
+(* The distance cone is a prefilter, not part of the decision: every ball
+   the ball test drops lies inside it. *)
+let prop_cone_covers_drops (g, seed, size, _) =
+  let d = Delta.classify g (Delta.random ~seed ~size g) in
+  List.for_all
+    (fun l ->
+      let ok = ref true in
+      for u = 0 to Graph.n g - 1 do
+        let b = Vicinity.compute g u l in
+        let bound =
+          if Vicinity.size b < l then infinity else Vicinity.max_dist b
+        in
+        if
+          Delta.ball_affected d ~dist:(Vicinity.dist_or_infinity b) ~bound
+          && not (Delta.reaches d u ~bound)
+        then ok := false
+      done;
+      !ok)
+    (sizes (Graph.n g))
+
+(* The deltas the rule's proof cases turn on, each on a small graph where
+   it decides a ball: a tying insert (parent flip), an insert chain, a
+   boundary-tie removal (radius), a bridge cut, a component join (a
+   whole-component ball), tree-edge reweights, and ops at the ball's own
+   source (port remapping). *)
+let invalidation_cases () =
+  let unit es = Graph.of_edges (List.map (fun (u, v) -> (u, v, 1.0)) es) in
+  let path k = List.init (k - 1) (fun i -> (i, i + 1)) in
+  let weighted =
+    Graph.of_edges
+      [ (0, 1, 1.0); (1, 2, 2.0); (2, 3, 1.0); (0, 3, 5.0); (3, 4, 1.5) ]
+  in
+  [
+    ( "tying insert flips a parent",
+      unit [ (0, 1); (0, 2); (2, 3); (3, 4); (4, 5) ],
+      [ Graph.Insert (1, 3, 1.0) ] );
+    ( "insert chain",
+      Graph.of_edges (List.map (fun (u, v) -> (u, v, 1.0)) (path 10)),
+      [ Graph.Insert (0, 4, 0.5); Graph.Insert (4, 8, 0.5) ] );
+    ( "removal of a boundary tie",
+      unit [ (0, 1); (0, 2); (1, 3); (2, 3); (3, 4) ],
+      [ Graph.Remove (0, 2) ] );
+    ("bridge cut", unit (path 8), [ Graph.Remove (3, 4) ]);
+    ( "component join",
+      Graph.of_edges [ (0, 1, 1.0); (1, 2, 1.0); (3, 4, 1.0); (4, 5, 1.0) ],
+      [ Graph.Insert (2, 3, 5.0) ] );
+    ("tree-edge weight increase", weighted, [ Graph.Reweight (1, 2, 4.0) ]);
+    ("tree-edge weight decrease", weighted, [ Graph.Reweight (2, 3, 0.5) ]);
+    ( "ops at the source",
+      Graph.of_edges
+        [ (0, 1, 1.0); (1, 2, 1.0); (2, 3, 1.0); (3, 4, 1.0); (2, 4, 9.0) ],
+      [ Graph.Insert (2, 0, 10.0); Graph.Remove (2, 4) ] );
+  ]
+
+let test_invalidation_cases () =
+  let kept = ref 0 in
+  List.iter
+    (fun (name, g, ops) ->
+      List.iter
+        (fun (repr, g) ->
+          List.iter
+            (fun packed ->
+              let ok, k = carried_fresh g (families ~packed (Graph.n g)) ops in
+              kept := !kept + k;
+              checkb
+                (Printf.sprintf "%s (%s graph, %s family): carried = fresh"
+                   name repr (if packed then "packed" else "boxed"))
+                true ok)
+            [ false; true ])
+        [ ("boxed", g); ("packed", Graph.pack g) ])
+    (invalidation_cases ());
+  checkb "some vicinities are kept" true (!kept > 0)
+
+(* The reuse the ball test buys, pinned: a weighted GLP graph, one boxed
+   and one packed family, one 4-op batch. The distance cone alone keeps
+   13 of these 800 vicinities. *)
+let test_reuse_pin () =
+  let g =
+    Generators.with_random_weights ~seed:1 ~lo:1.0 ~hi:8.0
+      (Generators.glp ~seed:1 400)
+  in
+  let ops = Delta.random ~seed:2 ~size:4 g in
+  let ok, kept = carried_fresh g [ (61, false); (62, true) ] ops in
+  checkb "carried = fresh" true ok;
+  checki "vicinities kept" 394 kept
 
 (* ------------------------------------------------------------------ *)
 (* spt_affected / patch_tree: kept trees equal a fresh Dijkstra          *)
@@ -392,8 +505,13 @@ let suite =
       arb_graph_and_seed prop_random_preserves_connectivity;
     case "degenerate deltas" test_degenerate;
     case "delta classification" test_classification;
-    qcheck ~count:25 "vicinities outside the cone are untouched"
-      arb_graph_and_seed prop_cone_sound;
+    qcheck ~count:200 "invalidated vicinities equal a fresh compute"
+      arb_invalidation_case prop_carried_fresh;
+    qcheck ~count:100 "every ball the ball test drops is in the cone"
+      arb_invalidation_case prop_cone_covers_drops;
+    case "vicinity invalidation: ties, chains, cuts, joins, reweights"
+      test_invalidation_cases;
+    case "vicinity reuse pin: weighted GLP, one 4-op batch" test_reuse_pin;
     case "kept trees equal a fresh Dijkstra after patching"
       test_spt_keep_patch;
     qcheck ~count:10 "repair routes bit-identically to a fresh build"
