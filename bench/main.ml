@@ -1434,18 +1434,24 @@ let section_snapshot () =
   (* Scale tier: the schemes whose substrates go lazy past CR_RT_LAZY_N —
      there the snapshot is blob-dominated and the mmap load is what a
      server starting cold pays. The quick run's n sits under the default
-     threshold (10^4), so the tier lowers the threshold below its n while
-     it runs: both runs save lazy-regime files. *)
+     threshold (10^4), so unless CR_RT_LAZY_N is set the tier lowers the
+     threshold below its n while it runs: both runs save lazy-regime
+     files. The label names the mode the schemes resolve to. *)
   let big_n = if quick then 2_000 else 20_000 in
   let big_g, t_gen =
     wall (fun () ->
         Graph.pack ~float32:true (Generators.power_law ~seed:91 big_n))
   in
   Printf.printf "\n(power-law scale graph generated in %.1fs)\n" t_gen;
-  let lazy_n0 = Option.value (Sys.getenv_opt "CR_RT_LAZY_N") ~default:"" in
-  Unix.putenv "CR_RT_LAZY_N" (string_of_int (big_n / 2));
+  let lower =
+    match Sys.getenv_opt "CR_RT_LAZY_N" with
+    | None | Some "" -> true
+    | Some _ -> false
+  in
+  if lower then Unix.putenv "CR_RT_LAZY_N" (string_of_int (big_n / 2));
   let best =
-    Fun.protect ~finally:(fun () -> Unix.putenv "CR_RT_LAZY_N" lazy_n0)
+    Fun.protect ~finally:(fun () ->
+        if lower then Unix.putenv "CR_RT_LAZY_N" "")
     @@ fun () ->
     let mode =
       match Scheme_util.resolve_mode `Auto big_n with

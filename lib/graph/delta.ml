@@ -1,7 +1,7 @@
 (* Classified batched deltas and the tests the substrate invalidation uses
    to decide what survives a topology change.
 
-   The three primitives:
+   The two primitives:
 
    - [spt_affected]: an exact per-tree test. A cached shortest-path tree
      (dist, parent) stays bit-identical on the new graph unless (a) some
@@ -21,122 +21,56 @@
      from the ball's own stored distances (see the proof sketch at the
      function).
 
-   - [reaches]: a distance cone, used as a cheap prefilter for
-     [ball_affected]. Any vertex whose distance from u changes must route
-     through a delta edge, so its new (or old) distance from u is at least
-     [ins_dist u] (resp. [del_dist u]): the multi-source distance to the
-     delta's entry points. [del_dist] is measured in the old graph
-     (increases travel old shortest paths), [ins_dist] in the new graph
-     seeded at offset w from the endpoints of each inserted or cheapened
-     edge (a changed path crosses the edge, paying w after reaching an
-     endpoint). Both are lazy: they cost a Dijkstra each and only
-     truncated consumers (vicinities) need them. *)
+   Both compare distances against edge weights as the graphs store them:
+   a float32-packed graph keeps each weight rounded, and a search over it
+   sums the rounded values. *)
 
 type t = {
   old_graph : Graph.t;
   new_graph : Graph.t;
   ops : Graph.delta_op list;
   removals : (int * int * float) list;
-      (* removed or weight-increased edges, with their old weight *)
+      (* removed or weight-increased edges, with their old stored weight *)
   inserts : (int * int * float) list;
-      (* inserted or weight-decreased edges, new weight *)
+      (* inserted or weight-decreased edges, with their new stored weight *)
   structural : bool; (* any Insert/Remove in the batch *)
   ports_shifted : bool array; (* endpoints of structural ops *)
-  del_dist : float array Lazy.t; (* old-graph distance to a removal *)
-  ins_dist : float array Lazy.t; (* new-graph offset distance to an insert *)
 }
-
-(* Multi-source Dijkstra with per-source offsets: dist.(v) =
-   min over seeds (s, o) of o + d(s, v). *)
-let offset_multi_source g seeds =
-  let n = Graph.n g in
-  let dist = Array.make n infinity in
-  let heap = Heap.create (max n 1) in
-  List.iter
-    (fun (s, o) ->
-      if o < dist.(s) then begin
-        dist.(s) <- o;
-        Heap.insert_or_decrease heap s o
-      end)
-    seeds;
-  let scan =
-    match Graph.view g with
-    | Graph.Boxed (off, dst_a, wgt) ->
-      fun u du ->
-        for idx = off.(u) to off.(u + 1) - 1 do
-          let v = dst_a.(idx) in
-          let dv = du +. wgt.(idx) in
-          if dv < dist.(v) then begin
-            dist.(v) <- dv;
-            Heap.insert_or_decrease heap v dv
-          end
-        done
-    | Graph.Packed (off, dst_a, wgt) ->
-      fun u du ->
-        let base = Int32.to_int (Bigarray.Array1.get off u) in
-        let stop = Int32.to_int (Bigarray.Array1.get off (u + 1)) - 1 in
-        for idx = base to stop do
-          let v = Int32.to_int (Bigarray.Array1.get dst_a idx) in
-          let dv = du +. Graph.weight wgt idx in
-          if dv < dist.(v) then begin
-            dist.(v) <- dv;
-            Heap.insert_or_decrease heap v dv
-          end
-        done
-  in
-  let rec loop () =
-    match Heap.pop_min heap with
-    | None -> ()
-    | Some (u, du) -> scan u du; loop ()
-  in
-  loop ();
-  dist
 
 let classify g ops =
   let g' = Graph.apply_delta g ops in
+  let old_w u v = Option.get (Graph.edge_weight g u v)
+  and new_w u v = Option.get (Graph.edge_weight g' u v) in
   let removals = ref [] and inserts = ref [] in
   let structural = ref false in
   let shifted = Array.make (max (Graph.n g) 1) false in
   List.iter
     (fun op ->
       match op with
-      | Graph.Insert (u, v, w) ->
+      | Graph.Insert (u, v, _) ->
         structural := true;
         shifted.(u) <- true;
         shifted.(v) <- true;
-        inserts := (u, v, w) :: !inserts
+        inserts := (u, v, new_w u v) :: !inserts
       | Graph.Remove (u, v) ->
         structural := true;
         shifted.(u) <- true;
         shifted.(v) <- true;
-        removals := (u, v, Option.get (Graph.edge_weight g u v)) :: !removals
-      | Graph.Reweight (u, v, w) -> (
-        match Graph.edge_weight g u v with
-        | Some w0 when w > w0 -> removals := (u, v, w0) :: !removals
-        | Some w0 when w < w0 -> inserts := (u, v, w) :: !inserts
-        | _ -> () (* equal weight: a no-op for every cached structure *)))
+        removals := (u, v, old_w u v) :: !removals
+      | Graph.Reweight (u, v, _) ->
+        let w0 = old_w u v and w = new_w u v in
+        if w > w0 then removals := (u, v, w0) :: !removals
+        else if w < w0 then inserts := (u, v, w) :: !inserts
+        (* equal stored weight: a no-op for every cached structure *))
     ops;
-  let removals = !removals and inserts = !inserts in
   {
     old_graph = g;
     new_graph = g';
     ops;
-    removals;
-    inserts;
+    removals = !removals;
+    inserts = !inserts;
     structural = !structural;
     ports_shifted = shifted;
-    del_dist =
-      lazy
-        (if removals = [] then Array.make (max (Graph.n g) 1) infinity
-         else
-           offset_multi_source g
-             (List.concat_map (fun (x, y, _) -> [ (x, 0.0); (y, 0.0) ]) removals));
-    ins_dist =
-      lazy
-        (if inserts = [] then Array.make (max (Graph.n g') 1) infinity
-         else
-           offset_multi_source g'
-             (List.concat_map (fun (x, y, w) -> [ (x, w); (y, w) ]) inserts));
   }
 
 let old_graph d = d.old_graph
@@ -148,21 +82,6 @@ let removals d = d.removals
 let inserts d = d.inserts
 
 let is_empty d = d.removals = [] && d.inserts = [] && not d.structural
-
-(* The cone sums a path from the delta's side and a ball sums it from u's
-   side: the same weights added in the other order, which rounding may
-   leave a few ulps apart. The relative slack (far above the 2k·2^-53
-   worst case for paths of up to 10^6 edges) keeps every ball
-   [ball_affected] drops inside the cone whatever the rounding; a looser
-   prefilter only runs the exact test more often. *)
-let cone_slack = 1e-9
-
-let reaches d u ~bound =
-  let del = Lazy.force d.del_dist and ins = Lazy.force d.ins_dist in
-  let bound = bound +. (bound *. cone_slack) in
-  (* Explicit finiteness guards: infinity <= infinity holds in float. *)
-  (del.(u) < infinity && del.(u) <= bound)
-  || (ins.(u) < infinity && ins.(u) <= bound)
 
 (* Why the ball test is sound. Write d for the old distances from u, M for
    the ball's members. Apply the removals and increases first (graph G1),

@@ -4,8 +4,7 @@
     with the machinery the incremental repair path needs: an exact test for
     whether a cached shortest-path tree survives the delta, a test deciding
     the same for a truncated ball (a vicinity) from the ball's own stored
-    distances, a distance {e cone} that prefilters the ball test, and a
-    port-patching helper for surviving trees. *)
+    distances, and a port-patching helper for surviving trees. *)
 
 type t
 
@@ -13,7 +12,10 @@ val classify : Graph.t -> Graph.delta_op list -> t
 (** [classify g ops] applies the batch (see {!Graph.apply_delta} for the
     validation rules) and classifies it: removals and weight increases act
     like deletions, inserts and weight decreases like insertions, an
-    equal-weight reweight like nothing at all. *)
+    equal-weight reweight like nothing at all. Weights are compared and
+    recorded as the graphs store them: on a float32-packed graph a reweight
+    whose value rounds to the old weight is equal-weight, and every
+    recorded weight is the rounded one a search over the graph sums. *)
 
 val old_graph : t -> Graph.t
 val new_graph : t -> Graph.t
@@ -31,27 +33,14 @@ val ports_shifted : t -> int -> bool
     (every other vertex keeps its slice verbatim). *)
 
 val removals : t -> (int * int * float) list
-(** Removed or weight-increased edges, with their old weight. *)
+(** Removed or weight-increased edges, with their old stored weight. *)
 
 val inserts : t -> (int * int * float) list
-(** Inserted or weight-decreased edges, with their new weight. *)
+(** Inserted or weight-decreased edges, with their new stored weight. *)
 
 val is_empty : t -> bool
 (** No distance can change and no port can shift (e.g. an equal-weight
     reweight batch). *)
-
-val reaches : t -> int -> bound:float -> bool
-(** [reaches d u ~bound]: whether [u] lies in the delta's distance cone of
-    radius [bound], i.e. whether the delta can change any distance from
-    [u] within [bound]. Sound, not exact: any vertex whose distance from
-    [u] changes lies on a path through a delta edge, so its old (for
-    increases) or new (for decreases) distance from [u] is at least the
-    multi-source distance from [u] to the delta's entry points. The
-    comparison carries a relative slack of 10^-9, so rounding in those
-    sums can only widen the cone. Every ball {!ball_affected} drops lies
-    inside the cone, which makes [reaches] a free prefilter for it: cheap
-    per vertex, and small on high-diameter graphs. Forces one Dijkstra per
-    delta side on first use (lazy, shared across calls). *)
 
 val ball_affected : t -> dist:(int -> float) -> bound:float -> bool
 (** [ball_affected d ~dist ~bound]: whether the delta can change the
@@ -63,8 +52,8 @@ val ball_affected : t -> dist:(int -> float) -> bound:float -> bool
 
     The test holds iff some delta edge [(x, y, w)] satisfies
     [dist x + w <= min (dist y) bound] in either orientation, where [w] is
-    the old weight for removals and increases and the new weight for
-    inserts and decreases. [false] guarantees that a fresh search on the
+    the old stored weight for removals and increases and the new stored
+    weight for inserts and decreases. [false] guarantees that a fresh search on the
     new graph settles the same members at the same distances, through the
     same parents (so the same first links; ports may still shift, see
     {!ports_shifted}), with the same radius. Proof sketch:

@@ -202,13 +202,9 @@ let take_build s key =
    - A vicinity of [u] survives unless some delta edge is tight for it,
      judged from its own stored distances ([Delta.ball_affected] with bound
      [max_dist], or unbounded when the vicinity swallowed its whole
-     component). The distance cone ([Delta.reaches], same bound) runs
-     first: the ball test only ever drops a vicinity whose source lies in
-     the cone, so the prefilter changes no decision and saves the per-ball
-     lookups where the cone is small. A dropped vicinity is recomputed in
-     one workspace shared by the whole pass; a surviving vicinity whose
-     source had ports renumbered gets its first-hop ports remapped in
-     place.
+     component). A dropped vicinity is recomputed in one workspace shared
+     by the whole pass; a surviving vicinity whose source had ports
+     renumbered gets its first-hop ports remapped in place.
    - Center samples (and everything derived: clusters, cluster trees,
      bunches) are dropped on any distance-relevant delta: the sampling
      refinement loop consumes seeded random coins conditioned on cluster
@@ -307,9 +303,8 @@ let invalidate s ops =
                   else Vicinity.max_dist vic
                 in
                 if
-                  Delta.reaches d u ~bound
-                  && Delta.ball_affected d
-                       ~dist:(Vicinity.dist_or_infinity vic) ~bound
+                  Delta.ball_affected d
+                    ~dist:(Vicinity.dist_or_infinity vic) ~bound
                 then begin
                   incr vic_dropped;
                   Vicinity.compute ~ws:(Lazy.force ws) g' u l

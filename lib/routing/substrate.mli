@@ -122,14 +122,13 @@ val invalidate : t -> Graph.delta_op list -> t * invalidation
     renumbered ports), their derived routing trees (re-extracted from the
     kept tree without re-running Dijkstra), and vicinities for which no
     delta edge is tight ({!Delta.ball_affected}: decided from the ball's
-    own stored distances, after the distance-cone prefilter
-    {!Delta.reaches}; a kept vicinity whose source had ports renumbered
-    gets its first ports remapped). Dropped vicinities are recomputed
-    eagerly, through one Dijkstra workspace per call, so the family array
-    stays complete. Center samples and their derivatives are always
-    dropped. Every carried structure is exactly what a fresh handle on
-    the new graph would compute, so downstream scheme builds are
-    bit-identical to an uncached build.
+    own stored distances; a kept vicinity whose source had ports
+    renumbered gets its first ports remapped). Dropped vicinities are
+    recomputed eagerly, through one Dijkstra workspace per call, so the
+    family array stays complete. Center samples and their derivatives
+    are always dropped. Every carried structure is exactly what a fresh
+    handle on the new graph would compute, so downstream scheme builds
+    are bit-identical to an uncached build.
     The source handle's last-build slot is emptied, and the new handle's
     starts empty.
     Bumps [Telemetry.counters.substrate_reused_after_delta] /
