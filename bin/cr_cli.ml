@@ -30,6 +30,15 @@ let or_die = function Ok v -> v | Error m -> die "%s" m
    [Invalid_argument]; here they become errors for the caller to report. *)
 let guarded f = try Ok (f ()) with Invalid_argument m -> Error m
 
+(* An n-by-n step (an [Apsp] oracle, the [full] scheme's next-hop matrix)
+   refuses a graph past [Apsp.guard_quadratic]'s threshold by raising
+   [Failure] before it allocates, and no other step of a build or an
+   oracle raises [Failure]: that refusal is a runtime failure, reported
+   with the guard's message. *)
+let quadratic f = try f () with Failure m -> die "%s" m
+
+let apsp_oracle ~caller g = quadratic (fun () -> Apsp.compute ~caller g)
+
 let verdict ok = if ok then "ok" else "VIOLATED"
 
 let success = Cmd.Exit.info 0 ~doc:"on success."
@@ -194,6 +203,7 @@ let select g = function
    falls back to a fresh, bit-identical build. *)
 let build ?substrate ?snapshot_dir ~seed ~eps g (e : Catalog.entry) =
   guarded @@ fun () ->
+  quadratic @@ fun () ->
   match snapshot_dir with
   | None -> e.build ?substrate ~seed ~eps g
   | Some dir ->
@@ -527,7 +537,7 @@ let stats e seed eps pairs domains jsonl csv g =
     (Scheme.max_table_words inst)
     (Scheme.avg_table_words inst)
     (Scheme.max_label_words inst);
-  let apsp = Apsp.compute ~caller:(e.Catalog.id ^ " stats oracle") g in
+  let apsp = apsp_oracle ~caller:(e.Catalog.id ^ " stats oracle") g in
   let sampled = Scheme.sample_pairs ~seed ~n:(Graph.n g) ~count:pairs in
   let pool = Pool.create ~domains () in
   let ev = Scheme.evaluate_batch ~pool inst apsp sampled in
@@ -582,8 +592,8 @@ let table1 n seed eps pairs =
   Printf.printf "%-16s %-11s %-16s %9s %9s %9s %6s\n" "scheme" "paper"
     "space" "max-str" "avg-str" "tbl-max" "ok";
   Printf.printf "%s\n" (String.make 82 '-');
-  let apsp = Apsp.compute ~caller:"table1 oracle" g
-  and apsp_w = Apsp.compute ~caller:"table1 weighted oracle" gw in
+  let apsp = apsp_oracle ~caller:"table1 oracle" g
+  and apsp_w = apsp_oracle ~caller:"table1 weighted oracle" gw in
   List.iter
     (fun (e : Catalog.entry) ->
       let graph, oracle = if e.Catalog.weighted_ok then (gw, apsp_w) else (g, apsp) in
@@ -634,7 +644,7 @@ let throughput e seed eps pairs domains g =
     (t_on /. Float.max t_off 1e-9);
   (* The batch engine also verifies the merge: its eval must match the
      serial evaluation bit for bit. *)
-  let apsp = Apsp.compute ~caller:(e.Catalog.id ^ " throughput oracle") g in
+  let apsp = apsp_oracle ~caller:(e.Catalog.id ^ " throughput oracle") g in
   let ev_serial = Scheme.evaluate inst apsp sampled in
   let pool = Pool.create ~domains () in
   let ev_par, t_p =
@@ -677,7 +687,7 @@ let serve_impl schemes seed eps snapshot_dir (rate, budget) zipf domains chunk
     or_die (guarded (fun () -> Traffic.create ~zipf ~rate ~seed ~n:(Graph.n g) ()))
   in
   let pool = Pool.create ~domains () in
-  let apsp = Apsp.compute ~caller:"serve oracle" g in
+  let apsp = apsp_oracle ~caller:"serve oracle" g in
   (* One substrate handle across the whole catalog: the builds share the
      common preprocessing instead of recomputing it per scheme. *)
   let substrate = Substrate.create g in
@@ -714,7 +724,7 @@ let serve_impl schemes seed eps snapshot_dir (rate, budget) zipf domains chunk
     {
       Traffic.sw_graph = r.Catalog.graph;
       sw_instances = List.map (fun (_, i, _) -> i) r.Catalog.instances;
-      sw_apsp = Apsp.compute ~caller:"serve repair oracle" r.Catalog.graph;
+      sw_apsp = apsp_oracle ~caller:"serve repair oracle" r.Catalog.graph;
       sw_wall = r.Catalog.wall;
       sw_full_rebuild = r.Catalog.full_rebuild;
       sw_reused = reused;
@@ -1146,8 +1156,9 @@ let compile_impl schemes seed eps out_dir g =
     (fun (e : Catalog.entry) ->
       match
         guarded (fun () ->
-            wall (fun () ->
-                Catalog.save_entry ~substrate ~dir:out_dir ~seed ~eps g e))
+            quadratic (fun () ->
+                wall (fun () ->
+                    Catalog.save_entry ~substrate ~dir:out_dir ~seed ~eps g e)))
       with
       | Ok (Ok path, t) ->
         let bytes = (Unix.stat path).Unix.st_size in
@@ -1323,7 +1334,7 @@ let delta_impl schemes seed eps ops_n inserts removes reweights deadline
   (* Identity: both instance sets must route a pair sample on the
      post-delta graph bit-identically — the dirty-region pass may only
      change wall-clock, never an answer. *)
-  let apsp' = Apsp.compute ~caller:"delta identity oracle" inc.Catalog.graph in
+  let apsp' = apsp_oracle ~caller:"delta identity oracle" inc.Catalog.graph in
   let pairs =
     Scheme.sample_pairs ~seed:(seed + 4) ~n:(Graph.n g) ~count:pairs_n
   in
@@ -1432,7 +1443,7 @@ let faults_cmd_impl scheme seed eps pairs rates vertex_rate fault_seeds
   Printf.printf "%-20s %6s  %9s %9s  %10s %10s\n" "scheme" "f%" "bare-del"
     "res-del" "bare-infl" "res-infl";
   Printf.printf "%s\n" (String.make 72 '-');
-  let apsp = Apsp.compute ~caller:"faults oracle" g in
+  let apsp = apsp_oracle ~caller:"faults oracle" g in
   let sampled = Scheme.sample_pairs ~seed ~n:(Graph.n g) ~count:pairs in
   let zero_fault_ok = ref true in
   List.iter
@@ -1555,7 +1566,7 @@ let oracle kind k seed pairs query g =
       t.Dijkstra.dist.(v)
   | None -> ());
   if pairs > 0 then begin
-    let apsp = Apsp.compute ~caller:"query oracle" g in
+    let apsp = apsp_oracle ~caller:"query oracle" g in
     let sampled = Scheme.sample_pairs ~seed ~n:(Graph.n g) ~count:pairs in
     let worst = ref 1.0 and acc = ref 0.0 and cnt = ref 0 in
     List.iter

@@ -9,6 +9,10 @@ type t = {
   p : int array array;
 }
 
+let default_a1_target ~n ~k =
+  max 1
+    (int_of_float (Float.round (float_of_int n ** (1.0 -. (1.0 /. float_of_int k)))))
+
 let build ~seed ?a1_target ?substrate ?pool g ~k =
   if k < 2 then invalid_arg "Tz_hierarchy.build: need k >= 2";
   if not (Bfs.is_connected g) then
@@ -22,12 +26,7 @@ let build ~seed ?a1_target ?substrate ?pool g ~k =
   (* A_1 by Lemma 4 sampling: level-0 clusters bounded by 4 n^(1/k). *)
   if k >= 2 then begin
     let target =
-      match a1_target with
-      | Some s -> s
-      | None ->
-        max 1
-          (int_of_float
-             (Float.round (float_of_int n ** (1.0 -. (1.0 /. float_of_int k)))))
+      match a1_target with Some s -> s | None -> default_a1_target ~n ~k
     in
     let c = Substrate.centers sub ~seed ~target in
     Array.iter (fun a -> in_set.(1).(a) <- true) c.Centers.centers

@@ -16,6 +16,10 @@ type t = {
   p : int array array;        (** [p.(i).(v) = p_i(v)] under the tie rule. *)
 }
 
+val default_a1_target : n:int -> k:int -> int
+(** The [A_1] sample size {!build} aims for when given no [a1_target]:
+    [n^(1-1/k)], rounded, at least 1. *)
+
 val build :
   seed:int ->
   ?a1_target:int ->
@@ -25,7 +29,7 @@ val build :
   k:int ->
   t
 (** [build ~seed g ~k] samples the hierarchy: [A_1] by Lemma 4 (target
-    [a1_target], default [n^(1-1/k)]) so level-0 clusters are
+    [a1_target], default {!default_a1_target}) so level-0 clusters are
     [O(n^(1/k))]-sized — the (4k-5) refinement — and each further level by
     independent [n^(-1/k)] sampling, forcing [A_{k-1}] nonempty. The
     per-level distance searches run on [pool]; all random sampling stays

@@ -35,10 +35,10 @@ let label_of t v =
           | None -> assert false (* v ∈ C(p_i(v)) so the tree exists *));
   }
 
-let preprocess ?substrate ?a1_target ?pool ~seed g ~k =
+let build ~substrate ~a1_target ?pool ~seed g ~k =
   let n = Graph.n g in
   let pool = match pool with Some p -> p | None -> Pool.default () in
-  let h = Tz_hierarchy.build ~seed ?a1_target ?substrate ~pool g ~k in
+  let h = Tz_hierarchy.build ~seed ~a1_target ~substrate ~pool g ~k in
   (* Cluster searches and tree construction per root, fanned out with one
      workspace per domain; [order] is the only borrowed-tree field a caller
      may retain, and [Tree_routing.of_tree] copies everything else. *)
@@ -96,6 +96,23 @@ let preprocess ?substrate ?a1_target ?pool ~seed g ~k =
           0 l.pivots
   done;
   t
+
+(* The state is a function of the graph, the seed, k and the A_1 target
+   alone (the pool changes no output), and nothing writes it after the
+   build, so every preprocess with one key on one handle can return one
+   state: tz-k and rt-4km7-k (Theorem 16 stores this scheme whole) build
+   it once. The handle is checked against [g] before the lookup. *)
+let state_id : t Type.Id.t = Type.Id.make ()
+
+let preprocess ?substrate ?a1_target ?pool ~seed g ~k =
+  let substrate = Substrate.for_graph substrate g in
+  let a1_target =
+    match a1_target with
+    | Some s -> s
+    | None -> Tz_hierarchy.default_a1_target ~n:(Graph.n g) ~k
+  in
+  Substrate.scheme_state substrate state_id [ seed; k; a1_target ] (fun () ->
+      build ~substrate ~a1_target ?pool ~seed g ~k)
 
 let header_words h =
   2

@@ -29,10 +29,14 @@ val preprocess :
   t
 (** Cluster searches, tree construction and home-label tables fan out over
     [pool] (default [Pool.default ()]); the resulting scheme is identical
-    to a serial build. [substrate] shares the hierarchy's [A_1] center
-    sample with other constructions on the same handle (the per-root
-    cluster trees stay workspace-based and are never cached).
-    @raise Invalid_argument if [k < 2] or the graph is disconnected. *)
+    to a serial build. The whole state is memoized on [substrate]
+    ({!Substrate.scheme_state}) by [(seed, k, a1_target)], with an absent
+    [a1_target] resolved to {!Tz_hierarchy.default_a1_target} first: a
+    second preprocess with that key on the handle returns the first one's
+    state, physically. A miss shares the hierarchy's [A_1] center sample
+    with other constructions on the handle.
+    @raise Invalid_argument if [k < 2], the graph is disconnected, or
+    [substrate] is bound to another graph. *)
 
 val route :
   ?faults:Fault.plan ->

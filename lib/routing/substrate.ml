@@ -2,6 +2,10 @@ open Cr_graph
 
 type build_key = { codec : string; seed : int; eps : float }
 
+(* A structure of a type this library cannot name, tagged with the type
+   witness that recovers it. *)
+type scheme_state = State : 'a Type.Id.t * 'a -> scheme_state
+
 (* Each cache is a plain hashtable: the handle is consulted only from the
    orchestrating domain (the parallel sweeps inside the cached functions
    use their own per-domain workspaces), so no synchronization is needed. *)
@@ -14,6 +18,7 @@ type t = {
   clusters : (int * int * int, Dijkstra.tree) Hashtbl.t;
   cluster_trees : (int * int * int, Tree_routing.t option) Hashtbl.t;
   bunch : (int * int, int array array) Hashtbl.t;
+  states : (int * int list, scheme_state) Hashtbl.t; (* (kind uid, key) *)
   (* Scratch for the cluster_tree miss path: the restricted search runs in
      this workspace and only the compact Tree_routing survives, so a sweep
      over all w never materializes (or caches) the raw five-n-array
@@ -32,6 +37,8 @@ type t = {
   mutable cent_m : int;
   mutable clus_h : int;
   mutable clus_m : int;
+  mutable state_h : int;
+  mutable state_m : int;
 }
 
 type stats = {
@@ -45,6 +52,8 @@ type stats = {
   centers_misses : int;
   cluster_hits : int;
   cluster_misses : int;
+  scheme_state_hits : int;
+  scheme_state_misses : int;
 }
 
 let create g =
@@ -57,6 +66,7 @@ let create g =
     clusters = Hashtbl.create 64;
     cluster_trees = Hashtbl.create 64;
     bunch = Hashtbl.create 4;
+    states = Hashtbl.create 4;
     cws = None;
     last_build = None;
     spt_h = 0;
@@ -69,6 +79,8 @@ let create g =
     cent_m = 0;
     clus_h = 0;
     clus_m = 0;
+    state_h = 0;
+    state_m = 0;
   }
 
 let graph s = s.g
@@ -166,6 +178,19 @@ let bunches ?pool s ~seed ~target =
     ~miss:(fun () -> s.clus_m <- s.clus_m + 1)
     (fun () -> Centers.bunches ?pool s.g (centers s ~seed ~target))
 
+(* The kinds are told apart by their witnesses' uids, so a found entry's
+   witness is the asked one: the equality check cannot fail. *)
+let scheme_state (type a) s (id : a Type.Id.t) key (build : unit -> a) : a =
+  let (State (id', v)) =
+    memo s.states (Type.Id.uid id, key)
+      ~hit:(fun () -> s.state_h <- s.state_h + 1)
+      ~miss:(fun () -> s.state_m <- s.state_m + 1)
+      (fun () -> State (id, build ()))
+  in
+  match Type.Id.provably_equal id id' with
+  | Some Type.Equal -> v
+  | None -> assert false
+
 (* --- the last build -------------------------------------------------------
 
    One slot, not a table: a caller that saves after building saves each
@@ -202,16 +227,20 @@ let take_build s key =
    - A vicinity of [u] survives unless some delta edge is tight for it,
      judged from its own stored distances ([Delta.ball_affected] with bound
      [max_dist], or unbounded when the vicinity swallowed its whole
-     component). A dropped vicinity is recomputed in one workspace shared
-     by the whole pass; a surviving vicinity whose source had ports
-     renumbered gets its first-hop ports remapped in place.
+     component). A dropped vicinity is recomputed in one workspace per
+     family; a surviving vicinity whose source had ports renumbered gets
+     its first-hop ports remapped. A packed family is rewritten in a copy
+     of its blocks ([Vicinity.update]), so it stays one packed family and
+     a repaired instance freezes to a fresh build's bytes.
    - Center samples (and everything derived: clusters, cluster trees,
      bunches) are dropped on any distance-relevant delta: the sampling
      refinement loop consumes seeded random coins conditioned on cluster
      sizes, so there is no sound reuse argument short of re-running it.
+   - Scheme states are dropped on every delta: they are built on a center
+     sample, and they hold the graph they were built on.
 
    An equal-weight-only batch (no distance and no port can change) carries
-   every cache across verbatim. *)
+   every other cache across verbatim. *)
 
 type invalidation = {
   spt_reused : int;
@@ -222,13 +251,14 @@ type invalidation = {
   vicinity_dropped : int;
   centers_dropped : int;
   cluster_dropped : int;
+  scheme_state_dropped : int;
 }
 
 let reused inv = inv.spt_reused + inv.spt_tree_reused + inv.vicinity_reused
 
 let dropped inv =
   inv.spt_dropped + inv.spt_tree_dropped + inv.vicinity_dropped
-  + inv.centers_dropped + inv.cluster_dropped
+  + inv.centers_dropped + inv.cluster_dropped + inv.scheme_state_dropped
 
 let invalidation_rows inv =
   [
@@ -237,6 +267,7 @@ let invalidation_rows inv =
     ("vicinity", inv.vicinity_reused, inv.vicinity_dropped);
     ("centers", 0, inv.centers_dropped);
     ("cluster", 0, inv.cluster_dropped);
+    ("scheme-state", 0, inv.scheme_state_dropped);
   ]
 
 let invalidate s ops =
@@ -267,6 +298,7 @@ let invalidate s ops =
         vicinity_dropped = 0;
         centers_dropped = 0;
         cluster_dropped = 0;
+        scheme_state_dropped = Hashtbl.length s.states;
       }
     end
     else begin
@@ -292,35 +324,32 @@ let invalidate s ops =
           | None -> incr tree_dropped)
         s.spt_trees;
       let vic_reused = ref 0 and vic_dropped = ref 0 in
-      let ws = lazy (Dijkstra.workspace (Graph.n g')) in
       Hashtbl.iter
         (fun l arr ->
-          let arr' =
-            Array.mapi
-              (fun u vic ->
-                let bound =
-                  if Vicinity.size vic < l then infinity
-                  else Vicinity.max_dist vic
-                in
-                if
-                  Delta.ball_affected d
-                    ~dist:(Vicinity.dist_or_infinity vic) ~bound
-                then begin
-                  incr vic_dropped;
-                  Vicinity.compute ~ws:(Lazy.force ws) g' u l
-                end
-                else begin
-                  incr vic_reused;
-                  if structural && Delta.ports_shifted d u then
-                    Vicinity.remap_ports vic (fun p ->
-                        match Graph.port_to g' u (Graph.endpoint s.g u p) with
-                        | Some q -> q
-                        | None -> assert false)
-                  else vic
-                end)
-              arr
-          in
-          Hashtbl.replace s'.vics l arr')
+          Hashtbl.replace s'.vics l
+            (Vicinity.update g' l arr (fun vic ->
+                 let u = Vicinity.source vic in
+                 let bound =
+                   if Vicinity.size vic < l then infinity
+                   else Vicinity.max_dist vic
+                 in
+                 if
+                   Delta.ball_affected d
+                     ~dist:(Vicinity.dist_or_infinity vic) ~bound
+                 then begin
+                   incr vic_dropped;
+                   Vicinity.Recompute
+                 end
+                 else begin
+                   incr vic_reused;
+                   if structural && Delta.ports_shifted d u then
+                     Vicinity.Remap
+                       (fun p ->
+                         match Graph.port_to g' u (Graph.endpoint s.g u p) with
+                         | Some q -> q
+                         | None -> assert false)
+                   else Vicinity.Keep
+                 end)))
         s.vics;
       {
         spt_reused = !spt_reused;
@@ -334,6 +363,7 @@ let invalidate s ops =
           Hashtbl.length s.clusters
           + Hashtbl.length s.cluster_trees
           + Hashtbl.length s.bunch;
+        scheme_state_dropped = Hashtbl.length s.states;
       }
     end
   in
@@ -358,15 +388,17 @@ let stats s =
     centers_misses = s.cent_m;
     cluster_hits = s.clus_h;
     cluster_misses = s.clus_m;
+    scheme_state_hits = s.state_h;
+    scheme_state_misses = s.state_m;
   }
 
 let hits st =
   st.spt_hits + st.spt_tree_hits + st.vicinity_hits + st.centers_hits
-  + st.cluster_hits
+  + st.cluster_hits + st.scheme_state_hits
 
 let misses st =
   st.spt_misses + st.spt_tree_misses + st.vicinity_misses + st.centers_misses
-  + st.cluster_misses
+  + st.cluster_misses + st.scheme_state_misses
 
 let stats_rows st =
   [
@@ -375,4 +407,5 @@ let stats_rows st =
     ("vicinity", st.vicinity_hits, st.vicinity_misses);
     ("centers", st.centers_hits, st.centers_misses);
     ("cluster", st.cluster_hits, st.cluster_misses);
+    ("scheme-state", st.scheme_state_hits, st.scheme_state_misses);
   ]

@@ -3,7 +3,9 @@
     Every scheme in the catalog is assembled from the same few substrates
     over a given graph — shortest-path trees ([Dijkstra.spt]), vicinity
     families [B(u, l)] ([Vicinity.compute_all]), center samples
-    ([Centers.sample]) and their clusters ([Centers.cluster]). The paper
+    ([Centers.sample]) and their clusters ([Centers.cluster]) — and
+    some schemes embed whole states of others (Theorem 16 stores the
+    Thorup–Zwick scheme, {!scheme_state}). The paper
     builds its schemes out of exactly these shared objects (Section 2,
     Lemmas 4/7/8), so deduplicating them across scheme constructions is
     faithful by construction: a substrate is a pure function of the graph
@@ -73,6 +75,21 @@ val bunches : ?pool:Pool.t -> t -> seed:int -> target:int -> int array array
 (** [Centers.bunches] for {!centers}[ ~seed ~target], keyed by
     [(seed, target)]. [pool] is used only on a miss. *)
 
+(** {1 Scheme states}
+
+    One memo table for structures built by libraries above this one, whose
+    types this module cannot name (the Thorup–Zwick state of
+    [Tz_routing], which tz-k and rt-4km7-k share). A kind of structure is
+    named by a [Type.Id.t] its library makes once; its key is a list of
+    ints that, with the handle's graph, must fix the structure completely,
+    as every other key here does. *)
+
+val scheme_state : t -> 'a Type.Id.t -> int list -> (unit -> 'a) -> 'a
+(** [scheme_state s id key build] is the structure of kind [id] under
+    [key], built by [build] on a miss. The caller checks that [s] is bound
+    to its graph ({!for_graph}) before the lookup. Counted under
+    [scheme_state_*] in {!stats}; {!invalidate} drops every entry. *)
+
 (** {1 The last build}
 
     One slot per handle holds the handle's most recent catalog build: a
@@ -111,6 +128,7 @@ type invalidation = {
   vicinity_dropped : int;
   centers_dropped : int;  (** center samples are never carried across *)
   cluster_dropped : int;  (** clusters + cluster trees + bunches *)
+  scheme_state_dropped : int;  (** scheme states are dropped on every delta *)
 }
 
 val invalidate : t -> Graph.delta_op list -> t * invalidation
@@ -124,11 +142,14 @@ val invalidate : t -> Graph.delta_op list -> t * invalidation
     delta edge is tight ({!Delta.ball_affected}: decided from the ball's
     own stored distances; a kept vicinity whose source had ports
     renumbered gets its first ports remapped). Dropped vicinities are
-    recomputed eagerly, through one Dijkstra workspace per call, so the
-    family array stays complete. Center samples and their derivatives
-    are always dropped. Every carried structure is exactly what a fresh
-    handle on the new graph would compute, so downstream scheme builds
-    are bit-identical to an uncached build.
+    recomputed eagerly, through one Dijkstra workspace per family, so the
+    family array stays complete; a packed family stays one packed
+    family. Center samples and their derivatives are dropped on every
+    delta that can change a distance or a port, and scheme states on
+    every delta (they hold the graph they were built on). Every carried
+    structure is exactly what a fresh handle on the new graph would
+    compute, so downstream scheme builds are bit-identical to an uncached
+    build.
     The source handle's last-build slot is emptied, and the new handle's
     starts empty.
     Bumps [Telemetry.counters.substrate_reused_after_delta] /
@@ -157,11 +178,14 @@ type stats = {
   centers_misses : int;
   cluster_hits : int;
   cluster_misses : int;
+  scheme_state_hits : int;
+  scheme_state_misses : int;
 }
 
 val stats : t -> stats
 (** Snapshot of the handle's lookup counters. [cluster_*] covers
-    {!cluster}, {!cluster_tree} and {!bunches} lookups. *)
+    {!cluster}, {!cluster_tree} and {!bunches} lookups, [scheme_state_*]
+    {!scheme_state} lookups. *)
 
 val hits : stats -> int
 (** Total hits across all categories. *)

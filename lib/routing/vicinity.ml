@@ -84,11 +84,20 @@ let of_truncated (tr : Dijkstra.truncated) =
       radius = radius_of_truncated tr;
     }
 
-let compute ?ws g u l =
-  of_truncated
-    (match ws with
-    | Some ws -> Dijkstra.truncated_ws ws g u l
-    | None -> Dijkstra.truncated g u l)
+let compute g u l = of_truncated (Dijkstra.truncated g u l)
+
+(* Source [u]'s search result into its stride of a packed family. *)
+let write_row fam u (tr : Dijkstra.truncated) =
+  let base = u * fam.f_l in
+  Array.iteri
+    (fun i v ->
+      Bigarray.Array1.set fam.f_members (base + i) (Int32.of_int v);
+      Bigarray.Array1.set fam.f_ports (base + i)
+        (Int32.of_int tr.first_ports.(i));
+      Bigarray.Array1.set fam.f_dists (base + i) tr.dists.(i))
+    tr.vertices;
+  fam.f_len.(u) <- Array.length tr.vertices;
+  fam.f_radius.(u) <- radius_of_truncated tr
 
 let compute_all ?pool ?(packed = false) g l =
   let pool = match pool with Some p -> p | None -> Pool.default () in
@@ -115,19 +124,7 @@ let compute_all ?pool ?(packed = false) g l =
        race-free and the family contents do not depend on scheduling. *)
     Pool.iter_local pool ~n
       ~local:(fun () -> Dijkstra.workspace n)
-      (fun ws u ->
-        let tr = Dijkstra.truncated_ws ws g u l in
-        let k = Array.length tr.Dijkstra.vertices in
-        let base = u * l in
-        for i = 0 to k - 1 do
-          Bigarray.Array1.set fam.f_members (base + i)
-            (Int32.of_int tr.Dijkstra.vertices.(i));
-          Bigarray.Array1.set fam.f_ports (base + i)
-            (Int32.of_int tr.Dijkstra.first_ports.(i));
-          Bigarray.Array1.set fam.f_dists (base + i) tr.Dijkstra.dists.(i)
-        done;
-        fam.f_len.(u) <- k;
-        fam.f_radius.(u) <- radius_of_truncated tr);
+      (fun ws u -> write_row fam u (Dijkstra.truncated_ws ws g u l));
     Array.init n (fun u -> Slice (fam, u))
   end
 
@@ -248,9 +245,9 @@ let nearest_of b pred =
 
 let step vicinities ~at ~dst = first_port vicinities.(at) dst
 
-(* A slice is re-boxed before remapping: delta invalidation only touches
-   small survivable vicinities, and the family block must stay immutable —
-   its other slices still describe the old graph. *)
+(* A slice is re-boxed before remapping: the family block must stay
+   immutable, since its other slices still describe the old graph
+   ([update] remaps a whole family in a copy instead). *)
 let to_boxed b =
   match b with
   | Boxed bx -> bx
@@ -273,6 +270,72 @@ let remap_ports b f =
       bx with
       first_ports = Array.map (fun p -> if p < 0 then p else f p) bx.first_ports;
     }
+
+type fate = Keep | Remap of (int -> int) | Recompute
+
+(* The family [vics] is one packed block, as [compute_all ~packed:true] and
+   [thaw] lay it out: entry [u] is row [u] of one family. *)
+let packed_family vics =
+  let n = Array.length vics in
+  let rec rows fam i =
+    i = n
+    || match vics.(i) with
+       | Slice (f, u) -> f == fam && u = i && rows fam (i + 1)
+       | Boxed _ -> false
+  in
+  match if n = 0 then None else Some vics.(0) with
+  | Some (Slice (fam, _)) when Array.length fam.f_len = n && rows fam 0 ->
+    Some fam
+  | _ -> None
+
+let copy_block a =
+  let c =
+    Bigarray.Array1.create (Bigarray.Array1.kind a) Bigarray.c_layout
+      (Bigarray.Array1.dim a)
+  in
+  Bigarray.Array1.blit a c;
+  c
+
+(* A packed family is copied whole and its changed rows rewritten in the
+   copy: the old block is never written, since the old graph's instances
+   still read it, and the new family is one block again, laid out as a
+   fresh [compute_all ~packed:true] lays it out. *)
+let update g l vics fate =
+  let ws = lazy (Dijkstra.workspace (Graph.n g)) in
+  let search u l = Dijkstra.truncated_ws (Lazy.force ws) g u l in
+  match packed_family vics with
+  | None ->
+    Array.map
+      (fun b ->
+        match fate b with
+        | Keep -> b
+        | Remap f -> remap_ports b f
+        | Recompute -> of_truncated (search (source b) l))
+      vics
+  | Some fam ->
+    let fam' =
+      {
+        fam with
+        f_len = Array.copy fam.f_len;
+        f_members = copy_block fam.f_members;
+        f_ports = copy_block fam.f_ports;
+        f_dists = copy_block fam.f_dists;
+        f_radius = Array.copy fam.f_radius;
+      }
+    in
+    Array.iteri
+      (fun u b ->
+        match fate b with
+        | Keep -> ()
+        | Remap f ->
+          let base = u * fam'.f_l in
+          for i = base to base + fam'.f_len.(u) - 1 do
+            let p = fget fam'.f_ports i in
+            if p >= 0 then Bigarray.Array1.set fam'.f_ports i (Int32.of_int (f p))
+          done
+        | Recompute -> write_row fam' u (search u fam'.f_l))
+      vics;
+    Array.init (Array.length vics) (fun u -> Slice (fam', u))
 
 (* --- snapshot form ------------------------------------------------------
 

@@ -12,10 +12,8 @@ open Cr_graph
 
 type t
 
-val compute : ?ws:Dijkstra.workspace -> Graph.t -> int -> int -> t
-(** [compute g u l] is the vicinity [B(u, l)] (clamped to the component).
-    With [ws] the search runs in that workspace instead of allocating a
-    fresh one; the result is the same. *)
+val compute : Graph.t -> int -> int -> t
+(** [compute g u l] is the vicinity [B(u, l)] (clamped to the component). *)
 
 val compute_all : ?pool:Pool.t -> ?packed:bool -> Graph.t -> int -> t array
 (** [compute_all g l] is [B(u, l)] for every vertex, indexed by vertex.
@@ -91,6 +89,23 @@ val remap_ports : t -> (int -> int) -> t
     copied). Used by the substrate's delta invalidation when a surviving
     vicinity's source had its ports renumbered: [f] maps an old port of
     the source to the same physical link's port on the new graph. *)
+
+(** What a topology delta does to one vicinity of a family. *)
+type fate =
+  | Keep  (** the ball is the same on the new graph *)
+  | Remap of (int -> int)
+      (** the same but for the source's port numbers: maps each old first
+          port to the same link's port on the new graph *)
+  | Recompute  (** the ball may differ: search the new graph again *)
+
+val update : Graph.t -> int -> t array -> (t -> fate) -> t array
+(** [update g' l vics fate] is the family [B(u, l)] on the new graph [g'],
+    from the family [vics] on the old graph and the [fate] of each of its
+    vicinities. Recomputed vicinities are searched in one workspace per
+    call. A packed family ([compute_all ~packed:true], {!thaw}) stays one
+    packed family, laid out as [compute_all ~packed:true g' l] lays it
+    out: its blocks are copied once and the remapped and recomputed rows
+    written into the copy. [vics] itself is never written. *)
 
 (** {1 Snapshot form} *)
 

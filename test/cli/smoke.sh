@@ -187,6 +187,28 @@ expect_runtime "delta build failure (disconnected graph)" \
   "$CLI" delta -g "$tmp/split.gr" --schemes rt-3eps
 expect_runtime "unwritable output path" \
   "$CLI" generate -f grid -n 9 -o "$tmp/no-such-dir/g.gr"
+# An n-by-n step past the O(n^2)-memory guard (the stretch oracle of
+# stats, throughput, faults, delta and serve; the full scheme's tables) is
+# a runtime failure with the guard's message, not a crash.
+"$CLI" generate -f glp -n 96 --seed 5 -o "$tmp/glp96.gr" >/dev/null
+expect_guard() { # name command...
+  local name=$1
+  shift
+  CR_QUADRATIC_MAX_N=50 "$@" >/dev/null 2>"$tmp/guard.err"
+  expect "$name past the O(n^2) guard (exit 1)" 1 $?
+  grep -q "exceeds the O(n^2)-memory threshold 50" "$tmp/guard.err"
+  expect "$name prints the threshold message" 0 $?
+  grep -q "internal error" "$tmp/guard.err"
+  expect "$name is no internal error" 1 $?
+}
+expect_guard "stats" "$CLI" stats -g "$tmp/glp96.gr" -s tz-k2
+expect_guard "throughput" "$CLI" throughput -g "$tmp/glp96.gr" -s tz-k2
+expect_guard "faults" "$CLI" faults -g "$tmp/glp96.gr" -s tz-k2
+expect_guard "delta" "$CLI" delta -g "$tmp/glp96.gr" --schemes tz-k2
+expect_guard "serve" "$CLI" serve -g "$tmp/glp96.gr" --schemes tz-k2 \
+  --rate 0 --queries 10
+expect_guard "route -s full" "$CLI" route -g "$tmp/glp96.gr" -s full \
+  --src 0 --dst 5
 "$CLI" generate -f path -n 1 -o "$tmp/one.gr" >/dev/null
 "$CLI" stats -g "$tmp/one.gr" -s tz-k2 >"$tmp/one.out"
 expect "stats with no pair to route (exit 1)" 1 $?

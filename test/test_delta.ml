@@ -382,6 +382,48 @@ let test_repair_identity () =
         = Scheme.evaluate_batch ~pool:pool1 ~fast:true fi apsp' pairs))
     rep.Catalog.instances full.Catalog.instances
 
+(* Scheme states (the TZ state tz-k and rt-4km7-k share) hold the graph
+   they were built on, so every delta drops them, an equal-weight one too:
+   the new handle misses, the invalidation record counts them, and a
+   repair builds the TZ part once for the pair. *)
+let test_scheme_state_dropped () =
+  let g =
+    Generators.with_random_weights ~seed:5 ~lo:1.0 ~hi:8.0
+      (Generators.glp ~seed:5 120)
+  in
+  let entries = List.filter_map Catalog.find [ "tz-k2"; "tz-k3"; "rt-4km7-k3" ] in
+  let seed = 23 and eps = 0.5 in
+  let u, v, w = List.hd (Graph.edges g) in
+  List.iter
+    (fun (name, ops) ->
+      let substrate, _ = build_warm entries ~seed ~eps g in
+      let sub', inv = Substrate.invalidate substrate ops in
+      checki (name ^ ": both TZ states dropped") 2
+        inv.Substrate.scheme_state_dropped;
+      checkb (name ^ ": and reported") true
+        (List.mem ("scheme-state", 0, 2) (Substrate.invalidation_rows inv));
+      let e = List.nth entries 1 in
+      ignore (e.Catalog.build ~substrate:sub' ~seed ~eps (Substrate.graph sub'));
+      let st = Substrate.stats sub' in
+      checki (name ^ ": the new handle misses") 1
+        st.Substrate.scheme_state_misses;
+      checki (name ^ ": and has nothing to hit") 0
+        st.Substrate.scheme_state_hits)
+    [
+      ("4-op delta", Delta.random ~seed:41 ~size:4 g);
+      ("equal-weight reweight", [ Graph.Reweight (u, v, w) ]);
+    ];
+  let substrate, _ = build_warm entries ~seed ~eps g in
+  let rep =
+    Catalog.repair ~entries ~substrate ~seed ~eps
+      (Delta.random ~seed:41 ~size:4 g)
+  in
+  let st = Substrate.stats rep.Catalog.substrate in
+  check
+    Alcotest.(pair int int)
+    "a repair builds each TZ state once" (1, 2)
+    (st.Substrate.scheme_state_hits, st.Substrate.scheme_state_misses)
+
 (* ------------------------------------------------------------------ *)
 (* serve under topology churn: epochs, stale windows, hot swaps         *)
 (* ------------------------------------------------------------------ *)
@@ -514,6 +556,7 @@ let suite =
       arb_graph_and_seed prop_repair_identical;
     case "repair identity: pools, faults and the deadline fallback"
       test_repair_identity;
+    case "every delta drops the scheme states" test_scheme_state_dropped;
     case "serve under topology churn" test_serve_topo_churn;
     case "topo-churn serve is domain-count independent"
       test_serve_topo_domain_independent;

@@ -937,6 +937,72 @@ let test_reuse_after_repair () =
       checkb (e.Catalog.id ^ ": nor does the source handle") false no_lookup)
     entries
 
+(* A repair keeps a packed vicinity family one packed family, so a save
+   on the repaired handle writes what a save on a fresh handle of the new
+   graph writes: the last entry's save freezes its repaired build, the
+   others preprocess on the carried substrates. Eager and lazy. *)
+let test_repaired_saves_fresh () =
+  let g =
+    Generators.with_random_weights ~seed:3 ~lo:1.0 ~hi:8.0
+      (Generators.glp ~seed:3 200)
+  in
+  let entries = List.map entry [ "tz-k3"; "rt-5eps"; "rt-4km7-k3" ] in
+  let ops = Delta.random ~seed:41 ~size:4 g in
+  List.iter
+    (fun (mode, lazy_n) ->
+      with_lazy_n lazy_n @@ fun () ->
+      let h = Substrate.create g in
+      List.iter
+        (fun (e : Catalog.entry) ->
+          ignore (e.Catalog.build ~substrate:h ~seed ~eps g))
+        entries;
+      let r = Catalog.repair ~entries ~substrate:h ~seed ~eps ops in
+      let g' = r.Catalog.graph in
+      List.iter
+        (fun (e : Catalog.entry) ->
+          checkb
+            (Printf.sprintf "%s %s: a repaired save writes a fresh save's bytes"
+               mode e.Catalog.id)
+            true
+            (saved_bytes ~substrate:r.Catalog.substrate
+               ~dir:(subdir "repaired-fresh") g' e
+            = fresh_bytes g' e))
+        (List.rev entries))
+    [ ("eager", ""); ("lazy", "32") ]
+
+(* rt-4km7-k built after tz-k on one handle embeds tz-k's state; built
+   alone it builds its own. Tables, labels, routes and snapshot bytes are
+   the same either way, eager and lazy. *)
+let test_shared_tz_state_same_instance () =
+  let g = Lazy.force reuse_weighted in
+  let built ~after_tz k =
+    let h = Substrate.create g in
+    if after_tz then
+      ignore ((entry (Printf.sprintf "tz-k%d" k)).Catalog.build ~substrate:h
+                ~seed ~eps g);
+    let e = entry (Printf.sprintf "rt-4km7-k%d" k) in
+    let inst, _ = e.Catalog.build ~substrate:h ~seed ~eps g in
+    let bytes = saved_bytes ~substrate:h ~dir:(subdir "shared-tz") g e in
+    ( inst.Scheme.table_words,
+      inst.Scheme.label_words,
+      route_signature inst g,
+      bytes )
+  in
+  List.iter
+    (fun (mode, lazy_n) ->
+      with_lazy_n lazy_n @@ fun () ->
+      List.iter
+        (fun k ->
+          let tw, lw, rs, sb = built ~after_tz:false k
+          and tw', lw', rs', sb' = built ~after_tz:true k in
+          let name what = Printf.sprintf "%s rt-4km7-k%d: %s" mode k what in
+          checkb (name "table words") true (tw = tw');
+          checkb (name "label words") true (lw = lw');
+          checkb (name "routes") true (rs = rs');
+          checkb (name "snapshot bytes") true (sb = sb'))
+        [ 3; 4 ])
+    [ ("eager", ""); ("lazy", "32") ]
+
 (* ------------------------------------------------------------------ *)
 (* 9. Concurrent saves of one path.                                   *)
 
@@ -1026,5 +1092,9 @@ let suite =
     case "reuse: other seed, eps or entry preprocesses" test_no_false_reuse;
     case "reuse: +res entries reuse the base build" test_reuse_resilient;
     case "reuse: after repair and invalidate" test_reuse_after_repair;
+    case "repaired saves equal fresh saves, eager and lazy"
+      test_repaired_saves_fresh;
+    case "rt-4km7-k after tz-k: the same instance and bytes"
+      test_shared_tz_state_same_instance;
     case "save: concurrent writers of one path" test_concurrent_saves;
   ]

@@ -231,6 +231,75 @@ let test_cross_scheme_vicinity_sharing () =
   checkb "second scheme hit the vicinity cache" true
     (st2.Substrate.vicinity_hits > st1.Substrate.vicinity_hits)
 
+(* --- One Thorup-Zwick state per handle --- *)
+
+let tz_lookups st =
+  (st.Substrate.scheme_state_hits, st.Substrate.scheme_state_misses)
+
+let centers_lookups st = st.Substrate.centers_hits + st.Substrate.centers_misses
+
+(* Theorem 16 stores the whole TZ scheme: on one handle, tz-k then
+   rt-4km7-k build its state once, and the second build makes no center
+   lookup of its own for it. *)
+let test_tz_state_shared () =
+  let g = sweep_graph () in
+  List.iter
+    (fun k ->
+      let sub = Substrate.create g in
+      let build id =
+        let e = Option.get (Catalog.find (Printf.sprintf id k)) in
+        ignore (e.Catalog.build ~substrate:sub ~seed:31 ~eps:0.5 g);
+        Substrate.stats sub
+      in
+      let st1 = build "tz-k%d" in
+      let st2 = build "rt-4km7-k%d" in
+      let name = Printf.sprintf "k=%d: " k in
+      check
+        Alcotest.(pair int int)
+        (name ^ "tz-k misses the TZ state") (0, 1) (tz_lookups st1);
+      check
+        Alcotest.(pair int int)
+        (name ^ "rt-4km7-k hits it") (1, 1) (tz_lookups st2);
+      checki (name ^ "no second center lookup") (centers_lookups st1)
+        (centers_lookups st2))
+    [ 3; 4 ]
+
+(* The key is complete: a hit needs the same seed, k, resolved A_1 target
+   and handle; an absent target is the default one. A handle of another
+   graph is refused before the lookup, even when that graph is equal. *)
+let test_tz_state_key () =
+  let g = sweep_graph () in
+  let sub = Substrate.create g in
+  let tz ?a1_target ?(sub = sub) ?(g = g) ~seed k =
+    Cr_baselines.Tz_routing.preprocess ~substrate:sub ?a1_target ~seed g ~k
+  in
+  let a = tz ~seed:5 3 in
+  let misses () = snd (tz_lookups (Substrate.stats sub)) in
+  checkb "same key: the same state" true (tz ~seed:5 3 == a);
+  let target = Cr_baselines.Tz_hierarchy.default_a1_target ~n:(Graph.n g) ~k:3 in
+  checkb "the default A_1 target, given: the same state" true
+    (tz ~a1_target:target ~seed:5 3 == a);
+  checki "no miss so far but the first" 1 (misses ());
+  List.iteri
+    (fun i (name, build) ->
+      checkb (name ^ ": another state") true (build () != a);
+      checki (name ^ ": a miss") (i + 2) (misses ()))
+    [
+      ("seed", fun () -> tz ~seed:6 3);
+      ("k", fun () -> tz ~a1_target:target ~seed:5 4);
+      ("A_1 target", fun () -> tz ~a1_target:(target + 1) ~seed:5 3);
+    ];
+  let other = Substrate.create g in
+  checkb "another handle: another state" true (tz ~sub:other ~seed:5 3 != a);
+  check
+    Alcotest.(pair int int)
+    "another handle misses" (0, 1)
+    (tz_lookups (Substrate.stats other));
+  checkb "a handle of another (equal) graph is refused" true
+    (match tz ~g:(sweep_graph ()) ~seed:5 3 with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 let suite =
   [
     prop_csr_matches_reference;
@@ -247,4 +316,6 @@ let suite =
     case "rebuild on a warm handle is all hits" test_rebuild_is_all_hits;
     case "rt-3eps and rt-3eps-ni share vicinities"
       test_cross_scheme_vicinity_sharing;
+    case "tz-k and rt-4km7-k share one TZ state" test_tz_state_shared;
+    case "the TZ state's key: seed, k, A_1 target, handle" test_tz_state_key;
   ]
