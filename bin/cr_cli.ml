@@ -530,6 +530,9 @@ let stats e seed eps pairs domains jsonl csv g =
   Telemetry.set_enabled true;
   Fun.protect ~finally:(fun () -> Telemetry.set_enabled was) @@ fun () ->
   let e = require g e in
+  (* The oracle first: a graph past the O(n^2) guard is refused before
+     anything is built. *)
+  let apsp = apsp_oracle ~caller:(e.Catalog.id ^ " stats oracle") g in
   let inst, (alpha, beta) = build_or_die ~seed ~eps g e in
   Printf.printf "scheme: %s (%s)\n" e.Catalog.id e.Catalog.description;
   Format.printf "graph:  %a@." Graph.pp g;
@@ -537,7 +540,6 @@ let stats e seed eps pairs domains jsonl csv g =
     (Scheme.max_table_words inst)
     (Scheme.avg_table_words inst)
     (Scheme.max_label_words inst);
-  let apsp = apsp_oracle ~caller:(e.Catalog.id ^ " stats oracle") g in
   let sampled = Scheme.sample_pairs ~seed ~n:(Graph.n g) ~count:pairs in
   let pool = Pool.create ~domains () in
   let ev = Scheme.evaluate_batch ~pool inst apsp sampled in
@@ -621,6 +623,9 @@ let table1_cmd =
 
 let throughput e seed eps pairs domains g =
   let e = require g e in
+  (* The oracle first: a graph past the O(n^2) guard is refused before
+     anything is built. *)
+  let apsp = apsp_oracle ~caller:(e.Catalog.id ^ " throughput oracle") g in
   let inst, _ = build_or_die ~seed ~eps g e in
   let n = Graph.n g in
   let sampled = Scheme.sample_pairs ~seed ~n ~count:pairs in
@@ -644,7 +649,6 @@ let throughput e seed eps pairs domains g =
     (t_on /. Float.max t_off 1e-9);
   (* The batch engine also verifies the merge: its eval must match the
      serial evaluation bit for bit. *)
-  let apsp = apsp_oracle ~caller:(e.Catalog.id ^ " throughput oracle") g in
   let ev_serial = Scheme.evaluate inst apsp sampled in
   let pool = Pool.create ~domains () in
   let ev_par, t_p =
@@ -1287,6 +1291,10 @@ let delta_impl schemes seed eps ops_n inserts removes reweights deadline
            (ops, Graph.apply_delta g ops)))
   in
   let entries = select (if Graph.is_unit_weighted g then g' else g) schemes in
+  (* The identity oracle on the post-delta graph, before any build: a
+     graph past the O(n^2) guard is refused before the catalog is built
+     three times. *)
+  let apsp' = apsp_oracle ~caller:"delta identity oracle" g' in
   Printf.printf "delta batch (%d op%s):\n" (List.length ops)
     (if List.length ops = 1 then "" else "s");
   List.iter
@@ -1334,7 +1342,6 @@ let delta_impl schemes seed eps ops_n inserts removes reweights deadline
   (* Identity: both instance sets must route a pair sample on the
      post-delta graph bit-identically — the dirty-region pass may only
      change wall-clock, never an answer. *)
-  let apsp' = apsp_oracle ~caller:"delta identity oracle" inc.Catalog.graph in
   let pairs =
     Scheme.sample_pairs ~seed:(seed + 4) ~n:(Graph.n g) ~count:pairs_n
   in

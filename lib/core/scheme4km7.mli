@@ -27,8 +27,10 @@ val preprocess :
   k:int ->
   t
 (** @raise Invalid_argument if [k < 3], the graph is disconnected, or the
-    coloring is infeasible. [substrate] shares vicinities and the TZ
-    hierarchy's center sample with other schemes on the same handle.
+    coloring is infeasible. [substrate] shares vicinities and the whole
+    Thorup–Zwick state (hierarchy, cluster trees, bunches, home labels)
+    with other schemes on the same handle, keyed by seed, k and the A_1
+    target: tz-k and rt-4km7-k on one handle build that part once.
 
     [mode] (default [`Auto]) picks the substrate representation: [`Eager]
     precomputes the color-representative table and every Lemma 8 sequence

@@ -14,39 +14,21 @@ let run g s =
   let first_port = Array.make n (-1) in
   let order = Array.make n (-1) in
   let queue = Queue.create () in
-  (* One representation dispatch per search; the per-edge loop reads the
-     concrete arrays directly. *)
-  let scan =
-    match Graph.view g with
-    | Graph.Boxed (off, adj, _) ->
-      fun u ->
-        let base = off.(u) in
-        for idx = base to off.(u + 1) - 1 do
-          let v = adj.(idx) in
-          if dist.(v) = max_int then begin
-            dist.(v) <- dist.(u) + 1;
-            parent.(v) <- u;
-            let port = idx - base in
-            parent_port.(v) <- port;
-            first_port.(v) <- (if u = s then port else first_port.(u));
-            Queue.add v queue
-          end
-        done
-    | Graph.Packed (off, adj, _) ->
-      fun u ->
-        let base = Int32.to_int (Bigarray.Array1.get off u) in
-        let stop = Int32.to_int (Bigarray.Array1.get off (u + 1)) - 1 in
-        for idx = base to stop do
-          let v = Int32.to_int (Bigarray.Array1.get adj idx) in
-          if dist.(v) = max_int then begin
-            dist.(v) <- dist.(u) + 1;
-            parent.(v) <- u;
-            let port = idx - base in
-            parent_port.(v) <- port;
-            first_port.(v) <- (if u = s then port else first_port.(u));
-            Queue.add v queue
-          end
-        done
+  let { Graph.off; dst; _ } = Graph.csr g in
+  let scan u =
+    let base = Int32.to_int (Bigarray.Array1.get off u) in
+    let stop = Int32.to_int (Bigarray.Array1.get off (u + 1)) - 1 in
+    for idx = base to stop do
+      let v = Int32.to_int (Bigarray.Array1.get dst idx) in
+      if dist.(v) = max_int then begin
+        dist.(v) <- dist.(u) + 1;
+        parent.(v) <- u;
+        let port = idx - base in
+        parent_port.(v) <- port;
+        first_port.(v) <- (if u = s then port else first_port.(u));
+        Queue.add v queue
+      end
+    done
   in
   dist.(s) <- 0;
   Queue.add s queue;
@@ -71,28 +53,17 @@ let components g =
   let n = Graph.n g in
   let comp = Array.make n (-1) in
   let queue = Queue.create () in
-  let scan =
-    match Graph.view g with
-    | Graph.Boxed (off, adj, _) ->
-      fun u id ->
-        for idx = off.(u) to off.(u + 1) - 1 do
-          let v = adj.(idx) in
-          if comp.(v) = -1 then begin
-            comp.(v) <- id;
-            Queue.add v queue
-          end
-        done
-    | Graph.Packed (off, adj, _) ->
-      fun u id ->
-        let base = Int32.to_int (Bigarray.Array1.get off u) in
-        let stop = Int32.to_int (Bigarray.Array1.get off (u + 1)) - 1 in
-        for idx = base to stop do
-          let v = Int32.to_int (Bigarray.Array1.get adj idx) in
-          if comp.(v) = -1 then begin
-            comp.(v) <- id;
-            Queue.add v queue
-          end
-        done
+  let { Graph.off; dst; _ } = Graph.csr g in
+  let scan u id =
+    let base = Int32.to_int (Bigarray.Array1.get off u) in
+    let stop = Int32.to_int (Bigarray.Array1.get off (u + 1)) - 1 in
+    for idx = base to stop do
+      let v = Int32.to_int (Bigarray.Array1.get dst idx) in
+      if comp.(v) = -1 then begin
+        comp.(v) <- id;
+        Queue.add v queue
+      end
+    done
   in
   let next = ref 0 in
   for s = 0 to n - 1 do

@@ -22,7 +22,7 @@
      function).
 
    Both compare distances against edge weights as the graphs store them:
-   a float32-packed graph keeps each weight rounded, and a search over it
+   a graph with float32 weights keeps each weight rounded, and a search over it
    sums the rounded values. *)
 
 type t = {

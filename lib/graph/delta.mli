@@ -13,9 +13,10 @@ val classify : Graph.t -> Graph.delta_op list -> t
     validation rules) and classifies it: removals and weight increases act
     like deletions, inserts and weight decreases like insertions, an
     equal-weight reweight like nothing at all. Weights are compared and
-    recorded as the graphs store them: on a float32-packed graph a reweight
-    whose value rounds to the old weight is equal-weight, and every
-    recorded weight is the rounded one a search over the graph sums. *)
+    recorded as the graphs store them: on a graph with float32 weights a
+    reweight whose value rounds to the old weight is equal-weight, and
+    every recorded weight is the rounded one a search over the graph
+    sums. *)
 
 val old_graph : t -> Graph.t
 val new_graph : t -> Graph.t

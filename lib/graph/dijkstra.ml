@@ -71,9 +71,8 @@ let reset ws =
    number of settled vertices (a prefix of [ws_order]). The caller must
    [reset] the workspace when done with the scratch arrays.
 
-   The edge scan dispatches on the storage representation once per call:
-   [scan] is a closure bound to the concrete arrays (boxed or packed), so
-   the per-edge work stays free of representation tests.
+   [scan] is a closure bound to the graph's CSR arrays, so the per-edge
+   work reads them directly.
 
    [stop_at] (default [-1], i.e. never) halts the search right after that
    vertex is settled and scanned. The settled prefix is exactly the set of
@@ -90,41 +89,23 @@ let run_core ?(stop_at = -1) ws g s ~admit =
   and order = ws.ws_order
   and settled = ws.ws_settled
   and heap = ws.ws_heap in
-  let scan =
-    match Graph.view g with
-    | Graph.Boxed (off, dst, wgt) ->
-      fun u d ->
-        let base = off.(u) in
-        for idx = base to off.(u + 1) - 1 do
-          let v = dst.(idx) in
-          let d' = d +. wgt.(idx) in
-          if (not settled.(v)) && d' < dist.(v) then begin
-            touch ws v;
-            dist.(v) <- d';
-            parent.(v) <- u;
-            let port = idx - base in
-            parent_port.(v) <- port;
-            first_port.(v) <- (if u = s then port else first_port.(u));
-            Heap.insert_or_decrease heap v d'
-          end
-        done
-    | Graph.Packed (off, dst, wgt) ->
-      fun u d ->
-        let base = Int32.to_int (Bigarray.Array1.get off u) in
-        let stop = Int32.to_int (Bigarray.Array1.get off (u + 1)) - 1 in
-        for idx = base to stop do
-          let v = Int32.to_int (Bigarray.Array1.get dst idx) in
-          let d' = d +. Graph.weight wgt idx in
-          if (not settled.(v)) && d' < dist.(v) then begin
-            touch ws v;
-            dist.(v) <- d';
-            parent.(v) <- u;
-            let port = idx - base in
-            parent_port.(v) <- port;
-            first_port.(v) <- (if u = s then port else first_port.(u));
-            Heap.insert_or_decrease heap v d'
-          end
-        done
+  let { Graph.off; dst; wgt } = Graph.csr g in
+  let scan u d =
+    let base = Int32.to_int (Bigarray.Array1.get off u) in
+    let stop = Int32.to_int (Bigarray.Array1.get off (u + 1)) - 1 in
+    for idx = base to stop do
+      let v = Int32.to_int (Bigarray.Array1.get dst idx) in
+      let d' = d +. Graph.weight wgt idx in
+      if (not settled.(v)) && d' < dist.(v) then begin
+        touch ws v;
+        dist.(v) <- d';
+        parent.(v) <- u;
+        let port = idx - base in
+        parent_port.(v) <- port;
+        first_port.(v) <- (if u = s then port else first_port.(u));
+        Heap.insert_or_decrease heap v d'
+      end
+    done
   in
   touch ws s;
   dist.(s) <- 0.0;
@@ -218,37 +199,21 @@ let truncated_ws ws g s l =
   and order = ws.ws_order
   and settled = ws.ws_settled
   and heap = ws.ws_heap in
-  let scan =
-    match Graph.view g with
-    | Graph.Boxed (off, dst, wgt) ->
-      fun u d ->
-        let base = off.(u) in
-        for idx = base to off.(u + 1) - 1 do
-          let v = dst.(idx) in
-          let d' = d +. wgt.(idx) in
-          if (not settled.(v)) && d' < dist.(v) then begin
-            touch ws v;
-            dist.(v) <- d';
-            parent.(v) <- u;
-            first_port.(v) <- (if u = s then idx - base else first_port.(u));
-            Heap.insert_or_decrease heap v d'
-          end
-        done
-    | Graph.Packed (off, dst, wgt) ->
-      fun u d ->
-        let base = Int32.to_int (Bigarray.Array1.get off u) in
-        let stop = Int32.to_int (Bigarray.Array1.get off (u + 1)) - 1 in
-        for idx = base to stop do
-          let v = Int32.to_int (Bigarray.Array1.get dst idx) in
-          let d' = d +. Graph.weight wgt idx in
-          if (not settled.(v)) && d' < dist.(v) then begin
-            touch ws v;
-            dist.(v) <- d';
-            parent.(v) <- u;
-            first_port.(v) <- (if u = s then idx - base else first_port.(u));
-            Heap.insert_or_decrease heap v d'
-          end
-        done
+  let { Graph.off; dst; wgt } = Graph.csr g in
+  let scan u d =
+    let base = Int32.to_int (Bigarray.Array1.get off u) in
+    let stop = Int32.to_int (Bigarray.Array1.get off (u + 1)) - 1 in
+    for idx = base to stop do
+      let v = Int32.to_int (Bigarray.Array1.get dst idx) in
+      let d' = d +. Graph.weight wgt idx in
+      if (not settled.(v)) && d' < dist.(v) then begin
+        touch ws v;
+        dist.(v) <- d';
+        parent.(v) <- u;
+        first_port.(v) <- (if u = s then idx - base else first_port.(u));
+        Heap.insert_or_decrease heap v d'
+      end
+    done
   in
   touch ws s;
   dist.(s) <- 0.0;
@@ -306,38 +271,22 @@ let multi_source g centers =
   let mparent = Array.make n (-1) in
   let settled = Array.make n false in
   let heap = Heap.create n in
-  let scan =
-    match Graph.view g with
-    | Graph.Boxed (off, dst, wgt) ->
-      fun u d ->
-        for idx = off.(u) to off.(u + 1) - 1 do
-          let v = dst.(idx) in
-          let d' = d +. wgt.(idx) in
-          if not settled.(v) then
-            if d' < dist.(v) || (d' = dist.(v) && nearest.(u) < nearest.(v))
-            then begin
-              dist.(v) <- d';
-              nearest.(v) <- nearest.(u);
-              mparent.(v) <- u;
-              Heap.insert_or_decrease heap v d'
-            end
-        done
-    | Graph.Packed (off, dst, wgt) ->
-      fun u d ->
-        let base = Int32.to_int (Bigarray.Array1.get off u) in
-        let stop = Int32.to_int (Bigarray.Array1.get off (u + 1)) - 1 in
-        for idx = base to stop do
-          let v = Int32.to_int (Bigarray.Array1.get dst idx) in
-          let d' = d +. Graph.weight wgt idx in
-          if not settled.(v) then
-            if d' < dist.(v) || (d' = dist.(v) && nearest.(u) < nearest.(v))
-            then begin
-              dist.(v) <- d';
-              nearest.(v) <- nearest.(u);
-              mparent.(v) <- u;
-              Heap.insert_or_decrease heap v d'
-            end
-        done
+  let { Graph.off; dst; wgt } = Graph.csr g in
+  let scan u d =
+    let base = Int32.to_int (Bigarray.Array1.get off u) in
+    let stop = Int32.to_int (Bigarray.Array1.get off (u + 1)) - 1 in
+    for idx = base to stop do
+      let v = Int32.to_int (Bigarray.Array1.get dst idx) in
+      let d' = d +. Graph.weight wgt idx in
+      if not settled.(v) then
+        if d' < dist.(v) || (d' = dist.(v) && nearest.(u) < nearest.(v))
+        then begin
+          dist.(v) <- d';
+          nearest.(v) <- nearest.(u);
+          mparent.(v) <- u;
+          Heap.insert_or_decrease heap v d'
+        end
+    done
   in
   (* Initialize centers in increasing id order so ties prefer smaller ids. *)
   let centers = List.sort_uniq Int.compare centers in

@@ -1,71 +1,85 @@
 (* CSR (compressed sparse row) adjacency. The directed half-edges of all
    vertices live in three flat arrays: the half-edges of vertex [u] occupy
    the contiguous slice [off.(u) .. off.(u+1) - 1], and port [p] of [u] is
-   the flat index [off.(u) + p]. Hot loops (Dijkstra, BFS) iterate these
-   ranges directly — one bounds-checked load per edge, no per-vertex array
-   dereference and no closure allocation.
-
-   Two storage representations share the layout:
-
-   - [Boxed]: plain OCaml [int array]/[float array] — the default, and
-     what every construction path fills first.
-   - [Packed]: int32 bigarrays for [off]/[dst] (and optionally float32
-     weights), halving CSR memory when [2m] fits in 31 bits. Produced by
-     {!pack}; hot loops dispatch on {!view} once per call.
+   the flat index [off.(u) + p]. Offsets and endpoints are int32 bigarrays
+   (so n and 2m are bounded by [Int32.max_int]); weights are a float64
+   [float array] or, on request, a float32 bigarray. Hot loops (Dijkstra,
+   BFS) read the arrays through {!csr} — one bounds-checked load per edge,
+   no per-vertex array dereference and no closure allocation.
 
    Invariant relied on throughout: within each vertex slice the neighbors
-   are strictly ascending. Every constructor establishes it ([finalize]
-   sorts, [of_sorted_arrays] fills from lexicographically sorted pairs,
-   [apply_delta] merges ascending), so [port_to] is a binary search over
-   the [dst] slice itself — no side index needed. *)
+   are strictly ascending. Every constructor establishes it
+   ([Builder.finish] sorts, [apply_delta] merges ascending, [reweight]
+   keeps the slices), so [port_to] is a binary search over the [dst]
+   slice itself — no side index needed. *)
 
 type int32_array = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 type float32_array = (float, Bigarray.float32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type weights = W64 of float array | W32 of float32_array
 
-type view =
-  | Boxed of int array * int array * float array
-  | Packed of int32_array * int32_array * weights
+type csr = { off : int32_array; dst : int32_array; wgt : weights }
 
 type t = {
   n : int;
   m : int;
-  store : view;
+  csr : csr;
   unit_weighted : bool;
 }
 
+let csr_limit = Int32.to_int Int32.max_int
+
 let i32 (a : int32_array) i = Int32.to_int (Bigarray.Array1.get a i)
+
+let set32 (a : int32_array) i x = Bigarray.Array1.set a i (Int32.of_int x)
+
+let int32_array len : int32_array =
+  Bigarray.Array1.create Bigarray.Int32 Bigarray.C_layout len
 
 let weight w i =
   match w with
   | W64 a -> a.(i)
   | W32 b -> Bigarray.Array1.get b i
 
-let view g = g.store
-let storage g = match g.store with Boxed _ -> `Boxed | Packed _ -> `Packed
-let is_packed g = match g.store with Boxed _ -> false | Packed _ -> true
+let float32_weights len =
+  W32 (Bigarray.Array1.create Bigarray.Float32 Bigarray.C_layout len)
+
+(* Fresh weights of [len] entries, stored like [like]. *)
+let weights_like like len =
+  match like with
+  | W64 _ -> W64 (Array.make len 0.0)
+  | W32 _ -> float32_weights len
+
+(* Store [x] at [i]. A float32 store rounds it, and the rounded weight must
+   stay finite and positive. *)
+let set_weight ~who w i x =
+  match w with
+  | W64 a -> a.(i) <- x
+  | W32 b ->
+    Bigarray.Array1.set b i x;
+    let r = Bigarray.Array1.get b i in
+    if not (r > 0.0 && Float.is_finite r) then
+      invalid_arg (who ^ ": weight not representable as float32")
+
+let to_float32 ~who a =
+  let w = float32_weights (Array.length a) in
+  Array.iteri (set_weight ~who w) a;
+  w
+
+let unit_weights w len =
+  let unit = ref true in
+  for i = 0 to len - 1 do
+    if weight w i <> 1.0 then unit := false
+  done;
+  !unit
+
+let csr g = g.csr
 
 let n g = g.n
 
 let m g = g.m
 
-let off_at g u =
-  match g.store with
-  | Boxed (off, _, _) -> off.(u)
-  | Packed (off, _, _) -> i32 off u
-
-let dst_at g idx =
-  match g.store with
-  | Boxed (_, dst, _) -> dst.(idx)
-  | Packed (_, dst, _) -> i32 dst idx
-
-let wgt_at g idx =
-  match g.store with
-  | Boxed (_, _, wgt) -> wgt.(idx)
-  | Packed (_, _, wgt) -> weight wgt idx
-
-let degree g u = off_at g (u + 1) - off_at g u
+let degree g u = i32 g.csr.off (u + 1) - i32 g.csr.off u
 
 let max_degree g =
   let best = ref 0 in
@@ -81,103 +95,69 @@ let avg_degree g =
 let storage_bytes g =
   (* Payload bytes of the CSR triple (headers excluded): what the [scale]
      bench reports as graph bytes/vertex. *)
-  match g.store with
-  | Boxed (off, dst, wgt) ->
-    8 * (Array.length off + Array.length dst + Array.length wgt)
-  | Packed (off, dst, wgt) ->
-    (4 * (Bigarray.Array1.dim off + Bigarray.Array1.dim dst))
-    + (match wgt with
-      | W64 a -> 8 * Array.length a
-      | W32 b -> 4 * Bigarray.Array1.dim b)
+  let { off; dst; wgt } = g.csr in
+  (4 * (Bigarray.Array1.dim off + Bigarray.Array1.dim dst))
+  + (match wgt with
+    | W64 a -> 8 * Array.length a
+    | W32 b -> 4 * Bigarray.Array1.dim b)
 
 let endpoint g u p =
   if p < 0 || p >= degree g u then invalid_arg "Graph.endpoint: bad port";
-  dst_at g (off_at g u + p)
+  i32 g.csr.dst (i32 g.csr.off u + p)
 
 let port_weight g u p =
   if p < 0 || p >= degree g u then invalid_arg "Graph.port_weight: bad port";
-  wgt_at g (off_at g u + p)
+  weight g.csr.wgt (i32 g.csr.off u + p)
 
 (* Binary search for [v] in the (ascending) slice of [u]. Neighbors are
    unique, so the first hit is the only hit; the port is the offset of the
    hit inside the slice. *)
 let port_to g u v =
-  match g.store with
-  | Boxed (off, dst, _) ->
-    let base = off.(u) in
-    let lo = ref base and hi = ref (off.(u + 1) - 1) in
-    let found = ref (-1) in
-    while !lo <= !hi do
-      let mid = (!lo + !hi) / 2 in
-      let x = dst.(mid) in
-      if x = v then begin
-        found := mid - base;
-        lo := !hi + 1
-      end
-      else if x < v then lo := mid + 1
-      else hi := mid - 1
-    done;
-    if !found < 0 then None else Some !found
-  | Packed (off, dst, _) ->
-    let base = i32 off u in
-    let lo = ref base and hi = ref (i32 off (u + 1) - 1) in
-    let found = ref (-1) in
-    while !lo <= !hi do
-      let mid = (!lo + !hi) / 2 in
-      let x = i32 dst mid in
-      if x = v then begin
-        found := mid - base;
-        lo := !hi + 1
-      end
-      else if x < v then lo := mid + 1
-      else hi := mid - 1
-    done;
-    if !found < 0 then None else Some !found
+  let { off; dst; _ } = g.csr in
+  let base = i32 off u in
+  let lo = ref base and hi = ref (i32 off (u + 1) - 1) in
+  let found = ref (-1) in
+  while !lo <= !hi do
+    let mid = (!lo + !hi) / 2 in
+    let x = i32 dst mid in
+    if x = v then begin
+      found := mid - base;
+      lo := !hi + 1
+    end
+    else if x < v then lo := mid + 1
+    else hi := mid - 1
+  done;
+  if !found < 0 then None else Some !found
 
 let has_edge g u v = port_to g u v <> None
 
 let edge_weight g u v =
   match port_to g u v with
   | None -> None
-  | Some p -> Some (wgt_at g (off_at g u + p))
+  | Some p -> Some (weight g.csr.wgt (i32 g.csr.off u + p))
 
 let neighbors g u =
-  let base = off_at g u in
-  List.init (degree g u) (fun p -> (dst_at g (base + p), wgt_at g (base + p)))
+  let { off; dst; wgt } = g.csr in
+  let base = i32 off u in
+  List.init (degree g u) (fun p -> (i32 dst (base + p), weight wgt (base + p)))
 
 let iter_neighbors g u f =
-  match g.store with
-  | Boxed (off, dst, wgt) ->
-    let base = off.(u) in
-    for idx = base to off.(u + 1) - 1 do
-      f ~port:(idx - base) ~v:dst.(idx) ~w:wgt.(idx)
-    done
-  | Packed (off, dst, wgt) ->
-    let base = i32 off u in
-    for idx = base to i32 off (u + 1) - 1 do
-      f ~port:(idx - base) ~v:(i32 dst idx) ~w:(weight wgt idx)
-    done
+  let { off; dst; wgt } = g.csr in
+  let base = i32 off u in
+  for idx = base to i32 off (u + 1) - 1 do
+    f ~port:(idx - base) ~v:(i32 dst idx) ~w:(weight wgt idx)
+  done
 
 let fold_edges f g acc =
-  match g.store with
-  | Boxed (off, dst, wgt) ->
-    let acc = ref acc in
-    for u = 0 to g.n - 1 do
-      for idx = off.(u) to off.(u + 1) - 1 do
-        let v = dst.(idx) in
-        if u < v then acc := f u v wgt.(idx) !acc
-      done
-    done;
-    !acc
-  | Packed (off, dst, wgt) ->
-    let acc = ref acc in
-    for u = 0 to g.n - 1 do
-      for idx = i32 off u to i32 off (u + 1) - 1 do
-        let v = i32 dst idx in
-        if u < v then acc := f u v (weight wgt idx) !acc
-      done
-    done;
-    !acc
+  let { off; dst; wgt } = g.csr in
+  let acc = ref acc in
+  for u = 0 to g.n - 1 do
+    for idx = i32 off u to i32 off (u + 1) - 1 do
+      let v = i32 dst idx in
+      if u < v then acc := f u v (weight wgt idx) !acc
+    done
+  done;
+  !acc
 
 (* Edges come out of [fold_edges] with unique [(u, v)] keys ([u < v]), so
    an int-pair comparison is a total order here and agrees with the
@@ -199,116 +179,23 @@ let max_edge_weight g =
   if g.m = 0 then invalid_arg "Graph.max_edge_weight: no edges";
   fold_edges (fun _ _ w acc -> Float.max w acc) g neg_infinity
 
-(* --- representation conversion ----------------------------------------- *)
-
-let int32_limit = Int32.to_int Int32.max_int
-
 let pack ?(float32 = false) g =
-  match g.store with
-  | Packed _ -> g
-  | Boxed (off, dst, wgt) ->
-    if g.n >= int32_limit || 2 * g.m >= int32_limit then g
-    else begin
-      let noff = Array.length off and half = Array.length dst in
-      let off' = Bigarray.Array1.create Bigarray.Int32 Bigarray.C_layout noff in
-      for i = 0 to noff - 1 do
-        Bigarray.Array1.set off' i (Int32.of_int off.(i))
-      done;
-      let dst' = Bigarray.Array1.create Bigarray.Int32 Bigarray.C_layout half in
-      for i = 0 to half - 1 do
-        Bigarray.Array1.set dst' i (Int32.of_int dst.(i))
-      done;
-      if float32 then begin
-        let b =
-          Bigarray.Array1.create Bigarray.Float32 Bigarray.C_layout half
-        in
-        let unit_weighted = ref true in
-        for i = 0 to half - 1 do
-          Bigarray.Array1.set b i wgt.(i);
-          let r = Bigarray.Array1.get b i in
-          if not (r > 0.0 && Float.is_finite r) then
-            invalid_arg "Graph.pack: weight not representable as float32";
-          if r <> 1.0 then unit_weighted := false
-        done;
-        { g with store = Packed (off', dst', W32 b);
-          unit_weighted = !unit_weighted }
-      end
-      else { g with store = Packed (off', dst', W64 wgt) }
-    end
+  match g.csr.wgt with
+  | W64 a when float32 ->
+    let wgt = to_float32 ~who:"Graph.pack" a in
+    { g with csr = { g.csr with wgt };
+      unit_weighted = unit_weights wgt (2 * g.m) }
+  | W64 _ | W32 _ -> g
 
-(* Boxed copies of the CSR triple; O(1) (the storage itself) on a boxed
-   graph, a fresh materialization on a packed one. *)
-let boxed_csr g =
-  match g.store with
-  | Boxed (off, dst, wgt) -> (off, dst, wgt)
-  | Packed (off, dst, wgt) ->
-    ( Array.init (Bigarray.Array1.dim off) (fun i -> i32 off i),
-      Array.init (Bigarray.Array1.dim dst) (fun i -> i32 dst i),
-      match wgt with
-      | W64 a -> a
-      | W32 b ->
-        Array.init (Bigarray.Array1.dim b) (fun i -> Bigarray.Array1.get b i) )
+(* --- construction -------------------------------------------------------
 
-let unpack g =
-  match g.store with
-  | Boxed _ -> g
-  | Packed _ ->
-    let off, dst, wgt = boxed_csr g in
-    { g with store = Boxed (off, dst, wgt) }
-
-let csr_off g = let off, _, _ = boxed_csr g in off
-let csr_dst g = let _, dst, _ = boxed_csr g in dst
-let csr_wgt g = let _, _, wgt = boxed_csr g in wgt
-
-(* Re-pack a freshly built boxed graph into the representation of [like]. *)
-let repack_like like g' =
-  match like.store with
-  | Boxed _ -> g'
-  | Packed (_, _, w) ->
-    pack ~float32:(match w with W32 _ -> true | W64 _ -> false) g'
-
-(* --- streaming construction --------------------------------------------
-
-   Every constructor funnels into [finalize]: a freshly filled
-   (off, dst, wgt) triple whose vertex slices are in arbitrary order and
-   may contain duplicate pairs. Sorting each slice by (neighbor, weight)
-   and keeping the first entry of every neighbor run keeps the minimum
-   weight per pair — symmetrically on both endpoints — then slices are
-   compacted in place. The result is byte-identical to what [of_edges]
-   historically produced: every vertex numbers its ports in ascending
-   neighbor order. *)
-
-let finalize ~packed ~float32 n off dst wgt =
-  let off' = Array.make (n + 1) 0 in
-  let wp = ref 0 in
-  for u = 0 to n - 1 do
-    let base = off.(u) in
-    let deg = off.(u + 1) - base in
-    let perm = Array.init deg (fun p -> p) in
-    Array.sort
-      (fun p q ->
-        let c = Int.compare dst.(base + p) dst.(base + q) in
-        if c <> 0 then c else Float.compare wgt.(base + p) wgt.(base + q))
-      perm;
-    let nd = Array.map (fun p -> dst.(base + p)) perm in
-    let nw = Array.map (fun p -> wgt.(base + p)) perm in
-    (* [!wp <= base] always (earlier slices only shrank), so writing the
-       kept entries back never clobbers an unread slice. *)
-    for i = 0 to deg - 1 do
-      if i = 0 || nd.(i) <> nd.(i - 1) then begin
-        dst.(!wp) <- nd.(i);
-        wgt.(!wp) <- nw.(i);
-        incr wp
-      end
-    done;
-    off'.(u + 1) <- !wp
-  done;
-  let total = !wp in
-  let dst = if Array.length dst = total then dst else Array.sub dst 0 total in
-  let wgt = if Array.length wgt = total then wgt else Array.sub wgt 0 total in
-  let unit_weighted = Array.for_all (fun w -> w = 1.0) wgt in
-  let g = { n; m = total / 2; store = Boxed (off', dst, wgt); unit_weighted } in
-  if packed then pack ~float32 g else g
+   Every constructor goes through [Builder]: [add_edge] buffers the edges
+   in flat arrays, and [finish] buckets the half-edges by tail (degree
+   count, prefix sums, fill), then sorts each vertex slice by
+   (neighbor, weight) and keeps the first entry of every neighbor run —
+   the minimum weight per pair, symmetrically on both endpoints —
+   compacting the slices in place. Every vertex numbers its ports in
+   ascending neighbor order. *)
 
 let validate_edge ~who u v w =
   if u < 0 || v < 0 then invalid_arg (who ^ ": negative vertex id");
@@ -365,7 +252,7 @@ module Builder = struct
 
   let count b = b.len
 
-  let finish ?n:n_override ?(packed = false) ?(float32 = false) b =
+  let finish ?n:n_override ?(float32 = false) b =
     let n =
       match (n_override, b.declared_n) with
       | Some n, _ ->
@@ -375,136 +262,72 @@ module Builder = struct
       | None, Some n -> n
       | None, None -> b.max_id + 1
     in
-    let deg = Array.make (max n 1) 0 in
-    for i = 0 to b.len - 1 do
-      deg.(b.eu.(i)) <- deg.(b.eu.(i)) + 1;
-      deg.(b.ev.(i)) <- deg.(b.ev.(i)) + 1
-    done;
+    (* Before any allocation: n and the 2 * len half-edges (an upper
+       bound on 2m) must be int32-indexable. *)
+    if n > csr_limit || b.len > csr_limit / 2 then
+      invalid_arg "Graph.Builder.finish: n or 2m exceeds Int32.max_int";
     let off = Array.make (n + 1) 0 in
+    for i = 0 to b.len - 1 do
+      off.(b.eu.(i) + 1) <- off.(b.eu.(i) + 1) + 1;
+      off.(b.ev.(i) + 1) <- off.(b.ev.(i) + 1) + 1
+    done;
     for u = 0 to n - 1 do
-      off.(u + 1) <- off.(u) + deg.(u)
+      off.(u + 1) <- off.(u + 1) + off.(u)
     done;
     let fill = Array.sub off 0 (max n 1) in
-    let dst = Array.make (2 * b.len) (-1) in
-    let wgt = Array.make (2 * b.len) 0.0 in
+    let half = 2 * b.len in
+    let dst = int32_array half in
+    let wgt = Array.make half 0.0 in
     for i = 0 to b.len - 1 do
       let u = b.eu.(i) and v = b.ev.(i) and w = b.ew.(i) in
-      dst.(fill.(u)) <- v;
+      set32 dst fill.(u) v;
       wgt.(fill.(u)) <- w;
       fill.(u) <- fill.(u) + 1;
-      dst.(fill.(v)) <- u;
+      set32 dst fill.(v) u;
       wgt.(fill.(v)) <- w;
       fill.(v) <- fill.(v) + 1
     done;
-    finalize ~packed ~float32 n off dst wgt
-end
-
-let of_edge_iter ?n:declared ?(packed = false) ?(float32 = false) iter =
-  let who = "Graph.of_edge_iter" in
-  (match declared with
-  | Some n when n < 0 -> invalid_arg (who ^ ": negative n")
-  | _ -> ());
-  (* Pass 1: validate, count, and accumulate degrees. The degree array
-     grows geometrically when no [n] was declared. *)
-  let deg = ref (Array.make (match declared with Some n -> max n 1 | None -> 1024) 0) in
-  let bump i =
-    if i >= Array.length !deg then begin
-      let len' = ref (max 16 (2 * Array.length !deg)) in
-      while i >= !len' do
-        len' := 2 * !len'
+    let off' = int32_array (n + 1) in
+    set32 off' 0 0;
+    let wp = ref 0 in
+    for u = 0 to n - 1 do
+      let base = off.(u) in
+      let deg = off.(u + 1) - base in
+      let perm = Array.init deg (fun p -> p) in
+      Array.sort
+        (fun p q ->
+          let c = Int.compare (i32 dst (base + p)) (i32 dst (base + q)) in
+          if c <> 0 then c else Float.compare wgt.(base + p) wgt.(base + q))
+        perm;
+      let nd = Array.map (fun p -> i32 dst (base + p)) perm in
+      let nw = Array.map (fun p -> wgt.(base + p)) perm in
+      (* [!wp <= base] always (earlier slices only shrank), so writing the
+         kept entries back never clobbers an unread slice. *)
+      for i = 0 to deg - 1 do
+        if i = 0 || nd.(i) <> nd.(i - 1) then begin
+          set32 dst !wp nd.(i);
+          wgt.(!wp) <- nw.(i);
+          incr wp
+        end
       done;
-      let d = Array.make !len' 0 in
-      Array.blit !deg 0 d 0 (Array.length !deg);
-      deg := d
-    end;
-    !deg.(i) <- !deg.(i) + 1
-  in
-  let cnt = ref 0 and max_id = ref (-1) in
-  iter (fun u v w ->
-      validate_edge ~who u v w;
-      (match declared with
-      | Some n when u >= n || v >= n ->
-        invalid_arg (who ^ ": vertex id exceeds n")
-      | _ -> ());
-      bump u;
-      bump v;
-      incr cnt;
-      if u > !max_id then max_id := u;
-      if v > !max_id then max_id := v);
-  let n = match declared with Some n -> n | None -> !max_id + 1 in
-  let off = Array.make (n + 1) 0 in
-  let deg = !deg in
-  for u = 0 to n - 1 do
-    off.(u + 1) <- off.(u) + deg.(u)
-  done;
-  (* Pass 2: fill. The iterator must replay the same edge multiset; the
-     fill cursors double as a cheap replay check. *)
-  let fill = Array.sub off 0 (max n 1) in
-  let dst = Array.make (2 * !cnt) (-1) in
-  let wgt = Array.make (2 * !cnt) 0.0 in
-  let seen = ref 0 in
-  iter (fun u v w ->
-      incr seen;
-      if !seen > !cnt then
-        invalid_arg (who ^ ": iterator changed between passes");
-      dst.(fill.(u)) <- v;
-      wgt.(fill.(u)) <- w;
-      fill.(u) <- fill.(u) + 1;
-      dst.(fill.(v)) <- u;
-      wgt.(fill.(v)) <- w;
-      fill.(v) <- fill.(v) + 1);
-  let replayed = ref (!seen = !cnt) in
-  for u = 0 to n - 1 do
-    if fill.(u) <> off.(u + 1) then replayed := false
-  done;
-  if not !replayed then invalid_arg (who ^ ": iterator changed between passes");
-  finalize ~packed ~float32 n off dst wgt
-
-let of_sorted_arrays ?(packed = false) ?(float32 = false) ~n ~src ~dst:dst_in
-    ~wgt:wgt_in () =
-  let who = "Graph.of_sorted_arrays" in
-  if n < 0 then invalid_arg (who ^ ": negative n");
-  let len = Array.length src in
-  if Array.length dst_in <> len || Array.length wgt_in <> len then
-    invalid_arg (who ^ ": arrays length mismatch");
-  let deg = Array.make (max n 1) 0 in
-  for i = 0 to len - 1 do
-    let u = src.(i) and v = dst_in.(i) and w = wgt_in.(i) in
-    validate_edge ~who u v w;
-    if u >= v then invalid_arg (who ^ ": edge not oriented u < v");
-    if v >= n then invalid_arg (who ^ ": vertex id exceeds n");
-    if i > 0 && (u < src.(i - 1) || (u = src.(i - 1) && v <= dst_in.(i - 1)))
-    then invalid_arg (who ^ ": edges not strictly sorted");
-    deg.(u) <- deg.(u) + 1;
-    deg.(v) <- deg.(v) + 1
-  done;
-  let off = Array.make (n + 1) 0 in
-  for u = 0 to n - 1 do
-    off.(u + 1) <- off.(u) + deg.(u)
-  done;
-  let fill = Array.sub off 0 (max n 1) in
-  let dst = Array.make (2 * len) (-1) in
-  let wgt = Array.make (2 * len) 0.0 in
-  let unit_weighted = ref true in
-  (* Filling from lexicographically sorted unique (u < v) pairs yields
-     ascending slices directly (each u first collects its smaller
-     neighbors ascending, then its larger ones ascending), so no
-     per-slice sort or dedup is needed. *)
-  for i = 0 to len - 1 do
-    let u = src.(i) and v = dst_in.(i) and w = wgt_in.(i) in
-    if w <> 1.0 then unit_weighted := false;
-    dst.(fill.(u)) <- v;
-    wgt.(fill.(u)) <- w;
-    fill.(u) <- fill.(u) + 1;
-    dst.(fill.(v)) <- u;
-    wgt.(fill.(v)) <- w;
-    fill.(v) <- fill.(v) + 1
-  done;
-  let g =
-    { n; m = len; store = Boxed (off, dst, wgt);
-      unit_weighted = !unit_weighted }
-  in
-  if packed then pack ~float32 g else g
+      set32 off' (u + 1) !wp
+    done;
+    let total = !wp in
+    let dst =
+      if total = half then dst
+      else begin
+        let d = int32_array total in
+        Bigarray.Array1.blit (Bigarray.Array1.sub dst 0 total) d;
+        d
+      end
+    in
+    let wgt = if total = half then wgt else Array.sub wgt 0 total in
+    let wgt =
+      if float32 then to_float32 ~who:"Graph.Builder.finish" wgt else W64 wgt
+    in
+    { n; m = total / 2; csr = { off = off'; dst; wgt };
+      unit_weighted = unit_weights wgt total }
+end
 
 let of_edges ?n edge_list =
   let b = Builder.create ?n ~hint:(max 16 (List.length edge_list)) () in
@@ -526,7 +349,7 @@ let of_unweighted_edges ?n edge_list =
 
    Every constructor numbers the ports of each vertex in ascending
    neighbor order (see the invariant at the top of the file).
-   [apply_delta] rebuilds each touched slice by an ascending merge, which
+   [apply_delta] rebuilds each slice by an ascending merge, which
    therefore reproduces exactly the numbering a fresh [of_edges] over the
    edited edge list would produce — and an untouched vertex keeps its
    slice (and every port) verbatim. *)
@@ -539,7 +362,8 @@ type delta_op =
 let apply_delta g ops =
   if ops = [] then g
   else begin
-    let off, dst, wgt = boxed_csr g in
+    let who = "Graph.apply_delta" in
+    let { off; dst; wgt } = g.csr in
     (* Validate and key each op by its unordered pair; at most one op per
        pair per batch, so sequential and batch application agree. *)
     let tbl = Hashtbl.create (2 * List.length ops) in
@@ -609,57 +433,48 @@ let apply_delta g ops =
         | Reweight _ -> ())
       tbl;
     let m' = g.m + !n_ins - !n_rem in
-    let off' = Array.make (g.n + 1) 0 in
+    let off' = int32_array (g.n + 1) in
+    set32 off' 0 0;
     for u = 0 to g.n - 1 do
-      off'.(u + 1) <-
-        off'.(u) + (off.(u + 1) - off.(u)) + List.length ins.(u)
-        - List.length rem.(u)
+      set32 off' (u + 1)
+        (i32 off' u + (i32 off (u + 1) - i32 off u) + List.length ins.(u)
+        - List.length rem.(u))
     done;
-    let dst' = Array.make (2 * m') (-1) in
-    let wgt' = Array.make (2 * m') 0.0 in
+    let dst' = int32_array (2 * m') in
+    let wgt' = weights_like wgt (2 * m') in
+    (* Each slice is the merge of the (ascending) old slice with the
+       sorted inserts, skipping removed neighbors: the canonical ascending
+       numbering of the new neighbor set. *)
+    let idx = ref 0 and pending = ref [] in
+    let emit v w =
+      set32 dst' !idx v;
+      set_weight ~who wgt' !idx w;
+      incr idx
+    in
+    let rec flush_below v =
+      match !pending with
+      | (x, w) :: rest when x < v ->
+        emit x w;
+        pending := rest;
+        flush_below v
+      | _ -> ()
+    in
     for u = 0 to g.n - 1 do
-      let base = off.(u) and deg = off.(u + 1) - off.(u) in
-      let base' = off'.(u) in
-      match (ins.(u), rem.(u)) with
-      | [], [] ->
-        Array.blit dst base dst' base' deg;
-        Array.blit wgt base wgt' base' deg
-      | inserts, removed ->
-        (* Merge the (ascending) old slice with the sorted inserts,
-           skipping removed neighbors: the result is the canonical
-           ascending numbering of the new neighbor set. *)
-        let pending =
-          ref (List.sort (fun (a, _) (b, _) -> Int.compare a b) inserts)
-        in
-        let idx = ref base' in
-        let emit v w =
-          dst'.(!idx) <- v;
-          wgt'.(!idx) <- w;
-          incr idx
-        in
-        let flush_below v =
-          let rec go () =
-            match !pending with
-            | (x, w) :: rest when x < v ->
-              emit x w;
-              pending := rest;
-              go ()
-            | _ -> ()
-          in
-          go ()
-        in
-        for p = 0 to deg - 1 do
-          let v = dst.(base + p) in
-          if not (List.mem v removed) then begin
-            flush_below v;
-            emit v wgt.(base + p)
-          end
-        done;
-        List.iter (fun (x, w) -> emit x w) !pending;
-        assert (!idx = off'.(u + 1))
+      let base = i32 off u and deg = i32 off (u + 1) - i32 off u in
+      idx := i32 off' u;
+      pending := List.sort (fun (a, _) (b, _) -> Int.compare a b) ins.(u);
+      for p = 0 to deg - 1 do
+        let v = i32 dst (base + p) in
+        if not (List.mem v rem.(u)) then begin
+          flush_below v;
+          emit v (weight wgt (base + p))
+        end
+      done;
+      List.iter (fun (x, w) -> emit x w) !pending;
+      assert (!idx = i32 off' (u + 1))
     done;
     let g' =
-      { n = g.n; m = m'; store = Boxed (off', dst', wgt');
+      { n = g.n; m = m'; csr = { off = off'; dst = dst'; wgt = wgt' };
         unit_weighted = false }
     in
     (* Reweights last: the port numbering is weight-independent, so the
@@ -670,51 +485,50 @@ let apply_delta g ops =
         | Reweight (_, _, w) -> (
           match (port_to g' a b, port_to g' b a) with
           | Some p, Some q ->
-            wgt'.(off'.(a) + p) <- w;
-            wgt'.(off'.(b) + q) <- w
+            set_weight ~who wgt' (i32 off' a + p) w;
+            set_weight ~who wgt' (i32 off' b + q) w
           | _ -> assert false)
         | _ -> ())
       tbl;
-    repack_like g
-      { g' with unit_weighted = Array.for_all (fun w -> w = 1.0) wgt' }
+    { g' with unit_weighted = unit_weights wgt' (2 * m') }
   end
 
+(* The slices, and so every port, are the same: only the weights are new. *)
 let reweight g f =
-  let off, dst, wgt0 = boxed_csr g in
-  let wgt = Array.copy wgt0 in
-  let unit_weighted = ref true in
+  let who = "Graph.reweight" in
+  let { off; dst; wgt = wgt0 } = g.csr in
+  let wgt = weights_like wgt0 (2 * g.m) in
   for u = 0 to g.n - 1 do
-    for idx = off.(u) to off.(u + 1) - 1 do
-      let v = dst.(idx) in
+    for idx = i32 off u to i32 off (u + 1) - 1 do
+      let v = i32 dst idx in
       if u < v then begin
-        let w = f u v wgt0.(idx) in
-        if not (w > 0.0) then invalid_arg "Graph.reweight: non-positive weight";
-        wgt.(idx) <- w;
+        let w = f u v (weight wgt0 idx) in
+        if not (w > 0.0) then invalid_arg (who ^ ": non-positive weight");
+        set_weight ~who wgt idx w;
         (* Mirror onto v's (unique) port back to u. *)
         match port_to g v u with
-        | Some q -> wgt.(off.(v) + q) <- w
+        | Some q -> set_weight ~who wgt (i32 off v + q) w
         | None -> assert false
       end
     done
   done;
-  Array.iter (fun w -> if w <> 1.0 then unit_weighted := false) wgt;
-  repack_like g
-    { g with store = Boxed (off, dst, wgt); unit_weighted = !unit_weighted }
+  { g with csr = { g.csr with wgt };
+    unit_weighted = unit_weights wgt (2 * g.m) }
 
 let unit_weighted g = reweight g (fun _ _ _ -> 1.0)
 
 let subgraph_of_edges g kept =
-  let with_weights =
-    List.map
-      (fun (u, v) ->
-        match edge_weight g u v with
-        | Some w -> (u, v, w)
-        | None -> invalid_arg "Graph.subgraph_of_edges: edge absent")
-      kept
-  in
-  repack_like g (of_edges ~n:g.n with_weights)
+  let b = Builder.create ~n:g.n ~hint:(List.length kept) () in
+  List.iter
+    (fun (u, v) ->
+      match edge_weight g u v with
+      | Some w -> Builder.add_edge b u v w
+      | None -> invalid_arg "Graph.subgraph_of_edges: edge absent")
+    kept;
+  Builder.finish
+    ~float32:(match g.csr.wgt with W32 _ -> true | W64 _ -> false)
+    b
 
 let pp fmt g =
-  Format.fprintf fmt "graph(n=%d, m=%d, %s%s)" g.n g.m
+  Format.fprintf fmt "graph(n=%d, m=%d, %s)" g.n g.m
     (if g.unit_weighted then "unit" else "weighted")
-    (if is_packed g then ", packed" else "")

@@ -27,10 +27,10 @@ val of_edges : ?n:int -> (int * int * float) list -> t
 val of_unweighted_edges : ?n:int -> (int * int) list -> t
 (** [of_unweighted_edges ~n edges] is [of_edges] with all weights [1.0]. *)
 
-(** Streaming CSR builder: push edges one at a time, then [finish]. No
-    intermediate edge list is materialized — the buffered endpoints go
-    straight into the CSR triple with a degree-count-then-fill pass.
-    Port numbering is byte-identical to {!of_edges} on the same edges. *)
+(** Streaming CSR builder, the one construction path: push edges one at a
+    time, then [finish]. No intermediate edge list is materialized — the
+    buffered endpoints go straight into the CSR with a
+    degree-count-then-fill pass. {!of_edges} is a builder over a list. *)
 module Builder : sig
   type graph := t
 
@@ -50,41 +50,27 @@ module Builder : sig
   val count : t -> int
   (** Edges buffered so far (before deduplication). *)
 
-  val finish : ?n:int -> ?packed:bool -> ?float32:bool -> t -> graph
+  val finish : ?n:int -> ?float32:bool -> t -> graph
   (** Freeze the buffered edges into a graph. [n] overrides the vertex
       count declared at {!create} (it must cover every buffered id) —
-      for callers that only learn the count mid-stream. [packed]
-      converts the result with {!pack} (default [false]); [float32]
-      additionally stores packed weights as float32. *)
+      for callers that only learn the count mid-stream. [float32] stores
+      the weights as float32 (default [false]: float64); see {!pack}.
+      @raise Invalid_argument, before allocating anything, if [n] or
+      twice the buffered edge count exceeds {!csr_limit}; or if a weight
+      does not survive the float32 rounding. *)
 end
 
-val of_edge_iter :
-  ?n:int -> ?packed:bool -> ?float32:bool ->
-  ((int -> int -> float -> unit) -> unit) -> t
-(** [of_edge_iter iter] builds a graph from an edge stream without
-    buffering it: [iter f] must call [f u v w] once per edge, and is
-    invoked twice (degree-count pass, then fill pass). The iterator must
-    replay the same edge sequence both times.
-    @raise Invalid_argument on an invalid edge or a non-reproducible
-    iterator. *)
+(** {1 Storage}
 
-val of_sorted_arrays :
-  ?packed:bool -> ?float32:bool ->
-  n:int -> src:int array -> dst:int array -> wgt:float array -> unit -> t
-(** [of_sorted_arrays ~n ~src ~dst ~wgt ()] builds a graph from parallel
-    arrays of edges already strictly sorted lexicographically with
-    [src.(i) < dst.(i)] and no duplicates — the fast path for importers
-    that hold columnar data: no sort, no dedup, one fill pass.
-    @raise Invalid_argument if the arrays disagree in length, an edge is
-    invalid, or the order contract is violated. *)
+    One representation: offsets and endpoints are int32 bigarrays, so
+    [n] and [2m] are at most {!csr_limit}; weights are a float64
+    [float array], or a float32 bigarray on request ({!pack},
+    {!Builder.finish}) at half the weight memory. Every operation keeps
+    the weight precision of its input. *)
 
-(** {1 Storage representations}
-
-    The CSR triple is stored either as plain OCaml arrays ([Boxed], the
-    default) or as int32 bigarrays with optionally float32 weights
-    ([Packed]) — half the memory, available whenever [2m] and [n] fit in
-    31 bits. All accessors work on both; hot loops dispatch on {!view}
-    once and read the arrays directly. *)
+val csr_limit : int
+(** [Int32.max_int]: the largest vertex count and the largest half-edge
+    count [2m] a graph can have. *)
 
 type int32_array = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 type float32_array = (float, Bigarray.float32_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -93,37 +79,33 @@ type weights =
   | W64 of float array
   | W32 of float32_array
 
-type view =
-  | Boxed of int array * int array * float array
-      (** (off, dst, wgt): offsets (length [n+1]), endpoints and weights
-          (length [2m], indexed by flat half-edge index). *)
-  | Packed of int32_array * int32_array * weights
-      (** Same layout, int32 offsets/endpoints. *)
+type csr = {
+  off : int32_array;  (** offsets, length [n + 1]; [off.{n} = 2m] *)
+  dst : int32_array;  (** endpoints, length [2m], by flat half-edge index *)
+  wgt : weights;  (** weights, parallel to [dst] *)
+}
+(** The adjacency in compressed-sparse-row form: the half-edges of vertex
+    [u] occupy the flat slice [off.{u} .. off.{u+1} - 1] of [dst]/[wgt],
+    and port [p] of [u] is flat index [off.{u} + p]. *)
 
-val view : t -> view
-(** The graph's own storage: callers must not mutate it. *)
+val csr : t -> csr
+(** The graph's own storage (no copy): callers must not mutate it. Hot
+    loops read it directly. *)
 
 val weight : weights -> int -> float
-(** [weight w i] reads index [i] of either weight representation. *)
-
-val storage : t -> [ `Boxed | `Packed ]
-
-val is_packed : t -> bool
+(** [weight w i] reads index [i] of either weight precision. *)
 
 val pack : ?float32:bool -> t -> t
-(** [pack g] is [g] with the CSR triple re-stored as int32 bigarrays
-    (and float32 weights when [float32] is set — weights must survive
-    the rounding as finite positive values, which unit weights always
-    do). Distances computed over float32 weights reflect the rounded
-    values. Returns [g] unchanged if it is already packed or too large
-    for int32 indexing. *)
-
-val unpack : t -> t
-(** [unpack g] is [g] with boxed storage (identity on boxed graphs). *)
+(** [pack ~float32:true g] is [g] with its weights stored as float32,
+    sharing [g]'s offsets and endpoints; weights must survive the
+    rounding as finite positive values, which unit weights always do.
+    Distances computed over float32 weights reflect the rounded values.
+    Without [~float32:true], or on float32 weights, it returns [g]
+    itself.
+    @raise Invalid_argument if a weight rounds to zero or infinity. *)
 
 val storage_bytes : t -> int
-(** Payload bytes of the CSR triple under the current representation
-    (array headers excluded). *)
+(** Payload bytes of the CSR triple (array headers excluded). *)
 
 (** {1 Basic accessors} *)
 
@@ -167,25 +149,6 @@ val iter_neighbors : t -> int -> (port:int -> v:int -> w:float -> unit) -> unit
 (** [iter_neighbors g u f] applies [f] to each incident edge of [u] in port
     order. This is the hot-path accessor: it performs no allocation. *)
 
-(** {1 CSR view (boxed copies)}
-
-    The adjacency in compressed-sparse-row form: the half-edges of vertex
-    [u] occupy the flat slice [csr_off.(u) .. csr_off.(u+1) - 1] of
-    [csr_dst]/[csr_wgt], and port [p] of [u] is flat index
-    [csr_off.(u) + p]. On a boxed graph these return the graph's own
-    arrays (O(1) — do not mutate); on a packed graph each call
-    materializes a fresh boxed copy. Hot loops should match on {!view}
-    instead. *)
-
-val csr_off : t -> int array
-(** Offsets array, length [n + 1]; [csr_off g .(n g) = 2 * m g]. *)
-
-val csr_dst : t -> int array
-(** Endpoints array, length [2m], indexed by flat half-edge index. *)
-
-val csr_wgt : t -> float array
-(** Weights array, parallel to {!csr_dst}. *)
-
 val fold_edges : (int -> int -> float -> 'a -> 'a) -> t -> 'a -> 'a
 (** [fold_edges f g acc] folds over each undirected edge once, with [u < v]. *)
 
@@ -222,7 +185,8 @@ val apply_delta : t -> delta_op list -> t
     verbatim (a [Reweight] never renumbers), and the result is structurally
     identical — same ports everywhere — to [of_edges ~n] over the edited
     edge list. [apply_delta g []] is [g] itself (physically). The result
-    keeps the representation of [g] (boxed or packed).
+    keeps the weight precision of [g]: on float32 weights, new weights
+    are stored rounded.
     @raise Invalid_argument on an out-of-range or equal endpoint pair, a
     non-positive weight, an [Insert] of an edge already present (duplicate
     edge), a [Remove]/[Reweight] of an absent edge, or two ops on the same
@@ -232,15 +196,17 @@ val apply_delta : t -> delta_op list -> t
 
 val reweight : t -> (int -> int -> float -> float) -> t
 (** [reweight g f] replaces the weight of each edge [(u, v, w)] (with
-    [u < v]) by [f u v w]. Port numbering and representation are
-    preserved. *)
+    [u < v]) by [f u v w]. Port numbering and weight precision are
+    preserved; the result shares [g]'s offsets and endpoints. *)
 
 val unit_weighted : t -> t
-(** [unit_weighted g] is [g] with every weight replaced by [1.0]. *)
+(** [unit_weighted g] is [g] with every weight replaced by [1.0], at
+    [g]'s weight precision. *)
 
 val subgraph_of_edges : t -> (int * int) list -> t
 (** [subgraph_of_edges g kept] is the subgraph of [g] on the same vertex set
-    containing exactly the listed edges (weights copied from [g]).
+    containing exactly the listed edges (weights copied from [g], at its
+    precision).
     @raise Invalid_argument if a listed edge is absent from [g]. *)
 
 (** {1 Pretty-printing} *)

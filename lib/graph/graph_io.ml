@@ -50,6 +50,12 @@ let feed st idx line =
       | Some nv, Some mv when st.n < 0 ->
         if nv < 0 then bad "negative vertex count %d" nv;
         if mv < 0 then bad "negative edge count %d" mv;
+        (* The CSR's own limit, checked here so that an oversized header
+           fails at its line before the builder allocates n-sized arrays. *)
+        if nv > Graph.csr_limit then
+          bad "vertex count %d exceeds the CSR limit %d" nv Graph.csr_limit;
+        if mv > Graph.csr_limit / 2 then
+          bad "edge count %d exceeds the CSR limit %d" mv (Graph.csr_limit / 2);
         st.n <- nv;
         st.declared_m <- mv
       | Some _, Some _ -> bad "duplicate header"

@@ -11,7 +11,8 @@ val of_string : string -> Graph.t
 (** Parses a document produced by {!to_string} (or hand-written in the same
     format) and validates it strictly. Beyond syntax, the parser rejects —
     each with a [Failure] naming the offending line:
-    - a missing, duplicate, or malformed [p] header;
+    - a missing, duplicate, or malformed [p] header, and one whose [n]
+      or [2m] exceeds {!Graph.csr_limit};
     - negative vertex ids, and ids [>= n] (via {!Graph.of_edges});
     - self-loops [e u u w];
     - the same unordered pair listed twice (never silently merged);

@@ -149,10 +149,10 @@ let crc_i32 crc (a : i32arr) =
 (* ------------------------------------------------------------------ *)
 
 (* FNV-1a over 64-bit words of the logical CSR (n, m, offsets,
-   destinations, weight float bits). Hashing logical values through
-   [Graph.view] makes the fingerprint independent of boxed-vs-packed
-   storage; a float32-packed graph fingerprints differently from its
-   float64 original because its weights genuinely differ. *)
+   destinations, weight float bits): each int32 entry is hashed as the
+   int it holds and each weight as its float64 bits, so converting a
+   graph's weights to float32 changes its fingerprint exactly when the
+   rounding changes a weight. *)
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
@@ -163,21 +163,16 @@ let fnv_int h x = fnv h (Int64.of_int x)
 let fingerprint g =
   let n = Graph.n g and m = Graph.m g in
   let h = ref (fnv_int (fnv_int fnv_offset n) m) in
-  (match Graph.view g with
-  | Graph.Boxed (off, dst, wgt) ->
-    Array.iter (fun x -> h := fnv_int !h x) off;
-    Array.iter (fun x -> h := fnv_int !h x) dst;
-    Array.iter (fun w -> h := fnv !h (Int64.bits_of_float w)) wgt
-  | Graph.Packed (off, dst, wgt) ->
-    for i = 0 to Bigarray.Array1.dim off - 1 do
-      h := fnv_int !h (Int32.to_int (Bigarray.Array1.unsafe_get off i))
-    done;
-    for i = 0 to Bigarray.Array1.dim dst - 1 do
-      h := fnv_int !h (Int32.to_int (Bigarray.Array1.unsafe_get dst i))
-    done;
-    for i = 0 to 2 * m - 1 do
-      h := fnv !h (Int64.bits_of_float (Graph.weight wgt i))
-    done);
+  let { Graph.off; dst; wgt } = Graph.csr g in
+  for i = 0 to Bigarray.Array1.dim off - 1 do
+    h := fnv_int !h (Int32.to_int (Bigarray.Array1.unsafe_get off i))
+  done;
+  for i = 0 to Bigarray.Array1.dim dst - 1 do
+    h := fnv_int !h (Int32.to_int (Bigarray.Array1.unsafe_get dst i))
+  done;
+  for i = 0 to 2 * m - 1 do
+    h := fnv !h (Int64.bits_of_float (Graph.weight wgt i))
+  done;
   !h
 
 (* ------------------------------------------------------------------ *)

@@ -46,7 +46,8 @@ val error_to_string : error -> string
 
 val fingerprint : Graph.t -> int64
 (** FNV-1a over the logical CSR values (n, m, offsets, destinations,
-    weight float bits) — independent of boxed-vs-packed storage. *)
+    weight float bits); float32 weights hash as the rounded values they
+    hold. *)
 
 (** {1 Encoding} *)
 

@@ -187,6 +187,13 @@ expect_runtime "delta build failure (disconnected graph)" \
   "$CLI" delta -g "$tmp/split.gr" --schemes rt-3eps
 expect_runtime "unwritable output path" \
   "$CLI" generate -f grid -n 9 -o "$tmp/no-such-dir/g.gr"
+# A header past the int32 CSR limit is a parse error at its line, not an
+# allocation of n-sized arrays.
+printf 'p 2147483648 0\n' >"$tmp/huge.gr"
+expect_runtime "graph header past the CSR limit" \
+  "$CLI" stats -g "$tmp/huge.gr" -s tz-k2
+grep -q "line 1" "$tmp/runtime.err"
+expect "graph header past the CSR limit names its line" 0 $?
 # An n-by-n step past the O(n^2)-memory guard (the stretch oracle of
 # stats, throughput, faults, delta and serve; the full scheme's tables) is
 # a runtime failure with the guard's message, not a crash.
@@ -194,17 +201,26 @@ expect_runtime "unwritable output path" \
 expect_guard() { # name command...
   local name=$1
   shift
-  CR_QUADRATIC_MAX_N=50 "$@" >/dev/null 2>"$tmp/guard.err"
+  CR_QUADRATIC_MAX_N=50 "$@" >"$tmp/guard.out" 2>"$tmp/guard.err"
   expect "$name past the O(n^2) guard (exit 1)" 1 $?
   grep -q "exceeds the O(n^2)-memory threshold 50" "$tmp/guard.err"
   expect "$name prints the threshold message" 0 $?
   grep -q "internal error" "$tmp/guard.err"
   expect "$name is no internal error" 1 $?
 }
+# The oracle is computed before any scheme is built, so a refused run
+# prints none of its build lines.
+expect_no_build() { # name pattern
+  grep -q "$2" "$tmp/guard.out"
+  expect "$1 refuses before it builds" 1 $?
+}
 expect_guard "stats" "$CLI" stats -g "$tmp/glp96.gr" -s tz-k2
+expect_no_build "stats" "^tables:"
 expect_guard "throughput" "$CLI" throughput -g "$tmp/glp96.gr" -s tz-k2
+expect_no_build "throughput" "knobs-on serial"
 expect_guard "faults" "$CLI" faults -g "$tmp/glp96.gr" -s tz-k2
 expect_guard "delta" "$CLI" delta -g "$tmp/glp96.gr" --schemes tz-k2
+expect_no_build "delta" "warm catalog build"
 expect_guard "serve" "$CLI" serve -g "$tmp/glp96.gr" --schemes tz-k2 \
   --rate 0 --queries 10
 expect_guard "route -s full" "$CLI" route -g "$tmp/glp96.gr" -s full \

@@ -100,10 +100,7 @@ let prop_degree_sum =
 
 (* --- construction paths ------------------------------------------------ *)
 
-let same_csr a b =
-  Graph.csr_off a = Graph.csr_off b
-  && Graph.csr_dst a = Graph.csr_dst b
-  && Graph.csr_wgt a = Graph.csr_wgt b
+let same_csr a b = Graph.csr a = Graph.csr b
 
 (* A weighted edge list in adversarial order: random orientations, random
    permutation — every construction path must still produce the canonical
@@ -128,42 +125,14 @@ let arb_shuffled_edges =
     return (Graph.n g, Array.to_list edges))
 
 let prop_builder_identical =
-  qcheck ~count:120 "Builder/of_edge_iter/of_sorted_arrays = of_edges"
+  qcheck ~count:120 "Builder = of_edges, any order"
     arb_shuffled_edges
     (fun (n, edges) ->
-      let reference = Graph.of_edges ~n edges in
+      let reference = Graph.of_edges ~n (List.sort compare edges) in
       let b = Graph.Builder.create ~n () in
       List.iter (fun (u, v, w) -> Graph.Builder.add_edge b u v w) edges;
-      let via_builder = Graph.Builder.finish b in
-      let via_iter =
-        Graph.of_edge_iter ~n (fun f -> List.iter (fun (u, v, w) -> f u v w) edges)
-      in
-      let canonical = Graph.edges reference in
-      let via_sorted =
-        Graph.of_sorted_arrays ~n
-          ~src:(Array.of_list (List.map (fun (u, _, _) -> u) canonical))
-          ~dst:(Array.of_list (List.map (fun (_, v, _) -> v) canonical))
-          ~wgt:(Array.of_list (List.map (fun (_, _, w) -> w) canonical))
-          ()
-      in
-      same_csr reference via_builder
-      && same_csr reference via_iter
-      && same_csr reference via_sorted)
-
-let test_of_edge_iter_must_replay () =
-  let calls = ref 0 in
-  checkb "non-reproducible iterator rejected" true
-    (try
-       ignore
-         (Graph.of_edge_iter (fun f ->
-              incr calls;
-              if !calls = 1 then begin
-                f 0 1 1.0;
-                f 1 2 1.0
-              end
-              else f 0 1 1.0));
-       false
-     with Invalid_argument _ -> true)
+      same_csr reference (Graph.Builder.finish b)
+      && same_csr reference (Graph.of_edges ~n edges))
 
 let test_builder_finish_n_too_small () =
   let b = Graph.Builder.create () in
@@ -174,47 +143,75 @@ let test_builder_finish_n_too_small () =
        false
      with Invalid_argument _ -> true)
 
-(* --- storage representations ------------------------------------------- *)
+(* The int32 CSR indexes at most [Graph.csr_limit] vertices: a larger
+   count is refused before anything is allocated. *)
+let test_builder_finish_past_limit () =
+  checkb "finish ~n past the int32 limit rejected" true
+    (try
+       let b = Graph.Builder.create () in
+       ignore (Graph.Builder.finish ~n:(Graph.csr_limit + 1) b);
+       false
+     with Invalid_argument _ -> true)
 
-let prop_pack_preserves_graph =
-  qcheck ~count:80 "pack/unpack preserve edges, ports and distances"
-    arb_weighted_connected_graph
-    (fun g ->
-      let gp = Graph.pack g in
-      let back = Graph.unpack gp in
-      Graph.is_packed gp
-      && (not (Graph.is_packed back))
-      && Graph.edges gp = Graph.edges g
-      && same_csr back g
-      && Graph.storage_bytes gp < Graph.storage_bytes g
-      && (Dijkstra.spt g 0).Dijkstra.dist = (Dijkstra.spt gp 0).Dijkstra.dist)
+(* --- float32 weights --------------------------------------------------- *)
 
-let prop_packed_apply_delta =
-  qcheck ~count:60 "apply_delta on packed = apply_delta on boxed"
-    arb_weighted_connected_graph
-    (fun g ->
-      match Graph.edges g with
-      | [] -> true
-      | (u, v, w) :: _ ->
-        let ops = [ Graph.Reweight (u, v, w +. 1.0) ] in
-        let from_packed = Graph.apply_delta (Graph.pack g) ops in
-        let from_boxed = Graph.apply_delta g ops in
-        Graph.is_packed from_packed
-        && Graph.edges from_packed = Graph.edges from_boxed)
+(* 1 + 2^-30 rounds to 1 in float32. *)
+let w_fine = 1.0 +. ldexp 1.0 (-30)
+
+let float32_bytes g = (4 * (Graph.n g + 1)) + (16 * Graph.m g)
 
 let test_pack_float32 () =
-  let g = Generators.path 5 in
-  let gp = Graph.pack ~float32:true g in
-  checkb "unit weights survive float32" true (Graph.edges gp = Graph.edges g);
+  let g =
+    Graph.pack (Graph.of_edges [ (0, 1, w_fine); (1, 2, 2.0); (0, 3, 3.0) ])
+  in
+  checkb "pack without ~float32 is the identity" true (Graph.pack g == g);
+  let g32 = Graph.pack ~float32:true g in
+  checkb "float32 weights shrink the storage" true
+    (Graph.storage_bytes g32 < Graph.storage_bytes g);
+  checki "float32 storage bytes" (float32_bytes g) (Graph.storage_bytes g32);
+  checkb "the rounded weight is stored" true
+    (Graph.edge_weight g32 0 1 = Some 1.0);
+  checkb "distances use the rounded weights" true
+    ((Dijkstra.spt g 0).Dijkstra.dist.(2) = w_fine +. 2.0
+    && (Dijkstra.spt g32 0).Dijkstra.dist.(2) = 3.0);
+  checkb "pack ~float32 on float32 weights is the identity" true
+    (Graph.pack ~float32:true g32 == g32);
+  (* Every derived graph keeps float32 weights, rounding the new ones. *)
+  let keeps name g' =
+    checki (name ^ " keeps float32 storage") (float32_bytes g')
+      (Graph.storage_bytes g')
+  in
+  let d = Graph.apply_delta g32 [ Graph.Insert (2, 3, w_fine) ] in
+  keeps "apply_delta" d;
+  checkb "apply_delta rounds the inserted weight" true
+    (Graph.edge_weight d 2 3 = Some 1.0);
+  let r = Graph.reweight g32 (fun _ _ w -> w +. ldexp 1.0 (-30)) in
+  keeps "reweight" r;
+  checkb "reweight rounds the new weights" true
+    (Graph.edges r = Graph.edges g32);
+  let u = Graph.unit_weighted g32 in
+  keeps "unit_weighted" u;
+  checkb "unit_weighted is unit" true (Graph.is_unit_weighted u);
+  keeps "subgraph_of_edges" (Graph.subgraph_of_edges g32 [ (0, 1); (1, 2) ])
+
+let test_float32_unit_and_unrepresentable () =
+  let gp = Graph.pack ~float32:true (Generators.path 5) in
+  checkb "unit weights survive float32" true
+    (Graph.edges gp = Graph.edges (Generators.path 5));
   checkb "still unit-weighted" true (Graph.is_unit_weighted gp);
   (* A positive float64 that rounds to 0.0 in float32 must be rejected,
      not silently corrupted into a zero-weight edge. *)
-  let tiny = Graph.of_edges [ (0, 1, 1e-50) ] in
-  checkb "unrepresentable weight rejected" true
-    (try
-       ignore (Graph.pack ~float32:true tiny);
-       false
-     with Invalid_argument _ -> true)
+  let rejects name f =
+    checkb name true
+      (try
+         ignore (f ());
+         false
+       with Invalid_argument _ -> true)
+  in
+  rejects "unrepresentable weight rejected by pack" (fun () ->
+      Graph.pack ~float32:true (Graph.of_edges [ (0, 1, 1e-50) ]));
+  rejects "unrepresentable insert rejected on float32 weights" (fun () ->
+      Graph.apply_delta gp [ Graph.Insert (0, 2, 1e-50) ])
 
 let suite =
   [
@@ -234,10 +231,9 @@ let suite =
     prop_fold_edges_counts;
     prop_degree_sum;
     prop_builder_identical;
-    case "of_edge_iter requires a reproducible iterator"
-      test_of_edge_iter_must_replay;
     case "Builder.finish rejects too-small n" test_builder_finish_n_too_small;
-    prop_pack_preserves_graph;
-    prop_packed_apply_delta;
-    case "float32 packing" test_pack_float32;
+    case "Builder.finish rejects n past the int32 limit"
+      test_builder_finish_past_limit;
+    case "float32 pack on float64 weights" test_pack_float32;
+    case "float32 packing" test_float32_unit_and_unrepresentable;
   ]

@@ -92,16 +92,34 @@ let rejected_cases =
     rejects "more edges than declared" "p 3 1\ne 0 1 1.0\ne 1 2 1.0\n";
   ]
 
+let names_line k msg =
+  let tag = Printf.sprintf "line %d" k in
+  let len = String.length tag in
+  let rec contains i =
+    i + len <= String.length msg
+    && (String.sub msg i len = tag || contains (i + 1))
+  in
+  contains 0
+
 let test_error_names_line () =
   match Graph_io.of_string "p 3 2\ne 0 1 1.0\ne 2 2 1.0\n" with
   | exception Failure msg ->
-    checkb "error message names the offending line" true
-      (let rec contains i =
-         i + 6 <= String.length msg
-         && (String.sub msg i 6 = "line 3" || contains (i + 1))
-       in
-       contains 0)
+    checkb "error message names the offending line" true (names_line 3 msg)
   | _ -> Alcotest.fail "self-loop accepted"
+
+(* A header past the int32 CSR limit fails at its own line, before the
+   builder would allocate n-sized arrays for it. *)
+let test_header_past_csr_limit () =
+  List.iter
+    (fun doc ->
+      match Graph_io.of_string doc with
+      | exception Failure msg ->
+        checkb ("the header line is named: " ^ msg) true (names_line 2 msg)
+      | _ -> Alcotest.failf "accepted oversized header %S" doc)
+    [
+      Printf.sprintf "c too many vertices\np %d 0\n" (Graph.csr_limit + 1);
+      Printf.sprintf "c too many edges\np 3 %d\n" ((Graph.csr_limit / 2) + 1);
+    ]
 
 let test_load_missing_file () =
   match Graph_io.load "/nonexistent/cr_no_such_file.gr" with
@@ -116,6 +134,7 @@ let suite =
     case "comments and blank lines" test_comments_and_blanks;
     case "isolated vertices survive" test_isolated_vertices;
     case "parse errors carry line numbers" test_error_names_line;
+    case "header past the CSR limit" test_header_past_csr_limit;
     case "loading a missing file raises Sys_error" test_load_missing_file;
   ]
   @ rejected_cases

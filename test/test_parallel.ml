@@ -164,13 +164,14 @@ let test_tz_scheme_identical () =
    schedule-dependent order. Each 4-domain eval starts from a cold
    instance; it must still be bit-identical to the 1-domain run, and to the
    serial reference evaluate, with the simulator knobs off and on — for
-   rt-5eps and rt-4km7-k3, on a boxed graph and on a packed float32 one. *)
+   rt-5eps and rt-4km7-k3, on a graph with float64 weights and on one
+   with float32 weights. *)
 let test_lazy_rt_eval_identical () =
-  let boxed =
+  let float64 =
     Generators.with_random_weights ~seed:23 ~lo:0.5 ~hi:4.0
       (Generators.power_law ~seed:24 600)
   in
-  let packed =
+  let float32 =
     Graph.pack ~float32:true
       (Generators.with_random_weights ~seed:25 ~lo:1.0 ~hi:8.0
          (Generators.glp ~seed:26 600))
@@ -214,7 +215,7 @@ let test_lazy_rt_eval_identical () =
               Cr_core.Scheme4km7.instance
                 (Cr_core.Scheme4km7.preprocess ~mode:`Lazy ~seed:31 g ~k:3) );
         ])
-    [ ("boxed", boxed); ("packed", packed) ]
+    [ ("float64", float64); ("float32", float32) ]
 
 (* --- Workspace reuse == fresh runs --- *)
 

@@ -200,12 +200,8 @@ let prop_rederived_dists =
   qcheck ~count:40 "lazy store re-derives tree distances bit for bit"
     QCheck2.Gen.(
       let* g = arb_weighted_connected_graph in
-      let* storage = int_range 0 2 in
-      return
-        (match storage with
-        | 0 -> g
-        | 1 -> Graph.pack g
-        | _ -> Graph.pack ~float32:true g))
+      let* float32 = bool in
+      return (Graph.pack ~float32 g))
     (fun g ->
       List.for_all
         (fun w ->

@@ -26,30 +26,32 @@ let reference_adjacency g =
       Array.of_list (List.sort (fun (v1, _) (v2, _) -> Int.compare v1 v2) l))
     adj
 
+let i32 a i = Int32.to_int (Bigarray.Array1.get a i)
+
 let prop_csr_matches_reference =
   qcheck ~count:60 "CSR arrays agree with the adjacency reference"
     arb_weighted_connected_graph (fun g ->
       let n = Graph.n g and m = Graph.m g in
-      let off = Graph.csr_off g
-      and dst = Graph.csr_dst g
-      and wgt = Graph.csr_wgt g in
+      let { Graph.off; dst; wgt } = Graph.csr g in
       let adj = reference_adjacency g in
       (* Shape: n+1 offsets, monotone, covering 2m half-edges. *)
-      Array.length off = n + 1
-      && off.(0) = 0
-      && off.(n) = 2 * m
-      && Array.for_all (fun u -> off.(u) <= off.(u + 1)) (Array.init n Fun.id)
+      Bigarray.Array1.dim off = n + 1
+      && i32 off 0 = 0
+      && i32 off n = 2 * m
+      && Array.for_all
+           (fun u -> i32 off u <= i32 off (u + 1))
+           (Array.init n Fun.id)
       (* Every accessor reads straight off the CSR slice. *)
       && Array.for_all
            (fun u ->
-             let deg = off.(u + 1) - off.(u) in
+             let deg = i32 off (u + 1) - i32 off u in
              deg = Graph.degree g u
              && deg = Array.length adj.(u)
              && Array.for_all
                   (fun p ->
                     let v, w = adj.(u).(p) in
-                    dst.(off.(u) + p) = v
-                    && wgt.(off.(u) + p) = w
+                    i32 dst (i32 off u + p) = v
+                    && Graph.weight wgt (i32 off u + p) = w
                     && Graph.endpoint g u p = v
                     && Graph.port_weight g u p = w)
                   (Array.init deg Fun.id))
@@ -58,14 +60,13 @@ let prop_csr_matches_reference =
 let prop_neighbors_match_csr =
   qcheck ~count:60 "neighbors/iter_neighbors walk the CSR slice in port order"
     arb_weighted_connected_graph (fun g ->
-      let off = Graph.csr_off g
-      and dst = Graph.csr_dst g
-      and wgt = Graph.csr_wgt g in
+      let { Graph.off; dst; wgt } = Graph.csr g in
       Array.for_all
         (fun u ->
+          let base = i32 off u in
           let slice =
-            List.init (off.(u + 1) - off.(u)) (fun p ->
-                (p, dst.(off.(u) + p), wgt.(off.(u) + p)))
+            List.init (i32 off (u + 1) - base) (fun p ->
+                (p, i32 dst (base + p), Graph.weight wgt (base + p)))
           in
           Graph.neighbors g u = List.map (fun (_, v, w) -> (v, w)) slice
           &&
