@@ -63,222 +63,283 @@ type hop_record = {
   header_words : int;
 }
 
-let run g ~src ~header ~step ~header_words ?max_hops ?(on_hop = fun _ -> ())
-    ?faults ?on_bounce ?corrupt ?(record_path = true) ?(detect_loops = true)
-    () =
-  if src < 0 || src >= Graph.n g then
-    invalid_arg (Printf.sprintf "Port_model.run: source %d out of range" src);
-  (* Telemetry is resolved once per run: a single flag read, then every
-     per-hop instrumentation point is a test of the local [telon] (and the
-     shard is this domain's own, so parallel sweeps never contend). With
-     telemetry disabled the whole layer costs one boolean test per
-     instrumentation point and allocates nothing. *)
-  let telon = !Telemetry.on in
-  let tc = if telon then Telemetry.counters_shard () else Telemetry.null_counters in
-  let ttrace = telon && Telemetry.tracing () in
-  if telon then tc.Telemetry.routes <- tc.Telemetry.routes + 1;
-  let max_hops =
-    match max_hops with Some h -> h | None -> (4 * Graph.n g) + 16
-  in
-  let link_down u v =
-    match faults with Some p -> Fault.link_down p u v | None -> false
-  in
-  let vertex_down v =
-    match faults with Some p -> Fault.vertex_down p v | None -> false
-  in
-  let hop_event at port index =
-    match faults with
-    | Some p -> Fault.decide p { Fault.at; port; index }
-    | None -> Fault.Pass
-  in
-  (* Loop signatures: bucket on (vertex, words, structural hash) and confirm
-     with structural equality, so a repeat is only declared when the exact
-     (vertex, header) state recurs — a deterministic step function is then
-     provably cycling. Headers containing functional values never compare
-     equal (polymorphic compare raises) and simply forgo loop protection. *)
-  let seen = Hashtbl.create (if detect_loops then 64 else 1) in
-  (* Most schemes forward the same physical header for many consecutive
-     hops (Via-chains, tree descents); re-hashing it each hop is the loop
-     detector's dominant cost. Physical equality implies structural
-     equality, so the cached hash is exact whenever it applies. *)
-  let cached_hdr = ref header and cached_hash = ref 0 in
-  let cache_full = ref false in
-  let header_hash hdr =
-    if !cache_full && hdr == !cached_hdr then !cached_hash
-    else begin
-      let h = Hashtbl.hash hdr in
-      cached_hdr := hdr;
-      cached_hash := h;
-      cache_full := true;
-      h
-    end
-  in
-  let looped at words hdr =
-    detect_loops
-    &&
-    let key = (at, words, header_hash hdr) in
-    let prior =
-      match Hashtbl.find_opt seen key with Some l -> l | None -> []
-    in
-    let same h = try compare h hdr = 0 with Invalid_argument _ -> false in
-    if List.exists same prior then true
-    else begin
-      Hashtbl.replace seen key (hdr :: prior);
-      false
-    end
-  in
-  (* Iterative simulation state; [rev_path] stays empty when the caller
-     opted out of path recording, everything else is identical. *)
-  let at = ref src in
-  let hdr = ref header in
-  let rev_path = ref (if record_path then [ src ] else []) in
-  let length = ref 0.0 in
-  let hops = ref 0 in
-  let peak = ref 0 in
-  let verdict = ref None in
-  let stop v = verdict := Some v in
-  let traverse v h' w =
-    at := v;
-    hdr := h';
-    if record_path then rev_path := v :: !rev_path;
-    length := !length +. w;
-    if telon then tc.Telemetry.hops <- tc.Telemetry.hops + 1;
-    incr hops
-  in
-  if vertex_down src then begin
-    peak := max 0 (header_words header);
-    stop (Dead_end_at src)
-  end;
-  while !verdict = None do
-    let words = header_words !hdr in
-    if words > !peak then peak := words;
-    if looped !at words !hdr then stop (Loop_detected !at)
-    else begin
-      if telon then
-        tc.Telemetry.table_lookups <- tc.Telemetry.table_lookups + 1;
-      let dec =
-        try Ok (step ~at:!at !hdr)
-        with
-        | (Out_of_memory | Stack_overflow) as e -> raise e
-        | _ -> Error ()
-      in
-      match dec with
-      | Error () ->
+(* Loop signatures: bucket on (vertex, words, structural hash) and confirm
+   with structural equality, so a repeat is only declared when the exact
+   (vertex, header) state recurs — a deterministic step function is then
+   provably cycling. Headers containing functional values never compare
+   equal (polymorphic compare raises) and simply forgo loop protection.
+
+   Most schemes forward the same physical header for many consecutive hops
+   (Via-chains, tree descents); re-hashing it each hop is the detector's
+   dominant cost. Physical equality implies structural equality, so the
+   cached hash is exact whenever it applies. *)
+type 'h loops = {
+  seen : (int * int * int, 'h list) Hashtbl.t;
+  mutable hashed : 'h;
+  mutable hash : int;
+  mutable cached : bool;
+}
+
+let fresh_loops header =
+  { seen = Hashtbl.create 64; hashed = header; hash = 0; cached = false }
+
+let header_hash l hdr =
+  if l.cached && hdr == l.hashed then l.hash
+  else begin
+    let h = Hashtbl.hash hdr in
+    l.hashed <- hdr;
+    l.hash <- h;
+    l.cached <- true;
+    h
+  end
+
+let repeats l ~at ~words hdr =
+  let key = (at, words, header_hash l hdr) in
+  let prior = Option.value (Hashtbl.find_opt l.seen key) ~default:[] in
+  let same h = try compare h hdr = 0 with Invalid_argument _ -> false in
+  List.exists same prior
+  || begin
+    Hashtbl.replace l.seen key (hdr :: prior);
+    false
+  end
+
+(* The traversed length lives in an all-float record, which OCaml stores
+   flat: adding a weight to it allocates nothing. *)
+type meter = { mutable length : float }
+
+(* One run: its hooks, resolved once, and the state the hop loop updates.
+   The header in hand is an argument of the loop, not a field, so a hop
+   writes only immediates here. *)
+type 'h sim = {
+  csr : Graph.csr;
+  step : at:int -> 'h -> 'h decision;
+  header_words : 'h -> int;
+  max_hops : int;
+  on_hop : (hop_record -> unit) option;
+  faults : Fault.plan option;
+  on_bounce : (at:int -> dead:int list -> 'h -> 'h decision option) option;
+  corrupt : ('h -> 'h) option;
+  record_path : bool;
+  loops : 'h loops option;
+  tc : Telemetry.counters;
+  telon : bool;
+  ttrace : bool;
+  meter : meter;
+  mutable at : int;  (* the vertex holding the message *)
+  mutable hops : int;
+  mutable peak : int;
+  mutable words : int;  (* size of the header in hand; 0 if unsizeable *)
+  mutable verdict : verdict;  (* set once, when the loop stops *)
+}
+
+let off32 (a : Graph.int32_array) i = Int32.to_int (Bigarray.Array1.get a i)
+
+let degree s at = off32 s.csr.Graph.off (at + 1) - off32 s.csr.Graph.off at
+
+(* Size the header in hand. A header the holding vertex cannot size (the
+   size function raised) ends the run there, as a raising step does. *)
+let sized s hdr =
+  match s.header_words hdr with
+  | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
+  | exception _ ->
+    s.words <- 0;
+    s.verdict <- Dead_end_at s.at;
+    false
+  | w ->
+    s.words <- w;
+    if w > s.peak then s.peak <- w;
+    true
+
+let delivered_here s =
+  let at = s.at in
+  (match s.on_hop with
+  | Some f -> f { at; port = -1; header_words = s.words }
+  | None -> ());
+  if s.telon then s.tc.Telemetry.delivered <- s.tc.Telemetry.delivered + 1;
+  if s.ttrace then Telemetry.emit Deliver ~at ~port:(-1) ~words:s.words;
+  s.verdict <- Delivered
+
+(* How a bounce chain gives up on [port] of [at]: a crashed neighbour
+   behind a healthy link is a dead end there, anything else a dead link. *)
+let given_up plan ~at ~port v =
+  if Fault.vertex_down plan v && not (Fault.link_down plan at v) then
+    Dead_end_at v
+  else Link_down_at (at, port)
+
+(* The hop loop. [hop] sizes the header in hand, checks for a loop and asks
+   [step] for a decision; [forward] carries it out and [cross] moves the
+   message; [bounce] runs only under a fault plan. Each returns the
+   vertices entered from here on, so the path is built in order, one cons
+   per hop and only with [record_path]; every recursive call is a tail
+   call (modulo that cons), so the stack stays flat whatever the route's
+   length. *)
+let[@tail_mod_cons] rec hop s hdr =
+  if not (sized s hdr) then []
+  else
+    let at = s.at in
+    match s.loops with
+    | Some l when repeats l ~at ~words:s.words hdr ->
+      s.verdict <- Loop_detected at;
+      []
+    | _ -> (
+      if s.telon then
+        s.tc.Telemetry.table_lookups <- s.tc.Telemetry.table_lookups + 1;
+      match s.step ~at hdr with
+      | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
+      | exception _ ->
         (* The local table cannot produce a next hop (it raised): in a real
            router the message is discarded here. *)
-        stop (Dead_end_at !at)
-      | Ok Deliver ->
-        on_hop { at = !at; port = -1; header_words = words };
-        if telon then tc.Telemetry.delivered <- tc.Telemetry.delivered + 1;
-        if ttrace then Telemetry.emit Deliver ~at:!at ~port:(-1) ~words;
-        stop Delivered
-      | Ok (Forward (port0, hdr0)) ->
-        (* The bounce chain: dead ports accumulate while the message stays
-           at [!at]; each alternative re-enters the same checks. *)
-        let port = ref port0 in
-        let hdr' = ref hdr0 in
-        let dead = ref [] in
-        let deadn = ref 0 in
-        let bouncing = ref true in
-        while !bouncing do
-          bouncing := false;
-          let p = !port in
-          if p < 0 || p >= Graph.degree g !at then stop (Invalid_port (!at, p))
-          else begin
-            let v = Graph.endpoint g !at p in
-            if link_down !at v || vertex_down v then begin
-              (* The failed link (or crashed neighbor) is observable
-                 locally: the message stays at the sender and the bounce
-                 hook may pick another port, with the dead ones masked. *)
-              dead := p :: !dead;
-              incr deadn;
-              if telon then tc.Telemetry.bounces <- tc.Telemetry.bounces + 1;
-              if ttrace then Telemetry.emit Bounce ~at:!at ~port:p ~words;
-              let give_up () =
-                let verdict =
-                  if vertex_down v && not (link_down !at v) then Dead_end_at v
-                  else Link_down_at (!at, p)
-                in
-                stop verdict
-              in
-              if !deadn >= Graph.degree g !at then give_up ()
-              else
-                match on_bounce with
-                | None -> give_up ()
-                | Some f -> (
-                  let bounce =
-                    try f ~at:!at ~dead:!dead !hdr
-                    with
-                    | (Out_of_memory | Stack_overflow) as e -> raise e
-                    | _ -> None
-                  in
-                  match bounce with
-                  | None -> give_up ()
-                  | Some Deliver ->
-                    on_hop { at = !at; port = -1; header_words = words };
-                    if telon then
-                      tc.Telemetry.delivered <- tc.Telemetry.delivered + 1;
-                    if ttrace then
-                      Telemetry.emit Deliver ~at:!at ~port:(-1) ~words;
-                    stop Delivered
-                  | Some (Forward (p', h')) ->
-                    port := p';
-                    hdr' := h';
-                    bouncing := true)
-            end
-            else if !hops >= max_hops then
-              (* Refuse the hop *before* traversing: the budget bounds the
-                 number of edges crossed, not the number of abort checks. *)
-              stop Hop_budget_exhausted
-            else begin
-              match hop_event !at p !hops with
-              | Fault.Drop ->
-                on_hop { at = !at; port = p; header_words = words };
-                if telon then tc.Telemetry.dropped <- tc.Telemetry.dropped + 1;
-                if ttrace then Telemetry.emit Drop ~at:!at ~port:p ~words;
-                stop (Dropped_at !at)
-              | Fault.Corrupt ->
-                on_hop { at = !at; port = p; header_words = words };
-                if telon then
-                  tc.Telemetry.corrupted <- tc.Telemetry.corrupted + 1;
-                if ttrace then Telemetry.emit Corrupt ~at:!at ~port:p ~words;
-                (match corrupt with
-                | None ->
-                  (* We cannot forge a header of an arbitrary type; the
-                     garbled message is undeliverable and counts as lost in
-                     flight. *)
-                  stop (Dropped_at !at)
-                | Some garble ->
-                  let w = Graph.port_weight g !at p in
-                  let hdr'' =
-                    try garble !hdr'
-                    with
-                    | (Out_of_memory | Stack_overflow) as e -> raise e
-                    | _ -> !hdr'
-                  in
-                  traverse v hdr'' w)
-              | Fault.Pass ->
-                on_hop { at = !at; port = p; header_words = words };
-                if ttrace then Telemetry.emit Hop ~at:!at ~port:p ~words;
-                traverse v !hdr' (Graph.port_weight g !at p)
-            end
-          end
-        done
+        s.verdict <- Dead_end_at at;
+        []
+      | dec -> forward s hdr ~dead:[] dec)
+
+and[@tail_mod_cons] forward s hdr ~dead dec =
+  let at = s.at in
+  match dec with
+  | Deliver ->
+    delivered_here s;
+    []
+  | Forward (port, next) -> (
+    if port < 0 || port >= degree s at then begin
+      s.verdict <- Invalid_port (at, port);
+      []
     end
-  done;
-  let final_verdict =
-    match !verdict with Some v -> v | None -> assert false
+    else
+      let edge = off32 s.csr.Graph.off at + port in
+      let v = off32 s.csr.Graph.dst edge in
+      match s.faults with
+      | Some plan when Fault.link_down plan at v || Fault.vertex_down plan v ->
+        bounce s plan hdr ~dead ~port v
+      | faults -> (
+        if s.hops >= s.max_hops then begin
+          (* Refuse the hop *before* traversing: the budget bounds the
+             number of edges crossed, not the number of abort checks. *)
+          s.verdict <- Hop_budget_exhausted;
+          []
+        end
+        else
+          let event =
+            match faults with
+            | None -> Fault.Pass
+            | Some plan -> Fault.decide plan { Fault.at; port; index = s.hops }
+          in
+          (match s.on_hop with
+          | Some f -> f { at; port; header_words = s.words }
+          | None -> ());
+          match event with
+          | Fault.Pass ->
+            if s.ttrace then Telemetry.emit Hop ~at ~port ~words:s.words;
+            cross s ~edge v next
+          | Fault.Drop ->
+            if s.telon then
+              s.tc.Telemetry.dropped <- s.tc.Telemetry.dropped + 1;
+            if s.ttrace then Telemetry.emit Drop ~at ~port ~words:s.words;
+            s.verdict <- Dropped_at at;
+            []
+          | Fault.Corrupt -> (
+            if s.telon then
+              s.tc.Telemetry.corrupted <- s.tc.Telemetry.corrupted + 1;
+            if s.ttrace then Telemetry.emit Corrupt ~at ~port ~words:s.words;
+            match s.corrupt with
+            | None ->
+              (* We cannot forge a header of an arbitrary type; the garbled
+                 message is undeliverable and counts as lost in flight. *)
+              s.verdict <- Dropped_at at;
+              []
+            | Some garble ->
+              cross s ~edge v
+                (try garble next with
+                | (Out_of_memory | Stack_overflow) as e -> raise e
+                | _ -> next))))
+
+(* Cross the edge at flat index [edge] into [v], carrying [next]. *)
+and[@tail_mod_cons] cross s ~edge v next =
+  let w =
+    match s.csr.Graph.wgt with
+    | Graph.W64 a -> a.(edge)
+    | Graph.W32 b -> Bigarray.Array1.get b edge
   in
-  if ttrace then
+  s.meter.length <- s.meter.length +. w;
+  s.at <- v;
+  s.hops <- s.hops + 1;
+  if s.telon then s.tc.Telemetry.hops <- s.tc.Telemetry.hops + 1;
+  if s.record_path then v :: hop s next else hop s next
+
+(* The failed link (or crashed neighbour) behind [port] is observable
+   locally: the message stays at the sender, [port] joins the dead ports,
+   and the bounce hook may pick another port, with the dead ones masked. *)
+and[@tail_mod_cons] bounce s plan hdr ~dead ~port v =
+  let at = s.at in
+  let dead = port :: dead in
+  if s.telon then s.tc.Telemetry.bounces <- s.tc.Telemetry.bounces + 1;
+  if s.ttrace then Telemetry.emit Bounce ~at ~port ~words:s.words;
+  let alternative =
+    match s.on_bounce with
+    | Some f when List.length dead < degree s at -> (
+      try f ~at ~dead hdr with
+      | (Out_of_memory | Stack_overflow) as e -> raise e
+      | _ -> None)
+    | _ -> None
+  in
+  match alternative with
+  | Some dec -> forward s hdr ~dead dec
+  | None ->
+    s.verdict <- given_up plan ~at ~port v;
+    []
+
+let run g ~src ~header ~step ~header_words ?(max_hops = (4 * Graph.n g) + 16)
+    ?on_hop ?faults ?on_bounce ?corrupt ?(record_path = true)
+    ?(detect_loops = true) () =
+  if src < 0 || src >= Graph.n g then
+    invalid_arg (Printf.sprintf "Port_model.run: source %d out of range" src);
+  (* Every hook is resolved here, once: with none present a hop tests a few
+     fields and allocates nothing. Telemetry too: a single flag read, and
+     the shard is this domain's own, so parallel sweeps never contend. *)
+  let telon = !Telemetry.on in
+  let tc =
+    if telon then Telemetry.counters_shard () else Telemetry.null_counters
+  in
+  if telon then tc.Telemetry.routes <- tc.Telemetry.routes + 1;
+  let s =
+    {
+      csr = Graph.csr g;
+      step;
+      header_words;
+      max_hops;
+      on_hop;
+      faults;
+      on_bounce;
+      corrupt;
+      record_path;
+      loops = (if detect_loops then Some (fresh_loops header) else None);
+      tc;
+      telon;
+      ttrace = telon && Telemetry.tracing ();
+      meter = { length = 0.0 };
+      at = src;
+      hops = 0;
+      peak = 0;
+      words = 0;
+      verdict = Delivered;
+    }
+  in
+  let rest =
+    match faults with
+    | Some plan when Fault.vertex_down plan src ->
+      ignore (sized s header);
+      s.verdict <- Dead_end_at src;
+      []
+    | _ -> hop s header
+  in
+  if s.ttrace then
     Telemetry.emit
-      (End (verdict_name final_verdict))
-      ~at:!at ~port:(-1)
-      ~words:(header_words !hdr);
+      (End (verdict_name s.verdict))
+      ~at:s.at ~port:(-1) ~words:s.words;
   {
-    verdict = final_verdict;
-    final = !at;
-    path = List.rev !rev_path;
-    length = !length;
-    hops = !hops;
-    header_words_peak = !peak;
+    verdict = s.verdict;
+    final = s.at;
+    path = (if record_path then src :: rest else []);
+    length = s.meter.length;
+    hops = s.hops;
+    header_words_peak = s.peak;
   }

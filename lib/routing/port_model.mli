@@ -31,8 +31,8 @@ type verdict =
           apply) *)
   | Dead_end_at of int
       (** no progress is possible: the step function raised here, the
-          message was sent into this crashed vertex, or the source itself is
-          down *)
+          header cannot be sized here, the message was sent into this
+          crashed vertex, or the source itself is down *)
   | Link_down_at of int * int
       (** [(vertex, port)]: the step function insisted on a failed link and
           no bounce recovered *)
@@ -123,11 +123,11 @@ val run :
       no [corrupt] is supplied the garbled message is undeliverable and
       counts as a drop.
 
-    {b Path recording} (on by default): with [~record_path:false] the
-    returned [path] is [[]] and the run allocates nothing per hop for it.
-    Nothing else changes — verdict, final vertex, length, hop count and
-    header peak are identical; the throughput engine turns it off and
-    relies on the hop budget.
+    {b Path recording} (on by default): the path is built in order, one
+    list cell (3 words) per hop. With [~record_path:false] the returned
+    [path] is [[]] and nothing else changes — verdict, final vertex,
+    length, hop count and header peak are identical; the throughput
+    engine turns it off and relies on the hop budget.
 
     {b Loop detection} (on by default, disable with [~detect_loops:false]):
     the simulator keeps signatures of visited [(vertex, header)] states and
@@ -138,13 +138,27 @@ val run :
     the step function forwards the same physical header, so long
     unrewritten stretches hash once, not once per hop.
 
-    {b No exceptions.} An invalid port becomes [Invalid_port]; a step
-    function that raises becomes [Dead_end_at]. Only [src] out of range is
-    a caller bug and still raises [Invalid_argument].
+    {b No exceptions.} An invalid port becomes [Invalid_port]. A step
+    function that raises, or a header that [header_words] cannot size (it
+    raised), becomes [Dead_end_at] the vertex holding the message; that
+    covers a header the [corrupt] hook garbled. A raising [on_bounce] gives
+    up the bounce, and a raising [corrupt] leaves the header as it was.
+    Only [src] out of range is a caller bug and still raises
+    [Invalid_argument]; [on_hop] observes, and what it raises propagates,
+    as do [Out_of_memory] and [Stack_overflow].
+
+    {b Allocation.} Every hook is resolved once per run, so a run
+    allocates a fixed number of words for its state and its outcome, and
+    with no hook present and both knobs off a hop allocates nothing in the
+    simulator: a route allocates that fixed cost plus whatever [step] and
+    [header_words] allocate. Per hop, [record_path] adds its list cell,
+    [detect_loops] its signature entry, and [on_hop] one {!hop_record}; a
+    fault plan adds its per-hop event, and a bounce its dead-port cell.
 
     {b Telemetry.} When {!Telemetry.on} is set the run increments this
     domain's counter shard (routes, hops, table lookups, bounces,
     drop/corrupt/deliver verdicts) and, inside {!Telemetry.with_trace},
     emits one trace event per hop, bounce, fault verdict and run end.
-    Instrumentation never changes the outcome; disabled, it costs one
-    boolean test per instrumentation point and allocates nothing. *)
+    Instrumentation never changes the outcome; counters allocate nothing,
+    and disabled, the layer costs one boolean test per instrumentation
+    point. *)

@@ -15,7 +15,9 @@ type instance = {
   big_bytes : int;
 }
 
-(* The disabled path calls the router directly and allocates nothing. *)
+(* With telemetry disabled the router is called directly and telemetry
+   adds no allocation: a route allocates the simulator's fixed per-run
+   words (see [Port_model.run]) and what the scheme's step allocates. *)
 let route ?faults inst ~src ~dst =
   if !Telemetry.on then
     Telemetry.timed "route" (fun () ->

@@ -198,27 +198,52 @@ let outcomes_equal_pathless (a : Port_model.outcome) (b : Port_model.outcome) =
 let catalog_graph seed =
   Generators.connect ~seed (Generators.gnp ~seed:(seed + 400) 44 0.12)
 
+(* Every catalog entry, plus the lazy rt-5eps and rt-4km7-k3 stores, on a
+   healthy network and under a plan that fails links and vertices and drops
+   and corrupts messages in flight. A scheme's run has no bounce or
+   corruption hook, so it ends at its first fault event, and the knobs
+   still change nothing but the path. *)
 let test_catalog_fast_matches_route =
-  qcheck ~count:4 "catalog: route_fast == route on sampled pairs"
+  qcheck ~count:4
+    "catalog: route_fast == route on sampled pairs, healthy and under faults"
     QCheck2.Gen.(int_range 0 1_000)
     (fun seed ->
       let g = catalog_graph seed in
       let n = Graph.n g in
       let pairs = Scheme.sample_pairs ~seed ~n ~count:120 in
+      let plan =
+        Fault.compile
+          (Fault.spec ~seed ~link_failure_rate:0.1 ~vertex_failure_rate:0.05
+             ~drop_prob:0.05 ~corrupt_prob:0.05 ())
+          g
+      in
+      let seed = seed + 7 in
+      let insts =
+        List.map (fun (e : Catalog.entry) -> fst (e.Catalog.build ~seed ~eps:0.5 g))
+          Catalog.all
+        @ [
+            Scheme5eps.instance
+              (Scheme5eps.preprocess ~eps:0.5 ~mode:`Lazy ~seed g);
+            Scheme4km7.instance
+              (Scheme4km7.preprocess ~eps:0.5 ~mode:`Lazy ~seed g ~k:3);
+          ]
+      in
       List.for_all
-        (fun (e : Catalog.entry) ->
-          let inst, _ = e.Catalog.build ~seed:(seed + 7) ~eps:0.5 g in
+        (fun inst ->
           List.for_all
-            (fun (u, v) ->
-              let knobs_on = Scheme.route inst ~src:u ~dst:v in
-              let knobs_off =
-                Scheme.route_fast ~record_path:false ~detect_loops:false inst
-                  ~src:u ~dst:v
-              in
-              Scheme.route_fast inst ~src:u ~dst:v = knobs_on
-              && outcomes_equal_pathless knobs_on knobs_off)
-            pairs)
-        Catalog.all)
+            (fun faults ->
+              List.for_all
+                (fun (u, v) ->
+                  let knobs_on = Scheme.route ?faults inst ~src:u ~dst:v in
+                  let knobs_off =
+                    Scheme.route_fast ?faults ~record_path:false
+                      ~detect_loops:false inst ~src:u ~dst:v
+                  in
+                  Scheme.route_fast ?faults inst ~src:u ~dst:v = knobs_on
+                  && outcomes_equal_pathless knobs_on knobs_off)
+                pairs)
+            [ None; Some plan ])
+        insts)
 
 (* ------------------------------------------------------------------ *)
 (* Batched query engine: bit-identical merges at any domain count      *)

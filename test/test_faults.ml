@@ -142,6 +142,38 @@ let test_verdict_dead_end_raise () =
   checkb "raise becomes dead-end" true
     (o.Port_model.verdict = Port_model.Dead_end_at 0)
 
+(* [header_words] runs under the same guard as the step function: a header
+   the holding vertex cannot size ends the run there. *)
+let list_step g ~at h =
+  match path_step g ~at (List.hd h) with
+  | Port_model.Deliver -> Port_model.Deliver
+  | Port_model.Forward (p, _) -> Port_model.Forward (p, h)
+
+let test_verdict_dead_end_unsizeable_source () =
+  let g = Generators.path 3 in
+  let o =
+    Port_model.run g ~src:0 ~header:[] ~step:(list_step g)
+      ~header_words:List.hd ()
+  in
+  checkb "unsizeable initial header" true
+    (o.Port_model.verdict = Port_model.Dead_end_at 0);
+  checki "no hop" 0 o.Port_model.hops
+
+let test_verdict_dead_end_unsizeable_corrupt () =
+  let g = Generators.path 3 in
+  let p =
+    Fault.of_failures ~spec:(Fault.spec ~corrupt_prob:1.0 ()) g ~links:[]
+      ~vertices:[]
+  in
+  let o =
+    Port_model.run g ~src:0 ~header:[ 2 ] ~step:(list_step g)
+      ~header_words:List.hd ~faults:p ~corrupt:(fun _ -> []) ()
+  in
+  checkb "corrupted to an unsizeable header" true
+    (o.Port_model.verdict = Port_model.Dead_end_at 1);
+  checki "one hop crossed" 1 o.Port_model.hops;
+  checki "peak from the sized header" 2 o.Port_model.header_words_peak
+
 let test_verdict_corrupt () =
   let g = Generators.path 5 in
   let p =
@@ -196,6 +228,112 @@ let test_on_bounce_recovers () =
   in
   checkb "bounce hook recovers" true (Port_model.delivered_to bounced 1);
   checkb "detour path 0-2-1" true (bounced.Port_model.path = [ 0; 2; 1 ])
+
+let test_hooks_in_both_knob_settings () =
+  (* The simulator knobs change nothing but the path when the bounce and
+     corruption hooks fire: cut links, a crashed vertex and a dropping and
+     corrupting plan on a 4x4 grid, every pair, both knob settings. The
+     header counts its hops, so no (vertex, header) state recurs and loop
+     detection, the one knob that may end a run, never fires. *)
+  let g = Generators.grid 4 4 in
+  let n = Graph.n g in
+  let plan =
+    Fault.of_failures
+      ~spec:(Fault.spec ~seed:7 ~drop_prob:0.05 ~corrupt_prob:0.2 ())
+      g
+      ~links:[ (0, 1); (5, 6); (9, 13) ]
+      ~vertices:[ 10 ]
+  in
+  (* Greedy toward the target by BFS distance, skipping dead ports. *)
+  let dist = Array.init n (fun v -> (Bfs.run g v).Bfs.dist) in
+  let greedy ~at ~dead (dst, k) =
+    if at = dst then Some Port_model.Deliver
+    else begin
+      let best = ref None in
+      for p = Graph.degree g at - 1 downto 0 do
+        if not (List.mem p dead) then begin
+          let d = dist.(dst).(Graph.endpoint g at p) in
+          match !best with
+          | Some (_, d') when d' <= d -> ()
+          | _ -> best := Some (p, d)
+        end
+      done;
+      Option.map (fun (p, _) -> Port_model.Forward (p, (dst, k + 1))) !best
+    end
+  in
+  let bounces = ref 0 and corruptions = ref 0 in
+  let route ~knobs ~src ~dst =
+    Port_model.run g ~src ~header:(dst, 0)
+      ~step:(fun ~at h -> Option.get (greedy ~at ~dead:[] h))
+      ~header_words:(fun _ -> 2) ~faults:plan
+      ~on_bounce:(fun ~at ~dead h ->
+        if knobs then incr bounces;
+        greedy ~at ~dead h)
+      ~corrupt:(fun (_, k) ->
+        if knobs then incr corruptions;
+        (5, k))
+      ~max_hops:(4 * n) ~record_path:knobs ~detect_loops:knobs ()
+  in
+  for src = 0 to n - 1 do
+    for dst = 0 to n - 1 do
+      let on = route ~knobs:true ~src ~dst in
+      let off = route ~knobs:false ~src ~dst in
+      if { on with Port_model.path = [] } <> off then
+        Alcotest.failf "knobs change the outcome of %d -> %d: %s vs %s" src dst
+          (Port_model.verdict_name on.Port_model.verdict)
+          (Port_model.verdict_name off.Port_model.verdict)
+    done
+  done;
+  checkb "the bounce hook fired" true (!bounces > 0);
+  checkb "the corruption hook fired" true (!corruptions > 0)
+
+(* --- the allocation contract ------------------------------------------- *)
+
+(* A 2001-vertex path and a step that forwards right with decisions built
+   up front, so every word a route allocates is the simulator's own: with
+   both knobs off a route of 1000 hops allocates what one of 10 does, and
+   path recording costs one cons (3 words) per hop. *)
+let test_allocation_contract () =
+  let n = 2001 in
+  let g = Generators.path n in
+  let right =
+    Array.init n (fun at ->
+        Port_model.Forward
+          (Option.value (Graph.port_to g at (at + 1)) ~default:0, ()))
+  in
+  let target = ref 0 in
+  let step ~at () = if at = !target then Port_model.Deliver else right.(at) in
+  let header_words () = 1 in
+  let words ~telemetry ~record_path hops =
+    let was = Telemetry.enabled () in
+    Telemetry.set_enabled telemetry;
+    Fun.protect ~finally:(fun () -> Telemetry.set_enabled was) @@ fun () ->
+    target := hops;
+    let route () =
+      Port_model.run g ~src:0 ~header:() ~step ~header_words ~record_path
+        ~detect_loops:false ()
+    in
+    ignore (route ());
+    let w0 = Gc.minor_words () in
+    let o = route () in
+    let w = Gc.minor_words () -. w0 in
+    checkb "delivered" true (Port_model.delivered_to o hops);
+    checki "hops" hops o.Port_model.hops;
+    Float.to_int w
+  in
+  if Sys.backend_type = Sys.Native then begin
+    List.iter
+      (fun telemetry ->
+        checki
+          (Printf.sprintf "knobs off, telemetry %b: 1000 hops cost 10 hops' words"
+             telemetry)
+          (words ~telemetry ~record_path:false 10)
+          (words ~telemetry ~record_path:false 1000))
+      [ false; true ];
+    checki "path recording: 3 words per extra hop" (3 * 990)
+      (words ~telemetry:false ~record_path:true 1000
+      - words ~telemetry:false ~record_path:true 10)
+  end
 
 (* --- zero-fault identity across the catalog ---------------------------- *)
 
@@ -338,8 +476,15 @@ let suite =
     case "verdict: link down" test_verdict_link_down;
     case "verdict: dead end (crash)" test_verdict_dead_end_crash;
     case "verdict: dead end (raise)" test_verdict_dead_end_raise;
+    case "verdict: dead end (unsizeable header)"
+      test_verdict_dead_end_unsizeable_source;
+    case "verdict: dead end (corrupted to an unsizeable header)"
+      test_verdict_dead_end_unsizeable_corrupt;
     case "verdict: corruption" test_verdict_corrupt;
     case "bounce hook recovers a cut" test_on_bounce_recovers;
+    case "hooks fire alike in both knob settings"
+      test_hooks_in_both_knob_settings;
+    case "allocation contract of the hop loop" test_allocation_contract;
     zero_fault_identity;
     case "zero-fault identity at n=1" test_zero_fault_identity_n1;
     case "resilient wrapper is transparent" test_resilient_transparent;
