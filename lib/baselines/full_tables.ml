@@ -1,10 +1,13 @@
 open Cr_graph
 open Cr_routing
 
-type t = {
-  graph : Graph.t;
+(* [graph] is a [Graph.t] in [t] and [()] in [frozen]. *)
+type 'g state = {
+  graph : 'g;
   next_port : int array array; (* next_port.(u).(v) = port of u toward v *)
 }
+
+type t = Graph.t state
 
 let preprocess ?substrate g =
   Apsp.guard_quadratic ~who:"Full_tables.preprocess" (Graph.n g);
@@ -55,8 +58,8 @@ let stretch_bound _ = (1.0, 0.0)
 
 (* --- snapshot form ------------------------------------------------------ *)
 
-type frozen = int array array
+type frozen = unit state
 
-let freeze t = t.next_port
+let freeze _ t = { t with graph = () }
 
-let thaw ~graph z = { graph; next_port = z }
+let thaw _ ~graph z = { z with graph }

@@ -31,8 +31,8 @@ val stretch_bound : t -> float * float
 (** {1 Snapshot form} *)
 
 type frozen
-(** The next-hop port matrix — already marshal-safe. *)
+(** {!t} with the graph handle dropped: the next-hop port matrix. *)
 
-val freeze : t -> frozen
+val freeze : Snapshot.sink -> t -> frozen
 
-val thaw : graph:Graph.t -> frozen -> t
+val thaw : Snapshot.source -> graph:Graph.t -> frozen -> t

@@ -1,8 +1,10 @@
 open Cr_graph
 open Cr_routing
 
-type t = {
-  graph : Graph.t;
+(* [graph] is a [Graph.t] in [t] and [()] in [frozen]; everything else
+   (hierarchy arrays, tree records, bunch sets, label tables) is data. *)
+type 'g state = {
+  graph : 'g;
   k : int;
   h : Tz_hierarchy.t;
   trees : Tree_routing.t option array; (* T(w) for every w (None if C(w) = ∅) *)
@@ -12,6 +14,8 @@ type t = {
   table_words : int array;
   label_words : int array;
 }
+
+type t = Graph.t state
 
 (* Label of v: for each level i, p_i(v) and v's label in T(p_i(v)). *)
 type label = { vertex : int; pivots : (int * Tree_routing.label) array }
@@ -221,38 +225,8 @@ let instance t =
 
 (* --- snapshot form ------------------------------------------------------ *)
 
-(* Everything except the graph handle is plain data (hierarchy arrays,
-   tree records, bunch sets, label tables), so the frozen mirror is the
-   record minus [graph]. *)
-type frozen = {
-  z_k : int;
-  z_h : Tz_hierarchy.t;
-  z_trees : Tree_routing.t option array;
-  z_in_bunch : Compiled.Bitset.t array;
-  z_home_labels : Tree_routing.label Compiled.Table.t array;
-  z_table_words : int array;
-  z_label_words : int array;
-}
+type frozen = unit state
 
-let freeze t =
-  {
-    z_k = t.k;
-    z_h = t.h;
-    z_trees = t.trees;
-    z_in_bunch = t.in_bunch;
-    z_home_labels = t.home_labels;
-    z_table_words = t.table_words;
-    z_label_words = t.label_words;
-  }
+let freeze _ t = { t with graph = () }
 
-let thaw ~graph z =
-  {
-    graph;
-    k = z.z_k;
-    h = z.z_h;
-    trees = z.z_trees;
-    in_bunch = z.z_in_bunch;
-    home_labels = z.z_home_labels;
-    table_words = z.z_table_words;
-    label_words = z.z_label_words;
-  }
+let thaw _ ~graph z = { z with graph }

@@ -87,10 +87,9 @@ val label_bits : t -> int -> int
 (** {1 Snapshot form} *)
 
 type frozen
-(** Marshal-safe mirror of {!t} minus the graph handle (everything else —
-    hierarchy arrays, tree records, bunch sets and home-label tables — is
-    plain data). *)
+(** {!t} with the graph handle dropped; everything else — hierarchy
+    arrays, tree records, bunch sets and home-label tables — is data. *)
 
-val freeze : t -> frozen
+val freeze : Snapshot.sink -> t -> frozen
 
-val thaw : graph:Graph.t -> frozen -> t
+val thaw : Snapshot.source -> graph:Graph.t -> frozen -> t

@@ -44,25 +44,6 @@ module type SCHEME = sig
   val thaw : Snapshot.source -> graph:Cr_graph.Graph.t -> frozen -> t
 end
 
-(* The baselines hold no Bigarray plane, so they freeze without a sink. *)
-module Sinkless (S : sig
-  type t
-  type frozen
-
-  val instance : t -> Scheme.instance
-  val stretch_bound : t -> float * float
-  val freeze : t -> frozen
-  val thaw : graph:Cr_graph.Graph.t -> frozen -> t
-end) : SCHEME with type t = S.t = struct
-  include S
-
-  let freeze _ t = S.freeze t
-  let thaw _ ~graph z = S.thaw ~graph z
-end
-
-module Full = Sinkless (Full_tables)
-module Tz = Sinkless (Tz_routing)
-
 (* One entry from one scheme module and one preprocess call; [build] and
    the snapshot codec both derive from them.
 
@@ -115,22 +96,22 @@ let scheme (type s) (module S : SCHEME with type t = s) ~id ~description
 
 let all =
   [
-    scheme (module Full) ~id:"full"
+    scheme (module Full_tables) ~id:"full"
       ~description:"shortest-path routing with full tables" ~paper_stretch:"1"
       ~paper_space:"n" ~source:"folklore" ~weighted_ok:true
       ~preprocess:(fun ?substrate ~seed:_ ~eps:_ g ->
         Full_tables.preprocess ?substrate g);
-    scheme (module Tz) ~id:"tz-k2"
+    scheme (module Tz_routing) ~id:"tz-k2"
       ~description:"Thorup-Zwick compact routing, k=2" ~paper_stretch:"3"
       ~paper_space:"n^1/2" ~source:"Thorup-Zwick SPAA'01" ~weighted_ok:true
       ~preprocess:(fun ?substrate ~seed ~eps:_ g ->
         Tz_routing.preprocess ?substrate ~seed g ~k:2);
-    scheme (module Tz) ~id:"tz-k3"
+    scheme (module Tz_routing) ~id:"tz-k3"
       ~description:"Thorup-Zwick compact routing, k=3" ~paper_stretch:"7"
       ~paper_space:"n^1/3" ~source:"Thorup-Zwick SPAA'01" ~weighted_ok:true
       ~preprocess:(fun ?substrate ~seed ~eps:_ g ->
         Tz_routing.preprocess ?substrate ~seed g ~k:3);
-    scheme (module Tz) ~id:"tz-k4"
+    scheme (module Tz_routing) ~id:"tz-k4"
       ~description:"Thorup-Zwick compact routing, k=4" ~paper_stretch:"11"
       ~paper_space:"n^1/4" ~source:"Thorup-Zwick SPAA'01" ~weighted_ok:true
       ~preprocess:(fun ?substrate ~seed ~eps:_ g ->

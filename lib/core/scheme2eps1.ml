@@ -1,10 +1,12 @@
 open Cr_graph
 open Cr_routing
 
-type t = {
-  graph : Graph.t;
+(* Type parameters: the parts that are not plain data (graph handle,
+   vicinities, Lemma 7 state), live in [t] and in snapshot form in [frozen]. *)
+type ('g, 'v, 'l) state = {
+  graph : 'g;
   eps : float;
-  vic : Vicinity.t array;
+  vic : 'v;
   centers : Centers.t;
   cluster_trees : Tree_routing.t Compiled.Table.t;
       (* w -> T_{C_A(w)}, for nonempty clusters *)
@@ -15,11 +17,13 @@ type t = {
       (* witness.(u) : v -> best w in B(u,q~) ∩ B_A(v) *)
   coloring : Coloring.t;
   reps : (int * float) array array;
-  lemma7 : Seq_routing.t;
+  lemma7 : 'l;
   table_words : int array;
   label_words : int array;
   breakdown : (string * int) list;
 }
+
+type t = (Graph.t, Vicinity.t array, Seq_routing.t) state
 
 (* Label of v: (v, c(v), p_A(v), d(v, p_A(v)), tree label in T(p_A(v))). *)
 type label = {
@@ -280,57 +284,15 @@ let instance t =
 
 (* --- snapshot form ------------------------------------------------------ *)
 
-type frozen = {
-  z_eps : float;
-  z_vic : Vicinity.frozen;
-  z_centers : Centers.t;
-  z_cluster_trees : Tree_routing.t Compiled.Table.t;
-  z_cluster_labels : Tree_routing.label Compiled.Table.t Compiled.Table.t;
-  z_global_trees : Tree_routing.t Compiled.Table.t;
-  z_witness : Compiled.Intmap.t array;
-  z_coloring : Coloring.t;
-  z_reps : (int * float) array array;
-  z_lemma7 : Seq_routing.frozen;
-  z_table_words : int array;
-  z_label_words : int array;
-  z_breakdown : (string * int) list;
-}
+type frozen = (unit, Vicinity.frozen, Seq_routing.frozen) state
 
 let freeze sink t =
-  {
-    z_eps = t.eps;
-    z_vic = Vicinity.freeze sink t.vic;
-    z_centers = t.centers;
-    z_cluster_trees = t.cluster_trees;
-    z_cluster_labels = t.cluster_labels;
-    z_global_trees = t.global_trees;
-    z_witness = t.witness;
-    z_coloring = t.coloring;
-    z_reps = t.reps;
-    z_lemma7 = Seq_routing.freeze t.lemma7;
-    z_table_words = t.table_words;
-    z_label_words = t.label_words;
-    z_breakdown = t.breakdown;
-  }
+  { t with graph = (); vic = Vicinity.freeze sink t.vic;
+    lemma7 = Seq_routing.freeze t.lemma7 }
 
 let thaw src ~graph z =
-  let vic = Vicinity.thaw src z.z_vic in
-  {
-    graph;
-    eps = z.z_eps;
-    vic;
-    centers = z.z_centers;
-    cluster_trees = z.z_cluster_trees;
-    cluster_labels = z.z_cluster_labels;
-    global_trees = z.z_global_trees;
-    witness = z.z_witness;
-    coloring = z.z_coloring;
-    reps = z.z_reps;
-    lemma7 = Seq_routing.thaw ~graph ~vicinities:vic z.z_lemma7;
-    table_words = z.z_table_words;
-    label_words = z.z_label_words;
-    breakdown = z.z_breakdown;
-  }
+  let vic = Vicinity.thaw src z.vic in
+  { z with graph; vic; lemma7 = Seq_routing.thaw ~graph ~vicinities:vic z.lemma7 }
 
 module For_testing = struct
   let witness t ~src v = Compiled.Intmap.find_opt t.witness.(src) v

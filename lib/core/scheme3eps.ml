@@ -1,16 +1,20 @@
 open Cr_graph
 open Cr_routing
 
-type t = {
-  graph : Graph.t;
+(* Type parameters: the parts that are not plain data (graph handle,
+   vicinities, Lemma 7 state), live in [t] and in snapshot form in [frozen]. *)
+type ('g, 'v, 'l) state = {
+  graph : 'g;
   eps : float;
-  vic : Vicinity.t array;
+  vic : 'v;
   coloring : Coloring.t;
   reps : (int * float) array array; (* reps.(u).(c) = (vertex, distance) *)
-  lemma7 : Seq_routing.t;
+  lemma7 : 'l;
   table_words : int array;
   label_words : int array;
 }
+
+type t = (Graph.t, Vicinity.t array, Seq_routing.t) state
 
 (* The label of v is (v, c(v)); the header tracks the phase. *)
 type phase =
@@ -107,38 +111,14 @@ let instance t =
 
 (* --- snapshot form ------------------------------------------------------ *)
 
-type frozen = {
-  z_eps : float;
-  z_vic : Vicinity.frozen;
-  z_coloring : Coloring.t;
-  z_reps : (int * float) array array;
-  z_lemma7 : Seq_routing.frozen;
-  z_table_words : int array;
-  z_label_words : int array;
-}
+type frozen = (unit, Vicinity.frozen, Seq_routing.frozen) state
 
 let freeze sink t =
-  {
-    z_eps = t.eps;
-    z_vic = Vicinity.freeze sink t.vic;
-    z_coloring = t.coloring;
-    z_reps = t.reps;
-    z_lemma7 = Seq_routing.freeze t.lemma7;
-    z_table_words = t.table_words;
-    z_label_words = t.label_words;
-  }
+  { t with graph = (); vic = Vicinity.freeze sink t.vic;
+    lemma7 = Seq_routing.freeze t.lemma7 }
 
 (* The vicinity family is thawed once and passed into the embedded Lemma 7
    instance, restoring the physical sharing the builder established. *)
 let thaw src ~graph z =
-  let vic = Vicinity.thaw src z.z_vic in
-  {
-    graph;
-    eps = z.z_eps;
-    vic;
-    coloring = z.z_coloring;
-    reps = z.z_reps;
-    lemma7 = Seq_routing.thaw ~graph ~vicinities:vic z.z_lemma7;
-    table_words = z.z_table_words;
-    label_words = z.z_label_words;
-  }
+  let vic = Vicinity.thaw src z.vic in
+  { z with graph; vic; lemma7 = Seq_routing.thaw ~graph ~vicinities:vic z.lemma7 }

@@ -10,19 +10,23 @@ type reps =
   | Reps_dense of (int * float) array array
   | Reps_lazy
 
-type t = {
-  graph : Graph.t;
+(* Type parameters: the parts that are not plain data (graph handle, TZ
+   state, vicinities, Lemma 8 state), live in [t], frozen in [frozen]. *)
+type ('g, 'tz, 'v, 'l) state = {
+  graph : 'g;
   eps : float;
   k : int;
-  tz : Tz_routing.t;
-  vic : Vicinity.t array;
+  tz : 'tz;
+  vic : 'v;
   coloring : Coloring.t;
   reps : reps;
   group_of : int array; (* alpha(a) for a in A_(k-2); -1 elsewhere *)
-  lemma8 : Seq_routing2.t;
+  lemma8 : 'l;
   table_words : int array;
   label_words : int array;
 }
+
+type t = (Graph.t, Tz_routing.t, Vicinity.t array, Seq_routing2.t) state
 
 (* Label of v: the TZ label plus alpha(p_(k-2)(v)). *)
 type label = { tz_label : Tz_routing.label; group : int }
@@ -250,48 +254,16 @@ let instance t =
 
 (* --- snapshot form ------------------------------------------------------ *)
 
-type frozen = {
-  z_eps : float;
-  z_k : int;
-  z_tz : Tz_routing.frozen;
-  z_vic : Vicinity.frozen;
-  z_coloring : Coloring.t;
-  z_reps : reps;
-  z_group_of : int array;
-  z_lemma8 : Seq_routing2.frozen;
-  z_table_words : int array;
-  z_label_words : int array;
-}
+type frozen = (unit, Tz_routing.frozen, Vicinity.frozen, Seq_routing2.frozen) state
 
 let freeze sink t =
-  {
-    z_eps = t.eps;
-    z_k = t.k;
-    z_tz = Tz_routing.freeze t.tz;
-    z_vic = Vicinity.freeze sink t.vic;
-    z_coloring = t.coloring;
-    z_reps = t.reps;
-    z_group_of = t.group_of;
-    z_lemma8 = Seq_routing2.freeze t.lemma8;
-    z_table_words = t.table_words;
-    z_label_words = t.label_words;
-  }
+  { t with graph = (); tz = Tz_routing.freeze sink t.tz;
+    vic = Vicinity.freeze sink t.vic; lemma8 = Seq_routing2.freeze t.lemma8 }
 
 let thaw src ~graph z =
-  let vic = Vicinity.thaw src z.z_vic in
-  {
-    graph;
-    eps = z.z_eps;
-    k = z.z_k;
-    tz = Tz_routing.thaw ~graph z.z_tz;
-    vic;
-    coloring = z.z_coloring;
-    reps = z.z_reps;
-    group_of = z.z_group_of;
-    lemma8 = Seq_routing2.thaw ~graph ~vicinities:vic z.z_lemma8;
-    table_words = z.z_table_words;
-    label_words = z.z_label_words;
-  }
+  let vic = Vicinity.thaw src z.vic in
+  { z with graph; tz = Tz_routing.thaw src ~graph z.tz; vic;
+    lemma8 = Seq_routing2.thaw ~graph ~vicinities:vic z.lemma8 }
 
 module For_testing = struct
   let set_caps t ~pairs ~trees =

@@ -15,9 +15,21 @@ type lazy_trees = {
   tws : Dijkstra.workspace;
 }
 
-type trees =
+type 'lt trees =
   | Trees_eager of Tree_routing.t Compiled.Table.t
-  | Trees_lazy of lazy_trees
+  | Trees_lazy of 'lt
+
+let lazy_tree_cap = 4096
+
+(* An empty lazy store; preprocess and thaw both start from one. *)
+let lazy_trees ~n =
+  {
+    tmutex = Mutex.create ();
+    tcache = Hashtbl.create (2 * lazy_tree_cap);
+    torder = Queue.create ();
+    tcap = lazy_tree_cap;
+    tws = Dijkstra.workspace n;
+  }
 
 (* Color representatives: the dense table is Theta(n * q) words; the lazy
    variant re-runs the same [Vicinity.nearest_of] scan on demand, so the
@@ -26,21 +38,26 @@ type reps =
   | Reps_dense of (int * float) array array
   | Reps_lazy
 
-type t = {
-  graph : Graph.t;
+(* Type parameters: the parts that are not plain data (graph handle,
+   vicinities, lazy tree cache, Lemma 8 state), live in [t], frozen in
+   [frozen]. *)
+type ('g, 'v, 'lt, 'l) state = {
+  graph : 'g;
   eps : float;
-  vic : Vicinity.t array;
+  vic : 'v;
   centers : Centers.t;
-  trees : trees;
+  trees : 'lt trees;
   coloring : Coloring.t;
   reps : reps;
   group_of : int array;        (* alpha(a) for a in A: index of its W-part *)
-  lemma8 : Seq_routing2.t;
+  lemma8 : 'l;
   first_edge : int array;      (* z on the first edge (p_A(v), z) toward v; -1 for v in A *)
   table_words : int array;
   label_words : int array;
   breakdown : (string * int) list;
 }
+
+type t = (Graph.t, Vicinity.t array, lazy_trees, Seq_routing2.t) state
 
 (* Label of v: (v, p_A(v), alpha(p_A(v)), z) with (p_A(v), z) the first edge
    on a shortest path from p_A(v) to v (absent when v in A). *)
@@ -56,8 +73,6 @@ type phase =
          for the final cluster behind the stored first edge *)
 
 type header = { lbl : label; phase : phase }
-
-let lazy_tree_cap = 4096
 
 let eps t = t.eps
 
@@ -128,15 +143,7 @@ let preprocess ?substrate ?(eps = 0.5) ?(vicinity_factor = 1.0) ?center_target
   let centers = Substrate.centers sub ~seed ~target in
   let trees =
     match mode with
-    | `Lazy ->
-      Trees_lazy
-        {
-          tmutex = Mutex.create ();
-          tcache = Hashtbl.create (2 * lazy_tree_cap);
-          torder = Queue.create ();
-          tcap = lazy_tree_cap;
-          tws = Dijkstra.workspace n;
-        }
+    | `Lazy -> Trees_lazy (lazy_trees ~n)
     | `Eager ->
       let tbl = Hashtbl.create (2 * n) in
       for w = 0 to n - 1 do
@@ -352,74 +359,24 @@ let instance t =
 (* Lazy cluster trees carry no state worth freezing: a miss re-derives the
    tree from the graph and the center distances at call time, so the thawed
    store simply starts with an empty cache — decisions are unchanged. *)
-type ftrees =
-  | FTrees_eager of Tree_routing.t Compiled.Table.t
-  | FTrees_lazy
-
-type frozen = {
-  z_eps : float;
-  z_vic : Vicinity.frozen;
-  z_centers : Centers.t;
-  z_trees : ftrees;
-  z_coloring : Coloring.t;
-  z_reps : reps;
-  z_group_of : int array;
-  z_lemma8 : Seq_routing2.frozen;
-  z_first_edge : int array;
-  z_table_words : int array;
-  z_label_words : int array;
-  z_breakdown : (string * int) list;
-}
+type frozen = (unit, Vicinity.frozen, unit, Seq_routing2.frozen) state
 
 let freeze sink t =
-  {
-    z_eps = t.eps;
-    z_vic = Vicinity.freeze sink t.vic;
-    z_centers = t.centers;
-    z_trees =
+  { t with graph = (); vic = Vicinity.freeze sink t.vic;
+    trees =
       (match t.trees with
-      | Trees_eager tbl -> FTrees_eager tbl
-      | Trees_lazy _ -> FTrees_lazy);
-    z_coloring = t.coloring;
-    z_reps = t.reps;
-    z_group_of = t.group_of;
-    z_lemma8 = Seq_routing2.freeze t.lemma8;
-    z_first_edge = t.first_edge;
-    z_table_words = t.table_words;
-    z_label_words = t.label_words;
-    z_breakdown = t.breakdown;
-  }
+      | Trees_eager tbl -> Trees_eager tbl
+      | Trees_lazy _ -> Trees_lazy ());
+    lemma8 = Seq_routing2.freeze t.lemma8 }
 
 let thaw src ~graph z =
-  let vic = Vicinity.thaw src z.z_vic in
-  let trees =
-    match z.z_trees with
-    | FTrees_eager tbl -> Trees_eager tbl
-    | FTrees_lazy ->
-      Trees_lazy
-        {
-          tmutex = Mutex.create ();
-          tcache = Hashtbl.create (2 * lazy_tree_cap);
-          torder = Queue.create ();
-          tcap = lazy_tree_cap;
-          tws = Dijkstra.workspace (Graph.n graph);
-        }
-  in
-  {
-    graph;
-    eps = z.z_eps;
-    vic;
-    centers = z.z_centers;
-    trees;
-    coloring = z.z_coloring;
-    reps = z.z_reps;
-    group_of = z.z_group_of;
-    lemma8 = Seq_routing2.thaw ~graph ~vicinities:vic z.z_lemma8;
-    first_edge = z.z_first_edge;
-    table_words = z.z_table_words;
-    label_words = z.z_label_words;
-    breakdown = z.z_breakdown;
-  }
+  let vic = Vicinity.thaw src z.vic in
+  { z with graph; vic;
+    trees =
+      (match z.trees with
+      | Trees_eager tbl -> Trees_eager tbl
+      | Trees_lazy () -> Trees_lazy (lazy_trees ~n:(Graph.n graph)));
+    lemma8 = Seq_routing2.thaw ~graph ~vicinities:vic z.lemma8 }
 
 module For_testing = struct
   let set_caps t ~pairs ~trees ~cluster_trees =

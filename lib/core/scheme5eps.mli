@@ -74,8 +74,8 @@ val space_breakdown : t -> (string * int) list
 (** {1 Snapshot form} *)
 
 type frozen
-(** Marshal-safe mirror of the scheme state minus the graph handle and any
-    off-heap payloads, which are registered as {!Snapshot} blobs. *)
+(** {!t} with the graph handle dropped and the vicinity planes (their
+    payloads as {!Snapshot} blobs) and embedded sub-states frozen. *)
 
 val freeze : Snapshot.sink -> t -> frozen
 

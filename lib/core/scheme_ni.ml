@@ -1,16 +1,20 @@
 open Cr_graph
 open Cr_routing
 
-type t = {
-  graph : Graph.t;
+(* Type parameters: the parts that are not plain data (graph handle,
+   vicinities, Lemma 7 state), live in [t] and in snapshot form in [frozen]. *)
+type ('g, 'v, 'l) state = {
+  graph : 'g;
   eps : float;
   q : int;
   salt : int;
-  vic : Vicinity.t array;
+  vic : 'v;
   reps : (int * float) array array;
-  lemma7 : Seq_routing.t;
+  lemma7 : 'l;
   table_words : int array;
 }
+
+type t = (Graph.t, Vicinity.t array, Seq_routing.t) state
 
 type phase =
   | Direct
@@ -132,36 +136,12 @@ let instance t =
 
 (* --- snapshot form ------------------------------------------------------ *)
 
-type frozen = {
-  z_eps : float;
-  z_q : int;
-  z_salt : int;
-  z_vic : Vicinity.frozen;
-  z_reps : (int * float) array array;
-  z_lemma7 : Seq_routing.frozen;
-  z_table_words : int array;
-}
+type frozen = (unit, Vicinity.frozen, Seq_routing.frozen) state
 
 let freeze sink t =
-  {
-    z_eps = t.eps;
-    z_q = t.q;
-    z_salt = t.salt;
-    z_vic = Vicinity.freeze sink t.vic;
-    z_reps = t.reps;
-    z_lemma7 = Seq_routing.freeze t.lemma7;
-    z_table_words = t.table_words;
-  }
+  { t with graph = (); vic = Vicinity.freeze sink t.vic;
+    lemma7 = Seq_routing.freeze t.lemma7 }
 
 let thaw src ~graph z =
-  let vic = Vicinity.thaw src z.z_vic in
-  {
-    graph;
-    eps = z.z_eps;
-    q = z.z_q;
-    salt = z.z_salt;
-    vic;
-    reps = z.z_reps;
-    lemma7 = Seq_routing.thaw ~graph ~vicinities:vic z.z_lemma7;
-    table_words = z.z_table_words;
-  }
+  let vic = Vicinity.thaw src z.vic in
+  { z with graph; vic; lemma7 = Seq_routing.thaw ~graph ~vicinities:vic z.lemma7 }

@@ -13,15 +13,17 @@ type pivot = {
 
 type label = { vertex : int; pivots : pivot array (* index = level i, 0..ell *) }
 
-type t = {
-  graph : Graph.t;
+(* Type parameters: the parts that are not plain data (graph handle,
+   vicinities, Lemma 8 states), live in [t], frozen in [frozen]. *)
+type ('g, 'v, 'vl, 'l) state = {
+  graph : 'g;
   eps : float;
   variant : variant;
   ell : int;
   q : int;
   sizes : int array;          (* sizes.(i) = l_i: the vicinity size q~^i *)
-  vic : Vicinity.t array;     (* the largest vicinity family B_ell(u) *)
-  vic_level : Vicinity.t array array; (* vic_level.(i) = B_i family, i = 0..ell *)
+  vic : 'v;                   (* the largest vicinity family B_ell(u) *)
+  vic_level : 'vl array;      (* vic_level.(i) = B_i family, i = 0..ell *)
   centers : Centers.t array;  (* centers.(i) = L_i *)
   cluster_trees : Tree_routing.t Compiled.Table.t array;  (* per level *)
   cluster_labels : Tree_routing.label Compiled.Table.t Compiled.Table.t array;
@@ -31,12 +33,14 @@ type t = {
          levels, the lowest such level on a tie *)
   colorings : Coloring.t option array;   (* c_i for source levels *)
   reps : (int * float) array array array; (* reps.(i).(u).(color) *)
-  lemma8 : Seq_routing2.t option array;   (* instance per source level i *)
+  lemma8 : 'l option array;   (* instance per source level i *)
   radii : float array array;  (* radii.(u).(i) = a_i = r_u(l_i) *)
   labels : label array;
   table_words : int array;
   label_words : int array;
 }
+
+type t = (Graph.t, Vicinity.t array, Vicinity.t array, Seq_routing2.t) state
 
 let eps t = t.eps
 
@@ -413,81 +417,24 @@ let instance t =
 (* --- snapshot form ------------------------------------------------------ *)
 
 (* Each vicinity level freezes separately; the scheme's own [vic] is the
-   level-ell family by construction, and each embedded Lemma 8 instance
-   is thawed against its own level so every physical sharing edge the
-   builder established survives the round trip. *)
-type frozen = {
-  z_eps : float;
-  z_variant : variant;
-  z_ell : int;
-  z_q : int;
-  z_sizes : int array;
-  z_vic_level : Vicinity.frozen array;
-  z_centers : Centers.t array;
-  z_cluster_trees : Tree_routing.t Compiled.Table.t array;
-  z_cluster_labels : Tree_routing.label Compiled.Table.t Compiled.Table.t array;
-  z_witness : Compiled.Intmap.t array;
-  z_colorings : Coloring.t option array;
-  z_reps : (int * float) array array array;
-  z_lemma8 : Seq_routing2.frozen option array;
-  z_radii : float array array;
-  z_labels : label array;
-  z_table_words : int array;
-  z_label_words : int array;
-}
+   level-ell family by construction, so it freezes to [()] and is restored
+   from the levels, and each embedded Lemma 8 instance is thawed against
+   its own level so every physical sharing edge the builder established
+   survives the round trip. *)
+type frozen = (unit, unit, Vicinity.frozen, Seq_routing2.frozen) state
 
 let freeze sink t =
-  {
-    z_eps = t.eps;
-    z_variant = t.variant;
-    z_ell = t.ell;
-    z_q = t.q;
-    z_sizes = t.sizes;
-    z_vic_level = Array.map (Vicinity.freeze sink) t.vic_level;
-    z_centers = t.centers;
-    z_cluster_trees = t.cluster_trees;
-    z_cluster_labels = t.cluster_labels;
-    z_witness = t.witness;
-    z_colorings = t.colorings;
-    z_reps = t.reps;
-    z_lemma8 = Array.map (Option.map Seq_routing2.freeze) t.lemma8;
-    z_radii = t.radii;
-    z_labels = t.labels;
-    z_table_words = t.table_words;
-    z_label_words = t.label_words;
-  }
+  { t with graph = (); vic = ();
+    vic_level = Array.map (Vicinity.freeze sink) t.vic_level;
+    lemma8 = Array.map (Option.map Seq_routing2.freeze) t.lemma8 }
 
 let thaw src ~graph z =
-  let vic_level = Array.map (Vicinity.thaw src) z.z_vic_level in
-  let lemma8 =
-    Array.mapi
-      (fun i zo ->
-        Option.map
-          (Seq_routing2.thaw ~graph ~vicinities:vic_level.(i))
-          zo)
-      z.z_lemma8
-  in
-  {
-    graph;
-    eps = z.z_eps;
-    variant = z.z_variant;
-    ell = z.z_ell;
-    q = z.z_q;
-    sizes = z.z_sizes;
-    vic = vic_level.(z.z_ell);
-    vic_level;
-    centers = z.z_centers;
-    cluster_trees = z.z_cluster_trees;
-    cluster_labels = z.z_cluster_labels;
-    witness = z.z_witness;
-    colorings = z.z_colorings;
-    reps = z.z_reps;
-    lemma8;
-    radii = z.z_radii;
-    labels = z.z_labels;
-    table_words = z.z_table_words;
-    label_words = z.z_label_words;
-  }
+  let vic_level = Array.map (Vicinity.thaw src) z.vic_level in
+  { z with graph; vic = vic_level.(z.ell); vic_level;
+    lemma8 =
+      Array.mapi
+        (fun i -> Option.map (Seq_routing2.thaw ~graph ~vicinities:vic_level.(i)))
+        z.lemma8 }
 
 module For_testing = struct
   let witness t ~src v =

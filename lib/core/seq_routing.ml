@@ -37,22 +37,27 @@ type lazy_store = {
   lin_hset : bool array;
 }
 
-type store =
+type 'l store =
   | Dense of seq Compiled.Table.t array (* source -> (destination -> seq) *)
-  | Lazy of lazy_store
+  | Lazy of 'l
 
-type t = {
-  graph : Graph.t;
+(* Type parameters: the parts that are not plain data (graph handle,
+   vicinities shared with the enclosing scheme, lazy store), live in [t],
+   [()] in [frozen]. *)
+type ('g, 'v, 'l) state = {
+  graph : 'g;
   eps : float;
   b : int;
-  vic : Vicinity.t array;
+  vic : 'v;
   hset : int list;
   trees : Tree_routing.t Compiled.Table.t; (* hitting-set vertex -> T(w) *)
-  store : store;
+  store : 'l store;
   part_of : int array;
   table_words : int array;
   breakdown : (string * int) list;
 }
+
+type t = (Graph.t, Vicinity.t array, lazy_store) state
 
 type header = {
   dst : int;
@@ -148,6 +153,23 @@ let decode_seq trees ~dst (a : packed_seq) : seq =
    Contents never affect answers, only rebuild wall-clock. *)
 let lazy_cache_cap = 8192
 
+let membership ~n hset =
+  let a = Array.make n false in
+  List.iter (fun w -> a.(w) <- true) hset;
+  a
+
+(* An empty lazy store over the hitting set [hset]; preprocess and thaw
+   both start from one. *)
+let lazy_store ~n hset =
+  {
+    lmutex = Mutex.create ();
+    lcache = Hashtbl.create (2 * lazy_cache_cap);
+    lorder = Queue.create ();
+    lcap = lazy_cache_cap;
+    lws = Dijkstra.workspace n;
+    lin_hset = membership ~n hset;
+  }
+
 let preprocess ?substrate ?(eps = 0.5) ?hitting ?(mode = `Dense) g ~vicinities
     ~parts ~part_of =
   (* NaN fails every comparison: test for the valid range, not against it. *)
@@ -165,8 +187,7 @@ let preprocess ?substrate ?(eps = 0.5) ?hitting ?(mode = `Dense) g ~vicinities
     | None ->
       Hitting_set.greedy ~n (Array.to_list (Array.map Vicinity.members vic))
   in
-  let in_hset = Array.make n false in
-  List.iter (fun w -> in_hset.(w) <- true) hset;
+  let in_hset = membership ~n hset in
   let trees =
     let tbl = Hashtbl.create (2 * List.length hset) in
     List.iter (fun w -> Hashtbl.replace tbl w (Substrate.spt_tree sub w)) hset;
@@ -234,27 +255,8 @@ let preprocess ?substrate ?(eps = 0.5) ?hitting ?(mode = `Dense) g ~vicinities
         ("sequences", 0);
       ]
     in
-    {
-      graph = g;
-      eps;
-      b;
-      vic;
-      hset;
-      trees;
-      store =
-        Lazy
-          {
-            lmutex = Mutex.create ();
-            lcache = Hashtbl.create (2 * lazy_cache_cap);
-            lorder = Queue.create ();
-            lcap = lazy_cache_cap;
-            lws = Dijkstra.workspace n;
-            lin_hset = in_hset;
-          };
-      part_of;
-      table_words;
-      breakdown;
-    }
+    { graph = g; eps; b; vic; hset; trees; store = Lazy (lazy_store ~n hset);
+      part_of; table_words; breakdown }
 
 let fetch_seq t ~src:u ~dst:v =
   match t.store with
@@ -345,66 +347,21 @@ let route ?faults ?record_path ?detect_loops t ~src ~dst =
 
 (* --- snapshot form ------------------------------------------------------ *)
 
-(* The frozen mirror drops exactly the marshal-hostile parts: the graph
+(* The snapshot form drops exactly the marshal-hostile parts: the graph
    (the loader provides it), the vicinity family (frozen by the enclosing
    scheme so physical sharing survives the round trip), and the lazy
    store's runtime plumbing (mutex, workspace, cache — rebuilt empty,
    which never changes an answer). The dense store and the hitting-set
    tree table are plain data and ride the Marshal residue as-is. *)
-type fstore =
-  | FDense of seq Compiled.Table.t array
-  | FLazy
-
-type frozen = {
-  z_eps : float;
-  z_b : int;
-  z_hset : int list;
-  z_trees : Tree_routing.t Compiled.Table.t;
-  z_store : fstore;
-  z_part_of : int array;
-  z_table_words : int array;
-  z_breakdown : (string * int) list;
-}
+type frozen = (unit, unit, unit) state
 
 let freeze t =
-  {
-    z_eps = t.eps;
-    z_b = t.b;
-    z_hset = t.hset;
-    z_trees = t.trees;
-    z_store = (match t.store with Dense s -> FDense s | Lazy _ -> FLazy);
-    z_part_of = t.part_of;
-    z_table_words = t.table_words;
-    z_breakdown = t.breakdown;
-  }
+  { t with graph = (); vic = ();
+    store = (match t.store with Dense s -> Dense s | Lazy _ -> Lazy ()) }
 
 let thaw ~graph ~vicinities z =
-  let store =
-    match z.z_store with
-    | FDense s -> Dense s
-    | FLazy ->
-      let n = Graph.n graph in
-      let lin_hset = Array.make n false in
-      List.iter (fun w -> lin_hset.(w) <- true) z.z_hset;
-      Lazy
-        {
-          lmutex = Mutex.create ();
-          lcache = Hashtbl.create (2 * lazy_cache_cap);
-          lorder = Queue.create ();
-          lcap = lazy_cache_cap;
-          lws = Dijkstra.workspace n;
-          lin_hset;
-        }
-  in
-  {
-    graph;
-    eps = z.z_eps;
-    b = z.z_b;
-    vic = vicinities;
-    hset = z.z_hset;
-    trees = z.z_trees;
-    store;
-    part_of = z.z_part_of;
-    table_words = z.z_table_words;
-    breakdown = z.z_breakdown;
-  }
+  { z with graph; vic = vicinities;
+    store =
+      (match z.store with
+      | Dense s -> Dense s
+      | Lazy () -> Lazy (lazy_store ~n:(Graph.n graph) z.hset)) }

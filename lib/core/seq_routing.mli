@@ -89,11 +89,11 @@ val breakdown : t -> (string * int) list
 (** {1 Snapshot form} *)
 
 type frozen
-(** Marshal-safe mirror of {!t} minus the graph and the vicinity family
-    (both supplied again at {!thaw} so physical sharing with the enclosing
-    scheme survives a snapshot round trip). A lazy sequence store freezes
-    to its decision inputs only; the cache restarts empty, which never
-    changes an answer. *)
+(** {!t} with the graph handle and the vicinity family dropped (both
+    supplied again at {!thaw} so physical sharing with the enclosing
+    scheme survives a snapshot round trip). A lazy sequence store keeps
+    no state of its own: it is rebuilt from the hitting set with an empty
+    cache, which never changes an answer. *)
 
 val freeze : t -> frozen
 

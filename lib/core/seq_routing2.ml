@@ -66,7 +66,15 @@ type tree_entry = {
   mutable last_use : int;
 }
 
+(* A lazy store's decision inputs: plain data, kept by its snapshot form. *)
+type lazy_inputs = {
+  dest_group : int array;  (* w -> its part index in [dests], or -1 *)
+  part_of : int array;
+  d_min : float;
+}
+
 type lazy_store = {
+  linputs : lazy_inputs;
   lmutex : Mutex.t;
   lcache : (int * int, packed_seq) Hashtbl.t;
   lorder : (int * int) Queue.t; (* FIFO eviction *)
@@ -77,26 +85,28 @@ type lazy_store = {
   lws : Dijkstra.workspace;     (* tree builds *)
   ldist : float array;          (* re-derived distances, valid where ... *)
   lstamp : int array;           (* ... [lstamp.(v)] = [lclock] *)
-  ldest_group : int array;      (* w -> its part index in [dests], or -1 *)
-  lpart_of : int array;
-  ld_min : float;
   mutable lmax_hops : int;      (* longest sequence observed so far *)
 }
 
-type store =
+type 'l store =
   | Dense of seq Compiled.Table.t array (* source -> (destination -> seq) *)
-  | Lazy of lazy_store
+  | Lazy of 'l
 
-type t = {
-  graph : Graph.t;
+(* Type parameters: the parts that are not plain data (graph handle,
+   vicinities shared with the enclosing scheme, lazy store), live in [t],
+   in snapshot form in [frozen]. *)
+type ('g, 'v, 'l) state = {
+  graph : 'g;
   eps : float;
   b : int;
-  vic : Vicinity.t array;
-  store : store;
+  vic : 'v;
+  store : 'l store;
   table_words : int array;
   dense_max_seq_hops : int;
   breakdown : (string * int) list;
 }
+
+type t = (Graph.t, Vicinity.t array, lazy_store) state
 
 type header = {
   dst : int;
@@ -181,8 +191,10 @@ let lazy_cache_cap = 8192
    n = 10^6, beside a ~56 GB build peak; 8 MB at n = 2000. *)
 let lazy_tree_cap = 1024
 
-let lazy_store ~n ~dest_group ~part_of ~d_min =
+(* An empty lazy store; preprocess and thaw both start from one. *)
+let lazy_store ~n linputs =
   {
+    linputs;
     lmutex = Mutex.create ();
     lcache = Hashtbl.create (2 * lazy_cache_cap);
     lorder = Queue.create ();
@@ -193,9 +205,6 @@ let lazy_store ~n ~dest_group ~part_of ~d_min =
     lws = Dijkstra.workspace n;
     ldist = Array.make n 0.0;
     lstamp = Array.make n (-1);
-    ldest_group = dest_group;
-    lpart_of = part_of;
-    ld_min = d_min;
     lmax_hops = 0;
   }
 
@@ -331,7 +340,7 @@ let preprocess ?substrate ?(eps = 0.5) ?(mode = `Dense) g ~vicinities ~parts
       eps;
       b;
       vic;
-      store = Lazy (lazy_store ~n ~dest_group ~part_of ~d_min);
+      store = Lazy (lazy_store ~n { dest_group; part_of; d_min });
       table_words;
       dense_max_seq_hops = 0;
       breakdown = [ ("vicinities", !vic_total); ("sequences", 0) ];
@@ -342,8 +351,9 @@ let fetch_seq t ~src:u ~dst:w =
   | Dense seqs -> Compiled.Table.find seqs.(u) w
   | Lazy ls ->
     if u = w then raise Not_found;
-    let j = ls.ldest_group.(w) in
-    if j < 0 || ls.lpart_of.(u) <> j then raise Not_found;
+    let li = ls.linputs in
+    let j = li.dest_group.(w) in
+    if j < 0 || li.part_of.(u) <> j then raise Not_found;
     Mutex.protect ls.lmutex (fun () ->
         match Hashtbl.find_opt ls.lcache (u, w) with
         | Some packed ->
@@ -358,11 +368,11 @@ let fetch_seq t ~src:u ~dst:w =
             c.Telemetry.lazy_seq_misses <- c.Telemetry.lazy_seq_misses + 1
           end;
           let relay_of x =
-            Vicinity.nearest_of t.vic.(x) (fun v -> ls.lpart_of.(v) = j)
+            Vicinity.nearest_of t.vic.(x) (fun v -> li.part_of.(v) = j)
           in
           let parent = resident_tree ls t.graph w in
           let sq =
-            build_seq t.graph t.vic ~b:t.b ~d_min:ls.ld_min ~relay_of ~src:u
+            build_seq t.graph t.vic ~b:t.b ~d_min:li.d_min ~relay_of ~src:u
               ~dst:w ~dist:(tree_dist ls t.graph parent) ~parent
           in
           Hashtbl.replace ls.lcache (u, w) (encode_seq sq);
@@ -422,75 +432,29 @@ let route ?faults ?record_path ?detect_loops t ~src ~dst =
 
 (* --- snapshot form ------------------------------------------------------ *)
 
-(* Frozen mirror minus graph, vicinities (frozen by the enclosing scheme)
-   and the lazy store's runtime plumbing. The lazy store's decision inputs
-   — destination grouping, part map, minimum edge weight — are plain data
-   and must survive the round trip; the pair and tree caches and the
-   [lmax_hops] observation start empty, which never changes an answer. *)
-type flazy = {
-  z_dest_group : int array;
-  z_lpart_of : int array;
-  z_d_min : float;
-}
-
-type fstore =
-  | FDense of seq Compiled.Table.t array
-  | FLazy of flazy
-
-type frozen = {
-  z_eps : float;
-  z_b : int;
-  z_store : fstore;
-  z_table_words : int array;
-  z_dense_max_seq_hops : int;
-  z_breakdown : (string * int) list;
-}
+(* The snapshot form drops the graph, the vicinities (frozen by the
+   enclosing scheme) and the lazy store's runtime plumbing, keeping its
+   decision inputs; the pair and tree caches and the [lmax_hops]
+   observation start empty, which never changes an answer. *)
+type frozen = (unit, unit, lazy_inputs) state
 
 let freeze t =
-  {
-    z_eps = t.eps;
-    z_b = t.b;
-    z_store =
-      (match t.store with
-      | Dense s -> FDense s
-      | Lazy ls ->
-        FLazy
-          {
-            z_dest_group = ls.ldest_group;
-            z_lpart_of = ls.lpart_of;
-            z_d_min = ls.ld_min;
-          });
-    z_table_words = t.table_words;
-    z_dense_max_seq_hops = t.dense_max_seq_hops;
-    z_breakdown = t.breakdown;
-  }
+  { t with graph = (); vic = ();
+    store = (match t.store with Dense s -> Dense s | Lazy ls -> Lazy ls.linputs) }
 
 let thaw ~graph ~vicinities z =
-  let store =
-    match z.z_store with
-    | FDense s -> Dense s
-    | FLazy f ->
-      Lazy
-        (lazy_store ~n:(Graph.n graph) ~dest_group:f.z_dest_group
-           ~part_of:f.z_lpart_of ~d_min:f.z_d_min)
-  in
-  {
-    graph;
-    eps = z.z_eps;
-    b = z.z_b;
-    vic = vicinities;
-    store;
-    table_words = z.z_table_words;
-    dense_max_seq_hops = z.z_dense_max_seq_hops;
-    breakdown = z.z_breakdown;
-  }
+  { z with graph; vic = vicinities;
+    store =
+      (match z.store with
+      | Dense s -> Dense s
+      | Lazy li -> Lazy (lazy_store ~n:(Graph.n graph) li)) }
 
 (* --- testing ------------------------------------------------------------ *)
 
 module For_testing = struct
   let rederived_dists g w =
     let n = Graph.n g in
-    let ls = lazy_store ~n ~dest_group:[||] ~part_of:[||] ~d_min:0.0 in
+    let ls = lazy_store ~n { dest_group = [||]; part_of = [||]; d_min = 0.0 } in
     let parent = resident_tree ls g w in
     Array.init n (tree_dist ls g parent)
 

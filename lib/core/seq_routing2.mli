@@ -90,8 +90,8 @@ val breakdown : t -> (string * int) list
 (** {1 Snapshot form} *)
 
 type frozen
-(** Marshal-safe mirror of {!t} minus the graph and the vicinity family
-    (both supplied again at {!thaw}). A lazy store freezes to its decision
+(** {!t} with the graph handle and the vicinity family dropped (both
+    supplied again at {!thaw}). A lazy store freezes to its decision
     inputs (destination grouping, part map, minimum edge weight); the
     caches restart empty, which never changes an answer. *)
 

@@ -138,6 +138,8 @@ let is_empty p =
   && p.sp.drop_prob = 0.0
   && p.sp.corrupt_prob = 0.0
 
+let corrupts p = p.sp.corrupt_prob > 0.0
+
 let link_down p u v = Hashtbl.mem p.links (canon u v)
 
 let vertex_down p v = v >= 0 && v < Array.length p.vertices && p.vertices.(v)

@@ -68,6 +68,10 @@ val is_empty : plan -> bool
 
 (** {1 Static queries} *)
 
+val corrupts : plan -> bool
+(** The plan garbles headers: its per-hop corruption probability is
+    nonzero. *)
+
 val link_down : plan -> int -> int -> bool
 (** [link_down p u v] — is the undirected edge [(u, v)] failed? *)
 

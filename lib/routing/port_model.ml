@@ -287,6 +287,8 @@ and[@tail_mod_cons] bounce s plan hdr ~dead ~port v =
     s.verdict <- given_up plan ~at ~port v;
     []
 
+let garbles = function Some plan -> Fault.corrupts plan | None -> false
+
 let run g ~src ~header ~step ~header_words ?(max_hops = (4 * Graph.n g) + 16)
     ?on_hop ?faults ?on_bounce ?corrupt ?(record_path = true)
     ?(detect_loops = true) () =
@@ -311,7 +313,11 @@ let run g ~src ~header ~step ~header_words ?(max_hops = (4 * Graph.n g) + 16)
       on_bounce;
       corrupt;
       record_path;
-      loops = (if detect_loops then Some (fresh_loops header) else None);
+      (* A [corrupt] hook under a corrupting plan rewrites headers at
+         hop-dependent points, so a repeated state proves no cycle there. *)
+      loops =
+        (if detect_loops && not (Option.is_some corrupt && garbles faults)
+         then Some (fresh_loops header) else None);
       tc;
       telon;
       ttrace = telon && Telemetry.tracing ();

@@ -134,9 +134,13 @@ val run :
     aborts with [Loop_detected] when one repeats exactly. Headers are
     compared structurally, so a vertex may be revisited with a different
     header; a repeat is only declared when the deterministic step function
-    is provably cycling. The structural hash of the header is cached while
-    the step function forwards the same physical header, so long
-    unrewritten stretches hash once, not once per hop.
+    is provably cycling. A run given a [corrupt] hook under a plan that
+    corrupts ({!Fault.corrupts}) skips loop detection: the hook may rewrite
+    the header at hop-dependent points, so a repeated state proves
+    nothing, and the run ends as it would with [~detect_loops:false]. The
+    structural hash of the header is cached while the step function
+    forwards the same physical header, so long unrewritten stretches hash
+    once, not once per hop.
 
     {b No exceptions.} An invalid port becomes [Invalid_port]. A step
     function that raises, or a header that [header_words] cannot size (it

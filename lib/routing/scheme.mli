@@ -30,9 +30,9 @@ type instance = {
           {!Fault}); [~faults:None] is the healthy-network run. The two
           simulator knobs are under caller control: with
           [~record_path:false] the outcome's [path] is [[]], and with
-          [~detect_loops:false] a cycling route runs out its hop budget
-          instead of ending [Loop_detected]; every other field is
-          unchanged. Prefer the {!route} and {!route_fast} helpers. *)
+          [~detect_loops:false] a cycling route ends when its hop budget
+          runs out, or when a fault event ends it, instead of ending
+          [Loop_detected]; every other field is unchanged. Prefer the {!route} and {!route_fast} helpers. *)
   table_words : int array;
       (** [table_words.(v)] = routing-table size of vertex [v], in words.
           A property of the logical tables, not of the containers that

@@ -250,8 +250,11 @@ let magic = "CRSNAP\r\n"
    witness tables and boxed vicinity indexes became [Compiled.Intmap]s.
    Version 3: tree vertex indexes became [Compiled.Intmap]s, tree and
    label collections [Compiled.Table]s, and TZ bunches
-   [Compiled.Bitset]s, where version 2 held hashtables. *)
-let version = 3
+   [Compiled.Bitset]s, where version 2 held hashtables. Version 4: each
+   scheme's snapshot form became its built state record with the graph
+   handle and the other non-data parts replaced, where version 3 held a
+   separate frozen record without those fields. *)
+let version = 4
 
 let align8 x = (x + 7) land lnot 7
 

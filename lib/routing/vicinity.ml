@@ -30,18 +30,27 @@ type boxed = {
 type i32arr = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 type f64arr = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-type family = {
+(* The blocks are type parameters: Bigarrays in a live family, blob ids
+   in its snapshot form. *)
+type ('i, 'f) family = {
   f_l : int;              (* stride: member capacity per vertex *)
   f_len : int array;      (* actual member count per vertex *)
-  f_members : i32arr;     (* vertex u's members at [u*l .. u*l+len-1] *)
-  f_ports : i32arr;       (* first-hop ports, position-indexed *)
-  f_dists : f64arr;       (* distances, position-indexed *)
+  f_members : 'i;         (* vertex u's members at [u*l .. u*l+len-1] *)
+  f_ports : 'i;           (* first-hop ports, position-indexed *)
+  f_dists : 'f;           (* distances, position-indexed *)
   f_radius : float array; (* r_u(l) per vertex *)
 }
 
-type t = Boxed of boxed | Slice of family * int
+(* A slice names its family: the record itself when live, its index in
+   the frozen family table when frozen. *)
+type 'fam entry = Boxed of boxed | Slice of 'fam * int
 
+type t = (i32arr, f64arr) family entry
+
+(* Typed block reads, so the Bigarray accesses of the [family]-generic
+   accessors below compile to direct loads. *)
 let fget (a : i32arr) i = Int32.to_int (Bigarray.Array1.get a i)
+let fdist (a : f64arr) i = Bigarray.Array1.get a i
 
 (* r_u(l) for the prefix [dists.(0 .. k-1)] whose nearest excluded vertex
    sits at distance [nd] (Lemma 7 / Section 2 definition): the largest
@@ -87,7 +96,7 @@ let of_truncated (tr : Dijkstra.truncated) =
 let compute g u l = of_truncated (Dijkstra.truncated g u l)
 
 (* Source [u]'s search result into its stride of a packed family. *)
-let write_row fam u (tr : Dijkstra.truncated) =
+let write_row (fam : (i32arr, f64arr) family) u (tr : Dijkstra.truncated) =
   let base = u * fam.f_l in
   Array.iteri
     (fun i v ->
@@ -160,7 +169,7 @@ let position b v =
 let dist b v =
   match b with
   | Boxed bx -> bx.dists.(position b v)
-  | Slice (fam, u) -> Bigarray.Array1.get fam.f_dists ((u * fam.f_l) + position b v)
+  | Slice (fam, u) -> fdist fam.f_dists ((u * fam.f_l) + position b v)
 
 let dist_or_infinity b v =
   match b with
@@ -170,7 +179,7 @@ let dist_or_infinity b v =
     | None -> infinity)
   | Slice (fam, u) ->
     let i = slice_pos fam u v in
-    if i < 0 then infinity else Bigarray.Array1.get fam.f_dists ((u * fam.f_l) + i)
+    if i < 0 then infinity else fdist fam.f_dists ((u * fam.f_l) + i)
 
 (* The hot lookup of every Lemma 2 hop: one match, one index probe. *)
 let first_port b v =
@@ -199,7 +208,7 @@ let max_dist = function
     if k = 0 then 0.0 else b.dists.(k - 1)
   | Slice (fam, u) ->
     let k = fam.f_len.(u) in
-    if k = 0 then 0.0 else Bigarray.Array1.get fam.f_dists ((u * fam.f_l) + k - 1)
+    if k = 0 then 0.0 else fdist fam.f_dists ((u * fam.f_l) + k - 1)
 
 let rank b v =
   match b with
@@ -218,7 +227,7 @@ let prefix_radius b l' =
     | Boxed b -> radius_below b.dists l' b.dists.(l')
     | Slice (fam, u) ->
       let base = u * fam.f_l in
-      let d i = Bigarray.Array1.get fam.f_dists (base + i) in
+      let d i = fdist fam.f_dists (base + i) in
       let nd = d l' in
       let rec scan i = if i < 0 then 0.0 else if d i < nd then d i else scan (i - 1) in
       scan (l' - 1)
@@ -257,7 +266,7 @@ let to_boxed b =
     {
       source = u;
       members;
-      dists = Array.init k (fun i -> Bigarray.Array1.get fam.f_dists (base + i));
+      dists = Array.init k (fun i -> fdist fam.f_dists (base + i));
       index = index_of members;
       first_ports = Array.init k (fun i -> fget fam.f_ports (base + i));
       radius = fam.f_radius.(u);
@@ -300,7 +309,7 @@ let copy_block a =
    copy: the old block is never written, since the old graph's instances
    still read it, and the new family is one block again, laid out as a
    fresh [compute_all ~packed:true] lays it out. *)
-let update g l vics fate =
+let update g l (vics : t array) fate =
   let ws = lazy (Dijkstra.workspace (Graph.n g)) in
   let search u l = Dijkstra.truncated_ws (Lazy.force ws) g u l in
   match packed_family vics with
@@ -339,76 +348,56 @@ let update g l vics fate =
 
 (* --- snapshot form ------------------------------------------------------
 
-   A vicinity array freezes to a marshal-safe mirror: boxed vicinities
-   ride the residue wholesale (plain arrays and the compiled index),
-   while a packed family's three Bigarray blocks become snapshot blobs
-   referenced by id. Thawing rebuilds each family record once, so every
-   slice of one family shares one block again — and a caller that thaws a
-   vicinity array once and hands it to its sub-structures restores the
-   cross-structure sharing the builder had. *)
+   A vicinity array freezes to its own entries with each packed family
+   replaced by its index in a family table whose Bigarray blocks became
+   snapshot blobs; boxed vicinities ride the residue wholesale (plain
+   arrays and the compiled index). Thawing rebuilds each family record
+   once, so every slice of one family shares one block again — and a
+   caller that thaws a vicinity array once and hands it to its
+   sub-structures restores the cross-structure sharing the builder had. *)
 
-type frozen_family = {
-  z_l : int;
-  z_len : int array;
-  z_members : int; (* blob ids *)
-  z_ports : int;
-  z_dists : int;
-  z_radius : float array;
-}
+type frozen = { fams : (int, int) family array; entries : int entry array }
 
-type frozen_entry = ZBoxed of boxed | ZSlice of int * int
-
-type frozen = { z_fams : frozen_family array; z_entries : frozen_entry array }
-
-let freeze sink vics =
-  let fams : (family * int) list ref = ref [] in
-  let zfams = ref [] in
+let freeze sink (vics : t array) =
+  let seen = ref [] and fams = ref [] in
   let fam_id fam =
-    match List.find_opt (fun (f, _) -> f == fam) !fams with
-    | Some (_, i) -> i
+    match List.assq_opt fam !seen with
+    | Some i -> i
     | None ->
-      let i = List.length !fams in
-      fams := (fam, i) :: !fams;
-      zfams :=
+      let i = List.length !seen in
+      seen := (fam, i) :: !seen;
+      fams :=
         {
-          z_l = fam.f_l;
-          z_len = fam.f_len;
-          z_members = Snapshot.put sink (Snapshot.I32 fam.f_members);
-          z_ports = Snapshot.put sink (Snapshot.I32 fam.f_ports);
-          z_dists = Snapshot.put sink (Snapshot.F64 fam.f_dists);
-          z_radius = fam.f_radius;
+          fam with
+          f_members = Snapshot.put sink (Snapshot.I32 fam.f_members);
+          f_ports = Snapshot.put sink (Snapshot.I32 fam.f_ports);
+          f_dists = Snapshot.put sink (Snapshot.F64 fam.f_dists);
         }
-        :: !zfams;
+        :: !fams;
       i
   in
-  let z_entries =
+  let entries =
     Array.map
-      (function
-        | Boxed b -> ZBoxed b
-        | Slice (fam, u) -> ZSlice (fam_id fam, u))
+      (function Boxed b -> Boxed b | Slice (fam, u) -> Slice (fam_id fam, u))
       vics
   in
-  { z_fams = Array.of_list (List.rev !zfams); z_entries }
+  { fams = Array.of_list (List.rev !fams); entries }
 
-let thaw src z =
+let thaw src z : t array =
   let fams =
     Array.map
-      (fun zf ->
+      (fun f ->
         {
-          f_l = zf.z_l;
-          f_len = zf.z_len;
-          f_members = Snapshot.get_i32 src zf.z_members;
-          f_ports = Snapshot.get_i32 src zf.z_ports;
-          f_dists = Snapshot.get_f64 src zf.z_dists;
-          f_radius = zf.z_radius;
+          f with
+          f_members = Snapshot.get_i32 src f.f_members;
+          f_ports = Snapshot.get_i32 src f.f_ports;
+          f_dists = Snapshot.get_f64 src f.f_dists;
         })
-      z.z_fams
+      z.fams
   in
   Array.map
-    (function
-      | ZBoxed b -> Boxed b
-      | ZSlice (fi, u) -> Slice (fams.(fi), u))
-    z.z_entries
+    (function Boxed b -> Boxed b | Slice (i, u) -> Slice (fams.(i), u))
+    z.entries
 
 let payload_bytes vics =
   (* Bigarray payload bytes reachable from the array — exactly what

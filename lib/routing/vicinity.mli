@@ -110,9 +110,10 @@ val update : Graph.t -> int -> t array -> (t -> fate) -> t array
 (** {1 Snapshot form} *)
 
 type frozen
-(** Marshal-safe mirror of a vicinity array: packed-family Bigarray
-    blocks become snapshot blobs, everything else rides the caller's
-    Marshal residue. *)
+(** A vicinity array in marshal-safe form: the same entries, with each
+    packed family's Bigarray blocks replaced by snapshot blob ids and the
+    family named by its index in a table of such families; everything
+    else rides the caller's Marshal residue. *)
 
 val freeze : Snapshot.sink -> t array -> frozen
 

@@ -232,9 +232,14 @@ let test_on_bounce_recovers () =
 let test_hooks_in_both_knob_settings () =
   (* The simulator knobs change nothing but the path when the bounce and
      corruption hooks fire: cut links, a crashed vertex and a dropping and
-     corrupting plan on a 4x4 grid, every pair, both knob settings. The
-     header counts its hops, so no (vertex, header) state recurs and loop
-     detection, the one knob that may end a run, never fires. *)
+     corrupting plan on a 4x4 grid, every pair, both knob settings, two
+     headers. The first counts its hops, so no (vertex, header) state
+     recurs. The second is the target alone, with ties broken toward the
+     larger neighbour id: the corruption hook rewrites it to 5 at
+     hop-dependent points, so states recur on routes that do not cycle
+     (0 -> 6 reaches 5 twice with target 5, and is delivered there). A
+     repeat proves nothing under such a hook, so loop detection, the one
+     knob that may end a run, must stay off for it. *)
   let g = Generators.grid 4 4 in
   let n = Graph.n g in
   let plan =
@@ -244,48 +249,57 @@ let test_hooks_in_both_knob_settings () =
       ~links:[ (0, 1); (5, 6); (9, 13) ]
       ~vertices:[ 10 ]
   in
-  (* Greedy toward the target by BFS distance, skipping dead ports. *)
+  (* Greedy toward the target by BFS distance, skipping dead ports; ties
+     go to the highest port, or with [larger] to the larger neighbour. *)
   let dist = Array.init n (fun v -> (Bfs.run g v).Bfs.dist) in
-  let greedy ~at ~dead (dst, k) =
+  let greedy ~counting ~larger ~at ~dead (dst, k) =
     if at = dst then Some Port_model.Deliver
     else begin
       let best = ref None in
       for p = Graph.degree g at - 1 downto 0 do
         if not (List.mem p dead) then begin
-          let d = dist.(dst).(Graph.endpoint g at p) in
+          let v = Graph.endpoint g at p in
+          let d = dist.(dst).(v) in
           match !best with
-          | Some (_, d') when d' <= d -> ()
-          | _ -> best := Some (p, d)
+          | Some (_, d', v') when d' < d || (d' = d && not (larger && v > v'))
+            -> ()
+          | _ -> best := Some (p, d, v)
         end
       done;
-      Option.map (fun (p, _) -> Port_model.Forward (p, (dst, k + 1))) !best
+      let k = if counting then k + 1 else k in
+      Option.map (fun (p, _, _) -> Port_model.Forward (p, (dst, k))) !best
     end
   in
-  let bounces = ref 0 and corruptions = ref 0 in
-  let route ~knobs ~src ~dst =
-    Port_model.run g ~src ~header:(dst, 0)
-      ~step:(fun ~at h -> Option.get (greedy ~at ~dead:[] h))
-      ~header_words:(fun _ -> 2) ~faults:plan
-      ~on_bounce:(fun ~at ~dead h ->
-        if knobs then incr bounces;
-        greedy ~at ~dead h)
-      ~corrupt:(fun (_, k) ->
-        if knobs then incr corruptions;
-        (5, k))
-      ~max_hops:(4 * n) ~record_path:knobs ~detect_loops:knobs ()
-  in
-  for src = 0 to n - 1 do
-    for dst = 0 to n - 1 do
-      let on = route ~knobs:true ~src ~dst in
-      let off = route ~knobs:false ~src ~dst in
-      if { on with Port_model.path = [] } <> off then
-        Alcotest.failf "knobs change the outcome of %d -> %d: %s vs %s" src dst
-          (Port_model.verdict_name on.Port_model.verdict)
-          (Port_model.verdict_name off.Port_model.verdict)
-    done
-  done;
-  checkb "the bounce hook fired" true (!bounces > 0);
-  checkb "the corruption hook fired" true (!corruptions > 0)
+  List.iter
+    (fun (what, counting, larger) ->
+      let greedy = greedy ~counting ~larger in
+      let bounces = ref 0 and corruptions = ref 0 in
+      let route ~knobs ~src ~dst =
+        Port_model.run g ~src ~header:(dst, 0)
+          ~step:(fun ~at h -> Option.get (greedy ~at ~dead:[] h))
+          ~header_words:(fun _ -> 2) ~faults:plan
+          ~on_bounce:(fun ~at ~dead h ->
+            if knobs then incr bounces;
+            greedy ~at ~dead h)
+          ~corrupt:(fun (_, k) ->
+            if knobs then incr corruptions;
+            (5, k))
+          ~max_hops:(4 * n) ~record_path:knobs ~detect_loops:knobs ()
+      in
+      for src = 0 to n - 1 do
+        for dst = 0 to n - 1 do
+          let on = route ~knobs:true ~src ~dst in
+          let off = route ~knobs:false ~src ~dst in
+          if { on with Port_model.path = [] } <> off then
+            Alcotest.failf "%s: knobs change the outcome of %d -> %d: %s vs %s"
+              what src dst
+              (Port_model.verdict_name on.Port_model.verdict)
+              (Port_model.verdict_name off.Port_model.verdict)
+        done
+      done;
+      checkb (what ^ ": the bounce hook fired") true (!bounces > 0);
+      checkb (what ^ ": the corruption hook fired") true (!corruptions > 0))
+    [ ("hop-counting header", true, false); ("target-only header", false, true) ]
 
 (* --- the allocation contract ------------------------------------------- *)
 

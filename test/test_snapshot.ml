@@ -35,20 +35,38 @@ let scratch_dir =
 let fresh_path name =
   Filename.concat (Lazy.force scratch_dir) (name ^ ".snap")
 
-(* The full observable behaviour of an instance on a graph: the simulated
-   walk, delivery vertex and measured length of every ordered pair. *)
+(* The full observable behaviour of an instance on a graph: the whole
+   outcome of every ordered pair — verdict, delivery vertex, simulated
+   walk, measured length, hops and header peak. *)
 let route_signature inst g =
   let n = Graph.n g in
   let out = ref [] in
   for u = n - 1 downto 0 do
     for v = n - 1 downto 0 do
-      if u <> v then begin
-        let o = Scheme.route inst ~src:u ~dst:v in
-        out := (o.Port_model.final, o.Port_model.path, o.Port_model.length) :: !out
-      end
+      if u <> v then out := Scheme.route inst ~src:u ~dst:v :: !out
     done
   done;
   !out
+
+(* A loaded instance is the fresh build: the same guarantee, table and
+   label sizes, off-heap bytes (a thawed packed family is mapped once,
+   not once per slice) and outcomes. *)
+let check_loaded name g (fresh, bound) (loaded, bound') =
+  checkb (name ^ " stretch bound") true (bound = bound');
+  checkb (name ^ " table words") true
+    (fresh.Scheme.table_words = loaded.Scheme.table_words);
+  checkb (name ^ " label words") true
+    (fresh.Scheme.label_words = loaded.Scheme.label_words);
+  checki (name ^ " big_bytes") fresh.Scheme.big_bytes loaded.Scheme.big_bytes;
+  checkb (name ^ " routes bit-identical") true
+    (route_signature fresh g = route_signature loaded g)
+
+(* Past [CR_RT_LAZY_N] the rt-* stores fill on-demand caches as they
+   route; the frozen state must not see them. *)
+let with_lazy_n v f =
+  let old = Option.value (Sys.getenv_opt "CR_RT_LAZY_N") ~default:"" in
+  Unix.putenv "CR_RT_LAZY_N" v;
+  Fun.protect ~finally:(fun () -> Unix.putenv "CR_RT_LAZY_N" old) f
 
 let seed = 77
 let eps = 0.5
@@ -61,6 +79,8 @@ let save_one ?substrate g (e : Catalog.entry) =
     Alcotest.failf "%s: save_entry failed: %s" e.Catalog.id
       (Snapshot.error_to_string err)
 
+let entry id = Option.get (Catalog.find id)
+
 let load_one ?verify ~path g (e : Catalog.entry) =
   match Catalog.load_entry ?verify ~path ~seed ~eps g e with
   | Ok r -> r
@@ -71,19 +91,22 @@ let load_one ?verify ~path g (e : Catalog.entry) =
 (* ------------------------------------------------------------------ *)
 (* 1. Round-trip bit-identity across the whole catalog.               *)
 
+(* Every catalog entry, and the lazy regime's rt-5eps and rt-4km7-k3,
+   whose packed vicinity families go through snapshot blobs. *)
 let test_roundtrip_whole_catalog () =
   let g = Generators.connect ~seed:31 (Generators.gnp ~seed:501 48 0.12) in
-  let substrate = Substrate.create g in
-  List.iter
-    (fun (e : Catalog.entry) ->
-      let fresh, (a0, b0) = e.Catalog.build ~substrate ~seed ~eps g in
-      let path = save_one ~substrate g e in
-      let loaded, (a1, b1) = load_one ~path g e in
-      checkb (e.Catalog.id ^ " alpha") true (a0 = a1);
-      checkb (e.Catalog.id ^ " beta") true (b0 = b1);
-      checkb (e.Catalog.id ^ " routes bit-identical") true
-        (route_signature fresh g = route_signature loaded g))
-    Catalog.all
+  let roundtrip what entries =
+    let substrate = Substrate.create g in
+    List.iter
+      (fun (e : Catalog.entry) ->
+        let fresh = e.Catalog.build ~substrate ~seed ~eps g in
+        let path = save_one ~substrate g e in
+        check_loaded (e.Catalog.id ^ what) g fresh (load_one ~path g e))
+      entries
+  in
+  roundtrip "" Catalog.all;
+  with_lazy_n "32" (fun () ->
+      roundtrip " (lazy)" [ entry "rt-5eps"; entry "rt-4km7-k3" ])
 
 let test_roundtrip_weighted () =
   let g =
@@ -94,11 +117,9 @@ let test_roundtrip_weighted () =
   List.iter
     (fun (e : Catalog.entry) ->
       if e.Catalog.weighted_ok then begin
-        let fresh, _ = e.Catalog.build ~substrate ~seed ~eps g in
+        let fresh = e.Catalog.build ~substrate ~seed ~eps g in
         let path = save_one ~substrate g e in
-        let loaded, _ = load_one ~path g e in
-        checkb (e.Catalog.id ^ " weighted routes bit-identical") true
-          (route_signature fresh g = route_signature loaded g)
+        check_loaded (e.Catalog.id ^ " weighted") g fresh (load_one ~path g e)
       end)
     Catalog.all
 
@@ -109,11 +130,10 @@ let test_roundtrip_no_verify () =
   let substrate = Substrate.create g in
   List.iter
     (fun (e : Catalog.entry) ->
-      let fresh, _ = e.Catalog.build ~substrate ~seed ~eps g in
+      let fresh = e.Catalog.build ~substrate ~seed ~eps g in
       let path = save_one ~substrate g e in
-      let loaded, _ = load_one ~verify:false ~path g e in
-      checkb (e.Catalog.id ^ " no-verify routes bit-identical") true
-        (route_signature fresh g = route_signature loaded g))
+      check_loaded (e.Catalog.id ^ " no-verify") g fresh
+        (load_one ~verify:false ~path g e))
     Catalog.all
 
 (* qcheck: on random connected graphs a handful of structurally distinct
@@ -133,8 +153,6 @@ let qcheck_roundtrip =
 
 (* ------------------------------------------------------------------ *)
 (* 2. Damaged / mismatched files yield typed errors, never routes.    *)
-
-let entry id = Option.get (Catalog.find id)
 
 let small_graph = lazy (Generators.connect ~seed:9 (Generators.gnp ~seed:91 32 0.18))
 
@@ -340,12 +358,14 @@ let reseal b =
     (Int32.of_int (crc_reference 0 (Bytes.unsafe_to_string b) 0 at))
 
 (* A file written by an older writer: version 1's residue holds
-   hashtables where version 2 holds [Compiled.Intmap]s, and version 2's
-   holds hashtables where version 3 holds [Compiled.Intmap]s,
-   [Compiled.Table]s and [Compiled.Bitset]s. Every later header check
-   would pass, so the version alone must refuse it, and the warm-start
-   ladder must rebuild. The stamp is resealed, as the old writer's own
-   header checksum would be. *)
+   hashtables where version 2 holds [Compiled.Intmap]s, version 2's holds
+   hashtables where version 3 holds [Compiled.Intmap]s,
+   [Compiled.Table]s and [Compiled.Bitset]s, and version 3's holds a
+   separate frozen record per scheme where version 4 holds the scheme's
+   state record itself, with more fields. Every later header check would
+   pass, so the version alone must refuse it, and the warm-start ladder
+   must rebuild. The stamp is resealed, as the old writer's own header
+   checksum would be. *)
 let test_old_version_rebuilt v () =
   let g = Lazy.force small_graph in
   let e = entry "rt-ptr-minus-l2" in
@@ -358,7 +378,7 @@ let test_old_version_rebuilt v () =
       Alcotest.failf "v%d save failed: %s" v (Snapshot.error_to_string err)
   in
   let b = read_file path in
-  checki "writer stamps version 3" 3 (Int32.to_int (Bytes.get_int32_le b 8));
+  checki "writer stamps version 4" 4 (Int32.to_int (Bytes.get_int32_le b 8));
   Bytes.set_int32_le b 8 (Int32.of_int v);
   reseal b;
   write_file path b;
@@ -619,14 +639,14 @@ let qcheck_crc_i32_view =
 (* ------------------------------------------------------------------ *)
 (* 6. Format stability: a golden container pinned by its digest.      *)
 
-(* [Digest.file] of the golden container as the version-3 writer
+(* [Digest.file] of the golden container as the version-4 writer
    produces it: a different digest is a format change, which needs a
-   version bump. The version-1 and version-2 writers' digests were
-   9781ea992cddb3f1bf32a7d711600af1 and 26273200783cc8e264b4c227f7b734ea;
-   their files differ from this one only in the version field and the
-   header checksum. Blobs are host memory, so the pin holds on
-   little-endian hosts. *)
-let golden_digest = "2a63574d2311dd9cc735d7c2920c0ff3"
+   version bump. The version-1, version-2 and version-3 writers' digests
+   were 9781ea992cddb3f1bf32a7d711600af1, 26273200783cc8e264b4c227f7b734ea
+   and 2a63574d2311dd9cc735d7c2920c0ff3; their files differ from this one
+   only in the version field and the header checksum. Blobs are host
+   memory, so the pin holds on little-endian hosts. *)
+let golden_digest = "48e77a45b5bbd71982f52fe24346d258"
 
 let test_golden_digest () =
   let path = Lazy.force golden_path in
@@ -641,7 +661,7 @@ let test_golden_digest () =
       (l.Snapshot.meta.Snapshot.scheme_id = "golden"
       && l.Snapshot.meta.Snapshot.fingerprint = 0x0123456789abcdefL);
     check Alcotest.string "residue round-trips" golden_residue l.Snapshot.residue;
-    checki "version 3" 3 (Int32.to_int (Bytes.get_int32_le (read_file path) 8));
+    checki "version 4" 4 (Int32.to_int (Bytes.get_int32_le (read_file path) 8));
     checki "I32 blob" 0x7fffffff
       (Int32.to_int (Bigarray.Array1.get (Snapshot.get_i32 l.Snapshot.source 0) 3));
     checkb "F64 blob keeps its sNaN bits" true
@@ -705,17 +725,15 @@ let test_lazy_blob_roundtrip () =
       let file = read_file path in
       let nblobs = hdr_nblobs file in
       checkb (Printf.sprintf "%s writes blobs (%d)" c.name nblobs) true (nblobs >= 1);
-      let expected = route_signature c.fresh g in
       List.iter
         (fun verify ->
           match Snapshot.load ~verify path with
           | Error e -> Alcotest.failf "%s load: %s" c.name (Snapshot.error_to_string e)
           | Ok l ->
-            let inst = c.thaw l.Snapshot.source l.Snapshot.residue in
-            checkb
-              (Printf.sprintf "%s routes bit-identical (verify:%b)" c.name verify)
-              true
-              (route_signature inst g = expected))
+            check_loaded
+              (Printf.sprintf "%s (verify:%b)" c.name verify)
+              g (c.fresh, ())
+              (c.thaw l.Snapshot.source l.Snapshot.residue, ()))
         [ true; false ];
       (* One flipped byte inside each blob payload is caught by that blob's
          checksum. *)
@@ -807,13 +825,6 @@ let test_reuse_same_bytes () =
     (fun (e : Catalog.entry) ->
       if e.Catalog.weighted_ok then check_reuse ~what:"weighted gnp40" h g e)
     Catalog.all
-
-(* Past [CR_RT_LAZY_N] the rt-* stores fill on-demand caches as they
-   route; the frozen state must not see them. *)
-let with_lazy_n v f =
-  let old = Option.value (Sys.getenv_opt "CR_RT_LAZY_N") ~default:"" in
-  Unix.putenv "CR_RT_LAZY_N" v;
-  Fun.protect ~finally:(fun () -> Unix.putenv "CR_RT_LAZY_N" old) f
 
 let test_reuse_lazy () =
   with_lazy_n "32" @@ fun () ->
@@ -1076,6 +1087,7 @@ let suite =
     case "load_or_build fallback ladder" test_load_or_build_fallback;
     case "reject: version-1 file, rebuilt on load" (test_old_version_rebuilt 1);
     case "reject: version-2 file, rebuilt on load" (test_old_version_rebuilt 2);
+    case "reject: version-3 file, rebuilt on load" (test_old_version_rebuilt 3);
     case "reject: crafted blob length past the file" test_crafted_blob_length;
     case "reject: crafted residue length past the file" test_crafted_residue_length;
     qcheck_ef_vs_sorted;
