@@ -80,6 +80,55 @@ let test_decide_pure () =
       = Fault.Pass)
   done
 
+(* Every per-hop decision and link query of a few plans over a fixed
+   grid, folded into one digest: a change to how a plan stores its links
+   or hashes a hop must leave every answer as it was. *)
+let decisions_digest = "5d2f87df6f851f906d918f9bb3a33b69"
+
+let test_decisions_pinned () =
+  let g = Generators.grid 8 8 in
+  let n = Graph.n g in
+  let plans =
+    [
+      Fault.empty g;
+      Fault.compile
+        (Fault.spec ~seed:5 ~link_failure_rate:0.15 ~vertex_failure_rate:0.05
+           ~drop_prob:0.1 ~corrupt_prob:0.2 ())
+        g;
+      Fault.compile (Fault.spec ~seed:9 ~drop_prob:1e-9 ~corrupt_prob:0.5 ()) g;
+      Fault.of_failures
+        ~spec:(Fault.spec ~seed:2 ~drop_prob:0.3 ())
+        g ~links:[ (9, 1); (10, 18); (63, 62) ] ~vertices:[ 4 ];
+    ]
+  in
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun (u, v) -> Buffer.add_string b (Printf.sprintf "%d-%d;" u v))
+        (Fault.failed_links p);
+      for u = 0 to n - 1 do
+        for v = 0 to n - 1 do
+          Buffer.add_char b (if Fault.link_down p u v then '1' else '0')
+        done
+      done;
+      List.iter
+        (fun at ->
+          for port = 0 to 3 do
+            List.iter
+              (fun index ->
+                Buffer.add_char b
+                  (match Fault.decide p { Fault.at; port; index } with
+                  | Fault.Pass -> 'P'
+                  | Fault.Drop -> 'D'
+                  | Fault.Corrupt -> 'C'))
+              [ 0; 1; 2; 3; 7; 100; 4095; 1_000_000 ]
+          done)
+        (List.init n Fun.id @ [ 1_000_003; 123_456_789 ]))
+    plans;
+  check Alcotest.string "decision digest" decisions_digest
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* --- one test per verdict constructor ---------------------------------- *)
 
 let test_verdict_dropped () =
@@ -486,6 +535,7 @@ let suite =
     case "plan compile is deterministic" test_plan_compile;
     case "hand-built plans validate input" test_plan_of_failures;
     case "per-hop decisions are pure" test_decide_pure;
+    case "decisions and link queries pinned" test_decisions_pinned;
     case "verdict: dropped" test_verdict_dropped;
     case "verdict: link down" test_verdict_link_down;
     case "verdict: dead end (crash)" test_verdict_dead_end_crash;
