@@ -74,7 +74,7 @@ let preprocess ?substrate ?(eps = 0.5) ?(vicinity_factor = 1.0) ?a1_target
   let h = Tz_routing.hierarchy tz in
   let q = Scheme_util.root_exp n (1.0 /. float_of_int k) in
   let l = Scheme_util.vicinity_size ~n ~q ~factor:vicinity_factor in
-  let vic = Substrate.vicinities ~packed:(mode = `Lazy) sub l in
+  let vic = Substrate.vicinities sub l in
   let coloring = Scheme_util.color_vicinities ~seed g vic ~colors:q in
   let reps =
     match mode with

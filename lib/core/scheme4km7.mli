@@ -34,8 +34,8 @@ val preprocess :
 
     [mode] (default [`Auto]) picks the substrate representation: [`Eager]
     precomputes the color-representative table and every Lemma 8 sequence
-    (the reference, quadratic past ~10^5); [`Lazy] uses packed vicinities,
-    re-derives representatives by scanning the vicinity on demand, and
+    (the reference, quadratic past ~10^5); [`Lazy] re-derives
+    representatives by scanning the vicinity on demand, and
     builds Lemma 8 sequences on first use. Decisions are bit-identical
     between modes. [`Auto] resolves to [`Lazy] past [CR_RT_LAZY_N]
     vertices (default 10^4). Lazy table accounting counts only resident

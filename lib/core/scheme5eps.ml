@@ -134,7 +134,7 @@ let preprocess ?substrate ?(eps = 0.5) ?(vicinity_factor = 1.0) ?center_target
   let sub = Substrate.for_graph substrate g in
   let q = Scheme_util.root_exp n (1.0 /. 3.0) in
   let l = Scheme_util.vicinity_size ~n ~q ~factor:vicinity_factor in
-  let vic = Substrate.vicinities ~packed:(mode = `Lazy) sub l in
+  let vic = Substrate.vicinities sub l in
   let target =
     match center_target with
     | Some s -> s

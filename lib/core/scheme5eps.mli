@@ -39,8 +39,8 @@ val preprocess :
     ~10^5 vertices. [`Lazy] keeps the same centers, coloring and first
     edges but builds cluster trees and Lemma 8 sequences on first use
     (FIFO-capped, mutex-guarded caches safe under the pool-parallel batch
-    engine), resolves color representatives by scanning the packed vicinity
-    on demand, and reads first edges off the multi-source center forest.
+    engine), resolves color representatives by scanning the vicinity on
+    demand, and reads first edges off the multi-source center forest.
     Every routing decision is bit-identical between the two modes — the
     rt-scale equivalence tests pin this. [`Auto] resolves to [`Lazy] past
     [CR_RT_LAZY_N] vertices (default 10^4). Lazy table accounting counts

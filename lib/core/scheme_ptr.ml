@@ -23,7 +23,7 @@ type ('g, 'v, 'vl, 'l) state = {
   q : int;
   sizes : int array;          (* sizes.(i) = l_i: the vicinity size q~^i *)
   vic : 'v;                   (* the largest vicinity family B_ell(u) *)
-  vic_level : 'vl array;      (* vic_level.(i) = B_i family, i = 0..ell *)
+  vic_level : 'vl;            (* vic_level.(i) = B_i family, i = 0..ell *)
   centers : Centers.t array;  (* centers.(i) = L_i *)
   cluster_trees : Tree_routing.t Compiled.Table.t array;  (* per level *)
   cluster_labels : Tree_routing.label Compiled.Table.t Compiled.Table.t array;
@@ -40,7 +40,8 @@ type ('g, 'v, 'vl, 'l) state = {
   label_words : int array;
 }
 
-type t = (Graph.t, Vicinity.t array, Vicinity.t array, Seq_routing2.t) state
+type t =
+  (Graph.t, Vicinity.t array, Vicinity.t array array, Seq_routing2.t) state
 
 let eps t = t.eps
 
@@ -65,6 +66,12 @@ let source_levels variant ell =
 let dest_level variant ell j =
   match variant with `Minus -> ell - j - 1 | `Plus -> ell - j + 1
 
+(* B_i(u) is the first l_i members of B_ell(u) (paper Section 2), so every
+   level below ell is a prefix view of the level-ell family's blocks. *)
+let levels vic sizes =
+  let ell = Array.length sizes - 1 in
+  Array.mapi (fun i l -> if i = ell then vic else Vicinity.prefix vic l) sizes
+
 let preprocess ?substrate ?(eps = 0.5) ?(vicinity_factor = 1.0) ~seed ~variant
     ~ell g =
   if ell < 2 then invalid_arg "Scheme_ptr.preprocess: need ell >= 2";
@@ -84,8 +91,8 @@ let preprocess ?substrate ?(eps = 0.5) ?(vicinity_factor = 1.0) ~seed ~variant
     Array.init (ell + 1) (fun i ->
         Scheme_util.vicinity_size ~n ~q:(pow_q i) ~factor:vicinity_factor)
   in
-  let vic_level = Array.map (fun l -> Substrate.vicinities sub l) sizes in
-  let vic = vic_level.(ell) in
+  let vic = Substrate.vicinities sub sizes.(ell) in
+  let vic_level = levels vic sizes in
   (* Level center sets L_i with cluster bound O(q^i); the substrate keys
      are the per-level [(seed + i, target)] pairs. *)
   let targets = Array.init (ell + 1) (fun i -> max 1 (n / pow_q i)) in
@@ -408,29 +415,26 @@ let instance t =
         route ?faults ~record_path ~detect_loops t ~src ~dst);
     table_words = t.table_words;
     label_words = t.label_words;
-    big_bytes =
-      Array.fold_left
-        (fun acc fam -> acc + Vicinity.payload_bytes fam)
-        0 t.vic_level;
+    (* The levels below ell share [vic]'s blocks. *)
+    big_bytes = Vicinity.payload_bytes t.vic;
   }
 
 (* --- snapshot form ------------------------------------------------------ *)
 
-(* Each vicinity level freezes separately; the scheme's own [vic] is the
-   level-ell family by construction, so it freezes to [()] and is restored
-   from the levels, and each embedded Lemma 8 instance is thawed against
-   its own level so every physical sharing edge the builder established
-   survives the round trip. *)
-type frozen = (unit, unit, Vicinity.frozen, Seq_routing2.frozen) state
+(* Only the level-ell family is frozen: the levels below it are prefix
+   views, rebuilt on thaw as [preprocess] built them, and each embedded
+   Lemma 8 instance is thawed against its own level so every physical
+   sharing edge the builder established survives the round trip. *)
+type frozen = (unit, Vicinity.frozen, unit, Seq_routing2.frozen) state
 
 let freeze sink t =
-  { t with graph = (); vic = ();
-    vic_level = Array.map (Vicinity.freeze sink) t.vic_level;
+  { t with graph = (); vic = Vicinity.freeze sink t.vic; vic_level = ();
     lemma8 = Array.map (Option.map Seq_routing2.freeze) t.lemma8 }
 
 let thaw src ~graph z =
-  let vic_level = Array.map (Vicinity.thaw src) z.vic_level in
-  { z with graph; vic = vic_level.(z.ell); vic_level;
+  let vic = Vicinity.thaw src z.vic in
+  let vic_level = levels vic z.sizes in
+  { z with graph; vic; vic_level;
     lemma8 =
       Array.mapi
         (fun i -> Option.map (Seq_routing2.thaw ~graph ~vicinities:vic_level.(i)))

@@ -22,20 +22,21 @@ let spec ?(seed = 0) ?(link_failure_rate = 0.0) ?(vertex_failure_rate = 0.0)
 
 type plan = {
   sp : spec;
-  links : (int * int, unit) Hashtbl.t; (* keyed with u < v *)
+  links : (int, unit) Hashtbl.t; (* keyed by [link_key] *)
   vertices : bool array;
   down_count : int;
 }
 
 (* SplitMix64 avalanche: the per-hop randomness must not depend on any
-   global RNG state, or replays would diverge. *)
-let mix64 z =
+   global RNG state, or replays would diverge. Inlined down to [decide],
+   so the Int64 intermediates stay unboxed and a hop allocates nothing. *)
+let[@inline] mix64 z =
   let open Int64 in
   let z = mul (logxor z (shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94d049bb133111ebL in
   logxor z (shift_right_logical z 31)
 
-let hash4 a b c d =
+let[@inline] hash4 a b c d =
   let open Int64 in
   let h = mix64 (add (of_int a) 0x9e3779b97f4a7c15L) in
   let h = mix64 (logxor h (of_int b)) in
@@ -43,9 +44,11 @@ let hash4 a b c d =
   mix64 (logxor h (of_int d))
 
 (* Uniform float in [0, 1) from the top 53 bits. *)
-let u01 h = Int64.to_float (Int64.shift_right_logical h 11) /. 9007199254740992.0
+let[@inline] u01 h = Int64.to_float (Int64.shift_right_logical h 11) /. 9007199254740992.0
 
-let canon u v = if u < v then (u, v) else (v, u)
+(* An undirected link as one immediate: ids are below [Graph.csr_limit]
+   (2^31 - 1), so the smaller endpoint fits above 31 bits of the larger. *)
+let link_key u v = if u < v then (u lsl 31) lor v else (v lsl 31) lor u
 
 (* Tags keep the link / vertex / drop / corrupt streams independent. *)
 let tag_link = 1
@@ -79,7 +82,7 @@ let compile sp g =
     in
     List.iteri
       (fun i (_h, u, v) ->
-        if i < k_links then Hashtbl.replace links (canon u v) ())
+        if i < k_links then Hashtbl.replace links (link_key u v) ())
       ranked
   end;
   let vertices = Array.make (max n 1) false in
@@ -115,7 +118,7 @@ let of_failures ?spec:(sp = spec ()) g ~links ~vertices =
         invalid_arg
           (Printf.sprintf "Fault.of_failures: links[%d] = (%d, %d) is not an edge"
              (i + 1) u v);
-      Hashtbl.replace tbl (canon u v) ())
+      Hashtbl.replace tbl (link_key u v) ())
     links;
   let varr = Array.make (max n 1) false in
   let down_count = ref 0 in
@@ -140,12 +143,12 @@ let is_empty p =
 
 let corrupts p = p.sp.corrupt_prob > 0.0
 
-let link_down p u v = Hashtbl.mem p.links (canon u v)
+let link_down p u v = Hashtbl.mem p.links (link_key u v)
 
 let vertex_down p v = v >= 0 && v < Array.length p.vertices && p.vertices.(v)
 
 let failed_links p =
-  Hashtbl.fold (fun e () acc -> e :: acc) p.links []
+  Hashtbl.fold (fun k () acc -> (k lsr 31, k land 0x7fff_ffff) :: acc) p.links []
   |> List.sort (fun (u1, v1) (u2, v2) ->
          if u1 <> u2 then Int.compare u1 u2 else Int.compare v1 v2)
 
@@ -156,14 +159,12 @@ let failed_vertices p =
   done;
   !acc
 
-type hop = { at : int; port : int; index : int }
-
 type event = Pass | Drop | Corrupt
 
-let decide p h =
+let decide p ~at ~port ~index =
   if p.sp.drop_prob = 0.0 && p.sp.corrupt_prob = 0.0 then Pass
   else begin
-    let r = u01 (hash4 p.sp.seed tag_hop ((h.at * 1_000_003) + h.port) h.index) in
+    let r = u01 (hash4 p.sp.seed tag_hop ((at * 1_000_003) + port) index) in
     if r < p.sp.drop_prob then Drop
     else if r < p.sp.drop_prob +. p.sp.corrupt_prob then Corrupt
     else Pass

@@ -84,21 +84,17 @@ val failed_vertices : plan -> int list
 
 (** {1 Per-hop events} *)
 
-type hop = {
-  at : int;     (** vertex transmitting the message *)
-  port : int;   (** port it transmits through *)
-  index : int;  (** hops already traversed in this run *)
-}
-
 type event =
   | Pass     (** the hop goes through unharmed *)
   | Drop     (** the message is lost in flight *)
   | Corrupt  (** the message arrives with a garbled header *)
 
-val decide : plan -> hop -> event
-(** [decide p h] is a pure function of the plan's seed and [h]: the same
-    plan always makes the same call on the same hop, so a faulty run can be
-    replayed exactly. Drop is tested before corruption. *)
+val decide : plan -> at:int -> port:int -> index:int -> event
+(** [decide p ~at ~port ~index] is the fate of the hop that vertex [at]
+    transmits through [port] after [index] hops of the run. It is a pure
+    function of the plan's seed and those three, so the same plan always
+    makes the same call on the same hop and a faulty run can be replayed
+    exactly; it allocates nothing. Drop is tested before corruption. *)
 
 val pp : Format.formatter -> plan -> unit
 (** One-line summary: counts of failed links/vertices and the hop rates. *)

@@ -221,7 +221,7 @@ and[@tail_mod_cons] forward s hdr ~dead dec =
           let event =
             match faults with
             | None -> Fault.Pass
-            | Some plan -> Fault.decide plan { Fault.at; port; index = s.hops }
+            | Some plan -> Fault.decide plan ~at ~port ~index:s.hops
           in
           (match s.on_hop with
           | Some f -> f { at; port; header_words = s.words }

@@ -253,8 +253,11 @@ let magic = "CRSNAP\r\n"
    [Compiled.Bitset]s, where version 2 held hashtables. Version 4: each
    scheme's snapshot form became its built state record with the graph
    handle and the other non-data parts replaced, where version 3 held a
-   separate frozen record without those fields. *)
-let version = 4
+   separate frozen record without those fields. Version 5: every vicinity
+   array is one packed family whose blocks are blobs, so its residue part
+   is that family's record, where version 4 held per-vertex boxed records
+   or family-table entries; rt-ptr writes only its level-ell family. *)
+let version = 5
 
 let align8 x = (x + 7) land lnot 7
 

@@ -127,11 +127,11 @@ let spt_tree s v =
     ~miss:(fun () -> s.tree_m <- s.tree_m + 1)
     (fun () -> Tree_routing.of_tree s.g (spt s v))
 
-let vicinities ?pool ?packed s l =
+let vicinities ?pool s l =
   memo s.vics l
     ~hit:(fun () -> s.vic_h <- s.vic_h + 1)
     ~miss:(fun () -> s.vic_m <- s.vic_m + 1)
-    (fun () -> Vicinity.compute_all ?pool ?packed s.g l)
+    (fun () -> Vicinity.compute_all ?pool s.g l)
 
 let centers s ~seed ~target =
   memo s.cents (seed, target)
@@ -229,9 +229,9 @@ let take_build s key =
      [max_dist], or unbounded when the vicinity swallowed its whole
      component). A dropped vicinity is recomputed in one workspace per
      family; a surviving vicinity whose source had ports renumbered gets
-     its first-hop ports remapped. A packed family is rewritten in a copy
-     of its blocks ([Vicinity.update]), so it stays one packed family and
-     a repaired instance freezes to a fresh build's bytes.
+     its first-hop ports remapped. The family is rewritten in a copy of
+     its blocks ([Vicinity.update]), so it stays one family and a repaired
+     instance freezes to a fresh build's bytes.
    - Center samples (and everything derived: clusters, cluster trees,
      bunches) are dropped on any distance-relevant delta: the sampling
      refinement loop consumes seeded random coins conditioned on cluster

@@ -53,12 +53,10 @@ val spt : t -> int -> Dijkstra.tree
 val spt_tree : t -> int -> Tree_routing.t
 (** [Tree_routing.of_tree] of {!spt}, keyed by root. *)
 
-val vicinities : ?pool:Pool.t -> ?packed:bool -> t -> int -> Vicinity.t array
-(** The vicinity family [B(u, l)] for all [u], keyed by [l]. [pool] and
-    [packed] are used only on a miss; hits return the cached family
-    regardless (the result is pool-independent by the [Pool] determinism
-    contract, and representation-independent because packed and boxed
-    families answer every accessor identically). *)
+val vicinities : ?pool:Pool.t -> t -> int -> Vicinity.t array
+(** The vicinity family [B(u, l)] for all [u], keyed by [l]. [pool] is
+    used only on a miss; hits return the cached family regardless (the
+    result is pool-independent by the [Pool] determinism contract). *)
 
 val centers : t -> seed:int -> target:int -> Centers.t
 (** [Centers.sample], keyed by [(seed, target)]. *)
@@ -143,8 +141,7 @@ val invalidate : t -> Graph.delta_op list -> t * invalidation
     own stored distances; a kept vicinity whose source had ports
     renumbered gets its first ports remapped). Dropped vicinities are
     recomputed eagerly, through one Dijkstra workspace per family, so the
-    family array stays complete; a packed family stays one packed
-    family. Center samples and their derivatives are dropped on every
+    family array stays complete and one family. Center samples and their derivatives are dropped on every
     delta that can change a distance or a port, and scheme states on
     every delta (they hold the graph they were built on). Every carried
     structure is exactly what a fresh handle on the new graph would

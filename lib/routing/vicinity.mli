@@ -11,23 +11,27 @@ open Cr_graph
     path and always finds the next entry. *)
 
 type t
+(** One vertex's vicinity: a row of a family. Every [t array] this module
+    returns holds the rows of one family, row [u] at index [u], stored as
+    one packed int32/float64 Bigarray block of stride [l] (16 B per
+    member); the functions taking a whole array require that shape. *)
 
-val compute : Graph.t -> int -> int -> t
-(** [compute g u l] is the vicinity [B(u, l)] (clamped to the component). *)
-
-val compute_all : ?pool:Pool.t -> ?packed:bool -> Graph.t -> int -> t array
-(** [compute_all g l] is [B(u, l)] for every vertex, indexed by vertex.
-    The per-source truncated searches run on [pool] (default
+val compute_all : ?pool:Pool.t -> Graph.t -> int -> t array
+(** [compute_all g l] is [B(u, l)] for every vertex, indexed by vertex,
+    with [l] clamped to [1 .. n] (a ball never holds more than its
+    component). The per-source truncated searches run on [pool] (default
     {!Pool.default}) with one reusable [Dijkstra.workspace] per domain;
-    the result is identical to computing each vicinity serially.
+    each vertex fills its own disjoint stride of the block, so the result
+    is identical to computing each vicinity serially. *)
 
-    With [~packed:true] the family is stored as one shared int32/float64
-    Bigarray block (16 B per member instead of boxed arrays plus an
-    index per vertex — the difference between ~32 GB and out-of-memory
-    at n = 10^6, l ~ 2000). The searches are the same ones, so every
-    accessor answers bit-identically; membership lookups become linear
-    scans of at most [l] entries. Each vertex fills its own disjoint
-    stride, so the parallel fill is deterministic too. *)
+val prefix : t array -> int -> t array
+(** [prefix vics l'] is the family [B(u, l')] for a family [vics] of size
+    [l >= l'] ([l'] is clamped to at least 1; a larger [l'] cuts nothing):
+    each row cut to its first [l'] members, each radius from
+    {!prefix_radius}. Since [B(u, l')] is the prefix of [B(u, l)] under
+    [(distance, id)] order, it answers every accessor as
+    [compute_all g l'] does, without a search: it shares the three blocks
+    of [vics], and only the lengths and radii are its own. *)
 
 val source : t -> int
 
@@ -54,9 +58,8 @@ val radius : t -> float
     (paper Section 2). *)
 
 val members : t -> int array
-(** Members in [(dist, id)] order; [members.(0)] is the source. On a
-    packed vicinity the array is materialized per call — treat it as
-    read-only and don't rely on physical identity across calls. *)
+(** Members in [(dist, id)] order; [members.(0)] is the source. The array
+    is a fresh copy of the row, materialized per call. *)
 
 val max_dist : t -> float
 (** Distance of the farthest member. *)
@@ -83,13 +86,6 @@ val step : t array -> at:int -> dst:int -> int
     [step] at each intermediate vertex; Property 1 guarantees membership is
     preserved along the way. @raise Not_found if [dst] is not in [B(at, l)]. *)
 
-val remap_ports : t -> (int -> int) -> t
-(** [remap_ports b f] replaces every stored first-hop port [p] of the
-    source by [f p] (members, distances and radius are shared, not
-    copied). Used by the substrate's delta invalidation when a surviving
-    vicinity's source had its ports renumbered: [f] maps an old port of
-    the source to the same physical link's port on the new graph. *)
-
 (** What a topology delta does to one vicinity of a family. *)
 type fate =
   | Keep  (** the ball is the same on the new graph *)
@@ -101,28 +97,27 @@ type fate =
 val update : Graph.t -> int -> t array -> (t -> fate) -> t array
 (** [update g' l vics fate] is the family [B(u, l)] on the new graph [g'],
     from the family [vics] on the old graph and the [fate] of each of its
-    vicinities. Recomputed vicinities are searched in one workspace per
-    call. A packed family ([compute_all ~packed:true], {!thaw}) stays one
-    packed family, laid out as [compute_all ~packed:true g' l] lays it
-    out: its blocks are copied once and the remapped and recomputed rows
-    written into the copy. [vics] itself is never written. *)
+    vicinities. The blocks are copied once and the remapped and recomputed
+    rows written into the copy, so the result is one family laid out as
+    [compute_all g' l] lays it out; recomputed vicinities are searched in
+    one workspace per call. [vics] itself is never written. *)
 
 (** {1 Snapshot form} *)
 
 type frozen
-(** A vicinity array in marshal-safe form: the same entries, with each
-    packed family's Bigarray blocks replaced by snapshot blob ids and the
-    family named by its index in a table of such families; everything
-    else rides the caller's Marshal residue. *)
+(** A vicinity array in marshal-safe form: its family, with the three
+    blocks replaced by snapshot blob ids. *)
 
 val freeze : Snapshot.sink -> t array -> frozen
+(** A block shared by several families (a {!prefix} view and its source)
+    is written once. *)
 
 val thaw : Snapshot.source -> frozen -> t array
-(** Rebuilds each packed family once, so slices share one block again.
-    Callers with sub-structures that shared the builder's vicinity array
-    should thaw once and pass the result down, restoring that sharing. *)
+(** Rebuilds the family once, its rows sharing the mapped blocks. Callers
+    with sub-structures that shared the builder's vicinity array should
+    thaw once and pass the result down, restoring that sharing. *)
 
 val payload_bytes : t array -> int
-(** Bigarray payload bytes reachable from the array (shared families
-    counted once) — the part of the footprint [Obj.reachable_words]
-    cannot see. *)
+(** Bigarray payload bytes of the family's blocks — the part of the
+    footprint [Obj.reachable_words] cannot see. A {!prefix} view reports
+    the blocks it shares with its source. *)

@@ -137,35 +137,26 @@ let same_vicinity a b =
             || Vicinity.first_port a v = Vicinity.first_port b v))
        ms
 
-(* One handle holding the families [fams] ([(l, packed)] pairs),
-   invalidated across [ops]: whether every family the new handle carries
-   equals [Vicinity.compute] on the new graph, and how many vicinities it
+(* One handle holding the families of sizes [ls], invalidated across
+   [ops]: whether every family the new handle carries equals
+   [Vicinity.compute_all] on the new graph, and how many vicinities it
    kept rather than recomputed. *)
-let carried_fresh g fams ops =
+let carried_fresh g ls ops =
   let sub = Substrate.create g in
-  List.iter
-    (fun (l, packed) -> ignore (Substrate.vicinities ~packed sub l))
-    fams;
+  List.iter (fun l -> ignore (Substrate.vicinities sub l)) ls;
   let sub', inv = Substrate.invalidate sub ops in
   let g' = Substrate.graph sub' in
   let ok =
     List.for_all
-      (fun (l, _) ->
-        let fam = Substrate.vicinities sub' l in
-        let ok = ref true in
-        Array.iteri
-          (fun u b ->
-            if not (same_vicinity b (Vicinity.compute g' u l)) then ok := false)
-          fam;
-        !ok)
-      fams
+      (fun l ->
+        Array.for_all2 same_vicinity (Substrate.vicinities sub' l)
+          (Vicinity.compute_all g' l))
+      ls
   in
   (ok, inv.Substrate.vicinity_reused)
 
 (* l in {1, 2, small, n-1, n}. *)
 let sizes n = List.sort_uniq compare [ 1; 2; min 5 n; max 1 (n - 1); n ]
-
-let families ~packed n = List.map (fun l -> (l, packed)) (sizes n)
 
 (* The graph's weights as stored: float64, and float32 (where searches
    sum the rounded weights). *)
@@ -177,12 +168,11 @@ let arb_invalidation_case =
     let* repr = int_range 0 1 in
     let* seed = int_range 0 10_000 in
     let* size = int_range 1 8 in
-    let* packed = bool in
-    return (snd (List.nth (reprs g) repr), seed, size, packed))
+    return (snd (List.nth (reprs g) repr), seed, size))
 
-let prop_carried_fresh (g, seed, size, packed) =
+let prop_carried_fresh (g, seed, size) =
   let ops = Delta.random ~seed ~size g in
-  fst (carried_fresh g (families ~packed (Graph.n g)) ops)
+  fst (carried_fresh g (sizes (Graph.n g)) ops)
 
 (* The deltas the rule's proof cases turn on, each on a small graph where
    it decides a ball: a tying insert (parent flip), an insert chain, a
@@ -228,29 +218,23 @@ let test_invalidation_cases () =
     (fun (name, g, ops) ->
       List.iter
         (fun (repr, g) ->
-          List.iter
-            (fun packed ->
-              let ok, k = carried_fresh g (families ~packed (Graph.n g)) ops in
-              kept := !kept + k;
-              checkb
-                (Printf.sprintf "%s (%s graph, %s family): carried = fresh"
-                   name repr (if packed then "packed" else "boxed"))
-                true ok)
-            [ false; true ])
+          let ok, k = carried_fresh g (sizes (Graph.n g)) ops in
+          kept := !kept + k;
+          checkb (Printf.sprintf "%s (%s graph): carried = fresh" name repr) true ok)
         (reprs g))
     (invalidation_cases ());
   checkb "some vicinities are kept" true (!kept > 0)
 
-(* The reuse the ball test buys, pinned: a weighted GLP graph, one boxed
-   and one packed family, one 4-op batch. Dropping every ball whose radius
-   reaches a delta endpoint (a distance cone) keeps 13 of these 800. *)
+(* The reuse the ball test buys, pinned: a weighted GLP graph, two
+   families, one 4-op batch. Dropping every ball whose radius reaches a
+   delta endpoint (a distance cone) keeps 13 of these 800. *)
 let test_reuse_pin () =
   let g =
     Generators.with_random_weights ~seed:1 ~lo:1.0 ~hi:8.0
       (Generators.glp ~seed:1 400)
   in
   let ops = Delta.random ~seed:2 ~size:4 g in
-  let ok, kept = carried_fresh g [ (61, false); (62, true) ] ops in
+  let ok, kept = carried_fresh g [ 61; 62 ] ops in
   checkb "carried = fresh" true ok;
   checki "vicinities kept" 394 kept
 

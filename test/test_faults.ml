@@ -71,13 +71,12 @@ let test_decide_pure () =
   let g = Generators.path 3 in
   let s = Fault.spec ~seed:11 ~drop_prob:0.5 ~corrupt_prob:0.2 () in
   let p = Fault.compile s g in
-  let h = { Fault.at = 1; port = 0; index = 4 } in
-  checkb "replayable" true (Fault.decide p h = Fault.decide p h);
+  let decide p = Fault.decide p ~at:1 ~port:0 ~index:4 in
+  checkb "replayable" true (decide p = decide p);
   let zero = Fault.empty g in
   for i = 0 to 20 do
     checkb "zero rates always pass" true
-      (Fault.decide zero { Fault.at = i mod 3; port = i mod 2; index = i }
-      = Fault.Pass)
+      (Fault.decide zero ~at:(i mod 3) ~port:(i mod 2) ~index:i = Fault.Pass)
   done
 
 (* Every per-hop decision and link query of a few plans over a fixed
@@ -118,7 +117,7 @@ let test_decisions_pinned () =
             List.iter
               (fun index ->
                 Buffer.add_char b
-                  (match Fault.decide p { Fault.at; port; index } with
+                  (match Fault.decide p ~at ~port ~index with
                   | Fault.Pass -> 'P'
                   | Fault.Drop -> 'D'
                   | Fault.Corrupt -> 'C'))
@@ -354,8 +353,10 @@ let test_hooks_in_both_knob_settings () =
 
 (* A 2001-vertex path and a step that forwards right with decisions built
    up front, so every word a route allocates is the simulator's own: with
-   both knobs off a route of 1000 hops allocates what one of 10 does, and
-   path recording costs one cons (3 words) per hop. *)
+   both knobs off a route of 1000 hops allocates what one of 10 does, also
+   under an empty fault plan and under one whose drop and corrupt rates
+   are nonzero (but too small to fire on this path), and path recording
+   costs one cons (3 words) per hop. *)
 let test_allocation_contract () =
   let n = 2001 in
   let g = Generators.path n in
@@ -367,14 +368,14 @@ let test_allocation_contract () =
   let target = ref 0 in
   let step ~at () = if at = !target then Port_model.Deliver else right.(at) in
   let header_words () = 1 in
-  let words ~telemetry ~record_path hops =
+  let words ?faults ~telemetry ~record_path hops =
     let was = Telemetry.enabled () in
     Telemetry.set_enabled telemetry;
     Fun.protect ~finally:(fun () -> Telemetry.set_enabled was) @@ fun () ->
     target := hops;
     let route () =
-      Port_model.run g ~src:0 ~header:() ~step ~header_words ~record_path
-        ~detect_loops:false ()
+      Port_model.run g ~src:0 ~header:() ~step ~header_words ?faults
+        ~record_path ~detect_loops:false ()
     in
     ignore (route ());
     let w0 = Gc.minor_words () in
@@ -393,6 +394,19 @@ let test_allocation_contract () =
           (words ~telemetry ~record_path:false 10)
           (words ~telemetry ~record_path:false 1000))
       [ false; true ];
+    List.iter
+      (fun (name, plan) ->
+        checki
+          (Printf.sprintf "knobs off, %s: 1000 hops cost 10 hops' words" name)
+          (words ~faults:plan ~telemetry:false ~record_path:false 10)
+          (words ~faults:plan ~telemetry:false ~record_path:false 1000))
+      [
+        ("empty plan", Fault.empty g);
+        ( "drop and corrupt rates",
+          Fault.compile
+            (Fault.spec ~seed:3 ~drop_prob:1e-9 ~corrupt_prob:1e-9 ())
+            g );
+      ];
     checki "path recording: 3 words per extra hop" (3 * 990)
       (words ~telemetry:false ~record_path:true 1000
       - words ~telemetry:false ~record_path:true 10)

@@ -74,7 +74,7 @@ let prop_ni_random =
 
 let test_rank_matches_order () =
   let g = Generators.path 12 in
-  let b = Vicinity.compute g 6 7 in
+  let b = vicinity g 6 7 in
   Array.iteri
     (fun i v -> checkb "rank" true (Vicinity.rank b v = Some i))
     (Vicinity.members b);
@@ -90,9 +90,9 @@ let prop_rank_decides_prefix_membership =
     (fun (g, l, l') ->
       let n = Graph.n g in
       let ok = ref true in
+      let bigs = Vicinity.compute_all g l and smalls = Vicinity.compute_all g l' in
       for u = 0 to n - 1 do
-        let big = Vicinity.compute g u l in
-        let small = Vicinity.compute g u l' in
+        let big = bigs.(u) and small = smalls.(u) in
         for v = 0 to n - 1 do
           let in_small = Vicinity.mem small v in
           let via_rank =
@@ -118,10 +118,11 @@ let prop_prefix_radius_matches_recompute =
       let l' = min l l' in
       let n = Graph.n g in
       let ok = ref true in
+      let bigs = Vicinity.compute_all g l and smalls = Vicinity.compute_all g l' in
       for u = 0 to n - 1 do
-        let big = Vicinity.compute g u l in
+        let big = bigs.(u) in
         if l' <= Vicinity.size big then begin
-          let small = Vicinity.compute g u l' in
+          let small = smalls.(u) in
           if Vicinity.size small = l' || Vicinity.size small = Vicinity.size big
           then begin
             let a = Vicinity.prefix_radius big l' in
@@ -134,7 +135,7 @@ let prop_prefix_radius_matches_recompute =
 
 let test_prefix_radius_edges () =
   let g = Generators.path 10 in
-  let b = Vicinity.compute g 0 10 in
+  let b = vicinity g 0 10 in
   checkf "full prefix = radius" (Vicinity.radius b) (Vicinity.prefix_radius b 10);
   checkf "oversized prefix clamps" (Vicinity.radius b) (Vicinity.prefix_radius b 99);
   checkf "prefix 1 = 0" 0.0 (Vicinity.prefix_radius b 1)

@@ -96,8 +96,9 @@ let prop_radius_characterization =
       let n = Graph.n g in
       let apsp = Apsp.compute g in
       let ok = ref true in
+      let vic = Vicinity.compute_all g l in
       for u = 0 to n - 1 do
-        let b = Vicinity.compute g u l in
+        let b = vic.(u) in
         let r = Vicinity.radius b in
         for v = 0 to n - 1 do
           let d = Apsp.dist apsp u v in

@@ -1,6 +1,6 @@
 (* The rt-scale equivalence tier: the lazy/truncated substrates behind the
-   schemes' [`Lazy] mode (packed vicinities, on-demand cluster trees and
-   color representatives, FIFO-capped sequence caches) must make every
+   schemes' [`Lazy] mode (on-demand cluster trees and color
+   representatives, FIFO-capped sequence caches) must make every
    routing decision bit-identically to the eager reference construction
    — and the paper stretch bounds must hold at sizes the eager paths
    cannot reach, with the offending pair named on failure. *)
@@ -193,11 +193,13 @@ let prop_4km7_modes_identical =
       compare_modes "rt-4km7-k3 random" ~eager ~lazy_ (all_pairs n);
       true)
 
-(* --- packed vicinity representation --- *)
+(* --- the packed vicinity family --- *)
 
-(* The packed (int32/float64 Bigarray) family must answer every accessor
-   identically to the boxed reference — the schemes' lazy mode routes over
-   slices of it. *)
+(* Every accessor of the packed (int32/float64 Bigarray) family against a
+   reference read straight off the truncated search (members, distances,
+   first ports) and the Section 2 radius taken from a full shortest-path
+   tree: the largest member distance r with every vertex at distance <= r
+   a member (0 when there is none). The schemes route over rows of it. *)
 let test_packed_vicinities_identical () =
   let g =
     Generators.with_random_weights ~seed:8 ~lo:0.5 ~hi:4.0
@@ -205,42 +207,52 @@ let test_packed_vicinities_identical () =
   in
   let n = Graph.n g in
   let l = 24 in
-  let boxed = Vicinity.compute_all ~packed:false g l in
-  let packed = Vicinity.compute_all ~packed:true g l in
+  let vics = Vicinity.compute_all g l in
   for u = 0 to n - 1 do
-    let b = boxed.(u) and p = packed.(u) in
-    checki "source" (Vicinity.source b) (Vicinity.source p);
-    checki "size" (Vicinity.size b) (Vicinity.size p);
-    checkb "members" true (Vicinity.members b = Vicinity.members p);
-    checkf "radius" (Vicinity.radius b) (Vicinity.radius p);
-    checkf "max_dist" (Vicinity.max_dist b) (Vicinity.max_dist p);
-    Array.iter
-      (fun v ->
-        checkb "mem" true (Vicinity.mem p v);
-        checkf "dist" (Vicinity.dist b v) (Vicinity.dist p v);
-        checkb "rank" true (Vicinity.rank b v = Vicinity.rank p v);
-        if v <> u then
-          checki "first_port" (Vicinity.first_port b v) (Vicinity.first_port p v))
-      (Vicinity.members b);
+    let tr = Dijkstra.truncated g u l and b = vics.(u) in
+    let k = Array.length tr.Dijkstra.vertices in
+    checki "source" u (Vicinity.source b);
+    checki "size" k (Vicinity.size b);
+    checkb "members" true (Vicinity.members b = tr.Dijkstra.vertices);
+    checkf "max_dist" (if k = 0 then 0.0 else tr.Dijkstra.dists.(k - 1))
+      (Vicinity.max_dist b);
+    let spt = Dijkstra.spt g u in
+    let complete d =
+      let ok = ref true in
+      Array.iteri
+        (fun w dw -> if dw <= d && not (Array.mem w tr.Dijkstra.vertices) then ok := false)
+        spt.Dijkstra.dist;
+      !ok
+    in
+    let radius =
+      Array.fold_left
+        (fun r d -> if complete d then Float.max r d else r)
+        0.0 tr.Dijkstra.dists
+    in
+    checkb "radius (Section 2)" true (Vicinity.radius b = radius);
+    Array.iteri
+      (fun i v ->
+        checkb "mem" true (Vicinity.mem b v);
+        checkb "dist" true (Vicinity.dist b v = tr.Dijkstra.dists.(i));
+        checkb "rank" true (Vicinity.rank b v = Some i);
+        if v <> u then begin
+          checki "first_port" tr.Dijkstra.first_ports.(i) (Vicinity.first_port b v);
+          checki "step" tr.Dijkstra.first_ports.(i) (Vicinity.step vics ~at:u ~dst:v)
+        end)
+      tr.Dijkstra.vertices;
     let pred v = v land 1 = 0 in
     checkb "nearest_of" true
-      (Vicinity.nearest_of b pred = Vicinity.nearest_of p pred)
+      (Vicinity.nearest_of b pred
+      = Array.find_opt pred tr.Dijkstra.vertices)
   done;
-  (* The Lemma 2 forwarding decision over the two representations. *)
-  for u = 0 to n - 1 do
-    Array.iter
-      (fun v ->
-        if v <> u then
-          checki "step" (Vicinity.step boxed ~at:u ~dst:v)
-            (Vicinity.step packed ~at:u ~dst:v))
-      (Vicinity.members boxed.(u))
-  done;
-  (* Non-members answer alike on every form: the boxed and packed ones,
-     and slices re-boxed by [remap_ports] (their index is rebuilt from the
-     family). *)
-  let raises_not_found f = match f () with _ -> false | exception Not_found -> true in
+  (* A family whose every port is remapped, on the same graph: the fresh
+     family's answers with each first port shifted, and the source family
+     left as it was. *)
   let shift p = p + 1 in
-  let reboxed = Array.map (fun b -> Vicinity.remap_ports b shift) packed in
+  let remapped = Vicinity.update g l vics (fun _ -> Vicinity.Remap shift) in
+  let fresh = Vicinity.compute_all g l in
+  (* Non-members answer alike on every family. *)
+  let raises_not_found f = match f () with _ -> false | exception Not_found -> true in
   let absent name fam u v =
     let b = fam.(u) in
     checkb (name ^ " mem") false (Vicinity.mem b v);
@@ -252,29 +264,29 @@ let test_packed_vicinities_identical () =
       (raises_not_found (fun () -> Vicinity.step fam ~at:u ~dst:v))
   in
   for u = 0 to n - 1 do
-    if u mod 5 = 0 then begin
-      checkb "re-boxed members" true
-        (Vicinity.members reboxed.(u) = Vicinity.members boxed.(u));
-      Array.iter
-        (fun v ->
-          checkb "re-boxed rank" true
-            (Vicinity.rank reboxed.(u) v = Vicinity.rank boxed.(u) v);
-          checkf "re-boxed dist" (Vicinity.dist boxed.(u) v)
-            (Vicinity.dist reboxed.(u) v);
-          if v <> u then begin
-            let p = shift (Vicinity.first_port boxed.(u) v) in
-            checki "re-boxed first_port" p (Vicinity.first_port reboxed.(u) v);
-            checki "re-boxed step" p (Vicinity.step reboxed ~at:u ~dst:v)
-          end)
-        (Vicinity.members boxed.(u));
+    checkb "remapped members" true
+      (Vicinity.members remapped.(u) = Vicinity.members fresh.(u));
+    checkf "remapped radius" (Vicinity.radius fresh.(u)) (Vicinity.radius remapped.(u));
+    Array.iter
+      (fun v ->
+        checkb "remapped rank" true
+          (Vicinity.rank remapped.(u) v = Vicinity.rank fresh.(u) v);
+        checkf "remapped dist" (Vicinity.dist fresh.(u) v)
+          (Vicinity.dist remapped.(u) v);
+        if v <> u then begin
+          let p = Vicinity.first_port fresh.(u) v in
+          checki "source family untouched" p (Vicinity.first_port vics.(u) v);
+          checki "remapped first_port" (shift p) (Vicinity.first_port remapped.(u) v);
+          checki "remapped step" (shift p) (Vicinity.step remapped ~at:u ~dst:v)
+        end)
+      (Vicinity.members fresh.(u));
+    if u mod 5 = 0 then
       for v = -1 to n do
-        if not (Vicinity.mem boxed.(u) v) then begin
-          absent "boxed" boxed u v;
-          absent "packed" packed u v;
-          absent "re-boxed" reboxed u v
+        if not (Vicinity.mem fresh.(u) v) then begin
+          absent "fresh" fresh u v;
+          absent "remapped" remapped u v
         end
       done
-    end
   done
 
 (* --- stretch bounds at scale (the lazy-only sizes) --- *)
@@ -346,7 +358,8 @@ let suite =
     case "rt-2eps1 lazy = eager, all pairs n=240" test_2eps1_all_pairs;
     prop_5eps_modes_identical;
     prop_4km7_modes_identical;
-    case "packed vicinities answer like boxed" test_packed_vicinities_identical;
+    case "packed vicinities answer like both the truncated search and the SPT"
+      test_packed_vicinities_identical;
     case "rt-5eps bound on lazy tier (n=3000)" test_5eps_bound_lazy;
     case "rt-4km7-k3 bound on lazy tier (n=3000)" test_4km7_bound_lazy;
     case "rt-2eps1 bound on lazy tier (n=1500)" test_2eps1_bound_lazy;

@@ -22,7 +22,7 @@ let test_boundary_on_path () =
      SPT rooted at 9 must cut the boundary at (2, 3). *)
   let g = Generators.path 10 in
   let spt9 = Dijkstra.spt g 9 in
-  let vic0 = Vicinity.compute g 0 3 in
+  let vic0 = vicinity g 0 3 in
   let y, z = boundary ~parent:(Array.get spt9.Dijkstra.parent) vic0 ~x:0 in
   checki "inside endpoint" 2 y;
   checki "outside endpoint" 3 z
@@ -30,7 +30,7 @@ let test_boundary_on_path () =
 let test_boundary_requires_outside_root () =
   let g = Generators.path 4 in
   let spt3 = Dijkstra.spt g 3 in
-  let vic0 = Vicinity.compute g 0 4 in
+  let vic0 = vicinity g 0 4 in
   (* 3 is inside B(0,4): the walk runs past the root and must complain. *)
   checkb "raises" true
     (try ignore (boundary ~parent:(Array.get spt3.Dijkstra.parent) vic0 ~x:0); false
@@ -45,10 +45,11 @@ let prop_boundary_straddles =
     (fun (g, l) ->
       let n = Graph.n g in
       let ok = ref true in
+      let vic = Vicinity.compute_all g l in
       for dst = 0 to min 4 (n - 1) do
         let spt = Dijkstra.spt g dst in
         for x = 0 to n - 1 do
-          let vic_x = Vicinity.compute g x l in
+          let vic_x = vic.(x) in
           if x <> dst && not (Vicinity.mem vic_x dst) then begin
             let y, z = boundary ~parent:(Array.get spt.Dijkstra.parent) vic_x ~x in
             if not (Vicinity.mem vic_x y) then ok := false;
@@ -64,7 +65,7 @@ let prop_boundary_straddles =
 
 let test_vicinity_words () =
   let g = Generators.path 5 in
-  let b = Vicinity.compute g 2 3 in
+  let b = vicinity g 2 3 in
   checki "3 words per entry" 9 (vicinity_words b)
 
 let suite =

@@ -360,9 +360,11 @@ let reseal b =
 (* A file written by an older writer: version 1's residue holds
    hashtables where version 2 holds [Compiled.Intmap]s, version 2's holds
    hashtables where version 3 holds [Compiled.Intmap]s,
-   [Compiled.Table]s and [Compiled.Bitset]s, and version 3's holds a
-   separate frozen record per scheme where version 4 holds the scheme's
-   state record itself, with more fields. Every later header check would
+   [Compiled.Table]s and [Compiled.Bitset]s, version 3's holds a separate
+   frozen record per scheme where version 4 holds the scheme's state
+   record itself, with more fields, and version 4's holds boxed vicinity
+   records where version 5 holds one packed family's record, its blocks
+   in blobs. Every later header check would
    pass, so the version alone must refuse it, and the warm-start ladder
    must rebuild. The stamp is resealed, as the old writer's own header
    checksum would be. *)
@@ -378,7 +380,7 @@ let test_old_version_rebuilt v () =
       Alcotest.failf "v%d save failed: %s" v (Snapshot.error_to_string err)
   in
   let b = read_file path in
-  checki "writer stamps version 4" 4 (Int32.to_int (Bytes.get_int32_le b 8));
+  checki "writer stamps version 5" 5 (Int32.to_int (Bytes.get_int32_le b 8));
   Bytes.set_int32_le b 8 (Int32.of_int v);
   reseal b;
   write_file path b;
@@ -639,14 +641,15 @@ let qcheck_crc_i32_view =
 (* ------------------------------------------------------------------ *)
 (* 6. Format stability: a golden container pinned by its digest.      *)
 
-(* [Digest.file] of the golden container as the version-4 writer
+(* [Digest.file] of the golden container as the version-5 writer
    produces it: a different digest is a format change, which needs a
-   version bump. The version-1, version-2 and version-3 writers' digests
-   were 9781ea992cddb3f1bf32a7d711600af1, 26273200783cc8e264b4c227f7b734ea
-   and 2a63574d2311dd9cc735d7c2920c0ff3; their files differ from this one
-   only in the version field and the header checksum. Blobs are host
-   memory, so the pin holds on little-endian hosts. *)
-let golden_digest = "48e77a45b5bbd71982f52fe24346d258"
+   version bump. The version-1 to version-4 writers' digests were
+   9781ea992cddb3f1bf32a7d711600af1, 26273200783cc8e264b4c227f7b734ea,
+   2a63574d2311dd9cc735d7c2920c0ff3 and 48e77a45b5bbd71982f52fe24346d258;
+   their files differ from this one only in the version field and the
+   header checksum. Blobs are host memory, so the pin holds on
+   little-endian hosts. *)
+let golden_digest = "83f6734b263cfbfaf01bb3805a108f29"
 
 let test_golden_digest () =
   let path = Lazy.force golden_path in
@@ -661,7 +664,7 @@ let test_golden_digest () =
       (l.Snapshot.meta.Snapshot.scheme_id = "golden"
       && l.Snapshot.meta.Snapshot.fingerprint = 0x0123456789abcdefL);
     check Alcotest.string "residue round-trips" golden_residue l.Snapshot.residue;
-    checki "version 4" 4 (Int32.to_int (Bytes.get_int32_le (read_file path) 8));
+    checki "version 5" 5 (Int32.to_int (Bytes.get_int32_le (read_file path) 8));
     checki "I32 blob" 0x7fffffff
       (Int32.to_int (Bigarray.Array1.get (Snapshot.get_i32 l.Snapshot.source 0) 3));
     checkb "F64 blob keeps its sNaN bits" true
@@ -670,8 +673,8 @@ let test_golden_digest () =
       = 0x7ff4000000000001L)
 
 (* ------------------------------------------------------------------ *)
-(* 7. Blob payloads: lazy-regime rt-* instances write their           *)
-(*    packed vicinity families as blobs (eager fixtures write none).  *)
+(* 7. Blob payloads: every vicinity family is written as three blobs; *)
+(*    the lazy-regime rt-* files below carry only those.              *)
 
 type lazy_case = {
   name : string;
@@ -756,6 +759,34 @@ let test_lazy_blob_roundtrip () =
         end
       done)
     (lazy_cases g)
+
+(* rt-ptr's levels below ell are prefix views of its level-ell family, so
+   its file holds that one family: two int32 blocks and a float64 block of
+   the same length, and [big_bytes] counts the shared blocks once (summing
+   the levels would count them ell + 1 times). *)
+let test_ptr_one_family () =
+  let g = Lazy.force small_graph in
+  let dir = Filename.concat (Lazy.force scratch_dir) "ptr" in
+  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  List.iter
+    (fun id ->
+      let e = entry id in
+      let inst, _ = e.Catalog.build ~seed ~eps g in
+      let path =
+        match Catalog.save_entry ~dir ~seed ~eps g e with
+        | Ok p -> p
+        | Error err -> Alcotest.failf "%s save: %s" id (Snapshot.error_to_string err)
+      in
+      let b = read_file path in
+      checki (id ^ ": three blobs") 3 (hdr_nblobs b);
+      let kind i = Char.code (Bytes.get b (hdr_dirent b i)) in
+      let elems i = Int64.to_int (Bytes.get_int64_le b (hdr_dirent b i + 12)) in
+      checkb (id ^ ": members, ports, distances") true
+        (List.sort compare (List.map kind [ 0; 1; 2 ]) = [ 0; 0; 2 ]
+        && elems 0 = elems 1 && elems 1 = elems 2);
+      checki (id ^ ": big_bytes counts the family once") (16 * elems 0)
+        inst.Scheme.big_bytes)
+    [ "rt-ptr-minus-l2"; "rt-ptr-minus-l3"; "rt-ptr-plus-l2" ]
 
 (* ------------------------------------------------------------------ *)
 (* 8. Saving right after a build freezes that build's own state.      *)
@@ -1088,6 +1119,7 @@ let suite =
     case "reject: version-1 file, rebuilt on load" (test_old_version_rebuilt 1);
     case "reject: version-2 file, rebuilt on load" (test_old_version_rebuilt 2);
     case "reject: version-3 file, rebuilt on load" (test_old_version_rebuilt 3);
+    case "reject: version-4 file, rebuilt on load" (test_old_version_rebuilt 4);
     case "reject: crafted blob length past the file" test_crafted_blob_length;
     case "reject: crafted residue length past the file" test_crafted_residue_length;
     qcheck_ef_vs_sorted;
@@ -1098,6 +1130,7 @@ let suite =
     qcheck_crc_i32_view;
     case "format pin: golden container digest" test_golden_digest;
     case "round-trip: lazy rt-* blobs" test_lazy_blob_roundtrip;
+    case "rt-ptr files hold one vicinity family" test_ptr_one_family;
     case "reuse: a save after a build writes a fresh save's bytes"
       test_reuse_same_bytes;
     case "reuse: lazy rt-* routed before the save" test_reuse_lazy;

@@ -30,7 +30,7 @@ let prop_hitting_vicinities =
       let n = Graph.n g in
       let s = max 2 (n / 4) in
       let sets =
-        List.init n (fun u -> Vicinity.members (Vicinity.compute g u s))
+        Array.to_list (Array.map Vicinity.members (Vicinity.compute_all g s))
       in
       let h = Hitting_set.greedy ~n sets in
       hits sets h
@@ -42,7 +42,7 @@ let prop_sampled_hits =
       let n = Graph.n g in
       let s = max 2 (n / 3) in
       let sets =
-        List.init n (fun u -> Vicinity.members (Vicinity.compute g u s))
+        Array.to_list (Array.map Vicinity.members (Vicinity.compute_all g s))
       in
       hits sets (Hitting_set.sampled ~seed:7 ~n sets))
 
@@ -71,7 +71,7 @@ let prop_coloring_on_vicinities =
       (* Sets of size >= q * log-ish factor, as the lemma requires. *)
       let l = min n (max (2 * q) 4) in
       let sets =
-        List.init n (fun u -> Vicinity.members (Vicinity.compute g u l))
+        Array.to_list (Array.map Vicinity.members (Vicinity.compute_all g l))
       in
       match Coloring.make ~seed:5 ~n ~colors:q sets with
       | Error _ -> false

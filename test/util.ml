@@ -8,6 +8,9 @@ let checkf msg a b = Alcotest.check (Alcotest.float 1e-9) msg a b
 
 let case name f = Alcotest.test_case name `Quick f
 
+(* The vicinity B(u, l): row [u] of the family [compute_all g l]. *)
+let vicinity g u l = (Cr_routing.Vicinity.compute_all g l).(u)
+
 (* Run [f] under a compiled-plane representation policy, restoring the
    previous one afterwards. *)
 let with_policy p f =
