@@ -15,7 +15,7 @@ type label = { vertex : int; pivots : pivot array (* index = level i, 0..ell *) 
 
 (* Type parameters: the parts that are not plain data (graph handle,
    vicinities, Lemma 8 states), live in [t], frozen in [frozen]. *)
-type ('g, 'v, 'vl, 'l) state = {
+type ('g, 'v, 'l) state = {
   graph : 'g;
   eps : float;
   variant : variant;
@@ -23,7 +23,6 @@ type ('g, 'v, 'vl, 'l) state = {
   q : int;
   sizes : int array;          (* sizes.(i) = l_i: the vicinity size q~^i *)
   vic : 'v;                   (* the largest vicinity family B_ell(u) *)
-  vic_level : 'vl;            (* vic_level.(i) = B_i family, i = 0..ell *)
   centers : Centers.t array;  (* centers.(i) = L_i *)
   cluster_trees : Tree_routing.t Compiled.Table.t array;  (* per level *)
   cluster_labels : Tree_routing.label Compiled.Table.t Compiled.Table.t array;
@@ -40,8 +39,7 @@ type ('g, 'v, 'vl, 'l) state = {
   label_words : int array;
 }
 
-type t =
-  (Graph.t, Vicinity.t array, Vicinity.t array array, Seq_routing2.t) state
+type t = (Graph.t, Vicinity.t array, Seq_routing2.t) state
 
 let eps t = t.eps
 
@@ -66,8 +64,9 @@ let source_levels variant ell =
 let dest_level variant ell j =
   match variant with `Minus -> ell - j - 1 | `Plus -> ell - j + 1
 
-(* B_i(u) is the first l_i members of B_ell(u) (paper Section 2), so every
-   level below ell is a prefix view of the level-ell family's blocks. *)
+(* The families B_i, i = 0..ell: B_i(u) is the first l_i members of
+   B_ell(u) (paper Section 2), so every level below ell is a prefix view
+   of the level-ell family's blocks. *)
 let levels vic sizes =
   let ell = Array.length sizes - 1 in
   Array.mapi (fun i l -> if i = ell then vic else Vicinity.prefix vic l) sizes
@@ -265,7 +264,6 @@ let preprocess ?substrate ?(eps = 0.5) ?(vicinity_factor = 1.0) ~seed ~variant
     q;
     sizes;
     vic;
-    vic_level;
     centers;
     cluster_trees = Array.map Compiled.Table.of_hashtbl cluster_trees;
     cluster_labels =
@@ -421,20 +419,20 @@ let instance t =
 
 (* --- snapshot form ------------------------------------------------------ *)
 
-(* Only the level-ell family is frozen: the levels below it are prefix
-   views, rebuilt on thaw as [preprocess] built them, and each embedded
-   Lemma 8 instance is thawed against its own level so every physical
-   sharing edge the builder established survives the round trip. *)
-type frozen = (unit, Vicinity.frozen, unit, Seq_routing2.frozen) state
+(* Only the level-ell family is frozen: each embedded Lemma 8 instance is
+   thawed against its level's prefix view of it, rebuilt as [preprocess]
+   built it, so every physical sharing edge the builder established
+   survives the round trip. *)
+type frozen = (unit, Vicinity.frozen, Seq_routing2.frozen) state
 
 let freeze sink t =
-  { t with graph = (); vic = Vicinity.freeze sink t.vic; vic_level = ();
+  { t with graph = (); vic = Vicinity.freeze sink t.vic;
     lemma8 = Array.map (Option.map Seq_routing2.freeze) t.lemma8 }
 
 let thaw src ~graph z =
   let vic = Vicinity.thaw src z.vic in
   let vic_level = levels vic z.sizes in
-  { z with graph; vic; vic_level;
+  { z with graph; vic;
     lemma8 =
       Array.mapi
         (fun i -> Option.map (Seq_routing2.thaw ~graph ~vicinities:vic_level.(i)))

@@ -64,8 +64,9 @@ val ell : t -> int
 (** {1 Snapshot form} *)
 
 type frozen
-(** {!t} with the graph handle dropped and the vicinity planes (their
-    payloads as {!Snapshot} blobs) and embedded sub-states frozen. *)
+(** {!t} with the graph handle dropped and the level-ell vicinity family
+    (its blocks as {!Snapshot} blobs; the lower levels are prefix views
+    of it, rebuilt on thaw) and embedded sub-states frozen. *)
 
 val freeze : Snapshot.sink -> t -> frozen
 

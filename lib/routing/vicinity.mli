@@ -8,13 +8,20 @@ open Cr_graph
     shortest path between [u] and [v], then [v] is in [B(w, l)]. It holds
     under exactly this tie-breaking, which is why Lemma 2 routing — every
     vertex forwarding along its own stored first edge — stays on a shortest
-    path and always finds the next entry. *)
+    path and always finds the next entry.
+
+    A family — [B(u, l)] for every vertex [u] — has one storage: one
+    packed int32/float64 Bigarray block of stride [l] (16 B per member,
+    no per-vertex index), where a row answers membership by a scan of at
+    most [l] entries. Vicinities are nested, [B(u, l')] being the first
+    [l'] members of [B(u, l)], so a smaller family can be a view of a
+    larger one's block ({!prefix}). *)
 
 type t
 (** One vertex's vicinity: a row of a family. Every [t array] this module
-    returns holds the rows of one family, row [u] at index [u], stored as
-    one packed int32/float64 Bigarray block of stride [l] (16 B per
-    member); the functions taking a whole array require that shape. *)
+    returns holds the rows of one family, row [u] at index [u]; the
+    functions taking a whole array require that shape and raise
+    [Invalid_argument] otherwise. *)
 
 val compute_all : ?pool:Pool.t -> Graph.t -> int -> t array
 (** [compute_all g l] is [B(u, l)] for every vertex, indexed by vertex,

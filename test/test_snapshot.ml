@@ -49,8 +49,8 @@ let route_signature inst g =
   !out
 
 (* A loaded instance is the fresh build: the same guarantee, table and
-   label sizes, off-heap bytes (a thawed packed family is mapped once,
-   not once per slice) and outcomes. *)
+   label sizes, off-heap bytes (a thawed vicinity family is mapped once,
+   not once per row) and outcomes. *)
 let check_loaded name g (fresh, bound) (loaded, bound') =
   checkb (name ^ " stretch bound") true (bound = bound');
   checkb (name ^ " table words") true
@@ -91,8 +91,8 @@ let load_one ?verify ~path g (e : Catalog.entry) =
 (* ------------------------------------------------------------------ *)
 (* 1. Round-trip bit-identity across the whole catalog.               *)
 
-(* Every catalog entry, and the lazy regime's rt-5eps and rt-4km7-k3,
-   whose packed vicinity families go through snapshot blobs. *)
+(* Every catalog entry, and the lazy regime's rt-5eps and rt-4km7-k3;
+   every vicinity family goes through snapshot blobs. *)
 let test_roundtrip_whole_catalog () =
   let g = Generators.connect ~seed:31 (Generators.gnp ~seed:501 48 0.12) in
   let roundtrip what entries =
@@ -979,7 +979,7 @@ let test_reuse_after_repair () =
       checkb (e.Catalog.id ^ ": nor does the source handle") false no_lookup)
     entries
 
-(* A repair keeps a packed vicinity family one packed family, so a save
+(* A repair keeps a vicinity family one packed family, so a save
    on the repaired handle writes what a save on a fresh handle of the new
    graph writes: the last entry's save freezes its repaired build, the
    others preprocess on the carried substrates. Eager and lazy. *)

@@ -2,6 +2,49 @@ open Util
 open Cr_graph
 open Cr_routing
 
+(* Whether two families over [n] vertices answer every accessor alike,
+   non-members and raised exceptions included. *)
+let same_answers n a b =
+  let res f = match f () with x -> Ok x | exception e -> Error (Printexc.to_string e) in
+  let pred v = v mod 3 = 1 in
+  let row u =
+    let x = a.(u) and y = b.(u) in
+    let k = Vicinity.size x in
+    Vicinity.source x = Vicinity.source y
+    && k = Vicinity.size y
+    && Vicinity.members x = Vicinity.members y
+    && Vicinity.radius x = Vicinity.radius y
+    && Vicinity.max_dist x = Vicinity.max_dist y
+    && Vicinity.nearest_of x pred = Vicinity.nearest_of y pred
+    && List.for_all
+         (fun l -> Vicinity.prefix_radius x l = Vicinity.prefix_radius y l)
+         (List.init (k + 2) Fun.id)
+    && List.for_all
+         (fun v ->
+           Vicinity.mem x v = Vicinity.mem y v
+           && Vicinity.rank x v = Vicinity.rank y v
+           && Vicinity.dist_or_infinity x v = Vicinity.dist_or_infinity y v
+           && res (fun () -> Vicinity.dist x v) = res (fun () -> Vicinity.dist y v)
+           && res (fun () -> Vicinity.first_port x v)
+              = res (fun () -> Vicinity.first_port y v)
+           && res (fun () -> Vicinity.step a ~at:u ~dst:v)
+              = res (fun () -> Vicinity.step b ~at:u ~dst:v))
+         (List.init (n + 2) (fun v -> v - 1))
+  in
+  List.for_all row (List.init n Fun.id)
+
+(* [prefix (compute_all g l) l'] against [compute_all g l'] for
+   l' in {1, 2, l/2, l}; it must share the source family's blocks. *)
+let prefix_answers_like_compute g l =
+  let n = Graph.n g in
+  let big = Vicinity.compute_all g l in
+  List.for_all
+    (fun l' ->
+      let p = Vicinity.prefix big l' in
+      same_answers n p (Vicinity.compute_all g l')
+      && Vicinity.payload_bytes p = Vicinity.payload_bytes big)
+    (List.sort_uniq compare [ 1; min l 2; max 1 (l / 2); l ])
+
 let test_members_ordered () =
   let g = Generators.path 10 in
   let b = vicinity g 5 5 in
@@ -52,7 +95,13 @@ let test_radius_tied_at_boundary () =
   (* prefix_radius must match a direct computation at every prefix. *)
   checkf "prefix l'=3 of l=5" 1.0 (Vicinity.prefix_radius b5 3);
   checkf "prefix l'=2 of l=5" 1.0 (Vicinity.prefix_radius b5 2);
-  checkf "prefix l'=1 of l=5" 0.0 (Vicinity.prefix_radius b5 1)
+  checkf "prefix l'=1 of l=5" 0.0 (Vicinity.prefix_radius b5 1);
+  (* The prefix view cut inside the split class answers as the direct
+     search does, radius included. *)
+  let p = Vicinity.prefix (Vicinity.compute_all g 5) 3 in
+  checkf "prefix view backs off" 1.0 (Vicinity.radius p.(0));
+  checkb "prefix view = compute_all g 3" true
+    (same_answers 5 p (Vicinity.compute_all g 3))
 
 let test_dist_and_mem () =
   let g = Generators.grid 3 3 in
@@ -159,58 +208,13 @@ let prop_lemma2 =
       return (g, l))
     (fun (g, l) -> lemma2_route g l)
 
-(* --- prefix views ------------------------------------------------------ *)
-
-(* Whether two families over [n] vertices answer every accessor alike,
-   non-members and raised exceptions included. *)
-let same_answers n a b =
-  let res f = match f () with x -> Ok x | exception e -> Error (Printexc.to_string e) in
-  let pred v = v mod 3 = 1 in
-  let row u =
-    let x = a.(u) and y = b.(u) in
-    let k = Vicinity.size x in
-    Vicinity.source x = Vicinity.source y
-    && k = Vicinity.size y
-    && Vicinity.members x = Vicinity.members y
-    && Vicinity.radius x = Vicinity.radius y
-    && Vicinity.max_dist x = Vicinity.max_dist y
-    && Vicinity.nearest_of x pred = Vicinity.nearest_of y pred
-    && List.for_all
-         (fun l -> Vicinity.prefix_radius x l = Vicinity.prefix_radius y l)
-         (List.init (k + 2) Fun.id)
-    && List.for_all
-         (fun v ->
-           Vicinity.mem x v = Vicinity.mem y v
-           && Vicinity.rank x v = Vicinity.rank y v
-           && Vicinity.dist_or_infinity x v = Vicinity.dist_or_infinity y v
-           && res (fun () -> Vicinity.dist x v) = res (fun () -> Vicinity.dist y v)
-           && res (fun () -> Vicinity.first_port x v)
-              = res (fun () -> Vicinity.first_port y v)
-           && res (fun () -> Vicinity.step a ~at:u ~dst:v)
-              = res (fun () -> Vicinity.step b ~at:u ~dst:v))
-         (List.init (n + 2) (fun v -> v - 1))
-  in
-  List.for_all row (List.init n Fun.id)
-
-(* [prefix (compute_all g l) l'] against [compute_all g l'] for
-   l' in {1, 2, l/2, l}; it must share the source family's blocks. *)
-let prefix_answers_like_compute g l =
-  let n = Graph.n g in
-  let big = Vicinity.compute_all g l in
-  List.for_all
-    (fun l' ->
-      let p = Vicinity.prefix big l' in
-      same_answers n p (Vicinity.compute_all g l')
-      && Vicinity.payload_bytes p = Vicinity.payload_bytes big)
-    (List.sort_uniq compare [ 1; min l 2; max 1 (l / 2); l ])
-
 (* Unit and weighted gnp (left disconnected, so small components are
    whole balls below l) and glp graphs; l up to n + 2, where every ball
    holds its whole component. *)
 let prop_prefix =
   qcheck ~count:60 "prefix of a family answers like a fresh compute"
     QCheck2.Gen.(
-      let* n = int_range 3 50 in
+      let* n = int_range 4 50 in
       let* seed = int_range 0 10_000 in
       let* glp = bool in
       let* weighted = bool in
@@ -226,22 +230,6 @@ let prop_prefix =
       return (g, l))
     (fun (g, l) -> prefix_answers_like_compute g l)
 
-(* The cut of B(0, 3) falls inside the distance-2 class {2, 3, 4}: the
-   prefix must back its radius off to 1 as the direct search does; the
-   whole-component family keeps radius 2. *)
-let test_prefix_tie_at_cut () =
-  let g =
-    Graph.of_edges ~n:5 [ (0, 1, 1.0); (0, 2, 2.0); (0, 3, 2.0); (0, 4, 2.0) ]
-  in
-  let p = Vicinity.prefix (Vicinity.compute_all g 5) 3 in
-  checkb "members" true (Vicinity.members p.(0) = [| 0; 1; 2 |]);
-  checkf "radius backs off" 1.0 (Vicinity.radius p.(0));
-  checkf "whole component" 2.0 (Vicinity.radius (vicinity g 0 5));
-  checkb "answers like compute_all g 3" true
-    (same_answers 5 p (Vicinity.compute_all g 3));
-  checkb "unit path, every cut" true
-    (List.for_all (prefix_answers_like_compute (Generators.path 9)) [ 1; 2; 3; 4; 9 ])
-
 let suite =
   [
     case "members in (dist,id) order" test_members_ordered;
@@ -254,6 +242,5 @@ let suite =
     prop_property_1;
     prop_property_1_weighted;
     prop_lemma2;
-    case "prefix: a distance tie at the cut" test_prefix_tie_at_cut;
     prop_prefix;
   ]
