@@ -89,8 +89,10 @@ let family_of (vics : t array) =
     fam
   end
 
-(* Source [u]'s search result into its row of a family. *)
-let write_row fam u (tr : Dijkstra.truncated) =
+(* Source [u]'s search result into its row of a family. The annotation
+   makes the Bigarray writes direct stores; generic ones would box each
+   element. *)
+let write_row (fam : fam) u (tr : Dijkstra.truncated) =
   let base = u * fam.f_l in
   Array.iteri
     (fun i v ->
