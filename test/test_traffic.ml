@@ -50,6 +50,37 @@ let test_arrival_schedule () =
   let unpaced = Traffic.create ~seed:7 ~n:30 () in
   checkf "unpaced arrivals are immediate" 0.0 (Traffic.arrival unpaced 123)
 
+(* Every pair and arrival of a few specs over a fixed grid, folded into
+   one digest (arrivals by their exact bits): a change to how a query is
+   hashed must leave every query as it was. *)
+let schedule_digest = "871048f5e35c5583f2a9535de0481ac0"
+
+let test_schedule_pinned () =
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun (n, zipf, rate) ->
+          let t = Traffic.create ~zipf ~rate ~seed ~n () in
+          List.iter
+            (fun k ->
+              let u, v = Traffic.pair t k in
+              Buffer.add_string b
+                (Printf.sprintf "%d,%d,%Ld;" u v
+                   (Int64.bits_of_float (Traffic.arrival t k))))
+            (List.init 300 Fun.id @ [ 4095; 1_000_003; 123_456_789 ]))
+        [
+          (2, 0.0, infinity);
+          (2, 1.0, 250.0);
+          (50, 0.0, 750.0);
+          (50, 1.0, infinity);
+          (1000, 0.0, infinity);
+          (1000, 1.0, 1e6);
+        ])
+    [ 0; 1; 17; 123_456 ];
+  check Alcotest.string "schedule digest" schedule_digest
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* Rank-frequency check: with exponent 1.0 the log-log plot of draw count
    against popularity rank is a line of slope -1. The tolerance is loose —
    50k draws over the 32 best-populated ranks — but rules out uniform
@@ -218,6 +249,7 @@ let suite =
       test_pairs_valid_degenerate;
     case "seed determines pairs and schedule" test_determinism;
     case "arrival schedule is paced and monotone" test_arrival_schedule;
+    case "pairs and arrivals pinned" test_schedule_pinned;
     case "zipf rank-frequency slope" test_zipf_slope;
     case "zipf 0 is uniform" test_uniform_when_zipf_zero;
     case "serve segments match evaluate_batch bit for bit"
