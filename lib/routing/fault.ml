@@ -29,7 +29,8 @@ type plan = {
 
 (* SplitMix64 avalanche: the per-hop randomness must not depend on any
    global RNG state, or replays would diverge. Inlined down to [decide],
-   so the Int64 intermediates stay unboxed and a hop allocates nothing. *)
+   so the Int64 intermediates stay unboxed and a hop allocates nothing.
+   [Traffic] hashes its query schedule with the same functions. *)
 let[@inline] mix64 z =
   let open Int64 in
   let z = mul (logxor z (shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in

@@ -96,5 +96,16 @@ val decide : plan -> at:int -> port:int -> index:int -> event
     makes the same call on the same hop and a faulty run can be replayed
     exactly; it allocates nothing. Drop is tested before corruption. *)
 
+(** {1 Hashing} *)
+
+val hash4 : int -> int -> int -> int -> int64
+(** [hash4 a b c d] is a SplitMix64 avalanche of the four ints: the
+    stateless hash behind every seed-derived choice here and in
+    {!Traffic}. [[@inline]], so a caller that feeds it straight to {!u01}
+    keeps the [int64] unboxed. *)
+
+val u01 : int64 -> float
+(** A uniform float in [[0, 1)] from the top 53 bits of a hash. *)
+
 val pp : Format.formatter -> plan -> unit
 (** One-line summary: counts of failed links/vertices and the hop rates. *)

@@ -1,22 +1,7 @@
-(* SplitMix64 finalizer, same construction as Fault's event hashing: the
-   k-th query is a pure function of (seed, k), so any point of the
-   schedule can be recomputed without replaying the stream. *)
-let mix64 z =
-  let open Int64 in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94d049bb133111ebL in
-  logxor z (shift_right_logical z 31)
-
-let hash4 a b c d =
-  let open Int64 in
-  let h = mix64 (add (of_int a) 0x9e3779b97f4a7c15L) in
-  let h = mix64 (logxor h (of_int b)) in
-  let h = mix64 (logxor h (of_int c)) in
-  mix64 (logxor h (of_int d))
-
-let u01 h = Int64.to_float (Int64.shift_right_logical h 11) /. 9007199254740992.0
-
-(* Tags keep the source / destination / arrival-jitter streams independent. *)
+(* The k-th query is a pure function of (seed, k) through Fault's
+   SplitMix64 hash, so any point of the schedule can be recomputed
+   without replaying the stream. Tags keep the source / destination /
+   arrival-jitter streams independent. *)
 let tag_src = 1
 let tag_dst = 2
 let tag_jitter = 3
@@ -82,17 +67,17 @@ let rank_of t u =
   !lo
 
 let pair t k =
-  let u = t.src_of_rank.(rank_of t (u01 (hash4 t.seed tag_src k 0))) in
+  let u = t.src_of_rank.(rank_of t (Fault.u01 (Fault.hash4 t.seed tag_src k 0))) in
   let rec draw attempt =
     if attempt < 32 then begin
-      let v = t.dst_of_rank.(rank_of t (u01 (hash4 t.seed tag_dst k attempt))) in
+      let v = t.dst_of_rank.(rank_of t (Fault.u01 (Fault.hash4 t.seed tag_dst k attempt))) in
       if v <> u then (u, v) else draw (attempt + 1)
     end
     else begin
       (* Degenerate skew (tiny n under a heavy exponent) can hash to the
          same hot vertex 32 times; probe deterministically from the last
          drawn rank — n >= 2 guarantees termination. *)
-      let r0 = rank_of t (u01 (hash4 t.seed tag_dst k 32)) in
+      let r0 = rank_of t (Fault.u01 (Fault.hash4 t.seed tag_dst k 32)) in
       let rec probe i =
         let v = t.dst_of_rank.((r0 + i) mod t.n) in
         if v <> u then (u, v) else probe (i + 1)
@@ -104,7 +89,7 @@ let pair t k =
 
 let arrival t k =
   if t.rate = infinity then 0.0
-  else (float_of_int k +. u01 (hash4 t.seed tag_jitter k 0)) /. t.rate
+  else (float_of_int k +. Fault.u01 (Fault.hash4 t.seed tag_jitter k 0)) /. t.rate
 
 let pairs t ~count = List.init count (pair t)
 
