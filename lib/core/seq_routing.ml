@@ -69,8 +69,6 @@ type header = {
 
 let eps t = t.eps
 
-let hitting_set t = t.hset
-
 let table_words t = t.table_words
 
 let breakdown t = t.breakdown

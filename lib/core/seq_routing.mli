@@ -75,9 +75,6 @@ val route :
 
 val eps : t -> float
 
-val hitting_set : t -> int list
-(** The hitting-set vertices whose global trees back the escape hatch. *)
-
 val table_words : t -> int array
 (** Per-vertex table size in words: vicinity entries + per-tree routing
     records + stored sequences (including stored tree labels). *)

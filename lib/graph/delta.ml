@@ -26,7 +26,6 @@
    sums the rounded values. *)
 
 type t = {
-  old_graph : Graph.t;
   new_graph : Graph.t;
   ops : Graph.delta_op list;
   removals : (int * int * float) list;
@@ -64,7 +63,6 @@ let classify g ops =
         (* equal stored weight: a no-op for every cached structure *))
     ops;
   {
-    old_graph = g;
     new_graph = g';
     ops;
     removals = !removals;
@@ -73,7 +71,6 @@ let classify g ops =
     ports_shifted = shifted;
   }
 
-let old_graph d = d.old_graph
 let new_graph d = d.new_graph
 let ops d = d.ops
 let structural d = d.structural

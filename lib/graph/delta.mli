@@ -1,10 +1,12 @@
 (** Classified batched deltas and dirty-region tests.
 
-    A {!t} pairs the old and new graph of one {!Graph.apply_delta} batch
-    with the machinery the incremental repair path needs: an exact test for
-    whether a cached shortest-path tree survives the delta, a test deciding
-    the same for a truncated ball (a vicinity) from the ball's own stored
-    distances, and a port-patching helper for surviving trees. *)
+    A {!t} holds the new graph of one {!Graph.apply_delta} batch and the
+    batch's edges classified against the old one (it keeps no reference to
+    the old graph), with the machinery the incremental repair path needs:
+    an exact test for whether a cached shortest-path tree survives the
+    delta, a test deciding the same for a truncated ball (a vicinity) from
+    the ball's own stored distances, and a port-patching helper for
+    surviving trees. *)
 
 type t
 
@@ -18,7 +20,6 @@ val classify : Graph.t -> Graph.delta_op list -> t
     every recorded weight is the rounded one a search over the graph
     sums. *)
 
-val old_graph : t -> Graph.t
 val new_graph : t -> Graph.t
 (** The graph after the batch; [new_graph (classify g ops)] is
     [Graph.apply_delta g ops]. *)

@@ -45,8 +45,6 @@ let workspace n =
     ws_gen = 0;
   }
 
-let workspace_capacity ws = Array.length ws.ws_dist
-
 let touch ws v =
   if ws.ws_stamp.(v) <> ws.ws_gen then begin
     ws.ws_stamp.(v) <- ws.ws_gen;

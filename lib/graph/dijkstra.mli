@@ -49,8 +49,6 @@ val workspace : int -> workspace
 (** [workspace n] is a fresh workspace for graphs with at most [n]
     vertices. @raise Invalid_argument if [n < 0]. *)
 
-val workspace_capacity : workspace -> int
-
 val with_spt : workspace -> Graph.t -> int -> (tree -> 'a) -> 'a
 (** [with_spt ws g s f] computes the same tree as [spt g s] without
     allocating scratch, and applies [f] to it. The tree {e borrows} the

@@ -7,24 +7,13 @@
     structures here, resolved by binary search or direct indexing. Those
     are the only runtime form: an instance, and an instance thawed from a
     snapshot, routes over them as built, with no second copy and no
-    compile pass. A container answers exactly what the hashtable it was
-    built from answers (the qcheck suite enforces this), and it never
-    changes the space accounting: the word counts reported by the schemes
-    are a property of the {e logical} table (entries of O(log n)-bit
-    words), not of whichever physical container serves the lookup. *)
-
-type policy = [ `Auto | `Flat | `Succinct ]
-(** Representation policy for newly compiled structures. [`Auto] (the
-    default) picks dense / sorted / succinct adaptively by measured size;
-    [`Flat] never builds a succinct form; [`Succinct] forces the
-    Elias-Fano / bit-packed forms wherever the encoding applies (used by
-    the bench to compare the two hot paths on identical decisions). The
-    initial value honours the [CR_PLANE] environment variable
-    ("flat" / "succinct"). *)
-
-val set_policy : policy -> unit
-
-val current_policy : unit -> policy
+    compile pass. Each container picks its layout from its keys alone, so
+    one table always compiles to the same bytes. A container answers
+    exactly what the hashtable it was built from answers (the qcheck suite
+    enforces this), and it never changes the space accounting: the word
+    counts reported by the schemes are a property of the {e logical} table
+    (entries of O(log n)-bit words), not of whichever physical container
+    serves the lookup. *)
 
 val bigarray_bytes : ('a, 'b, 'c) Bigarray.Array1.t -> int
 (** Payload bytes of a Bigarray. [Obj.reachable_words] sees only the
@@ -33,13 +22,11 @@ val bigarray_bytes : ('a, 'b, 'c) Bigarray.Array1.t -> int
 
 (** Immutable [int -> int] map with non-negative values.
 
-    Three physical forms, chosen at build time: a {e direct} array when
-    the key range is dense (at most ~4 slots per entry; holes hold [-1]),
-    giving O(1) lookups; parallel sorted key/value arrays resolved by a
-    branchless lower-bound otherwise; or — when the key set is large and
-    sparse enough that it pays — an {e Elias-Fano} encoding of the key set
-    with bit-packed values, resolved by a sampled select over the unary
-    upper bitmap. All three answer identically. *)
+    Two physical forms, chosen at build time from the keys alone: a
+    {e direct} array when the key range is dense (a span of at most
+    [4m + 8] slots for [m] keys; holes hold [-1]), giving O(1) lookups;
+    parallel sorted key/value arrays resolved by a branchless lower-bound
+    otherwise. Both answer identically. *)
 module Intmap : sig
   type t
 
@@ -52,8 +39,8 @@ module Intmap : sig
   (** Compile an array of distinct-keyed [(key, value)] pairs, in any
       order; the argument is not modified. The result is structurally
       equal to {!of_sorted} on the sorted pairs. When that is the direct
-      layout (a dense key span under the [`Auto] or [`Flat] policy) it is
-      filled in one O(m) pass with no sort.
+      layout (a dense key span) it is filled in one O(m) pass with no
+      sort.
       @raise Invalid_argument on a negative key/value or a duplicate key. *)
 
   val of_sorted : keys:int array -> vals:int array -> t

@@ -256,8 +256,12 @@ let magic = "CRSNAP\r\n"
    separate frozen record without those fields. Version 5: every vicinity
    array is one packed family whose blocks are blobs, so its residue part
    is that family's record, where version 4 held per-vertex boxed records
-   or family-table entries; rt-ptr writes only its level-ell family. *)
-let version = 5
+   or family-table entries; rt-ptr writes only its level-ell family.
+   Version 6: [Compiled.Intmap] has two layouts, where version 5 also had
+   an Elias-Fano one that large sparse maps took (tz-k3 past ~10^4
+   vertices); such a file's residue holds a constructor tag the
+   two-layout type has no case for. *)
+let version = 6
 
 let align8 x = (x + 7) land lnot 7
 

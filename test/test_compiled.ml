@@ -79,8 +79,7 @@ let raises_invalid f =
   match f () with _ -> false | exception Invalid_argument _ -> true
 
 let test_intmap_of_pairs =
-  qcheck ~count:60 "Intmap.of_pairs equals of_sorted under every policy"
-    gen_pairs (fun pairs ->
+  qcheck ~count:60 "Intmap.of_pairs equals of_sorted" gen_pairs (fun pairs ->
       let m = Array.length pairs in
       let sorted = Array.copy pairs in
       Array.sort compare sorted;
@@ -88,38 +87,34 @@ let test_intmap_of_pairs =
       Array.iter (fun (k, v) -> Hashtbl.replace reference k v) pairs;
       let lo = if m = 0 then 0 else fst sorted.(0) - 2
       and hi = if m = 0 then 0 else fst sorted.(m - 1) + 2 in
-      List.for_all
-        (fun policy ->
-          with_policy policy (fun () ->
-              let before = Array.copy pairs in
-              let a = Compiled.Intmap.of_pairs pairs in
-              let b =
-                Compiled.Intmap.of_sorted ~keys:(Array.map fst sorted)
-                  ~vals:(Array.map snd sorted)
-              in
-              let same_answers = ref true in
-              for k = lo to hi do
-                let r = Hashtbl.find_opt reference k in
-                if
-                  Compiled.Intmap.find_opt a k <> r
-                  || Compiled.Intmap.find_opt b k <> r
-                  || Compiled.Intmap.mem a k <> Option.is_some r
-                  || Compiled.Intmap.mem b k <> Option.is_some r
-                then same_answers := false
-              done;
-              let bad f =
-                let c = Array.copy pairs in
-                f c;
-                raises_invalid (fun () -> Compiled.Intmap.of_pairs c)
-              in
-              a = b && pairs = before && !same_answers
-              && Compiled.Intmap.cardinal a = m
-              (* A negative key, a negative value, a duplicate key. *)
-              && (m = 0
-                 || bad (fun c -> c.(m / 2) <- (-1 - fst c.(m / 2), 0))
-                    && bad (fun c -> c.(m / 2) <- (fst c.(m / 2), -1))
-                    && (m < 2 || bad (fun c -> c.(m - 1) <- (fst c.(0), 0))))))
-        [ `Auto; `Flat; `Succinct ])
+      let before = Array.copy pairs in
+      let a = Compiled.Intmap.of_pairs pairs in
+      let b =
+        Compiled.Intmap.of_sorted ~keys:(Array.map fst sorted)
+          ~vals:(Array.map snd sorted)
+      in
+      let same_answers = ref true in
+      for k = lo to hi do
+        let r = Hashtbl.find_opt reference k in
+        if
+          Compiled.Intmap.find_opt a k <> r
+          || Compiled.Intmap.find_opt b k <> r
+          || Compiled.Intmap.mem a k <> Option.is_some r
+          || Compiled.Intmap.mem b k <> Option.is_some r
+        then same_answers := false
+      done;
+      let bad f =
+        let c = Array.copy pairs in
+        f c;
+        raises_invalid (fun () -> Compiled.Intmap.of_pairs c)
+      in
+      a = b && pairs = before && !same_answers
+      && Compiled.Intmap.cardinal a = m
+      (* A negative key, a negative value, a duplicate key. *)
+      && (m = 0
+         || bad (fun c -> c.(m / 2) <- (-1 - fst c.(m / 2), 0))
+            && bad (fun c -> c.(m / 2) <- (fst c.(m / 2), -1))
+            && (m < 2 || bad (fun c -> c.(m - 1) <- (fst c.(0), 0)))))
 
 let test_table_matches_hashtbl =
   qcheck ~count:200 "Table.of_hashtbl answers as Hashtbl.find" gen_bindings

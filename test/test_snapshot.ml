@@ -1,7 +1,6 @@
 (* Binary snapshots: round-trip bit-identity across the whole catalog,
-   typed rejection of damaged / mismatched files, and the succinct plane
-   encodings (Elias-Fano intmaps with bit-packed values, branchless
-   lower_bound) pinned against their flat references. *)
+   typed rejection of damaged / mismatched files, and the Sorted
+   layout's branchless lower_bound pinned against its linear reference. *)
 open Util
 open Cr_graph
 open Cr_routing
@@ -362,12 +361,13 @@ let reseal b =
    hashtables where version 3 holds [Compiled.Intmap]s,
    [Compiled.Table]s and [Compiled.Bitset]s, version 3's holds a separate
    frozen record per scheme where version 4 holds the scheme's state
-   record itself, with more fields, and version 4's holds boxed vicinity
+   record itself, with more fields, version 4's holds boxed vicinity
    records where version 5 holds one packed family's record, its blocks
-   in blobs. Every later header check would
-   pass, so the version alone must refuse it, and the warm-start ladder
-   must rebuild. The stamp is resealed, as the old writer's own header
-   checksum would be. *)
+   in blobs, and version 5's may hold Elias-Fano intmaps, a layout
+   version 6 no longer has. Every later header check would pass, so the
+   version alone must refuse it, and the warm-start ladder must rebuild.
+   The stamp is resealed, as the old writer's own header checksum would
+   be. *)
 let test_old_version_rebuilt v () =
   let g = Lazy.force small_graph in
   let e = entry "rt-ptr-minus-l2" in
@@ -380,7 +380,7 @@ let test_old_version_rebuilt v () =
       Alcotest.failf "v%d save failed: %s" v (Snapshot.error_to_string err)
   in
   let b = read_file path in
-  checki "writer stamps version 5" 5 (Int32.to_int (Bytes.get_int32_le b 8));
+  checki "writer stamps version 6" 6 (Int32.to_int (Bytes.get_int32_le b 8));
   Bytes.set_int32_le b 8 (Int32.of_int v);
   reseal b;
   write_file path b;
@@ -494,48 +494,7 @@ let test_crafted_residue_length () =
       Bytes.set_int64_le b (hdr_residue_len b) (Int64.of_int max_int))
 
 (* ------------------------------------------------------------------ *)
-(* 3. Succinct planes: Elias-Fano intmaps vs sorted reference.        *)
-
-(* Random strictly-increasing key set with random non-negative values;
-   sized past the Auto floor so the forced-succinct form is the one the
-   adaptive policy would also pick at scale. *)
-let gen_sparse_map =
-  QCheck2.Gen.(
-    let* m = int_range 1 900 in
-    let* gap = int_range 1 50 in
-    let* vspan = int_range 1 (1 lsl 20) in
-    let* gaps = list_repeat m (int_range 1 gap) in
-    let* vals = list_repeat m (int_range 0 vspan) in
-    let keys = Array.make m 0 in
-    let _ =
-      List.fold_left
-        (fun (i, acc) g ->
-          let k = acc + g in
-          keys.(i) <- k;
-          (i + 1, k))
-        (0, -1) gaps
-    in
-    return (keys, Array.of_list vals))
-
-let qcheck_ef_vs_sorted =
-  qcheck ~count:200 "Elias-Fano intmap answers exactly like the sorted form"
-    gen_sparse_map
-    (fun (keys, vals) ->
-      let flat = with_policy `Flat (fun () -> Compiled.Intmap.of_sorted ~keys ~vals) in
-      let succ =
-        with_policy `Succinct (fun () -> Compiled.Intmap.of_sorted ~keys ~vals)
-      in
-      let m = Array.length keys in
-      let hi = keys.(m - 1) + 3 in
-      Compiled.Intmap.cardinal succ = m
-      && (let ok = ref true in
-          for x = -1 to hi do
-            if
-              Compiled.Intmap.find_opt succ x <> Compiled.Intmap.find_opt flat x
-              || Compiled.Intmap.mem succ x <> Compiled.Intmap.mem flat x
-            then ok := false
-          done;
-          !ok))
+(* 3. The Sorted layout's branchless lower_bound.                     *)
 
 let qcheck_lower_bound =
   qcheck ~count:300 "branchless lower_bound matches the linear reference"
@@ -555,44 +514,7 @@ let qcheck_lower_bound =
       !ok)
 
 (* ------------------------------------------------------------------ *)
-(* 4. Bit-packed Elias-Fano values: every accepted field width.       *)
-
-let test_packed_width_boundaries () =
-  (* One sparse map per value width w the succinct layout accepts (1 to
-     32 bits): values straddle 2^(w-1) - 1 / 2^(w-1) and reach the
-     width's top 2^w - 1, so pack_fields/get_field read fields across
-     byte and 64-bit-load boundaries. The sparse keys keep the flat
-     policy on the sorted form, the reference every read must match. *)
-  let keys = Array.init 80 (fun i -> 1000 * i) in
-  for w = 1 to 32 do
-    let top = (1 lsl w) - 1 and half = 1 lsl (w - 1) in
-    let vals =
-      Array.init 80 (fun i ->
-          match i mod 5 with
-          | 0 -> 0
-          | 1 -> top
-          | 2 -> half - 1
-          | 3 -> half
-          | _ -> (i * 2654435761) land top)
-    in
-    let flat = with_policy `Flat (fun () -> Compiled.Intmap.of_sorted ~keys ~vals) in
-    let succ =
-      with_policy `Succinct (fun () -> Compiled.Intmap.of_sorted ~keys ~vals)
-    in
-    checkb (Printf.sprintf "width %d takes the succinct form" w) true
-      (Compiled.Intmap.bytes succ < Compiled.Intmap.bytes flat);
-    checkb (Printf.sprintf "width %d answers like the flat map" w) true
-      (Array.for_all
-         (fun k ->
-           List.for_all
-             (fun x ->
-               Compiled.Intmap.find_opt succ x = Compiled.Intmap.find_opt flat x)
-             [ k - 1; k; k + 1 ])
-         keys)
-  done
-
-(* ------------------------------------------------------------------ *)
-(* 5. CRC-32 kernel pinned against the bitwise reference.             *)
+(* 4. CRC-32 kernel pinned against the bitwise reference.             *)
 
 let crc32 = Snapshot.For_testing.crc32
 
@@ -639,17 +561,17 @@ let qcheck_crc_i32_view =
          = crc32 start bytes 0 (String.length bytes))
 
 (* ------------------------------------------------------------------ *)
-(* 6. Format stability: a golden container pinned by its digest.      *)
+(* 5. Format stability: a golden container pinned by its digest.      *)
 
-(* [Digest.file] of the golden container as the version-5 writer
+(* [Digest.file] of the golden container as the version-6 writer
    produces it: a different digest is a format change, which needs a
-   version bump. The version-1 to version-4 writers' digests were
+   version bump. The version-1 to version-5 writers' digests were
    9781ea992cddb3f1bf32a7d711600af1, 26273200783cc8e264b4c227f7b734ea,
-   2a63574d2311dd9cc735d7c2920c0ff3 and 48e77a45b5bbd71982f52fe24346d258;
-   their files differ from this one only in the version field and the
-   header checksum. Blobs are host memory, so the pin holds on
+   2a63574d2311dd9cc735d7c2920c0ff3, 48e77a45b5bbd71982f52fe24346d258 and
+   83f6734b263cfbfaf01bb3805a108f29; their files differ from this one
+   only in the version field and the header checksum. Blobs are host memory, so the pin holds on
    little-endian hosts. *)
-let golden_digest = "83f6734b263cfbfaf01bb3805a108f29"
+let golden_digest = "5ab75ef7357ccd046a78df59be5f8c2f"
 
 let test_golden_digest () =
   let path = Lazy.force golden_path in
@@ -664,7 +586,7 @@ let test_golden_digest () =
       (l.Snapshot.meta.Snapshot.scheme_id = "golden"
       && l.Snapshot.meta.Snapshot.fingerprint = 0x0123456789abcdefL);
     check Alcotest.string "residue round-trips" golden_residue l.Snapshot.residue;
-    checki "version 5" 5 (Int32.to_int (Bytes.get_int32_le (read_file path) 8));
+    checki "version 6" 6 (Int32.to_int (Bytes.get_int32_le (read_file path) 8));
     checki "I32 blob" 0x7fffffff
       (Int32.to_int (Bigarray.Array1.get (Snapshot.get_i32 l.Snapshot.source 0) 3));
     checkb "F64 blob keeps its sNaN bits" true
@@ -673,7 +595,7 @@ let test_golden_digest () =
       = 0x7ff4000000000001L)
 
 (* ------------------------------------------------------------------ *)
-(* 7. Blob payloads: every vicinity family is written as three blobs; *)
+(* 6. Blob payloads: every vicinity family is written as three blobs; *)
 (*    the lazy-regime rt-* files below carry only those.              *)
 
 type lazy_case = {
@@ -789,7 +711,7 @@ let test_ptr_one_family () =
     [ "rt-ptr-minus-l2"; "rt-ptr-minus-l3"; "rt-ptr-plus-l2" ]
 
 (* ------------------------------------------------------------------ *)
-(* 8. Saving right after a build freezes that build's own state.      *)
+(* 7. Saving right after a build freezes that build's own state.      *)
 
 let subdir name =
   let d = Filename.concat (Lazy.force scratch_dir) name in
@@ -1046,7 +968,7 @@ let test_shared_tz_state_same_instance () =
     [ ("eager", ""); ("lazy", "32") ]
 
 (* ------------------------------------------------------------------ *)
-(* 9. Concurrent saves of one path.                                   *)
+(* 8. Concurrent saves of one path.                                   *)
 
 (* Two domains save different payloads to one path, over and over: the
    blob sizes differ, so a shared temp file would be shrunk under the
@@ -1120,11 +1042,10 @@ let suite =
     case "reject: version-2 file, rebuilt on load" (test_old_version_rebuilt 2);
     case "reject: version-3 file, rebuilt on load" (test_old_version_rebuilt 3);
     case "reject: version-4 file, rebuilt on load" (test_old_version_rebuilt 4);
+    case "reject: version-5 file, rebuilt on load" (test_old_version_rebuilt 5);
     case "reject: crafted blob length past the file" test_crafted_blob_length;
     case "reject: crafted residue length past the file" test_crafted_residue_length;
-    qcheck_ef_vs_sorted;
     qcheck_lower_bound;
-    case "packed width boundaries" test_packed_width_boundaries;
     case "CRC-32 check value" test_crc_check_value;
     qcheck_crc_kernel;
     qcheck_crc_i32_view;

@@ -11,13 +11,6 @@ let case name f = Alcotest.test_case name `Quick f
 (* The vicinity B(u, l): row [u] of the family [compute_all g l]. *)
 let vicinity g u l = (Cr_routing.Vicinity.compute_all g l).(u)
 
-(* Run [f] under a compiled-plane representation policy, restoring the
-   previous one afterwards. *)
-let with_policy p f =
-  let p0 = Cr_routing.Compiled.current_policy () in
-  Cr_routing.Compiled.set_policy p;
-  Fun.protect ~finally:(fun () -> Cr_routing.Compiled.set_policy p0) f
-
 let qcheck ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count ~name gen prop)
