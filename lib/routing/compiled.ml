@@ -38,7 +38,7 @@ module Intmap = struct
     end
 
   (* Direct when the key span holds at most ~4 slots per key. *)
-  let direct_fits ~m ~span = m > 0 && span <= (4 * m) + 8
+  let direct_fits ~m ~span = span <= (4 * m) + 8
 
   let of_sorted ~keys ~vals =
     let m = Array.length keys in
@@ -50,16 +50,21 @@ module Intmap = struct
       if i > 0 && keys.(i) <= keys.(i - 1) then
         invalid_arg "Compiled.Intmap.of_sorted: keys not strictly increasing"
     done;
-    let lo = if m = 0 then 0 else keys.(0) in
-    let span = if m = 0 then 0 else keys.(m - 1) - lo + 1 in
-    if direct_fits ~m ~span then begin
-      let arr = Array.make span absent in
-      for i = 0 to m - 1 do
-        arr.(keys.(i) - lo) <- vals.(i)
-      done;
-      Direct { off = lo; arr }
+    (* Every empty map is this one constant block, which Marshal writes
+       once per residue. *)
+    if m = 0 then Sorted { keys = [||]; vals = [||] }
+    else begin
+      let lo = keys.(0) in
+      let span = keys.(m - 1) - lo + 1 in
+      if direct_fits ~m ~span then begin
+        let arr = Array.make span absent in
+        for i = 0 to m - 1 do
+          arr.(keys.(i) - lo) <- vals.(i)
+        done;
+        Direct { off = lo; arr }
+      end
+      else Sorted { keys = Array.copy keys; vals = Array.copy vals }
     end
-    else Sorted { keys = Array.copy keys; vals = Array.copy vals }
 
   (* A dense span lands each pair in its slot in one O(m) pass: no sort,
      no intermediate key/value arrays, and a slot already filled is the
@@ -76,7 +81,7 @@ module Intmap = struct
         if k > !hi then hi := k)
       pairs;
     let span = !hi - !lo + 1 in
-    if direct_fits ~m ~span then begin
+    if m > 0 && direct_fits ~m ~span then begin
       let arr = Array.make span absent in
       Array.iter
         (fun (k, v) ->

@@ -116,6 +116,15 @@ let test_intmap_of_pairs =
             && bad (fun c -> c.(m / 2) <- (fst c.(m / 2), -1))
             && (m < 2 || bad (fun c -> c.(m - 1) <- (fst c.(0), 0)))))
 
+(* Marshal keeps sharing, so a residue writes the one empty map once;
+   an empty map allocated per call would be written at every use and
+   shift the residue bytes after it. *)
+let test_intmap_empty_shared () =
+  let e = Compiled.Intmap.of_sorted ~keys:[||] ~vals:[||] in
+  checkb "of_pairs" true (Compiled.Intmap.of_pairs [||] == e);
+  checkb "of_hashtbl" true (Compiled.Intmap.of_hashtbl (Hashtbl.create 1) == e);
+  checkb "of_sorted" true (Compiled.Intmap.of_sorted ~keys:[||] ~vals:[||] == e)
+
 let test_table_matches_hashtbl =
   qcheck ~count:200 "Table.of_hashtbl answers as Hashtbl.find" gen_bindings
     (fun bindings ->
@@ -345,6 +354,7 @@ let suite =
     test_intmap_matches_hashtbl;
     test_intmap_sparse;
     test_intmap_of_pairs;
+    case "empty Intmaps are one shared block" test_intmap_empty_shared;
     test_table_matches_hashtbl;
     test_bitset_matches_hashtbl;
     test_tree_step_spt;
