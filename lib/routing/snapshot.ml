@@ -258,7 +258,7 @@ let magic = "CRSNAP\r\n"
    is that family's record, where version 4 held per-vertex boxed records
    or family-table entries; rt-ptr writes only its level-ell family.
    Version 6: [Compiled.Intmap] has two layouts, where version 5 also had
-   an Elias-Fano one that large sparse maps took (tz-k3 past ~10^4
+   a third, bit-packed one that large sparse maps took (tz-k3 past ~10^4
    vertices); such a file's residue holds a constructor tag the
    two-layout type has no case for. *)
 let version = 6

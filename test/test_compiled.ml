@@ -354,7 +354,6 @@ let suite =
     test_intmap_matches_hashtbl;
     test_intmap_sparse;
     test_intmap_of_pairs;
-    case "empty Intmaps are one shared block" test_intmap_empty_shared;
     test_table_matches_hashtbl;
     test_bitset_matches_hashtbl;
     test_tree_step_spt;
@@ -365,4 +364,5 @@ let suite =
     case "sample_pairs count=all-1 terminates" test_sample_pairs_dense_terminates;
     case "sample_pairs dense edge cases" test_sample_pairs_all;
     case "percentiles and NaN safety" test_percentiles;
+    case "empty Intmaps are one shared block" test_intmap_empty_shared;
   ]

@@ -12,8 +12,8 @@
    The digests below were computed by this file's own [digest] function
    and are committed as data: a change to any scheme's tables, step
    function, header accounting or the simulator that moves a single
-   decision shows up here as a mismatch. They must hold under every
-   [Compiled] representation policy and with telemetry on. *)
+   decision shows up here as a mismatch. They must hold with telemetry
+   on. *)
 open Util
 open Cr_graph
 open Cr_routing

@@ -363,7 +363,7 @@ let reseal b =
    frozen record per scheme where version 4 holds the scheme's state
    record itself, with more fields, version 4's holds boxed vicinity
    records where version 5 holds one packed family's record, its blocks
-   in blobs, and version 5's may hold Elias-Fano intmaps, a layout
+   in blobs, and version 5's may hold bit-packed intmaps, a layout
    version 6 no longer has. Every later header check would pass, so the
    version alone must refuse it, and the warm-start ladder must rebuild.
    The stamp is resealed, as the old writer's own header checksum would

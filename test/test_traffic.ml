@@ -249,11 +249,11 @@ let suite =
       test_pairs_valid_degenerate;
     case "seed determines pairs and schedule" test_determinism;
     case "arrival schedule is paced and monotone" test_arrival_schedule;
-    case "pairs and arrivals pinned" test_schedule_pinned;
     case "zipf rank-frequency slope" test_zipf_slope;
     case "zipf 0 is uniform" test_uniform_when_zipf_zero;
     case "serve segments match evaluate_batch bit for bit"
       test_serve_matches_batch;
     case "serve is domain-count independent" test_serve_domain_independent;
     case "churn_cycle alternates fail and heal" test_churn_cycle;
+    case "pairs and arrivals pinned" test_schedule_pinned;
   ]
