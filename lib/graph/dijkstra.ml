@@ -7,6 +7,16 @@ type tree = {
   order : int array;
 }
 
+(* The weight of half-edge [i]. It is [Graph.weight], read here because a
+   float returned by another module's function is boxed wherever that
+   function is not inlined, and a build with [-opaque] inlines nothing
+   across modules. With [Heap.insert_or_decrease_from] and [Heap.pop_key]
+   it keeps every pop and relaxation below allocation-free. *)
+let[@inline] weight (w : Graph.weights) i =
+  match w with
+  | W64 a -> a.(i)
+  | W32 b -> Bigarray.Array1.get b i
+
 (* ------------------------------------------------------------------ *)
 (* Reusable workspace                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -70,7 +80,8 @@ let reset ws =
    [reset] the workspace when done with the scratch arrays.
 
    [scan] is a closure bound to the graph's CSR arrays, so the per-edge
-   work reads them directly.
+   work reads them directly. A popped vertex's distance is read from
+   [dist], which always equals its heap priority.
 
    [stop_at] (default [-1], i.e. never) halts the search right after that
    vertex is settled and scanned. The settled prefix is exactly the set of
@@ -88,12 +99,13 @@ let run_core ?(stop_at = -1) ws g s ~admit =
   and settled = ws.ws_settled
   and heap = ws.ws_heap in
   let { Graph.off; dst; wgt } = Graph.csr g in
-  let scan u d =
+  let scan u =
+    let d = dist.(u) in
     let base = Int32.to_int (Bigarray.Array1.get off u) in
     let stop = Int32.to_int (Bigarray.Array1.get off (u + 1)) - 1 in
     for idx = base to stop do
       let v = Int32.to_int (Bigarray.Array1.get dst idx) in
-      let d' = d +. Graph.weight wgt idx in
+      let d' = d +. weight wgt idx in
       if (not settled.(v)) && d' < dist.(v) then begin
         touch ws v;
         dist.(v) <- d';
@@ -101,7 +113,7 @@ let run_core ?(stop_at = -1) ws g s ~admit =
         let port = idx - base in
         parent_port.(v) <- port;
         first_port.(v) <- (if u = s then port else first_port.(u));
-        Heap.insert_or_decrease heap v d'
+        Heap.insert_or_decrease_from heap v dist
       end
     done
   in
@@ -111,20 +123,19 @@ let run_core ?(stop_at = -1) ws g s ~admit =
   let count = ref 0 in
   let continue = ref true in
   while !continue do
-    match Heap.pop_min heap with
-    | None -> continue := false
-    | Some (u, d) ->
-      if admit u d then begin
-        settled.(u) <- true;
-        order.(!count) <- u;
-        incr count;
-        scan u d;
-        if u = stop_at then continue := false
-      end
-      else dist.(u) <- infinity
-      (* A rejected vertex keeps [infinity] so callers can treat it as
-         outside the tree; it may be re-relaxed only through other rejected
-         vertices, which [admit] will reject again. *)
+    let u = Heap.pop_key heap in
+    if u < 0 then continue := false
+    else if admit u dist.(u) then begin
+      settled.(u) <- true;
+      order.(!count) <- u;
+      incr count;
+      scan u;
+      if u = stop_at then continue := false
+    end
+    else dist.(u) <- infinity
+    (* A rejected vertex keeps [infinity] so callers can treat it as
+       outside the tree; it may be re-relaxed only through other rejected
+       vertices, which [admit] will reject again. *)
   done;
   !count
 
@@ -198,34 +209,31 @@ let truncated_ws ws g s l =
   and settled = ws.ws_settled
   and heap = ws.ws_heap in
   let { Graph.off; dst; wgt } = Graph.csr g in
-  let scan u d =
+  touch ws s;
+  dist.(s) <- 0.0;
+  Heap.insert heap s 0.0;
+  let count = ref 0 in
+  (* Edges are relaxed inline, with no closure, and a pop or a relaxation
+     allocates nothing: a search allocates only what it returns. *)
+  while !count < l && not (Heap.is_empty heap) do
+    let u = Heap.pop_key heap in
+    settled.(u) <- true;
+    order.(!count) <- u;
+    incr count;
+    let d = dist.(u) in
     let base = Int32.to_int (Bigarray.Array1.get off u) in
     let stop = Int32.to_int (Bigarray.Array1.get off (u + 1)) - 1 in
     for idx = base to stop do
       let v = Int32.to_int (Bigarray.Array1.get dst idx) in
-      let d' = d +. Graph.weight wgt idx in
+      let d' = d +. weight wgt idx in
       if (not settled.(v)) && d' < dist.(v) then begin
         touch ws v;
         dist.(v) <- d';
         parent.(v) <- u;
         first_port.(v) <- (if u = s then idx - base else first_port.(u));
-        Heap.insert_or_decrease heap v d'
+        Heap.insert_or_decrease_from heap v dist
       end
     done
-  in
-  touch ws s;
-  dist.(s) <- 0.0;
-  Heap.insert heap s 0.0;
-  let count = ref 0 in
-  let continue = ref true in
-  while !continue && !count < l do
-    match Heap.pop_min heap with
-    | None -> continue := false
-    | Some (u, d) ->
-      settled.(u) <- true;
-      order.(!count) <- u;
-      incr count;
-      scan u d
   done;
   (* The nearest vertex of the component left out of B(s, l), if any: a
      non-destructive peek — the heap min's tentative distance is final by
@@ -270,19 +278,20 @@ let multi_source g centers =
   let settled = Array.make n false in
   let heap = Heap.create n in
   let { Graph.off; dst; wgt } = Graph.csr g in
-  let scan u d =
+  let scan u =
+    let d = dist.(u) in
     let base = Int32.to_int (Bigarray.Array1.get off u) in
     let stop = Int32.to_int (Bigarray.Array1.get off (u + 1)) - 1 in
     for idx = base to stop do
       let v = Int32.to_int (Bigarray.Array1.get dst idx) in
-      let d' = d +. Graph.weight wgt idx in
+      let d' = d +. weight wgt idx in
       if not settled.(v) then
         if d' < dist.(v) || (d' = dist.(v) && nearest.(u) < nearest.(v))
         then begin
           dist.(v) <- d';
           nearest.(v) <- nearest.(u);
           mparent.(v) <- u;
-          Heap.insert_or_decrease heap v d'
+          Heap.insert_or_decrease_from heap v dist
         end
     done
   in
@@ -294,12 +303,9 @@ let multi_source g centers =
       nearest.(a) <- a;
       if not (Heap.mem heap a) then Heap.insert heap a 0.0)
     centers;
-  let continue = ref true in
-  while !continue do
-    match Heap.pop_min heap with
-    | None -> continue := false
-    | Some (u, d) ->
-      settled.(u) <- true;
-      scan u d
+  while not (Heap.is_empty heap) do
+    let u = Heap.pop_key heap in
+    settled.(u) <- true;
+    scan u
   done;
   { dist_to_set = dist; nearest; mparent }

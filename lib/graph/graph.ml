@@ -36,7 +36,7 @@ let set32 (a : int32_array) i x = Bigarray.Array1.set a i (Int32.of_int x)
 let int32_array len : int32_array =
   Bigarray.Array1.create Bigarray.Int32 Bigarray.C_layout len
 
-let weight w i =
+let[@inline] weight w i =
   match w with
   | W64 a -> a.(i)
   | W32 b -> Bigarray.Array1.get b i

@@ -25,7 +25,7 @@ let priority h k =
   h.prio.(h.pos.(k))
 
 (* [less h i j] orders slot [i] before slot [j]: by priority, then by key. *)
-let less h i j =
+let[@inline] less h i j =
   h.prio.(i) < h.prio.(j) || (h.prio.(i) = h.prio.(j) && h.keys.(i) < h.keys.(j))
 
 let swap h i j =
@@ -56,7 +56,10 @@ let rec sift_down h i =
     sift_down h smallest
   end
 
-let insert h k p =
+(* [insert], [decrease] and [insert_or_decrease] are inlined so that a
+   float priority reaches [prio] unboxed, in [insert_or_decrease_from] and
+   in callers compiled with this module's inlining information. *)
+let[@inline] insert h k p =
   if k < 0 || k >= Array.length h.pos then invalid_arg "Heap.insert: key out of range";
   if h.pos.(k) >= 0 then invalid_arg "Heap.insert: duplicate key";
   let i = h.len in
@@ -66,17 +69,19 @@ let insert h k p =
   h.len <- h.len + 1;
   sift_up h i
 
-let decrease h k p =
+let[@inline] decrease h k p =
   if not (mem h k) then invalid_arg "Heap.decrease: absent key";
   let i = h.pos.(k) in
   if p > h.prio.(i) then invalid_arg "Heap.decrease: priority increase";
   h.prio.(i) <- p;
   sift_up h i
 
-let insert_or_decrease h k p =
+let[@inline] insert_or_decrease h k p =
   if mem h k then begin
-    if p < priority h k then decrease h k p
+    if p < h.prio.(h.pos.(k)) then decrease h k p
   end else insert h k p
+
+let insert_or_decrease_from h k prio = insert_or_decrease h k prio.(k)
 
 let peek_min h = if h.len = 0 then None else Some (h.keys.(0), h.prio.(0))
 
@@ -86,14 +91,22 @@ let clear h =
   done;
   h.len <- 0
 
-let pop_min h =
-  if h.len = 0 then None
+let pop_key h =
+  if h.len = 0 then -1
   else begin
-    let k = h.keys.(0) and p = h.prio.(0) in
+    let k = h.keys.(0) in
     let last = h.len - 1 in
     swap h 0 last;
     h.len <- last;
     h.pos.(k) <- -1;
     if last > 0 then sift_down h 0;
+    k
+  end
+
+let pop_min h =
+  if h.len = 0 then None
+  else begin
+    let p = h.prio.(0) in
+    let k = pop_key h in
     Some (k, p)
   end

@@ -35,6 +35,13 @@ val insert_or_decrease : t -> int -> float -> unit
 (** [insert_or_decrease h k p] inserts [k], or lowers its priority if [p] is
     smaller than the current one; otherwise does nothing. *)
 
+val insert_or_decrease_from : t -> int -> float array -> unit
+(** [insert_or_decrease_from h k prio] is [insert_or_decrease h k prio.(k)].
+    No float crosses the call, so it allocates nothing even where the call
+    is not inlined (a build with [-opaque] inlines nothing across modules):
+    a search that keeps each key's priority in its own array relaxes
+    through it. *)
+
 val peek_min : t -> (int * float) option
 (** [peek_min h] is the pair [pop_min] would return, without removing it. *)
 
@@ -46,3 +53,8 @@ val clear : t -> unit
 val pop_min : t -> (int * float) option
 (** [pop_min h] removes and returns the (key, priority) pair with the least
     priority, breaking priority ties by the smaller key. *)
+
+val pop_key : t -> int
+(** [pop_key h] removes the key [pop_min] would and returns it alone, or
+    [-1] when [h] is empty. It allocates nothing; a search that keeps each
+    key's priority in its own array reads it there. *)

@@ -260,8 +260,12 @@ let magic = "CRSNAP\r\n"
    Version 6: [Compiled.Intmap] has two layouts, where version 5 also had
    a third, bit-packed one that large sparse maps took (tz-k3 past ~10^4
    vertices); such a file's residue holds a constructor tag the
-   two-layout type has no case for. *)
-let version = 6
+   two-layout type has no case for. Version 7: a [Tree_routing.t] is flat
+   int and float arrays indexed by preorder number and a tree label is one
+   int array, where version 6 held per-member node records and labels of
+   light-edge records; every tz-*, rt-4km7-*, rt-ptr-*, rt-2eps1, rt-3eps*
+   and eager rt-5eps residue holds trees. *)
+let version = 7
 
 let align8 x = (x + 7) land lnot 7
 

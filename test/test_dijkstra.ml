@@ -175,6 +175,31 @@ let prop_restricted_is_cluster =
       done;
       !ok)
 
+(* Allocation contract of the truncated search (native code only, where
+   float unboxing applies): a pop and a relaxation allocate nothing, so on
+   a reused workspace settling 50 more members costs only the 4 result
+   arrays' word per member each. *)
+let test_truncated_allocation () =
+  let g =
+    Generators.with_random_weights ~seed:1 ~lo:1.0 ~hi:8.0 (Generators.glp ~seed:1 400)
+  in
+  let ws = Dijkstra.workspace (Graph.n g) in
+  let words l =
+    ignore (Dijkstra.truncated_ws ws g 0 l);
+    let w0 = Gc.minor_words () in
+    let t = Dijkstra.truncated_ws ws g 0 l in
+    let w = Gc.minor_words () -. w0 in
+    checki "settled" l (Array.length t.Dijkstra.vertices);
+    Float.to_int w
+  in
+  if Sys.backend_type = Sys.Native then begin
+    let w50 = words 50 and w100 = words 100 in
+    checkb
+      (Printf.sprintf "l=50: %d words, l=100: %d words" w50 w100)
+      true
+      (w100 - w50 <= (4 * 50) + 8)
+  end
+
 let suite =
   [
     case "simple weighted spt" test_spt_simple;
@@ -189,4 +214,5 @@ let suite =
     prop_truncated_next_dist;
     prop_multi_source;
     prop_restricted_is_cluster;
+    case "truncated search allocates only its result" test_truncated_allocation;
   ]

@@ -363,11 +363,12 @@ let reseal b =
    frozen record per scheme where version 4 holds the scheme's state
    record itself, with more fields, version 4's holds boxed vicinity
    records where version 5 holds one packed family's record, its blocks
-   in blobs, and version 5's may hold bit-packed intmaps, a layout
-   version 6 no longer has. Every later header check would pass, so the
-   version alone must refuse it, and the warm-start ladder must rebuild.
-   The stamp is resealed, as the old writer's own header checksum would
-   be. *)
+   in blobs, version 5's may hold bit-packed intmaps, a layout version 6
+   no longer has, and version 6's holds per-member tree node records where
+   version 7 holds flat tree arrays. Every later header check would pass,
+   so the version alone must refuse it, and the warm-start ladder must
+   rebuild. The stamp is resealed, as the old writer's own header checksum
+   would be. *)
 let test_old_version_rebuilt v () =
   let g = Lazy.force small_graph in
   let e = entry "rt-ptr-minus-l2" in
@@ -380,7 +381,7 @@ let test_old_version_rebuilt v () =
       Alcotest.failf "v%d save failed: %s" v (Snapshot.error_to_string err)
   in
   let b = read_file path in
-  checki "writer stamps version 6" 6 (Int32.to_int (Bytes.get_int32_le b 8));
+  checki "writer stamps version 7" 7 (Int32.to_int (Bytes.get_int32_le b 8));
   Bytes.set_int32_le b 8 (Int32.of_int v);
   reseal b;
   write_file path b;
@@ -563,15 +564,16 @@ let qcheck_crc_i32_view =
 (* ------------------------------------------------------------------ *)
 (* 5. Format stability: a golden container pinned by its digest.      *)
 
-(* [Digest.file] of the golden container as the version-6 writer
+(* [Digest.file] of the golden container as the version-7 writer
    produces it: a different digest is a format change, which needs a
-   version bump. The version-1 to version-5 writers' digests were
+   version bump. The version-1 to version-6 writers' digests were
    9781ea992cddb3f1bf32a7d711600af1, 26273200783cc8e264b4c227f7b734ea,
-   2a63574d2311dd9cc735d7c2920c0ff3, 48e77a45b5bbd71982f52fe24346d258 and
-   83f6734b263cfbfaf01bb3805a108f29; their files differ from this one
-   only in the version field and the header checksum. Blobs are host memory, so the pin holds on
+   2a63574d2311dd9cc735d7c2920c0ff3, 48e77a45b5bbd71982f52fe24346d258,
+   83f6734b263cfbfaf01bb3805a108f29 and 5ab75ef7357ccd046a78df59be5f8c2f;
+   their files differ from this one only in the version field and the
+   header checksum. Blobs are host memory, so the pin holds on
    little-endian hosts. *)
-let golden_digest = "5ab75ef7357ccd046a78df59be5f8c2f"
+let golden_digest = "2212a4b6f3227b701416b2bef26a4a4f"
 
 let test_golden_digest () =
   let path = Lazy.force golden_path in
@@ -586,7 +588,7 @@ let test_golden_digest () =
       (l.Snapshot.meta.Snapshot.scheme_id = "golden"
       && l.Snapshot.meta.Snapshot.fingerprint = 0x0123456789abcdefL);
     check Alcotest.string "residue round-trips" golden_residue l.Snapshot.residue;
-    checki "version 6" 6 (Int32.to_int (Bytes.get_int32_le (read_file path) 8));
+    checki "version 7" 7 (Int32.to_int (Bytes.get_int32_le (read_file path) 8));
     checki "I32 blob" 0x7fffffff
       (Int32.to_int (Bigarray.Array1.get (Snapshot.get_i32 l.Snapshot.source 0) 3));
     checkb "F64 blob keeps its sNaN bits" true
@@ -1043,6 +1045,7 @@ let suite =
     case "reject: version-3 file, rebuilt on load" (test_old_version_rebuilt 3);
     case "reject: version-4 file, rebuilt on load" (test_old_version_rebuilt 4);
     case "reject: version-5 file, rebuilt on load" (test_old_version_rebuilt 5);
+    case "reject: version-6 file, rebuilt on load" (test_old_version_rebuilt 6);
     case "reject: crafted blob length past the file" test_crafted_blob_length;
     case "reject: crafted residue length past the file" test_crafted_residue_length;
     qcheck_lower_bound;
