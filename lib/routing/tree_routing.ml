@@ -190,7 +190,8 @@ let label_words (l : label) = Array.length l
 
 (* Lemma 3's per-member record as the paper counts it: the member's
    interval, its parent port, its heavy child's interval and port, and the
-   root. The flat layout derives some of these, the count does not move. *)
+   root. The flat layout reads some of these off neighbouring records; the
+   accounted words stay 7. *)
 let table_words _t _v = 7
 
 let dfs_bits t = Bits.bits_for (Array.length t.vertices)

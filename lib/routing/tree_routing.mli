@@ -15,7 +15,18 @@ open Cr_graph
       the label is a single DFS number.
 
     Both route on the unique tree path. The labeled scheme is the one the
-    paper's space bounds assume; the interval scheme cross-validates it. *)
+    paper's space bounds assume; the interval scheme cross-validates it.
+
+    Members are numbered in heavy-first preorder (children by subtree size,
+    larger first, ties to the smaller vertex id), so a member's number is
+    its DFS number, its subtree is the interval from it to its subtree's
+    last number, and its heavy child is the next number. A tree is a few
+    flat arrays over these numbers: one stride-4 int record per member
+    (subtree end, port toward the parent, port toward the heavy child, the
+    parent's port toward the member), the parent, depth and parent-edge
+    weight arrays, and one int array per label. The other children's
+    intervals are read off their own records, so neither scheme stores a
+    per-child table. *)
 
 type t
 
@@ -39,6 +50,8 @@ val of_tree : Graph.t -> Dijkstra.tree -> t
 val root : t -> int
 
 val members : t -> int array
+(** [members t] is the member set in heavy-first preorder, the root
+    first. *)
 
 val mem : t -> int -> bool
 
@@ -47,7 +60,8 @@ val label : t -> int -> label
     @raise Not_found if [v] is not a member. *)
 
 val label_words : label -> int
-(** Size of a label in O(log n)-bit words. *)
+(** Size of a label in O(log n)-bit words: 1 + 4 per light edge on the
+    root path. *)
 
 val encode_label : t -> label -> bytes * int
 (** [encode_label t l] is a compact bit-level serialization of [l] and its
@@ -82,8 +96,9 @@ val tree_dist : t -> int -> int -> float
 val step : t -> at:int -> label -> [ `Deliver | `Forward of int ]
 (** One heavy-light routing decision at member [at] toward the label's
     vertex: deliver here, or forward through the returned port. Decisions
-    use only [at]'s O(1)-word record, found through the tree's vertex
-    index (a {!Compiled.Intmap}), and the label. *)
+    read [at]'s stride-4 record and the subtree end of its heavy child
+    (the next record), found through the tree's vertex index (a
+    {!Compiled.Intmap}), and the label. *)
 
 val step_interval : t -> at:int -> label -> [ `Deliver | `Forward of int ]
 (** Same decision under the interval scheme. *)
