@@ -76,13 +76,10 @@ let build ~seed ?a1_target ?substrate ?pool g ~k =
   done;
   { k; in_set; level; dist; p }
 
-let cluster g t w =
-  let lim = t.dist.(t.level.(w) + 1) in
-  Dijkstra.restricted g w ~limit:(fun v -> lim.(v))
+let cluster g t w = Dijkstra.restricted g w ~limit:t.dist.(t.level.(w) + 1)
 
 let with_cluster ws g t w f =
-  let lim = t.dist.(t.level.(w) + 1) in
-  Dijkstra.with_restricted ws g w ~limit:(fun v -> lim.(v)) f
+  Dijkstra.with_restricted ws g w ~limit:t.dist.(t.level.(w) + 1) f
 
 let bunches ?pool g t =
   let pool = match pool with Some p -> p | None -> Pool.default () in

@@ -83,25 +83,22 @@ let preprocess ?substrate ?(eps = 0.5) ?(vicinity_factor = 1.0) ?center_target
     | None -> Scheme_util.root_exp n (2.0 /. 3.0)
   in
   let centers = Substrate.centers sub ~seed ~target in
-  (* Cluster trees and the per-center label stores. *)
+  (* Cluster records, trees and the per-center label stores. *)
+  let clusters = Array.init n (Substrate.cluster sub ~seed ~target) in
   let cluster_trees = Hashtbl.create (2 * n) in
   let cluster_labels = Hashtbl.create (2 * n) in
-  let cluster_of = Array.make n [||] in
-  let cluster_dist = Array.make n [||] in
-  for w = 0 to n - 1 do
-    let c = Substrate.cluster sub ~seed ~target w in
-    cluster_of.(w) <- c.Dijkstra.order;
-    cluster_dist.(w) <- c.Dijkstra.dist;
-    match Substrate.cluster_tree sub ~seed ~target w with
-    | None -> ()
-    | Some tr ->
-      Hashtbl.replace cluster_trees w tr;
-      let labels = Hashtbl.create (2 * Array.length c.Dijkstra.order) in
-      Array.iter
-        (fun v -> Hashtbl.replace labels v (Tree_routing.label tr v))
-        c.Dijkstra.order;
-      Hashtbl.replace cluster_labels w labels
-  done;
+  Array.iteri
+    (fun w (c : Substrate.cluster) ->
+      match c.tree with
+      | None -> ()
+      | Some tr ->
+        Hashtbl.replace cluster_trees w tr;
+        let labels = Hashtbl.create (2 * Array.length c.members) in
+        Array.iter
+          (fun v -> Hashtbl.replace labels v (Tree_routing.label tr v))
+          c.members;
+        Hashtbl.replace cluster_labels w labels)
+    clusters;
   (* Global trees for the centers. *)
   let global_trees = Hashtbl.create (2 * Array.length centers.Centers.centers) in
   Array.iter
@@ -109,20 +106,20 @@ let preprocess ?substrate ?(eps = 0.5) ?(vicinity_factor = 1.0) ?center_target
     centers.Centers.centers;
   (* Intersection witnesses: for u and each v with B(u,q~) ∩ B_A(v) <> ∅,
      the w minimizing (d(u,w) + d(w,v), w); enumerate via the clusters of
-     the vicinity members. d(w,v) is the cluster search's own distance:
-     exact on the unit-weight graphs this theorem takes. *)
+     the vicinity members. d(w,v) is the cluster search's own distance,
+     aligned with the members: exact on the unit-weight graphs this theorem
+     takes. *)
   let scratch = Scheme_util.Witness_scratch.create n in
   let witness =
     Array.init n (fun u ->
         Array.iter
           (fun w ->
             let duw = Vicinity.dist vic.(u) w in
-            let dw = cluster_dist.(w) in
-            Array.iter
-              (fun v ->
-                Scheme_util.Witness_scratch.offer scratch v ~s:(duw +. dw.(v)) ~w
-                  ~tag:0)
-              cluster_of.(w))
+            let c = clusters.(w) in
+            for j = 0 to Array.length c.members - 1 do
+              Scheme_util.Witness_scratch.offer scratch c.members.(j)
+                ~s:(duw +. c.dists.(j)) ~w ~tag:0
+            done)
           (Vicinity.members vic.(u));
         Scheme_util.Witness_scratch.flush scratch)
   in

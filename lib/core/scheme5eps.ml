@@ -87,9 +87,9 @@ let label_of t v =
   { vertex = v; p_a; group = t.group_of.(p_a); z = t.first_edge.(v) }
 
 (* The cluster tree of C_A(root), from whichever store is active. The lazy
-   miss path mirrors [Substrate.cluster_tree]'s compact construction but
-   runs in the scheme's own mutex-guarded workspace: the substrate handle
-   is single-owner by contract and must not be touched from routing. *)
+   miss path runs the restricted search of [Substrate.cluster] in the
+   scheme's own mutex-guarded workspace: the substrate handle is
+   single-owner by contract and must not be touched from routing. *)
 let cluster_tree_at t root =
   match t.trees with
   | Trees_eager tbl -> Compiled.Table.find_opt tbl root
@@ -98,11 +98,9 @@ let cluster_tree_at t root =
         match Hashtbl.find_opt lt.tcache root with
         | Some tr -> tr
         | None ->
-          let dist_to_a = t.centers.Centers.dist_to_a in
           let tr =
             Dijkstra.with_restricted lt.tws t.graph root
-              ~limit:(fun v -> dist_to_a.(v))
-              (fun c ->
+              ~limit:t.centers.Centers.dist_to_a (fun c ->
                 if Array.length c.Dijkstra.order = 0 then None
                 else Some (Tree_routing.of_tree t.graph c))
           in
@@ -147,7 +145,7 @@ let preprocess ?substrate ?(eps = 0.5) ?(vicinity_factor = 1.0) ?center_target
     | `Eager ->
       let tbl = Hashtbl.create (2 * n) in
       for w = 0 to n - 1 do
-        match Substrate.cluster_tree sub ~seed ~target w with
+        match (Substrate.cluster sub ~seed ~target w).tree with
         | None -> ()
         | Some tr -> Hashtbl.replace tbl w tr
       done;

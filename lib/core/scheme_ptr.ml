@@ -99,36 +99,33 @@ let preprocess ?substrate ?(eps = 0.5) ?(vicinity_factor = 1.0) ~seed ~variant
     Array.init (ell + 1) (fun i ->
         Substrate.centers sub ~seed:(seed + i) ~target:targets.(i))
   in
-  (* Cluster trees and member-label stores, per level. *)
+  (* Cluster records, trees and member-label stores, per level. *)
+  let clusters =
+    Array.init (ell + 1) (fun i ->
+        Array.init n (Substrate.cluster sub ~seed:(seed + i) ~target:targets.(i)))
+  in
   let cluster_trees = Array.init (ell + 1) (fun _ -> Hashtbl.create (2 * n)) in
   let cluster_labels = Array.init (ell + 1) (fun _ -> Hashtbl.create (2 * n)) in
-  let cluster_members = Array.make (ell + 1) [||] in
-  let cluster_dists = Array.make (ell + 1) [||] in
   for i = 0 to ell do
-    let members = Array.make n [||] in
-    let dists = Array.make n [||] in
-    for w = 0 to n - 1 do
-      let c = Substrate.cluster sub ~seed:(seed + i) ~target:targets.(i) w in
-      members.(w) <- c.Dijkstra.order;
-      dists.(w) <- c.Dijkstra.dist;
-      match Substrate.cluster_tree sub ~seed:(seed + i) ~target:targets.(i) w with
-      | None -> ()
-      | Some tr ->
-        Hashtbl.replace cluster_trees.(i) w tr;
-        let labels = Hashtbl.create (2 * Array.length c.Dijkstra.order) in
-        Array.iter
-          (fun v -> Hashtbl.replace labels v (Tree_routing.label tr v))
-          c.Dijkstra.order;
-        Hashtbl.replace cluster_labels.(i) w labels
-    done;
-    cluster_members.(i) <- members;
-    cluster_dists.(i) <- dists
+    Array.iteri
+      (fun w (c : Substrate.cluster) ->
+        match c.tree with
+        | None -> ()
+        | Some tr ->
+          Hashtbl.replace cluster_trees.(i) w tr;
+          let labels = Hashtbl.create (2 * Array.length c.members) in
+          Array.iter
+            (fun v -> Hashtbl.replace labels v (Tree_routing.label tr v))
+            c.members;
+          Hashtbl.replace cluster_labels.(i) w labels)
+      clusters.(i)
   done;
   (* Intersection witnesses across levels i in {0..ell-1} (level ell is the
      plain vicinity check handled at routing time). B_i(u) is the prefix of
      B_ell(u) of size l_i; d(w,v) is the level-(ell-i) cluster search's own
-     distance, exact on the unit-weight graphs these theorems take. Levels
-     are offered in increasing order, so a tie keeps the lowest. *)
+     distance, aligned with the members and exact on the unit-weight
+     graphs these theorems take. Levels are offered in increasing order, so
+     a tie keeps the lowest. *)
   let scratch = Scheme_util.Witness_scratch.create n in
   let witness =
     Array.init n (fun u ->
@@ -139,12 +136,11 @@ let preprocess ?substrate ?(eps = 0.5) ?(vicinity_factor = 1.0) ~seed ~variant
           for r = 0 to min (Array.length members) sizes.(i) - 1 do
             let w = members.(r) in
             let duw = Vicinity.dist b w in
-            let dw = cluster_dists.(lev).(w) in
-            Array.iter
-              (fun v ->
-                Scheme_util.Witness_scratch.offer scratch v ~s:(duw +. dw.(v)) ~w
-                  ~tag:i)
-              cluster_members.(lev).(w)
+            let c = clusters.(lev).(w) in
+            for j = 0 to Array.length c.members - 1 do
+              Scheme_util.Witness_scratch.offer scratch c.members.(j)
+                ~s:(duw +. c.dists.(j)) ~w ~tag:i
+            done
           done
         done;
         Scheme_util.Witness_scratch.flush scratch)
@@ -228,11 +224,10 @@ let preprocess ?substrate ?(eps = 0.5) ?(vicinity_factor = 1.0) ~seed ~variant
   (* Tree records and cluster labels, via bunches per level. *)
   for i = 0 to ell do
     let bunch_count = Array.make n 0 in
-    for w = 0 to n - 1 do
-      Array.iter
-        (fun v -> bunch_count.(v) <- bunch_count.(v) + 1)
-        cluster_members.(i).(w)
-    done;
+    Array.iter
+      (fun (c : Substrate.cluster) ->
+        Array.iter (fun v -> bunch_count.(v) <- bunch_count.(v) + 1) c.members)
+      clusters.(i);
     for u = 0 to n - 1 do
       table_words.(u) <- table_words.(u) + (7 * bunch_count.(u));
       (match Hashtbl.find_opt cluster_labels.(i) u with

@@ -74,14 +74,16 @@ let reset ws =
   ws.ws_ntouched <- 0;
   Heap.clear ws.ws_heap
 
-(* Core loop shared by all single-source variants. [admit v d] decides
-   whether a vertex with final distance [d] may be settled; returns the
-   number of settled vertices (a prefix of [ws_order]). The caller must
-   [reset] the workspace when done with the scratch arrays.
+(* Core loop shared by all single-source variants. A popped vertex [u] is
+   settled iff [dist.(u) < limit.(u)] (every vertex when [limit] is
+   absent); returns the number of settled vertices (a prefix of
+   [ws_order]). The caller must [reset] the workspace when done with the
+   scratch arrays.
 
    [scan] is a closure bound to the graph's CSR arrays, so the per-edge
    work reads them directly. A popped vertex's distance is read from
-   [dist], which always equals its heap priority.
+   [dist], which always equals its heap priority, and compared with its
+   limit in place, so a pop allocates nothing.
 
    [stop_at] (default [-1], i.e. never) halts the search right after that
    vertex is settled and scanned. The settled prefix is exactly the set of
@@ -89,7 +91,7 @@ let reset ws =
    final distance and parent — the standard Dijkstra invariant — so a
    caller that only reads vertices it knows settle before [stop_at] sees
    data identical to a full run. *)
-let run_core ?(stop_at = -1) ws g s ~admit =
+let run_core ?(stop_at = -1) ?limit ws g s =
   ws.ws_gen <- ws.ws_gen + 1;
   let dist = ws.ws_dist
   and parent = ws.ws_parent
@@ -125,7 +127,9 @@ let run_core ?(stop_at = -1) ws g s ~admit =
   while !continue do
     let u = Heap.pop_key heap in
     if u < 0 then continue := false
-    else if admit u dist.(u) then begin
+    else if
+      match limit with None -> true | Some lim -> dist.(u) < lim.(u)
+    then begin
       settled.(u) <- true;
       order.(!count) <- u;
       incr count;
@@ -135,7 +139,7 @@ let run_core ?(stop_at = -1) ws g s ~admit =
     else dist.(u) <- infinity
     (* A rejected vertex keeps [infinity] so callers can treat it as
        outside the tree; it may be re-relaxed only through other rejected
-       vertices, which [admit] will reject again. *)
+       vertices, and is rejected again. *)
   done;
   !count
 
@@ -150,34 +154,29 @@ let borrowed_tree ws s count =
     order = Array.sub ws.ws_order 0 count;
   }
 
-let with_tree ws g s ~admit f =
-  let count = run_core ws g s ~admit in
+let with_tree ?stop_at ?limit ws g s f =
+  let count = run_core ?stop_at ?limit ws g s in
   Fun.protect
     ~finally:(fun () -> reset ws)
     (fun () -> f (borrowed_tree ws s count))
 
-let with_spt ws g s f = with_tree ws g s ~admit:(fun _ _ -> true) f
+let with_spt ws g s f = with_tree ws g s f
 
-let with_spt_until ws g s ~until f =
-  let count = run_core ~stop_at:until ws g s ~admit:(fun _ _ -> true) in
-  Fun.protect
-    ~finally:(fun () -> reset ws)
-    (fun () -> f (borrowed_tree ws s count))
+let with_spt_until ws g s ~until f = with_tree ~stop_at:until ws g s f
 
-let with_restricted ws g w ~limit f =
-  with_tree ws g w ~admit:(fun v d -> d < limit v) f
+let with_restricted ws g w ~limit f = with_tree ~limit ws g w f
 
 (* The allocating entry points run in a throwaway workspace and hand its
    arrays to the caller directly — same cost profile as before workspaces
    existed, and the returned tree owns its arrays. *)
-let owned_run g s ~admit =
+let owned_run ?limit g s =
   let ws = workspace (Graph.n g) in
-  let count = run_core ws g s ~admit in
+  let count = run_core ?limit ws g s in
   borrowed_tree ws s count
 
-let spt g s = owned_run g s ~admit:(fun _ _ -> true)
+let spt g s = owned_run g s
 
-let restricted g w ~limit = owned_run g w ~admit:(fun v d -> d < limit v)
+let restricted g w ~limit = owned_run ~limit g w
 
 let path_to t v =
   if t.dist.(v) = infinity then invalid_arg "Dijkstra.path_to: unreachable";

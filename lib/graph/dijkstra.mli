@@ -54,7 +54,9 @@ val with_spt : workspace -> Graph.t -> int -> (tree -> 'a) -> 'a
     allocating scratch, and applies [f] to it. The tree {e borrows} the
     workspace arrays: it is valid only during [f], and [f] must copy
     whatever it needs to keep ([order] alone is fresh and may be
-    retained). The workspace is reset afterwards, also when [f] raises. *)
+    retained). The workspace is reset afterwards, also when [f] raises.
+    A pop or a relaxation allocates nothing, here and in every borrowed
+    search below: a run allocates its [order] and a constant. *)
 
 val with_spt_until :
   workspace -> Graph.t -> int -> until:int -> (tree -> 'a) -> 'a
@@ -67,7 +69,7 @@ val with_spt_until :
     the search degenerates to a full [with_spt]. *)
 
 val with_restricted :
-  workspace -> Graph.t -> int -> limit:(int -> float) -> (tree -> 'a) -> 'a
+  workspace -> Graph.t -> int -> limit:float array -> (tree -> 'a) -> 'a
 (** [with_restricted ws g w ~limit f]: as {!restricted}, borrowed like
     {!with_spt}. *)
 
@@ -113,10 +115,12 @@ val multi_source : Graph.t -> int list -> multi
 
 (** {1 Restricted search — Thorup–Zwick clusters} *)
 
-val restricted : Graph.t -> int -> limit:(int -> float) -> tree
+val restricted : Graph.t -> int -> limit:float array -> tree
 (** [restricted g w ~limit] runs Dijkstra from [w] but only settles a vertex
-    [v] whose (final) distance satisfies [dist < limit v]. With [limit v =
-    d(v, A)] this computes the cluster [C_A(w) = { v | d(w,v) < d(v,A) }]
-    together with its shortest-path tree (clusters are connected under
-    shortest paths, cf. paper Section 2). Unvisited vertices have
-    [dist = infinity] in the result. *)
+    [v] whose (final) distance satisfies [dist < limit.(v)]; [limit] has
+    one entry per vertex. With [limit.(v) = d(v, A)] this computes the
+    cluster [C_A(w) = { v | d(w,v) < d(v,A) }] together with its
+    shortest-path tree (clusters are connected under shortest paths, cf.
+    paper Section 2). Unvisited vertices have [dist = infinity] in the
+    result. The returned tree owns a fresh workspace's arrays; a sweep
+    over many [w] uses {!with_restricted}. *)

@@ -32,10 +32,7 @@ let of_centers g center_list =
     }
   end
 
-let cluster g t w =
-  Dijkstra.restricted g w ~limit:(fun v -> t.dist_to_a.(v))
-
-let cluster_size g t w = Array.length (cluster g t w).order
+let cluster g t w = Dijkstra.restricted g w ~limit:t.dist_to_a
 
 (* [dist_to_a] is only read inside the restricted searches, so sweeping
    many sources in parallel is safe; each domain reuses one workspace. *)
@@ -44,9 +41,8 @@ let cluster_sizes ?pool g t sources =
   Pool.map_local pool ~n:(Array.length sources)
     ~local:(fun () -> Dijkstra.workspace (Graph.n g))
     (fun ws i ->
-      Dijkstra.with_restricted ws g sources.(i)
-        ~limit:(fun v -> t.dist_to_a.(v))
-        (fun c -> Array.length c.Dijkstra.order))
+      Dijkstra.with_restricted ws g sources.(i) ~limit:t.dist_to_a (fun c ->
+          Array.length c.Dijkstra.order))
 
 let max_cluster_size ?pool g t =
   let sources = Array.init (Graph.n g) Fun.id in
@@ -125,9 +121,8 @@ let bunches ?pool g t =
     Pool.map_local pool ~n
       ~local:(fun () -> Dijkstra.workspace n)
       (fun ws w ->
-        Dijkstra.with_restricted ws g w
-          ~limit:(fun v -> t.dist_to_a.(v))
-          (fun c -> c.Dijkstra.order))
+        Dijkstra.with_restricted ws g w ~limit:t.dist_to_a (fun c ->
+            c.Dijkstra.order))
   in
   let acc = Array.make n [] in
   for w = 0 to n - 1 do

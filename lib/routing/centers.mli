@@ -34,9 +34,9 @@ val sample : seed:int -> Graph.t -> target:int -> t
 val cluster : Graph.t -> t -> int -> Dijkstra.tree
 (** [cluster g t w] is the shortest-path tree of [C_A(w)] rooted at [w]
     (restricted Dijkstra). The tree's [order] lists the cluster members;
-    the cluster of a center is empty. *)
-
-val cluster_size : Graph.t -> t -> int -> int
+    the cluster of a center is empty. The tree owns [n]-sized arrays: the
+    schemes read clusters as [Substrate.cluster]'s cluster-sized records,
+    and this is the reference those are tested against. *)
 
 val cluster_sizes : ?pool:Pool.t -> Graph.t -> t -> int array -> int array
 (** [cluster_sizes g t sources] is [|C_A(w)|] for each listed [w], the
@@ -47,6 +47,7 @@ val bunches : ?pool:Pool.t -> Graph.t -> t -> int array array
 (** [bunches g t] is [B_A(v)] for every [v], obtained by inverting all
     clusters (total work proportional to the total cluster size; the
     cluster searches run on [pool], the inversion is serial and the result
-    is identical to a serial run). *)
+    is identical to a serial run). The reference [Substrate.bunches] is
+    tested against. *)
 
 val max_cluster_size : ?pool:Pool.t -> Graph.t -> t -> int

@@ -6,6 +6,12 @@ type build_key = { codec : string; seed : int; eps : float }
    witness that recovers it. *)
 type scheme_state = State : 'a Type.Id.t * 'a -> scheme_state
 
+type cluster = {
+  members : int array;
+  dists : float array;
+  tree : Tree_routing.t option;
+}
+
 (* Each cache is a plain hashtable: the handle is consulted only from the
    orchestrating domain (the parallel sweeps inside the cached functions
    use their own per-domain workspaces), so no synchronization is needed. *)
@@ -15,14 +21,12 @@ type t = {
   spt_trees : (int, Tree_routing.t) Hashtbl.t;
   vics : (int, Vicinity.t array) Hashtbl.t;
   cents : (int * int, Centers.t) Hashtbl.t;
-  clusters : (int * int * int, Dijkstra.tree) Hashtbl.t;
-  cluster_trees : (int * int * int, Tree_routing.t option) Hashtbl.t;
-  bunch : (int * int, int array array) Hashtbl.t;
+  clusters : (int * int * int, cluster) Hashtbl.t;
   states : (int * int list, scheme_state) Hashtbl.t; (* (kind uid, key) *)
-  (* Scratch for the cluster_tree miss path: the restricted search runs in
-     this workspace and only the compact Tree_routing survives, so a sweep
-     over all w never materializes (or caches) the raw five-n-array
-     Dijkstra trees. Lazily allocated; single-owner like the handle. *)
+  (* Scratch for the spt and cluster miss paths: every search runs in this
+     workspace and only what a memo entry keeps is copied out, so a sweep
+     over all roots or all w allocates no workspace per key. Lazily
+     allocated; single-owner like the handle. *)
   mutable cws : Dijkstra.workspace option;
   (* The handle's most recent catalog build (see [keep_build]): outside
      every memo table and every counter. *)
@@ -64,8 +68,6 @@ let create g =
     vics = Hashtbl.create 4;
     cents = Hashtbl.create 4;
     clusters = Hashtbl.create 64;
-    cluster_trees = Hashtbl.create 64;
-    bunch = Hashtbl.create 4;
     states = Hashtbl.create 4;
     cws = None;
     last_build = None;
@@ -115,11 +117,30 @@ let memo tbl key ~hit ~miss compute =
     Hashtbl.replace tbl key v;
     v
 
+let scratch_ws s =
+  match s.cws with
+  | Some ws -> ws
+  | None ->
+    let ws = Dijkstra.workspace (Graph.n s.g) in
+    s.cws <- Some ws;
+    ws
+
+(* The borrowed tree's arrays are the workspace's, copied whole: a copy of
+   a reset-by-touched workspace array is exactly the fresh array
+   [Dijkstra.spt] would return. [order] is already fresh. *)
 let spt s v =
   memo s.spts v
     ~hit:(fun () -> s.spt_h <- s.spt_h + 1)
     ~miss:(fun () -> s.spt_m <- s.spt_m + 1)
-    (fun () -> Dijkstra.spt s.g v)
+    (fun () ->
+      Dijkstra.with_spt (scratch_ws s) s.g v (fun t ->
+          {
+            t with
+            Dijkstra.dist = Array.copy t.Dijkstra.dist;
+            parent = Array.copy t.parent;
+            parent_port = Array.copy t.parent_port;
+            first_port = Array.copy t.first_port;
+          }))
 
 let spt_tree s v =
   memo s.spt_trees v
@@ -139,44 +160,38 @@ let centers s ~seed ~target =
     ~miss:(fun () -> s.cent_m <- s.cent_m + 1)
     (fun () -> Centers.sample ~seed s.g ~target)
 
+(* One restricted search in the scratch workspace yields the whole
+   record, and the record keeps O(|C_A(w)|) words: the fresh [order], the
+   member distances copied out of the borrowed n-sized [dist], and the
+   compact [Tree_routing.t] ([of_tree] copies what it keeps). So a sweep
+   over all w retains the total cluster mass, not n words per key. *)
 let cluster s ~seed ~target w =
   memo s.clusters (seed, target, w)
     ~hit:(fun () -> s.clus_h <- s.clus_h + 1)
     ~miss:(fun () -> s.clus_m <- s.clus_m + 1)
-    (fun () -> Centers.cluster s.g (centers s ~seed ~target) w)
-
-let scratch_ws s =
-  match s.cws with
-  | Some ws -> ws
-  | None ->
-    let ws = Dijkstra.workspace (Graph.n s.g) in
-    s.cws <- Some ws;
-    ws
-
-let cluster_tree s ~seed ~target w =
-  memo s.cluster_trees (seed, target, w)
-    ~hit:(fun () -> s.clus_h <- s.clus_h + 1)
-    ~miss:(fun () -> s.clus_m <- s.clus_m + 1)
     (fun () ->
-      (* Same restricted search as {!cluster}, but run in the handle's
-         scratch workspace and reduced straight to the compact
-         [Tree_routing.t] (O(cluster size) retained): an all-w sweep keeps
-         memory proportional to the total cluster mass instead of caching
-         a raw five-n-array tree per destination. [Tree_routing.of_tree]
-         only reads [order]/[parent]/ports during construction and copies
-         what it keeps, so the borrowed tree never escapes. *)
       let cd = centers s ~seed ~target in
-      Dijkstra.with_restricted (scratch_ws s) s.g w
-        ~limit:(fun v -> cd.Centers.dist_to_a.(v))
+      Dijkstra.with_restricted (scratch_ws s) s.g w ~limit:cd.Centers.dist_to_a
         (fun c ->
-          if Array.length c.Dijkstra.order = 0 then None
-          else Some (Tree_routing.of_tree s.g c)))
+          let members = c.Dijkstra.order in
+          {
+            members;
+            dists = Array.map (fun v -> c.Dijkstra.dist.(v)) members;
+            tree =
+              (if Array.length members = 0 then None
+               else Some (Tree_routing.of_tree s.g c));
+          }))
 
-let bunches ?pool s ~seed ~target =
-  memo s.bunch (seed, target)
-    ~hit:(fun () -> s.clus_h <- s.clus_h + 1)
-    ~miss:(fun () -> s.clus_m <- s.clus_m + 1)
-    (fun () -> Centers.bunches ?pool s.g (centers s ~seed ~target))
+(* Consing in decreasing w leaves each bunch in increasing w. *)
+let bunches s ~seed ~target =
+  let n = Graph.n s.g in
+  let acc = Array.make n [] in
+  for w = n - 1 downto 0 do
+    Array.iter
+      (fun v -> acc.(v) <- w :: acc.(v))
+      (cluster s ~seed ~target w).members
+  done;
+  Array.map Array.of_list acc
 
 (* The kinds are told apart by their witnesses' uids, so a found entry's
    witness is the asked one: the equality check cannot fail. *)
@@ -232,8 +247,8 @@ let take_build s key =
      its first-hop ports remapped. The family is rewritten in a copy of
      its blocks ([Vicinity.update]), so it stays one family and a repaired
      instance freezes to a fresh build's bytes.
-   - Center samples (and everything derived: clusters, cluster trees,
-     bunches) are dropped on any distance-relevant delta: the sampling
+   - Center samples (and the cluster records derived from them) are
+     dropped on any distance-relevant delta: the sampling
      refinement loop consumes seeded random coins conditioned on cluster
      sizes, so there is no sound reuse argument short of re-running it.
    - Scheme states are dropped on every delta: they are built on a center
@@ -286,8 +301,6 @@ let invalidate s ops =
       Hashtbl.iter (Hashtbl.replace s'.vics) s.vics;
       Hashtbl.iter (Hashtbl.replace s'.cents) s.cents;
       Hashtbl.iter (Hashtbl.replace s'.clusters) s.clusters;
-      Hashtbl.iter (Hashtbl.replace s'.cluster_trees) s.cluster_trees;
-      Hashtbl.iter (Hashtbl.replace s'.bunch) s.bunch;
       {
         spt_reused = Hashtbl.length s.spts;
         spt_dropped = 0;
@@ -359,10 +372,7 @@ let invalidate s ops =
         vicinity_reused = !vic_reused;
         vicinity_dropped = !vic_dropped;
         centers_dropped = Hashtbl.length s.cents;
-        cluster_dropped =
-          Hashtbl.length s.clusters
-          + Hashtbl.length s.cluster_trees
-          + Hashtbl.length s.bunch;
+        cluster_dropped = Hashtbl.length s.clusters;
         scheme_state_dropped = Hashtbl.length s.states;
       }
     end

@@ -3,7 +3,7 @@
     Every scheme in the catalog is assembled from the same few substrates
     over a given graph — shortest-path trees ([Dijkstra.spt]), vicinity
     families [B(u, l)] ([Vicinity.compute_all]), center samples
-    ([Centers.sample]) and their clusters ([Centers.cluster]) — and
+    ([Centers.sample]) and their clusters [C_A(w)] — and
     some schemes embed whole states of others (Theorem 16 stores the
     Thorup–Zwick scheme, {!scheme_state}). The paper
     builds its schemes out of exactly these shared objects (Section 2,
@@ -48,7 +48,8 @@ val for_graph : t option -> Graph.t -> t
 (** {1 Cached substrates} *)
 
 val spt : t -> int -> Dijkstra.tree
-(** Full shortest-path tree rooted at a vertex, keyed by root. *)
+(** Full shortest-path tree rooted at a vertex, keyed by root: equal to
+    [Dijkstra.spt], searched in the handle's one scratch workspace. *)
 
 val spt_tree : t -> int -> Tree_routing.t
 (** [Tree_routing.of_tree] of {!spt}, keyed by root. *)
@@ -61,17 +62,33 @@ val vicinities : ?pool:Pool.t -> t -> int -> Vicinity.t array
 val centers : t -> seed:int -> target:int -> Centers.t
 (** [Centers.sample], keyed by [(seed, target)]. *)
 
-val cluster : t -> seed:int -> target:int -> int -> Dijkstra.tree
-(** [cluster s ~seed ~target w] is [Centers.cluster g c w] for
-    [c = centers s ~seed ~target], keyed by [(seed, target, w)]. *)
+(** The cluster [C_A(w) = { v | d(w,v) < d(v,A) }] of [w] for a center
+    set [A], with its shortest-path tree rooted at [w]. The record holds
+    O(|C_A(w)|) words: no [n]-sized array. *)
+type cluster = {
+  members : int array;
+      (** the members in [(dist, id)] settle order, [w] first; empty when
+          [w] is a center *)
+  dists : float array;  (** [dists.(j) = d(w, members.(j))] *)
+  tree : Tree_routing.t option;
+      (** [Tree_routing.of_tree] of the cluster's shortest-path tree;
+          [None] when the cluster is empty *)
+}
 
-val cluster_tree : t -> seed:int -> target:int -> int -> Tree_routing.t option
-(** [Tree_routing.of_tree] of {!cluster}, keyed the same way; [None] when
-    the cluster is empty. *)
+val cluster : t -> seed:int -> target:int -> int -> cluster
+(** [cluster s ~seed ~target w] is [w]'s cluster for the sample
+    [centers s ~seed ~target], keyed by [(seed, target, w)]: one restricted
+    search ([Dijkstra.with_restricted], limit [d(., A)]) in the handle's
+    scratch workspace yields the whole record. Its members and distances
+    are [Centers.cluster]'s [order] and [dist] read at [order], bit for
+    bit. *)
 
-val bunches : ?pool:Pool.t -> t -> seed:int -> target:int -> int array array
-(** [Centers.bunches] for {!centers}[ ~seed ~target], keyed by
-    [(seed, target)]. [pool] is used only on a miss. *)
+val bunches : t -> seed:int -> target:int -> int array array
+(** [bunches s ~seed ~target].(v) is the bunch [B_A(v) = { w | v ∈
+    C_A(w) }] in increasing [w], equal to [Centers.bunches] for
+    {!centers}[ ~seed ~target]: the inversion of every [w]'s memoized
+    {!cluster} members, each looked up (and counted) through {!cluster}.
+    The bunches themselves are not memoized. *)
 
 (** {1 Scheme states}
 
@@ -125,7 +142,7 @@ type invalidation = {
   vicinity_reused : int;
   vicinity_dropped : int;
   centers_dropped : int;  (** center samples are never carried across *)
-  cluster_dropped : int;  (** clusters + cluster trees + bunches *)
+  cluster_dropped : int;  (** cluster records *)
   scheme_state_dropped : int;  (** scheme states are dropped on every delta *)
 }
 
@@ -181,8 +198,8 @@ type stats = {
 
 val stats : t -> stats
 (** Snapshot of the handle's lookup counters. [cluster_*] covers
-    {!cluster}, {!cluster_tree} and {!bunches} lookups, [scheme_state_*]
-    {!scheme_state} lookups. *)
+    {!cluster} lookups, the [n] that each {!bunches} call makes included;
+    [scheme_state_*] {!scheme_state} lookups. *)
 
 val hits : stats -> int
 (** Total hits across all categories. *)

@@ -165,7 +165,7 @@ let prop_restricted_is_cluster =
       let apsp = Apsp.compute g in
       let ok = ref true in
       for w = 0 to n - 1 do
-        let c = Dijkstra.restricted g w ~limit:(fun v -> m.dist_to_set.(v)) in
+        let c = Dijkstra.restricted g w ~limit:m.dist_to_set in
         let members = Array.to_list c.order |> List.sort_uniq compare in
         let expected =
           List.init n Fun.id
@@ -200,6 +200,46 @@ let test_truncated_allocation () =
       (w100 - w50 <= (4 * 50) + 8)
   end
 
+(* The same contract for the borrowed single-source searches: a pop, a
+   limit test and a relaxation allocate nothing, so settling 50 more
+   vertices costs only their 50 words of [order]. The runs stop after the
+   first k vertices of the full tree: [with_spt_until] at the k-th, and
+   [with_restricted] under a limit that admits exactly those k, every
+   other vertex being rejected at its pop. *)
+let test_borrowed_search_allocation () =
+  let g =
+    Generators.with_random_weights ~seed:1 ~lo:1.0 ~hi:8.0 (Generators.glp ~seed:1 400)
+  in
+  let n = Graph.n g in
+  let full = (Dijkstra.spt g 0).Dijkstra.order in
+  let ws = Dijkstra.workspace n in
+  let words run k =
+    let settled () = run k (fun t -> Array.length t.Dijkstra.order) in
+    ignore (settled ());
+    let w0 = Gc.minor_words () in
+    let c = settled () in
+    let w = Gc.minor_words () -. w0 in
+    checki "settled" k c;
+    Float.to_int w
+  in
+  let until k f = Dijkstra.with_spt_until ws g 0 ~until:full.(k - 1) f in
+  let restricted k f =
+    let limit = Array.make n 0.0 in
+    for i = 0 to k - 1 do
+      limit.(full.(i)) <- infinity
+    done;
+    Dijkstra.with_restricted ws g 0 ~limit f
+  in
+  if Sys.backend_type = Sys.Native then
+    List.iter
+      (fun (name, run) ->
+        let w50 = words run 50 and w100 = words run 100 in
+        checkb
+          (Printf.sprintf "%s: k=50: %d words, k=100: %d words" name w50 w100)
+          true
+          (w100 - w50 <= 50 + 8))
+      [ ("with_spt_until", until); ("with_restricted", restricted) ]
+
 let suite =
   [
     case "simple weighted spt" test_spt_simple;
@@ -215,4 +255,6 @@ let suite =
     prop_multi_source;
     prop_restricted_is_cluster;
     case "truncated search allocates only its result" test_truncated_allocation;
+    case "borrowed searches allocate only their order"
+      test_borrowed_search_allocation;
   ]

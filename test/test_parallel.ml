@@ -264,7 +264,7 @@ let test_workspace_reuse_restricted () =
   let n = Graph.n g in
   (* Restrict by distance to a fixed center set, like a TZ cluster. *)
   let m = Dijkstra.multi_source g [ 0; 7; 19 ] in
-  let limit v = m.Dijkstra.dist_to_set.(v) in
+  let limit = m.Dijkstra.dist_to_set in
   let ws = Dijkstra.workspace n in
   for w = 0 to n - 1 do
     let fresh = Dijkstra.restricted g w ~limit in

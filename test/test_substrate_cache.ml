@@ -153,10 +153,104 @@ let test_substrate_results_match_direct () =
   and cd = Centers.sample ~seed:11 g ~target:6 in
   checkb "centers = Centers.sample" true
     (cs.Centers.centers = cd.Centers.centers && cs.Centers.p_a = cd.Centers.p_a);
-  checkb "cluster = Centers.cluster" true
-    (Substrate.cluster sub ~seed:11 ~target:6 3 = Centers.cluster g cd 3);
   checkb "bunches = Centers.bunches" true
     (Substrate.bunches sub ~seed:11 ~target:6 = Centers.bunches g cd)
+
+(* --- Cluster records: the reference search, kept at cluster size --- *)
+
+let cluster_graph () =
+  Generators.with_random_weights ~seed:5 ~lo:0.5 ~hi:4.0
+    (Generators.glp ~seed:5 150)
+
+(* Every w's record against [Centers.cluster] (a restricted search owning
+   its n-sized arrays): members are its [order], each distance its
+   [dist] at that member bit for bit, and the tree routes as
+   [Tree_routing.of_tree] of it does — same members, labels, and step at
+   every member toward every member. *)
+let test_cluster_matches_reference () =
+  let g = cluster_graph () in
+  let n = Graph.n g in
+  let sub = Substrate.create g in
+  List.iter
+    (fun target ->
+      let cd = Centers.sample ~seed:11 g ~target in
+      let mass = ref 0 in
+      for w = 0 to n - 1 do
+        let c = Substrate.cluster sub ~seed:11 ~target w in
+        let r = Centers.cluster g cd w in
+        mass := !mass + Array.length c.members;
+        let msg = Printf.sprintf "target %d, w=%d" target w in
+        checkb (msg ^ ": members") true (c.members = r.Dijkstra.order);
+        checkb (msg ^ ": dists") true
+          (Array.length c.dists = Array.length c.members
+          && Array.for_all2
+               (fun d v ->
+                 Int64.equal (Int64.bits_of_float d)
+                   (Int64.bits_of_float r.Dijkstra.dist.(v)))
+               c.dists c.members);
+        match c.tree with
+        | None -> checki (msg ^ ": empty") 0 (Array.length c.members)
+        | Some tr ->
+          let rt = Tree_routing.of_tree g r in
+          checkb (msg ^ ": tree members") true
+            (Tree_routing.members tr = Tree_routing.members rt);
+          checkb (msg ^ ": labels and steps") true
+            (Array.for_all
+               (fun v ->
+                 let l = Tree_routing.label tr v in
+                 l = Tree_routing.label rt v
+                 && Array.for_all
+                      (fun at ->
+                        Tree_routing.step tr ~at l = Tree_routing.step rt ~at l)
+                      c.members)
+               c.members)
+      done;
+      checkb (Printf.sprintf "target %d: %d members in all" target !mass) true
+        (!mass > n))
+    [ 8; 30 ]
+
+(* A cluster and its tree are one memo entry, and bunches invert the
+   memoized members: after [cluster] on every key, neither misses. *)
+let test_cluster_lookups_hit () =
+  let g = cluster_graph () in
+  let n = Graph.n g in
+  let sub = Substrate.create g in
+  let c3 = Substrate.cluster sub ~seed:11 ~target:8 3 in
+  let st = Substrate.stats sub in
+  checki "first lookup misses" 1 st.Substrate.cluster_misses;
+  checkb "tree lookup hits the same record" true
+    ((Substrate.cluster sub ~seed:11 ~target:8 3).tree == c3.tree);
+  let st' = Substrate.stats sub in
+  checki "tree lookup: no miss" 1 st'.Substrate.cluster_misses;
+  checki "tree lookup: a hit" (st.Substrate.cluster_hits + 1)
+    st'.Substrate.cluster_hits;
+  for w = 0 to n - 1 do
+    ignore (Substrate.cluster sub ~seed:11 ~target:8 w)
+  done;
+  let st = Substrate.stats sub in
+  checki "one miss per key" n st.Substrate.cluster_misses;
+  ignore (Substrate.bunches sub ~seed:11 ~target:8);
+  let st' = Substrate.stats sub in
+  checki "bunches: no miss" n st'.Substrate.cluster_misses;
+  checki "bunches: a hit per key" (st.Substrate.cluster_hits + n)
+    st'.Substrate.cluster_hits
+
+(* The record is all the handle keeps per key: members and distances
+   reach 2 words per member plus the headers of their two arrays and the
+   pair, where a memoized [Dijkstra.tree] reached 4n words or more. *)
+let test_cluster_retention () =
+  let g = cluster_graph () in
+  let n = Graph.n g in
+  let sub = Substrate.create g in
+  for w = 0 to n - 1 do
+    let c = Substrate.cluster sub ~seed:11 ~target:8 w in
+    let k = Array.length c.members in
+    let words = Obj.reachable_words (Obj.repr (c.members, c.dists)) in
+    checkb
+      (Printf.sprintf "w=%d: %d members, %d words" w k words)
+      true
+      (words <= (2 * k) + 5)
+  done
 
 (* --- Cached catalog builds are bit-identical to uncached ones --- *)
 
@@ -308,6 +402,11 @@ let suite =
     prop_port_to_matches_naive_scan;
     case "substrate memoizes and counts" test_substrate_memoizes;
     case "substrate rejects a foreign graph" test_substrate_rejects_other_graph;
+    case "cluster records match the reference search"
+      test_cluster_matches_reference;
+    case "cluster, tree and bunch lookups share one entry"
+      test_cluster_lookups_hit;
+    case "cluster records keep O(|C|) words" test_cluster_retention;
     case "substrate results match direct computation"
       test_substrate_results_match_direct;
     case "catalog cached = uncached (serial)"

@@ -226,7 +226,7 @@ let trees_of g =
         else
           Some
             (of_dij
-               (Dijkstra.restricted g w ~limit:(fun v -> ms.Dijkstra.dist_to_set.(v)))))
+               (Dijkstra.restricted g w ~limit:ms.Dijkstra.dist_to_set)))
       (List.init n Fun.id)
   in
   of_dij (Dijkstra.spt g 0) :: of_dij (Dijkstra.spt g (n - 1)) :: clusters
