@@ -44,8 +44,6 @@ type phase =
 
 type header = { lbl : label; phase : phase }
 
-let eps t = t.eps
-
 let stretch_bound t = ((2.0 +. (2.0 *. t.eps)), 1.0)
 
 let centers t = t.centers.Centers.centers
@@ -130,8 +128,7 @@ let preprocess ?substrate ?(eps = 0.5) ?(vicinity_factor = 1.0) ?center_target
      and global trees are already the scheme's dominant cost and stay the
      reference construction (Theorem 10 is not a million-vertex target). *)
   let lemma7 =
-    Seq_routing.preprocess ~substrate:sub ~eps
-      ~mode:(match mode with `Eager -> `Dense | `Lazy -> `Lazy)
+    Seq_routing.preprocess ~substrate:sub ~eps ~mode
       g ~vicinities:vic ~parts:coloring.classes ~part_of:coloring.color
   in
   (* Table accounting. *)

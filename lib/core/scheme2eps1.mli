@@ -56,8 +56,6 @@ val instance : t -> Scheme.instance
 val stretch_bound : t -> float * float
 (** The proven guarantee [(2 + 2 eps, 1)]. *)
 
-val eps : t -> float
-
 val centers : t -> int array
 (** The sampled set [A]. *)
 

@@ -24,8 +24,6 @@ type phase =
 
 type header = { dst : int; dst_color : int; phase : phase }
 
-let eps t = t.eps
-
 let stretch_bound t = ((3.0 +. (2.0 *. t.eps)), 0.0)
 
 let preprocess ?substrate ?(eps = 0.5) ?(vicinity_factor = 1.0) ~seed g =

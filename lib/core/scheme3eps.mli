@@ -43,8 +43,6 @@ val instance : t -> Scheme.instance
 val stretch_bound : t -> float * float
 (** The proven [(alpha, beta)] guarantee: [(3 + 2 eps, 0)]. *)
 
-val eps : t -> float
-
 (** {1 Snapshot form} *)
 
 type frozen

@@ -42,10 +42,6 @@ type phase =
 
 type header = { lbl : label; phase : phase }
 
-let eps t = t.eps
-
-let k t = t.k
-
 let stretch_bound t =
   (float_of_int ((4 * t.k) - 7) +. (float_of_int ((2 * t.k) - 3) *. t.eps), 0.0)
 
@@ -94,8 +90,7 @@ let preprocess ?substrate ?(eps = 0.5) ?(vicinity_factor = 1.0) ?a1_target
     a_km2;
   let dests = Array.map Array.of_list groups in
   let lemma8 =
-    Seq_routing2.preprocess ~substrate:sub ~eps
-      ~mode:(match mode with `Eager -> `Dense | `Lazy -> `Lazy)
+    Seq_routing2.preprocess ~substrate:sub ~eps ~mode
       g ~vicinities:vic ~parts:coloring.classes ~part_of:coloring.color ~dests
   in
   (* Lazy accounting counts only what is resident: the reps table is

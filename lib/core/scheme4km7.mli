@@ -57,10 +57,6 @@ val instance : t -> Scheme.instance
 val stretch_bound : t -> float * float
 (** The proven guarantee [(4k - 7 + (2k-3) eps, 0)]. *)
 
-val eps : t -> float
-
-val k : t -> int
-
 (** {1 Snapshot form} *)
 
 type frozen

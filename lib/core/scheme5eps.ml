@@ -74,11 +74,7 @@ type phase =
 
 type header = { lbl : label; phase : phase }
 
-let eps t = t.eps
-
 let stretch_bound t = ((5.0 +. (3.0 *. t.eps)), 0.0)
-
-let centers t = t.centers.Centers.centers
 
 let space_breakdown t = t.breakdown
 
@@ -188,8 +184,7 @@ let preprocess ?substrate ?(eps = 0.5) ?(vicinity_factor = 1.0) ?center_target
     centers.Centers.centers;
   let dests = Array.map Array.of_list groups in
   let lemma8 =
-    Seq_routing2.preprocess ~substrate:sub ~eps
-      ~mode:(match mode with `Eager -> `Dense | `Lazy -> `Lazy)
+    Seq_routing2.preprocess ~substrate:sub ~eps ~mode
       g ~vicinities:vic ~parts:coloring.classes ~part_of:coloring.color ~dests
   in
   (* Table accounting: Lemma 8 (vicinities + sequences) + cluster-tree

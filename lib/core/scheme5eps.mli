@@ -64,10 +64,6 @@ val instance : t -> Scheme.instance
 val stretch_bound : t -> float * float
 (** The proven guarantee [(5 + 3 eps, 0)]. *)
 
-val eps : t -> float
-
-val centers : t -> int array
-
 val space_breakdown : t -> (string * int) list
 (** Whole-network table space split by component. *)
 

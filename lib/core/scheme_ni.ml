@@ -23,8 +23,6 @@ type phase =
 
 type header = { dst : int; phase : phase }
 
-let eps t = t.eps
-
 let stretch_bound t = ((3.0 +. (2.0 *. t.eps)), 0.0)
 
 let hash_color ~salt ~q v = Hashtbl.hash (salt lxor 0x9e3779b9, v) mod q

@@ -10,36 +10,15 @@ type tail =
 
 type seq = { hops : hop array; tail : tail }
 
-(* Packed sequence for the lazy cache: one int32 Bigarray per entry —
-   [| tail kind; tree root; label len; label...; nhops; v0; p0; ... |]
-   with kind 0 = To_target, 1 = To_tree, and port -1 marking a Via hop.
-   Encode/decode are exact inverses. *)
-type packed_seq = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-(* The dense store is the reference: every same-part pair's sequence
-   precomputed, Theta(sum_i |U_i|^2) memory. The lazy store builds a
-   sequence on first use from an early-stopped Dijkstra rooted at the
-   destination — the build only reads tree data at vertices strictly
-   closer to the destination than the source — and keeps it packed in a
-   FIFO-capped cache. Cache state never changes an answer, so decisions
-   are bit-identical across modes. The hitting set and its trees stay
-   eager in both modes: there are only O~(n/q~) of them, shared by every
-   pair, and the escape-hatch labels embedded in sequences point into
-   them. Guarded by a mutex because [Scheme.evaluate_batch] routes on
-   pool worker domains; the [Substrate] handle is never touched after
-   preprocess. *)
-type lazy_store = {
-  lmutex : Mutex.t;
-  lcache : (int * int, packed_seq) Hashtbl.t;
-  lorder : (int * int) Queue.t;
-  lcap : int;
-  lws : Dijkstra.workspace;
-  lin_hset : bool array;
-}
-
-type 'l store =
-  | Dense of seq Compiled.Table.t array (* source -> (destination -> seq) *)
-  | Lazy of 'l
+(* The dense store is the reference; the lazy one is [Seq_common]'s
+   on-demand store, with no decision inputs of its own (the part map and
+   the hitting-set trees are in the state). Its resident trees pay off
+   less than for Lemma 8, since a destination here is any vertex of the
+   source's part, not one of a few centres: once a stream's destinations
+   outnumber the tree cap, most misses pay a full search. The hitting set
+   and its trees stay eager in both modes: there are only O~(n/q~) of
+   them, shared by every pair, and the escape-hatch labels embedded in
+   sequences point into them. *)
 
 (* Type parameters: the parts that are not plain data (graph handle,
    vicinities shared with the enclosing scheme, lazy store), live in [t],
@@ -49,15 +28,15 @@ type ('g, 'v, 'l) state = {
   eps : float;
   b : int;
   vic : 'v;
-  hset : int list;
+  hset : int list; (* the hitting set: the keys of [trees] *)
   trees : Tree_routing.t Compiled.Table.t; (* hitting-set vertex -> T(w) *)
-  store : 'l store;
+  store : (seq, 'l) store;
   part_of : int array;
   table_words : int array;
   breakdown : (string * int) list;
 }
 
-type t = (Graph.t, Vicinity.t array, lazy_store) state
+type t = (Graph.t, Vicinity.t array, unit lazy_store) state
 
 type header = {
   dst : int;
@@ -66,8 +45,6 @@ type header = {
   tail : tail;
   in_tree : bool;
 }
-
-let eps t = t.eps
 
 let table_words t = t.table_words
 
@@ -79,15 +56,17 @@ let tail_words = function
 
 (* Build the Lemma 7 sequence for the pair (u, v): temporary targets on a
    shortest path, advancing by at least s = d(u,v)/b per round, with the
-   tree escape when the next boundary step falls under the threshold. *)
-let build_seq g vic in_hset trees ~b ~src:u ~dst:v spt_v =
-  let s = spt_v.Dijkstra.dist.(u) /. float_of_int b in
+   tree escape when the next boundary step falls under the threshold. The
+   shortest-path tree of [v] is read through [dist] and [parent]; the
+   hitting set is the key set of [trees]. *)
+let build_seq g vic trees ~b ~src:u ~dst:v ~dist ~parent =
+  let s = dist u /. float_of_int b in
   let rec go x acc rounds =
     if rounds > b + 2 then invalid_arg "Seq_routing: runaway sequence";
     if Vicinity.mem vic.(x) v then
       { hops = Array.of_list (List.rev (Via v :: acc)); tail = To_target }
     else begin
-      let y, z = boundary ~parent:(Array.get spt_v.Dijkstra.parent) vic.(x) ~x in
+      let y, z = boundary ~parent vic.(x) ~x in
       if z = v then begin
         let acc = if y = x then acc else Via y :: acc in
         {
@@ -96,9 +75,9 @@ let build_seq g vic in_hset trees ~b ~src:u ~dst:v spt_v =
         }
       end
       else begin
-        let dxz = spt_v.Dijkstra.dist.(x) -. spt_v.Dijkstra.dist.(z) in
+        let dxz = dist x -. dist z in
         if dxz < s then begin
-          match Vicinity.nearest_of vic.(x) (fun w -> in_hset w) with
+          match Vicinity.nearest_of vic.(x) (Compiled.Table.mem trees) with
           | None -> invalid_arg "Seq_routing: hitting set misses a vicinity"
           | Some w ->
             let tree = Compiled.Table.find trees w in
@@ -116,60 +95,24 @@ let build_seq g vic in_hset trees ~b ~src:u ~dst:v spt_v =
   in
   go u [] 0
 
-let encode_seq (sq : seq) : packed_seq =
-  let nh = Array.length sq.hops in
-  let a = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (3 + (2 * nh)) in
-  let kind, root = match sq.tail with To_target -> (0, -1) | To_tree (w, _) -> (1, w) in
-  Bigarray.Array1.set a 0 (Int32.of_int kind);
-  Bigarray.Array1.set a 1 (Int32.of_int root);
-  Bigarray.Array1.set a 2 (Int32.of_int nh);
-  Array.iteri
-    (fun i h ->
-      let v, p = match h with Via v -> (v, -1) | Jump (v, p) -> (v, p) in
-      Bigarray.Array1.set a (3 + (2 * i)) (Int32.of_int v);
-      Bigarray.Array1.set a (4 + (2 * i)) (Int32.of_int p))
-    sq.hops;
-  a
+(* Packed, the tail is its tree root, or -1 for [To_target]. The label is
+   not kept: [Tree_routing.label] is a precomputed per-member read, so
+   re-deriving it from (root, dst) returns the very label the built
+   sequence carried. *)
+let pack_seq (sq : seq) =
+  pack ~term:(match sq.tail with To_target -> -1 | To_tree (w, _) -> w) sq.hops
 
-(* The tree label is not serialized: [Tree_routing.label] is a precomputed
-   per-member read, so re-deriving it from (root, dst) returns the very
-   same label the built sequence carried. *)
-let decode_seq trees ~dst (a : packed_seq) : seq =
-  let geti i = Int32.to_int (Bigarray.Array1.get a i) in
-  let kind = geti 0 and root = geti 1 and nh = geti 2 in
+let unpack_seq trees ~dst a =
+  let w = packed_term a in
   {
     tail =
-      (if kind = 0 then To_target
-       else To_tree (root, Tree_routing.label (Compiled.Table.find trees root) dst));
-    hops =
-      Array.init nh (fun i ->
-          let v = geti (3 + (2 * i)) and p = geti (4 + (2 * i)) in
-          if p < 0 then Via v else Jump (v, p));
+      (if w < 0 then To_target
+       else To_tree (w, Tree_routing.label (Compiled.Table.find trees w) dst));
+    hops = packed_hops a;
   }
 
-(* How many packed sequences the lazy cache retains before FIFO eviction.
-   Contents never affect answers, only rebuild wall-clock. *)
-let lazy_cache_cap = 8192
-
-let membership ~n hset =
-  let a = Array.make n false in
-  List.iter (fun w -> a.(w) <- true) hset;
-  a
-
-(* An empty lazy store over the hitting set [hset]; preprocess and thaw
-   both start from one. *)
-let lazy_store ~n hset =
-  {
-    lmutex = Mutex.create ();
-    lcache = Hashtbl.create (2 * lazy_cache_cap);
-    lorder = Queue.create ();
-    lcap = lazy_cache_cap;
-    lws = Dijkstra.workspace n;
-    lin_hset = membership ~n hset;
-  }
-
-let preprocess ?substrate ?(eps = 0.5) ?hitting ?(mode = `Dense) g ~vicinities
-    ~parts ~part_of =
+let preprocess ?substrate ?(eps = 0.5) ?(mode = `Eager) g ~vicinities ~parts
+    ~part_of =
   (* NaN fails every comparison: test for the valid range, not against it. *)
   if not (Float.is_finite eps && eps > 0.0) then
     invalid_arg "Seq_routing.preprocess: eps must be finite and positive";
@@ -180,12 +123,8 @@ let preprocess ?substrate ?(eps = 0.5) ?hitting ?(mode = `Dense) g ~vicinities
   let b = max 1 (int_of_float (ceil (2.0 /. eps))) in
   let vic = vicinities in
   let hset =
-    match hitting with
-    | Some h -> List.sort_uniq Int.compare h
-    | None ->
-      Hitting_set.greedy ~n (Array.to_list (Array.map Vicinity.members vic))
+    Hitting_set.greedy ~n (Array.to_list (Array.map Vicinity.members vic))
   in
-  let in_hset = membership ~n hset in
   let trees =
     let tbl = Hashtbl.create (2 * List.length hset) in
     List.iter (fun w -> Hashtbl.replace tbl w (Substrate.spt_tree sub w)) hset;
@@ -200,6 +139,8 @@ let preprocess ?substrate ?(eps = 0.5) ?hitting ?(mode = `Dense) g ~vicinities
             invalid_arg "Seq_routing.preprocess: part_of disagrees with parts")
         part)
     parts;
+  (* Table accounting: vicinity entries, one tree-routing record per
+     hitting-set tree, and the stored sequences (with their tree labels). *)
   let table_words = Array.make n 0 in
   let vic_total = ref 0 in
   for u = 0 to n - 1 do
@@ -207,54 +148,24 @@ let preprocess ?substrate ?(eps = 0.5) ?hitting ?(mode = `Dense) g ~vicinities
     table_words.(u) <-
       vicinity_words vic.(u) + (7 * List.length hset)
   done;
-  match mode with
-  | `Dense ->
-    let seqs = Array.init n (fun _ -> Hashtbl.create 8) in
-    Array.iter
-      (fun part ->
-        Array.iter
-          (fun v ->
-            let spt_v = Substrate.spt sub v in
-            Array.iter
-              (fun u ->
-                if u <> v then
-                  Hashtbl.replace seqs.(u) v
-                    (build_seq g vic (fun w -> in_hset.(w)) trees ~b ~src:u ~dst:v spt_v))
-              part)
-          part)
-      parts;
-    (* Table accounting: vicinity entries, one tree-routing record per
-       hitting-set tree, and the stored sequences (with their tree labels). *)
-    let seq_total = ref 0 in
-    Array.iteri
-      (fun u tbl ->
-        Hashtbl.iter
-          (fun _ (sq : seq) ->
-            let w = 1 + seq_words sq.hops + tail_words sq.tail in
-            seq_total := !seq_total + w;
-            table_words.(u) <- table_words.(u) + w)
-          tbl)
-      seqs;
-    let breakdown =
-      [
-        ("vicinities", !vic_total);
-        ("tree-records", n * 7 * List.length hset);
-        ("sequences", !seq_total);
-      ]
-    in
-    { graph = g; eps; b; vic; hset; trees;
-      store = Dense (Array.map Compiled.Table.of_hashtbl seqs); part_of;
-      table_words; breakdown }
-  | `Lazy ->
-    let breakdown =
-      [
-        ("vicinities", !vic_total);
-        ("tree-records", n * 7 * List.length hset);
-        ("sequences", 0);
-      ]
-    in
-    { graph = g; eps; b; vic; hset; trees; store = Lazy (lazy_store ~n hset);
-      part_of; table_words; breakdown }
+  let store, seq_total =
+    match mode with
+    | `Eager ->
+      dense sub ~parts ~dests:parts
+        ~build:(fun _ -> build_seq g vic trees ~b)
+        ~words:(fun (sq : seq) -> 1 + seq_words sq.hops + tail_words sq.tail)
+        table_words
+    | `Lazy -> (Lazy (lazy_store ~n ()), 0)
+  in
+  let breakdown =
+    [
+      ("vicinities", !vic_total);
+      ("tree-records", n * 7 * List.length hset);
+      ("sequences", seq_total);
+    ]
+  in
+  { graph = g; eps; b; vic; hset; trees; store; part_of; table_words;
+    breakdown }
 
 let fetch_seq t ~src:u ~dst:v =
   match t.store with
@@ -263,50 +174,24 @@ let fetch_seq t ~src:u ~dst:v =
     if u = v then raise Not_found;
     let j = t.part_of.(u) in
     if j < 0 || t.part_of.(v) <> j then raise Not_found;
-    Mutex.protect ls.lmutex (fun () ->
-        match Hashtbl.find_opt ls.lcache (u, v) with
-        | Some packed -> decode_seq t.trees ~dst:v packed
-        | None ->
-          (* The build reads the destination tree only at [u] and at
-             vertices strictly closer to [v] (boundary walks move
-             rootward), so stopping the search right after [u] settles
-             yields a bit-identical sequence to the dense store's. *)
-          let sq =
-            Dijkstra.with_spt_until ls.lws t.graph v ~until:u (fun spt_v ->
-                build_seq t.graph t.vic
-                  (fun w -> ls.lin_hset.(w))
-                  t.trees ~b:t.b ~src:u ~dst:v spt_v)
-          in
-          Hashtbl.replace ls.lcache (u, v) (encode_seq sq);
-          Queue.push (u, v) ls.lorder;
-          if Hashtbl.length ls.lcache > ls.lcap then
-            Hashtbl.remove ls.lcache (Queue.pop ls.lorder);
-          sq)
+    fetch ls t.graph ~src:u ~dst:v ~pack:pack_seq
+      ~unpack:(unpack_seq t.trees ~dst:v)
+      ~build:(build_seq t.graph t.vic t.trees ~b:t.b ~src:u ~dst:v)
 
 let initial_header t ~src ~dst =
   let sq = fetch_seq t ~src ~dst in
   { dst; hops = sq.hops; idx = 0; tail = sq.tail; in_tree = false }
 
-let header_words h =
-  let remaining = ref 2 in
-  for i = h.idx to Array.length h.hops - 1 do
-    remaining := !remaining + hop_words h.hops.(i)
-  done;
-  !remaining + tail_words h.tail
+let header_words h = remaining_words h.hops h.idx + tail_words h.tail
 
 let header_bits t h =
-  let id_bits = graph_id_bits t.graph in
-  let port_bits = graph_port_bits t.graph in
-  let acc = ref (id_bits + 1) in
-  for i = h.idx to Array.length h.hops - 1 do
-    acc := !acc + hop_bits ~id_bits ~port_bits h.hops.(i)
-  done;
-  (match h.tail with
-  | To_target -> ()
+  remaining_bits t.graph h.hops h.idx
+  +
+  match h.tail with
+  | To_target -> 0
   | To_tree (w, lbl) ->
     let tree = Compiled.Table.find t.trees w in
-    acc := !acc + id_bits + snd (Tree_routing.encode_label tree lbl));
-  !acc
+    graph_id_bits t.graph + snd (Tree_routing.encode_label tree lbl)
 
 let rec step t ~at h =
   if h.in_tree then begin
@@ -347,19 +232,18 @@ let route ?faults ?record_path ?detect_loops t ~src ~dst =
 
 (* The snapshot form drops exactly the marshal-hostile parts: the graph
    (the loader provides it), the vicinity family (frozen by the enclosing
-   scheme so physical sharing survives the round trip), and the lazy
-   store's runtime plumbing (mutex, workspace, cache — rebuilt empty,
-   which never changes an answer). The dense store and the hitting-set
-   tree table are plain data and ride the Marshal residue as-is. *)
+   scheme so physical sharing survives the round trip), and a lazy
+   store's runtime state (rebuilt empty, which never changes an answer).
+   The dense store and the hitting-set tree table are plain data and ride
+   the Marshal residue as-is. *)
 type frozen = (unit, unit, unit) state
 
-let freeze t =
-  { t with graph = (); vic = ();
-    store = (match t.store with Dense s -> Dense s | Lazy _ -> Lazy ()) }
+let freeze t = { t with graph = (); vic = (); store = freeze_store t.store }
 
 let thaw ~graph ~vicinities z =
   { z with graph; vic = vicinities;
-    store =
-      (match z.store with
-      | Dense s -> Dense s
-      | Lazy () -> Lazy (lazy_store ~n:(Graph.n graph) z.hset)) }
+    store = thaw_store ~n:(Graph.n graph) z.store }
+
+module For_testing = struct
+  let set_caps t = For_testing.set_caps t.store
+end

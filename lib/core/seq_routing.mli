@@ -23,8 +23,7 @@ type header
 val preprocess :
   ?substrate:Substrate.t ->
   ?eps:float ->
-  ?hitting:int list ->
-  ?mode:[ `Dense | `Lazy ] ->
+  ?mode:[ `Eager | `Lazy ] ->
   Graph.t ->
   vicinities:Vicinity.t array ->
   parts:int array array ->
@@ -32,19 +31,24 @@ val preprocess :
   t
 (** [preprocess g ~vicinities ~parts ~part_of] builds all sequences.
     [eps] defaults to 0.5. [vicinities] must be the [B(u, q~)] family the
-    caller already computed (it is shared with the enclosing scheme);
-    [hitting] overrides the greedy hitting set of the vicinity family.
-    [part_of.(v)] must be the index of the part containing [v], or [-1] for
-    vertices outside the partition (they can relay but not originate).
+    caller already computed (it is shared with the enclosing scheme); the
+    hitting set is the greedy one of that family. [part_of.(v)] must be
+    the index of the part containing [v], or [-1] for vertices outside
+    the partition (they can relay but not originate).
 
-    [mode] (default [`Dense]) picks the sequence store. [`Dense]
+    [mode] (default [`Eager]) picks the sequence store. [`Eager]
     precomputes every same-part pair's sequence — the reference, quadratic
-    in part sizes. [`Lazy] builds a sequence on first use from an
-    early-stopped Dijkstra rooted at the destination and keeps it packed
-    as int32 in a FIFO-capped cache; the hitting set and its trees stay
-    eager in both modes. Decisions are bit-identical across modes — cache
-    state never changes an answer. Lazy [table_words]/[breakdown] count
-    only the resident vicinity and tree-record entries.
+    in part sizes. [`Lazy] is the on-demand store Lemma 8 uses too: a
+    sequence is built on first use from the destination's shortest-path
+    tree and cached packed as int32 under a FIFO cap; the tree is built
+    by one full Dijkstra on the destination's first miss and kept as an
+    int32 parent array, under a recency-evicted cap of 1024 trees. A
+    destination here is any vertex of the source's part, so a stream over
+    more than 1024 destinations pays a full search on most misses. The
+    hitting set and its trees stay eager in both modes. Decisions are
+    bit-identical across modes — cache state never changes an answer.
+    Lazy [table_words]/[breakdown] count only the resident vicinity and
+    tree-record entries.
     @raise Invalid_argument if [eps] is not finite and positive, or if
     [g] is disconnected. *)
 
@@ -73,8 +77,6 @@ val route :
 (** End-to-end simulation through the port model; the simulator knobs
     default on (see {!Port_model.run}). *)
 
-val eps : t -> float
-
 val table_words : t -> int array
 (** Per-vertex table size in words: vicinity entries + per-tree routing
     records + stored sequences (including stored tree labels). *)
@@ -97,3 +99,14 @@ val freeze : t -> frozen
 val thaw : graph:Graph.t -> vicinities:Vicinity.t array -> frozen -> t
 (** [vicinities] must be the same family the instance was built with
     (the enclosing scheme thaws it once and passes it down). *)
+
+(** {1 Testing} *)
+
+module For_testing : sig
+  val set_caps : t -> pairs:int -> trees:int -> unit
+  (** [set_caps t ~pairs ~trees] lowers a lazy store's pair-cache and
+      tree-cache caps, so a short query stream exercises eviction. Call it
+      before the first route: eviction removes one entry per insertion.
+      A no-op on an eager store.
+      @raise Invalid_argument if a cap is below 1. *)
+end

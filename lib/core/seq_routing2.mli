@@ -23,7 +23,7 @@ type header
 val preprocess :
   ?substrate:Substrate.t ->
   ?eps:float ->
-  ?mode:[ `Dense | `Lazy ] ->
+  ?mode:[ `Eager | `Lazy ] ->
   Graph.t ->
   vicinities:Vicinity.t array ->
   parts:int array array ->
@@ -34,20 +34,21 @@ val preprocess :
     for every pair in [U_i x W_i]. [dests] must have the same length as
     [parts]. [eps] defaults to 0.5.
 
-    [mode] (default [`Dense]) picks the sequence store. [`Dense] is the
+    [mode] (default [`Eager]) picks the sequence store. [`Eager] is the
     reference: every pair's sequence precomputed and kept, Theta(sum_i
     |U_i| |W_i|) memory — fine at experimental sizes, quadratic death past
-    ~10^5. [`Lazy] precomputes nothing: a sequence is built on first use
-    from the destination's shortest-path tree and cached packed as int32
-    under a FIFO cap. The trees are cached too, one per destination (the
-    destination sets are small), as int32 parent arrays with distances
-    re-derived exactly along the parent chain, under a recency-evicted
-    cap of [4 n] bytes per tree times a fixed tree count; the first miss
-    for a destination runs its one Dijkstra, later misses read the
-    resident tree. Every routing decision is bit-identical between the
-    two modes — cache state never changes an answer — which the rt-scale
-    equivalence tests pin. Lazy [table_words]/[breakdown] count only the
-    resident vicinity entries.
+    ~10^5. [`Lazy] is the on-demand store Lemma 7 uses too: nothing is
+    precomputed, a sequence is built on first use from the destination's
+    shortest-path tree and cached packed as int32 under a FIFO cap. The
+    trees are cached too, one per destination (the destination sets are
+    small), as int32 parent arrays with distances re-derived exactly
+    along the parent chain, under a recency-evicted cap of [4 n] bytes
+    per tree times a fixed tree count; the first miss for a destination
+    runs its one Dijkstra, later misses read the resident tree. Every
+    routing decision is bit-identical between the two modes — cache
+    state never changes an answer — which the rt-scale equivalence tests
+    pin. Lazy [table_words]/[breakdown] count only the resident vicinity
+    entries.
     @raise Invalid_argument if [eps] is not finite and positive, if [g]
     is disconnected, or if some vicinity misses some part (the Lemma's
     hitting hypothesis). *)
@@ -75,8 +76,6 @@ val route :
 (** End-to-end simulation through the port model; the simulator knobs
     default on (see {!Port_model.run}). *)
 
-val eps : t -> float
-
 val table_words : t -> int array
 
 val max_sequence_hops : t -> int
@@ -103,15 +102,10 @@ val thaw : graph:Graph.t -> vicinities:Vicinity.t array -> frozen -> t
 (** {1 Testing} *)
 
 module For_testing : sig
-  val rederived_dists : Graph.t -> int -> float array
-  (** [rederived_dists g w] is every vertex's distance to [w] as the lazy
-      store re-derives it from the resident parent array of [w]'s tree —
-      bit-identical to [(Dijkstra.spt g w).dist] on a connected [g]. *)
-
   val set_caps : t -> pairs:int -> trees:int -> unit
   (** [set_caps t ~pairs ~trees] lowers a lazy store's pair-cache and
       tree-cache caps, so a short query stream exercises eviction. Call it
       before the first route: eviction removes one entry per insertion.
-      A no-op on a dense store.
+      A no-op on an eager store.
       @raise Invalid_argument if a cap is below 1. *)
 end

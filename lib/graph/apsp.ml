@@ -14,19 +14,13 @@ let quadratic_max_n () =
     | Some v when v > 0 -> v
     | _ -> default_quadratic_max_n)
 
-let quadratic_allowed () =
-  match Sys.getenv_opt "CR_ALLOW_QUADRATIC" with
-  | None | Some "" | Some "0" -> false
-  | Some _ -> true
-
 let guard_quadratic ~who n =
   let limit = quadratic_max_n () in
-  if n > limit && not (quadratic_allowed ()) then
+  if n > limit then
     failwith
       (Printf.sprintf
-         "%s: n = %d exceeds the O(n^2)-memory threshold %d; set \
-          CR_ALLOW_QUADRATIC=1 to proceed anyway, or raise the limit with \
-          CR_QUADRATIC_MAX_N"
+         "%s: n = %d exceeds the O(n^2)-memory threshold %d; raise it with \
+          CR_QUADRATIC_MAX_N to proceed anyway"
          who n limit)
 
 let compute ?caller ?pool g =

@@ -8,9 +8,8 @@ type t
 
 val guard_quadratic : who:string -> int -> unit
 (** [guard_quadratic ~who n] raises [Failure] when [n] exceeds the
-    O(n^2)-memory size threshold (default 8192; override with the
-    [CR_QUADRATIC_MAX_N] env var, or disable the guard entirely with
-    [CR_ALLOW_QUADRATIC=1]). Shared by every entry point that allocates a
+    O(n^2)-memory size threshold (default 8192; the [CR_QUADRATIC_MAX_N]
+    env var sets another). Shared by every entry point that allocates a
     full n-by-n matrix, so a million-vertex run fails fast with a clear
     message instead of OOM-ing. *)
 

@@ -71,11 +71,11 @@ type counters = {
       (** cached structures discarded by [Substrate.invalidate] because the
           delta could change them *)
   mutable lazy_seq_hits : int;
-      (** lazy Lemma 8 sequences served from the pair cache *)
+      (** lazy Lemma 7/8 sequences served from the pair cache *)
   mutable lazy_seq_misses : int;
-      (** lazy Lemma 8 sequences built on a pair-cache miss *)
+      (** lazy Lemma 7/8 sequences built on a pair-cache miss *)
   mutable lazy_tree_builds : int;
-      (** destination shortest-path trees the lazy Lemma 8 store computed
+      (** destination shortest-path trees the lazy Lemma 7/8 store computed
           (one Dijkstra each); at most one per destination until the tree
           cache evicts *)
 }

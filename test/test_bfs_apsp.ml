@@ -138,9 +138,9 @@ let test_io_load_error_position () =
       Graph_io.save g path;
       checkb "save/load roundtrip" true (Graph.edges (Graph_io.load path) = Graph.edges g))
 
-(* The O(n^2)-memory guard: a threshold from CR_QUADRATIC_MAX_N, an
-   override from CR_ALLOW_QUADRATIC, both restored to their defaults by
-   setting the empty string (the process cannot unset them). *)
+(* The O(n^2)-memory guard: a threshold from CR_QUADRATIC_MAX_N, restored
+   to its default by setting the empty string (the process cannot unset
+   it). *)
 let test_quadratic_guard () =
   let contains hay needle =
     let lh = String.length hay and ln = String.length needle in
@@ -149,9 +149,7 @@ let test_quadratic_guard () =
   in
   let g = Generators.path 100 in
   Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "CR_QUADRATIC_MAX_N" "";
-      Unix.putenv "CR_ALLOW_QUADRATIC" "")
+    ~finally:(fun () -> Unix.putenv "CR_QUADRATIC_MAX_N" "")
     (fun () ->
       Unix.putenv "CR_QUADRATIC_MAX_N" "64";
       checkb "Apsp.compute trips above the threshold" true
@@ -159,7 +157,7 @@ let test_quadratic_guard () =
            ignore (Apsp.compute g);
            false
          with Failure msg ->
-           contains msg "Apsp.compute" && contains msg "CR_ALLOW_QUADRATIC");
+           contains msg "Apsp.compute" && contains msg "CR_QUADRATIC_MAX_N");
       checkb "the guard message names the caller" true
         (try
            ignore (Apsp.compute ~caller:"rt-5eps stats oracle" g);
@@ -171,13 +169,12 @@ let test_quadratic_guard () =
            ignore (Cr_baselines.Full_tables.preprocess g);
            false
          with Failure msg -> contains msg "Full_tables.preprocess");
-      Unix.putenv "CR_ALLOW_QUADRATIC" "1";
+      Unix.putenv "CR_QUADRATIC_MAX_N" "128";
       checkb "override admits the build" true
         (try
            ignore (Apsp.compute g);
            true
          with Failure _ -> false);
-      Unix.putenv "CR_ALLOW_QUADRATIC" "";
       Unix.putenv "CR_QUADRATIC_MAX_N" "";
       checkb "defaults admit n=100" true
         (try

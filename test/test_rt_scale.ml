@@ -112,14 +112,18 @@ let test_2eps1_all_pairs () =
 (* --- cache eviction --- *)
 
 (* Eviction never changes an answer. The lazy instances' caches are shrunk
-   far below the stream's working set — Lemma 8 pair cache (FIFO), its
-   destination-tree cache (least recently read) and rt-5eps's cluster-tree
-   cache (FIFO) — so a Zipf stream keeps evicting and rebuilding, and every
-   outcome, path included, must still equal the eager instance's. The graph
-   is packed with float32 weights, so the lazy store's re-derived
-   distances are checked against the eager store's Dijkstra distances
-   over rounded weights. The telemetry counters prove the Lemma 8 caches
-   overflowed. *)
+   far below the stream's working set — the shared Lemma 7/8 pair cache
+   (FIFO), its destination-tree cache (least recently read) and rt-5eps's
+   cluster-tree cache (FIFO) — so a Zipf stream keeps evicting and
+   rebuilding, and every outcome, path included, must still equal the
+   eager instance's. Lemma 7 runs on its own over the colour classes of
+   the graph's vicinities, on the stream's same-class pairs, since
+   rt-2eps1 takes only unit weights. The graph is packed with float32
+   weights, so the lazy store's re-derived distances are checked against
+   the eager store's Dijkstra distances over rounded weights. The
+   telemetry counters prove the sequence caches evicted: the shrunk store
+   misses and builds trees more often than a store with the default caps
+   does on the same stream. *)
 let test_eviction_identical () =
   let g =
     Graph.pack ~float32:true
@@ -129,33 +133,66 @@ let test_eviction_identical () =
   let traffic = Traffic.create ~zipf:1.0 ~seed:12 ~n:700 () in
   let pairs = Traffic.pairs traffic ~count:3000 in
   let pair_cap = 16 and tree_cap = 3 in
-  let run name ~eager ~lazy_ =
+  let run name ~eager ~lazy_ ~uncapped pairs =
     let was_on = Telemetry.enabled () in
     Fun.protect
       ~finally:(fun () -> Telemetry.set_enabled was_on)
       (fun () ->
         Telemetry.set_enabled true;
         Telemetry.reset ();
-        compare_modes name ~eager ~lazy_ pairs;
+        List.iter (fun (u, v) -> ignore (uncapped ~src:u ~dst:v)) pairs;
+        let base = Telemetry.totals () in
+        Telemetry.reset ();
+        List.iter
+          (fun (u, v) ->
+            if eager ~src:u ~dst:v <> lazy_ ~src:u ~dst:v then
+              Alcotest.failf "%s: lazy diverges from eager on (src=%d, dst=%d)"
+                name u v)
+          pairs;
         let c = Telemetry.totals () in
         checkb (name ^ ": pair cache evicted") true
-          (c.Telemetry.lazy_seq_misses > pair_cap);
+          (c.Telemetry.lazy_seq_misses > base.Telemetry.lazy_seq_misses);
         checkb (name ^ ": tree cache evicted") true
-          (c.Telemetry.lazy_tree_builds > tree_cap))
+          (c.Telemetry.lazy_tree_builds > base.Telemetry.lazy_tree_builds))
   in
-  let lazy5 = Scheme5eps.preprocess ~mode:`Lazy ~seed:31 g in
-  Scheme5eps.For_testing.set_caps lazy5 ~pairs:pair_cap ~trees:tree_cap
+  let lazy5 () = Scheme5eps.preprocess ~mode:`Lazy ~seed:31 g in
+  let capped5 = lazy5 () in
+  Scheme5eps.For_testing.set_caps capped5 ~pairs:pair_cap ~trees:tree_cap
     ~cluster_trees:2;
   run "rt-5eps evicting"
     ~eager:
-      (Scheme5eps.instance (Scheme5eps.preprocess ~mode:`Eager ~seed:31 g))
-    ~lazy_:(Scheme5eps.instance lazy5);
-  let lazy4 = Scheme4km7.preprocess ~mode:`Lazy ~seed:31 g ~k:3 in
-  Scheme4km7.For_testing.set_caps lazy4 ~pairs:pair_cap ~trees:tree_cap;
+      (Scheme.route
+         (Scheme5eps.instance (Scheme5eps.preprocess ~mode:`Eager ~seed:31 g)))
+    ~lazy_:(Scheme.route (Scheme5eps.instance capped5))
+    ~uncapped:(Scheme.route (Scheme5eps.instance (lazy5 ())))
+    pairs;
+  let lazy4 () = Scheme4km7.preprocess ~mode:`Lazy ~seed:31 g ~k:3 in
+  let capped4 = lazy4 () in
+  Scheme4km7.For_testing.set_caps capped4 ~pairs:pair_cap ~trees:tree_cap;
   run "rt-4km7-k3 evicting"
     ~eager:
-      (Scheme4km7.instance (Scheme4km7.preprocess ~mode:`Eager ~seed:31 g ~k:3))
-    ~lazy_:(Scheme4km7.instance lazy4)
+      (Scheme.route
+         (Scheme4km7.instance (Scheme4km7.preprocess ~mode:`Eager ~seed:31 g ~k:3)))
+    ~lazy_:(Scheme.route (Scheme4km7.instance capped4))
+    ~uncapped:(Scheme.route (Scheme4km7.instance (lazy4 ())))
+    pairs;
+  let n = Graph.n g in
+  let q = Scheme_util.root_exp n (1.0 /. 3.0) in
+  let vic = Vicinity.compute_all g (Scheme_util.vicinity_size ~n ~q ~factor:1.0) in
+  let c = Scheme_util.color_vicinities ~seed:31 g vic ~colors:q in
+  let lemma7 mode =
+    Seq_routing.preprocess ~mode g ~vicinities:vic ~parts:c.Coloring.classes
+      ~part_of:c.Coloring.color
+  in
+  let capped7 = lemma7 `Lazy in
+  Seq_routing.For_testing.set_caps capped7 ~pairs:pair_cap ~trees:tree_cap;
+  run "Lemma 7 evicting"
+    ~eager:(Seq_routing.route (lemma7 `Eager))
+    ~lazy_:(Seq_routing.route capped7)
+    ~uncapped:(Seq_routing.route (lemma7 `Lazy))
+    (List.filter
+       (fun (u, v) -> u <> v && c.Coloring.color.(u) = c.Coloring.color.(v))
+       pairs)
 
 (* --- random-graph properties (CSR-seeded generators) --- *)
 

@@ -6,7 +6,7 @@ open Cr_core
 
 (* Build a Lemma 7 instance over the color classes of a Lemma 6 coloring of
    the vicinity family — exactly how the schemes of Section 4 use it. *)
-let make_instance ?(eps = 0.5) ~seed g =
+let make_instance ?(eps = 0.5) ?mode ~seed g =
   let n = Graph.n g in
   let q = max 1 (int_of_float (sqrt (float_of_int n))) in
   let l = min n (max (2 * q) 4) in
@@ -16,7 +16,7 @@ let make_instance ?(eps = 0.5) ~seed g =
   | Error e -> Alcotest.fail ("coloring: " ^ e)
   | Ok c ->
     let t =
-      Seq_routing.preprocess ~eps g ~vicinities:vic ~parts:c.classes
+      Seq_routing.preprocess ~eps ?mode g ~vicinities:vic ~parts:c.classes
         ~part_of:c.color
     in
     (t, c)
@@ -44,6 +44,27 @@ let check_part_pairs ?(eps = 0.5) g (t, (c : Coloring.t)) =
         part)
     c.classes;
   !ok
+
+(* The on-demand store must answer every same-part pair exactly as the
+   eager store of [make_instance ~seed g] does: the whole outcome, path
+   included, on the pair's first route (a cache miss) and its second (a
+   hit). *)
+let lazy_agrees ~seed g (eager, (c : Coloring.t)) =
+  let lazy_, _ = make_instance ~mode:`Lazy ~seed g in
+  Array.for_all
+    (fun part ->
+      Array.for_all
+        (fun u ->
+          Array.for_all
+            (fun v ->
+              u = v
+              ||
+              let o = Seq_routing.route eager ~src:u ~dst:v in
+              o = Seq_routing.route lazy_ ~src:u ~dst:v
+              && o = Seq_routing.route lazy_ ~src:u ~dst:v)
+            part)
+        part)
+    c.classes
 
 let test_zoo_unweighted () =
   List.iter
@@ -146,7 +167,61 @@ let prop_random_weighted =
       return (g, seed))
     (fun (g, seed) ->
       let inst = make_instance ~seed g in
-      check_part_pairs g inst)
+      check_part_pairs g inst && lazy_agrees ~seed g inst)
+
+(* Float32 weights: the store re-derives tree distances by summing the
+   rounded weights root outward, as Dijkstra did. *)
+let test_lazy_float32 () =
+  let g =
+    Graph.pack ~float32:true
+      (Generators.with_random_weights ~seed:7 ~lo:0.3 ~hi:9.7
+         (Generators.glp ~seed:8 150))
+  in
+  let inst = make_instance ~seed:41 g in
+  checkb "within 1+eps" true (check_part_pairs g inst);
+  checkb "on-demand = eager" true (lazy_agrees ~seed:41 g inst)
+
+(* With the default caps (8192 pairs, 1024 trees) and a stream that fits
+   both, the on-demand store builds exactly one tree per distinct
+   destination and one sequence per distinct pair; every repeat is a hit. *)
+let test_lazy_counters () =
+  let g =
+    Generators.with_random_weights ~seed:5 ~lo:1.0 ~hi:4.0
+      (Generators.glp ~seed:8 150)
+  in
+  let t, c = make_instance ~mode:`Lazy ~seed:41 g in
+  let parts =
+    List.filter (fun p -> Array.length p >= 2) (Array.to_list c.classes)
+    |> Array.of_list
+  in
+  let rng = Random.State.make [| 7 |] in
+  let pairs =
+    List.init 2000 (fun _ ->
+        let part = parts.(Random.State.int rng (Array.length parts)) in
+        let k = Array.length part in
+        let i = Random.State.int rng k in
+        let j = (i + 1 + Random.State.int rng (k - 1)) mod k in
+        (part.(i), part.(j)))
+  in
+  let was_on = Telemetry.enabled () in
+  let totals =
+    Fun.protect
+      ~finally:(fun () -> Telemetry.set_enabled was_on)
+      (fun () ->
+        Telemetry.set_enabled true;
+        Telemetry.reset ();
+        List.iter
+          (fun (u, v) ->
+            if not (Port_model.delivered (Seq_routing.route t ~src:u ~dst:v))
+            then Alcotest.failf "(src=%d, dst=%d) not delivered" u v)
+          pairs;
+        Telemetry.totals ())
+  in
+  let distinct = List.length (List.sort_uniq compare pairs) in
+  let dests = List.length (List.sort_uniq compare (List.map snd pairs)) in
+  checki "one tree per destination" dests totals.Telemetry.lazy_tree_builds;
+  checki "one miss per distinct pair" distinct totals.Telemetry.lazy_seq_misses;
+  checki "a hit per repeat" (2000 - distinct) totals.Telemetry.lazy_seq_hits
 
 let suite =
   [
@@ -159,4 +234,7 @@ let suite =
     case "header size bounded" test_header_words_bounded;
     prop_random_graphs;
     prop_random_weighted;
+    case "on-demand store = eager on a float32 graph" test_lazy_float32;
+    case "on-demand store counts one tree per destination, one miss per pair"
+      test_lazy_counters;
   ]

@@ -193,7 +193,7 @@ let test_rederived_order () =
   let g = Graph.of_edges [ (0, 1, 0.1); (1, 2, 0.2); (2, 3, 0.3) ] in
   checkb "root-outward sums" true
     (same_bits
-       (Seq_routing2.For_testing.rederived_dists g 0)
+       (Seq_common.For_testing.rederived_dists g 0)
        (Dijkstra.spt g 0).Dijkstra.dist)
 
 let prop_rederived_dists =
@@ -206,7 +206,7 @@ let prop_rederived_dists =
       List.for_all
         (fun w ->
           same_bits
-            (Seq_routing2.For_testing.rederived_dists g w)
+            (Seq_common.For_testing.rederived_dists g w)
             (Dijkstra.spt g w).Dijkstra.dist)
         (List.init (min 5 (Graph.n g)) Fun.id))
 
