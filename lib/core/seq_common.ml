@@ -109,9 +109,18 @@ let dense sub ~parts ~dests ~build ~words table_words =
 
 (* The on-demand store keeps no sequence up front: one is built on first
    use from the destination's shortest-path tree and kept packed in a
-   FIFO-capped pair cache. The trees are kept too, one per destination,
-   behind a recency-evicted cap: the first miss for [w] runs one full
-   Dijkstra from [w], every later miss for [w] reads the resident tree.
+   FIFO-capped pair cache. How a miss gets the tree is the owner's choice,
+   made by its tree cap:
+   - a positive cap keeps the trees, one per destination, least recently
+     read evicted past the cap: the first miss for [w] runs one full
+     Dijkstra from [w], every later miss for [w] reads the resident tree.
+     That suits few destinations (Lemma 8's centres).
+   - cap 0 keeps no tree: each miss runs one Dijkstra from [w] stopped
+     once the source settles. That suits an owner whose destinations are
+     too many to keep trees for (Lemma 7's, any vertex of the source's
+     part) and whose build reads the tree only at the source and its tree
+     ancestors: they settle no later than the source, with their final
+     distances and parents, so the build reads what a full run gives.
    Cache state never changes an answer — every build is a pure function
    of (u, w) — so routing decisions are identical to the dense store's,
    eviction order and domain interleaving included.
@@ -140,9 +149,9 @@ type 'i lazy_store = {
   order : (int * int) Queue.t;  (* FIFO eviction *)
   mutable cap : int;
   trees : (int, tree_entry) Hashtbl.t;  (* destination -> its tree *)
-  mutable tree_cap : int;
+  mutable tree_cap : int;       (* 0: keep none, search per miss *)
   mutable clock : int;          (* bumped per tree read *)
-  ws : Dijkstra.workspace;      (* tree builds *)
+  ws : Dijkstra.workspace;      (* tree builds and searches *)
   dist : float array;           (* re-derived distances, valid where ... *)
   stamp : int array;            (* ... [stamp.(v)] = [clock] *)
   mutable max_hops : int;       (* longest sequence built so far *)
@@ -152,13 +161,16 @@ type 'i lazy_store = {
    Contents never affect answers, only rebuild wall-clock. *)
 let lazy_cache_cap = 8192
 
-(* How many destination trees the store keeps before evicting the least
-   recently read one: at most 4 n lazy_tree_cap bytes — 4 GB at n = 10^6,
-   beside a ~56 GB build peak; 8 MB at n = 2000. *)
+(* How many destination trees a tree-keeping store holds before evicting
+   the least recently read one: at most 4 n lazy_tree_cap bytes — 4 GB at
+   n = 10^6, beside a ~56 GB build peak; 8 MB at n = 2000. *)
 let lazy_tree_cap = 1024
 
-(* An empty store; preprocess and thaw both start from one. *)
-let lazy_store ~n inputs =
+(* An empty store keeping at most [trees] destination trees; preprocess
+   and thaw both start from one. A store that keeps none has no distance
+   memo either. *)
+let lazy_store ~n ~trees inputs =
+  let memo = if trees > 0 then n else 0 in
   {
     inputs;
     mutex = Mutex.create ();
@@ -166,19 +178,19 @@ let lazy_store ~n inputs =
     order = Queue.create ();
     cap = lazy_cache_cap;
     trees = Hashtbl.create 64;
-    tree_cap = lazy_tree_cap;
+    tree_cap = trees;
     clock = 0;
     ws = Dijkstra.workspace n;
-    dist = Array.make n 0.0;
-    stamp = Array.make n (-1);
+    dist = Array.make memo 0.0;
+    stamp = Array.make memo (-1);
     max_hops = 0;
   }
 
 let freeze_store = function Dense s -> Dense s | Lazy ls -> Lazy ls.inputs
 
-let thaw_store ~n = function
+let thaw_store ~n ~trees = function
   | Dense s -> Dense s
-  | Lazy inputs -> Lazy (lazy_store ~n inputs)
+  | Lazy inputs -> Lazy (lazy_store ~n ~trees inputs)
 
 let pack ~term hops : packed =
   let nh = Array.length hops in
@@ -259,9 +271,10 @@ let tree_dist ls g parent =
   dist
 
 (* The sequence for [(src, dst)]: [unpack] of the cached entry, or on a
-   miss [build ~dist ~parent] over [dst]'s resident tree, cached as
-   [pack] of it. The lock is taken by hand, not through a closure, so a
-   hit allocates no more than its key and the unpacked sequence. *)
+   miss [build ~dist ~parent] over [dst]'s tree — resident, or searched
+   until [src] settles when the store keeps no tree — cached as [pack] of
+   it. The lock is taken by hand, not through a closure, so a hit
+   allocates no more than its key and the unpacked sequence. *)
 let fetch ls g ~src ~dst ~build ~pack ~unpack =
   Mutex.lock ls.mutex;
   match
@@ -277,8 +290,16 @@ let fetch ls g ~src ~dst ~build ~pack ~unpack =
         let c = Telemetry.counters_shard () in
         c.Telemetry.lazy_seq_misses <- c.Telemetry.lazy_seq_misses + 1
       end;
-      let parent = resident_tree ls g dst in
-      let sq = build ~dist:(tree_dist ls g parent) ~parent in
+      let sq =
+        if ls.tree_cap = 0 then
+          Dijkstra.with_spt_until ls.ws g dst ~until:src (fun spt ->
+              build ~dist:(Array.get spt.Dijkstra.dist)
+                ~parent:(Array.get spt.Dijkstra.parent))
+        else begin
+          let parent = resident_tree ls g dst in
+          build ~dist:(tree_dist ls g parent) ~parent
+        end
+      in
       let p = pack sq in
       Hashtbl.replace ls.cache (src, dst) p;
       Queue.push (src, dst) ls.order;
@@ -302,19 +323,20 @@ module For_testing = struct
      [(Dijkstra.spt g w).dist] on a connected [g]. *)
   let rederived_dists g w =
     let n = Graph.n g in
-    let ls = lazy_store ~n () in
+    let ls = lazy_store ~n ~trees:1 () in
     let parent = resident_tree ls g w in
     Array.init n (tree_dist ls g parent)
 
-  (* Lowers a lazy store's pair-cache and tree-cache caps, so a short
-     query stream exercises eviction; a no-op on a dense store. Call it
-     before the first route: eviction removes one entry per insertion. *)
-  let set_caps store ~pairs ~trees =
+  (* Lowers a lazy store's pair-cache cap and, if given, its tree-cache
+     cap, so a short query stream exercises eviction; a no-op on a dense
+     store, and a store that keeps no tree keeps none. Call it before the
+     first route: eviction removes one entry per insertion. *)
+  let set_caps ?(trees = max_int) store ~pairs =
     if pairs < 1 || trees < 1 then invalid_arg "Seq_common.set_caps";
     match store with
     | Dense _ -> ()
     | Lazy ls ->
       Mutex.protect ls.mutex (fun () ->
-          ls.cap <- pairs;
-          ls.tree_cap <- trees)
+          ls.cap <- min ls.cap pairs;
+          ls.tree_cap <- min ls.tree_cap trees)
 end

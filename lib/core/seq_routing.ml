@@ -12,11 +12,12 @@ type seq = { hops : hop array; tail : tail }
 
 (* The dense store is the reference; the lazy one is [Seq_common]'s
    on-demand store, with no decision inputs of its own (the part map and
-   the hitting-set trees are in the state). Its resident trees pay off
-   less than for Lemma 8, since a destination here is any vertex of the
-   source's part, not one of a few centres: once a stream's destinations
-   outnumber the tree cap, most misses pay a full search. The hitting set
-   and its trees stay eager in both modes: there are only O~(n/q~) of
+   the hitting-set trees are in the state). It keeps no destination tree:
+   a destination here is any vertex of the source's part, far too many
+   for resident trees to be read twice, so each miss runs one Dijkstra
+   from the destination stopped once the source settles ([build_seq]
+   reads the tree only at the source and its tree ancestors). The hitting
+   set and its trees stay eager in both modes: there are only O~(n/q~) of
    them, shared by every pair, and the escape-hatch labels embedded in
    sequences point into them. *)
 
@@ -58,7 +59,8 @@ let tail_words = function
    shortest path, advancing by at least s = d(u,v)/b per round, with the
    tree escape when the next boundary step falls under the threshold. The
    shortest-path tree of [v] is read through [dist] and [parent]; the
-   hitting set is the key set of [trees]. *)
+   hitting set is the key set of [trees]. It reads [dist] and [parent]
+   only at [u] and its tree ancestors. *)
 let build_seq g vic trees ~b ~src:u ~dst:v ~dist ~parent =
   let s = dist u /. float_of_int b in
   let rec go x acc rounds =
@@ -155,7 +157,7 @@ let preprocess ?substrate ?(eps = 0.5) ?(mode = `Eager) g ~vicinities ~parts
         ~build:(fun _ -> build_seq g vic trees ~b)
         ~words:(fun (sq : seq) -> 1 + seq_words sq.hops + tail_words sq.tail)
         table_words
-    | `Lazy -> (Lazy (lazy_store ~n ()), 0)
+    | `Lazy -> (Lazy (lazy_store ~n ~trees:0 ()), 0)
   in
   let breakdown =
     [
@@ -242,8 +244,8 @@ let freeze t = { t with graph = (); vic = (); store = freeze_store t.store }
 
 let thaw ~graph ~vicinities z =
   { z with graph; vic = vicinities;
-    store = thaw_store ~n:(Graph.n graph) z.store }
+    store = thaw_store ~n:(Graph.n graph) ~trees:0 z.store }
 
 module For_testing = struct
-  let set_caps t = For_testing.set_caps t.store
+  let set_pair_cap t ~pairs = For_testing.set_caps t.store ~pairs
 end

@@ -39,13 +39,11 @@ val preprocess :
     [mode] (default [`Eager]) picks the sequence store. [`Eager]
     precomputes every same-part pair's sequence — the reference, quadratic
     in part sizes. [`Lazy] is the on-demand store Lemma 8 uses too: a
-    sequence is built on first use from the destination's shortest-path
-    tree and cached packed as int32 under a FIFO cap; the tree is built
-    by one full Dijkstra on the destination's first miss and kept as an
-    int32 parent array, under a recency-evicted cap of 1024 trees. A
-    destination here is any vertex of the source's part, so a stream over
-    more than 1024 destinations pays a full search on most misses. The
-    hitting set and its trees stay eager in both modes. Decisions are
+    sequence is built on first use and cached packed as int32 under a
+    FIFO cap. Unlike Lemma 8's, this store keeps no destination tree: a
+    destination here is any vertex of the source's part, so each miss
+    runs one Dijkstra from the destination, stopped once the source
+    settles. The hitting set and its trees stay eager in both modes. Decisions are
     bit-identical across modes — cache state never changes an answer.
     Lazy [table_words]/[breakdown] count only the resident vicinity and
     tree-record entries.
@@ -103,10 +101,10 @@ val thaw : graph:Graph.t -> vicinities:Vicinity.t array -> frozen -> t
 (** {1 Testing} *)
 
 module For_testing : sig
-  val set_caps : t -> pairs:int -> trees:int -> unit
-  (** [set_caps t ~pairs ~trees] lowers a lazy store's pair-cache and
-      tree-cache caps, so a short query stream exercises eviction. Call it
-      before the first route: eviction removes one entry per insertion.
-      A no-op on an eager store.
-      @raise Invalid_argument if a cap is below 1. *)
+  val set_pair_cap : t -> pairs:int -> unit
+  (** [set_pair_cap t ~pairs] lowers a lazy store's pair-cache cap, so a
+      short query stream exercises eviction. Call it before the first
+      route: eviction removes one entry per insertion. A no-op on an
+      eager store.
+      @raise Invalid_argument if [pairs] is below 1. *)
 end

@@ -156,7 +156,8 @@ let preprocess ?substrate ?(eps = 0.5) ?(mode = `Eager) g ~vicinities ~parts
       Array.iteri
         (fun j ws -> Array.iter (fun w -> dest_group.(w) <- j) ws)
         dests;
-      (Lazy (lazy_store ~n { dest_group; part_of; d_min }), 0)
+      let inputs = { dest_group; part_of; d_min } in
+      (Lazy (lazy_store ~n ~trees:lazy_tree_cap inputs), 0)
   in
   {
     graph = g;
@@ -230,8 +231,8 @@ let freeze t = { t with graph = (); vic = (); store = freeze_store t.store }
 
 let thaw ~graph ~vicinities z =
   { z with graph; vic = vicinities;
-    store = thaw_store ~n:(Graph.n graph) z.store }
+    store = thaw_store ~n:(Graph.n graph) ~trees:lazy_tree_cap z.store }
 
 module For_testing = struct
-  let set_caps t = For_testing.set_caps t.store
+  let set_caps t ~pairs ~trees = For_testing.set_caps t.store ~pairs ~trees
 end

@@ -39,9 +39,9 @@ val preprocess :
     |U_i| |W_i|) memory — fine at experimental sizes, quadratic death past
     ~10^5. [`Lazy] is the on-demand store Lemma 7 uses too: nothing is
     precomputed, a sequence is built on first use from the destination's
-    shortest-path tree and cached packed as int32 under a FIFO cap. The
-    trees are cached too, one per destination (the destination sets are
-    small), as int32 parent arrays with distances re-derived exactly
+    shortest-path tree and cached packed as int32 under a FIFO cap.
+    Unlike Lemma 7's, this store keeps the trees too, one per destination
+    (the destination sets are small), as int32 parent arrays with distances re-derived exactly
     along the parent chain, under a recency-evicted cap of [4 n] bytes
     per tree times a fixed tree count; the first miss for a destination
     runs its one Dijkstra, later misses read the resident tree. Every

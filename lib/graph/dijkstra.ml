@@ -83,8 +83,15 @@ let reset ws =
    [scan] is a closure bound to the graph's CSR arrays, so the per-edge
    work reads them directly. A popped vertex's distance is read from
    [dist], which always equals its heap priority, and compared with its
-   limit in place, so a pop allocates nothing. *)
-let run_core ?limit ws g s =
+   limit in place, so a pop allocates nothing.
+
+   [stop_at] (default [-1], i.e. never) halts the search right after that
+   vertex is settled and scanned. The settled prefix is exactly the set of
+   vertices closer than [stop_at] under [(dist, id)] order, each with its
+   final distance and parent — the standard Dijkstra invariant — so a
+   caller that only reads vertices it knows settle before [stop_at] sees
+   data identical to a full run. *)
+let run_core ?(stop_at = -1) ?limit ws g s =
   ws.ws_gen <- ws.ws_gen + 1;
   let dist = ws.ws_dist
   and parent = ws.ws_parent
@@ -126,7 +133,8 @@ let run_core ?limit ws g s =
       settled.(u) <- true;
       order.(!count) <- u;
       incr count;
-      scan u
+      scan u;
+      if u = stop_at then continue := false
     end
     else dist.(u) <- infinity
     (* A rejected vertex keeps [infinity] so callers can treat it as
@@ -146,13 +154,15 @@ let borrowed_tree ws s count =
     order = Array.sub ws.ws_order 0 count;
   }
 
-let with_tree ?limit ws g s f =
-  let count = run_core ?limit ws g s in
+let with_tree ?stop_at ?limit ws g s f =
+  let count = run_core ?stop_at ?limit ws g s in
   Fun.protect
     ~finally:(fun () -> reset ws)
     (fun () -> f (borrowed_tree ws s count))
 
 let with_spt ws g s f = with_tree ws g s f
+
+let with_spt_until ws g s ~until f = with_tree ~stop_at:until ws g s f
 
 let with_restricted ws g w ~limit f = with_tree ~limit ws g w f
 

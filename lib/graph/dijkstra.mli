@@ -58,6 +58,16 @@ val with_spt : workspace -> Graph.t -> int -> (tree -> 'a) -> 'a
     A pop or a relaxation allocates nothing, here and in every borrowed
     search below: a run allocates its [order] and a constant. *)
 
+val with_spt_until :
+  workspace -> Graph.t -> int -> until:int -> (tree -> 'a) -> 'a
+(** [with_spt_until ws g s ~until f] runs the search of {!with_spt} but
+    stops right after settling (and scanning) vertex [until]. The borrowed
+    tree's [order] is the settled prefix: every vertex at most as close as
+    [until] under [(dist, id)] order, with final distances, parents and
+    ports identical to the full tree's; vertices beyond [until] read as
+    unreachable ([infinity]/[-1]). If [until] is not reachable from [s]
+    the search degenerates to a full [with_spt]. *)
+
 val with_restricted :
   workspace -> Graph.t -> int -> limit:float array -> (tree -> 'a) -> 'a
 (** [with_restricted ws g w ~limit f]: as {!restricted}, borrowed like

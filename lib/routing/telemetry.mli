@@ -75,7 +75,7 @@ type counters = {
   mutable lazy_seq_misses : int;
       (** lazy Lemma 7/8 sequences built on a pair-cache miss *)
   mutable lazy_tree_builds : int;
-      (** destination shortest-path trees the lazy Lemma 7/8 store computed
+      (** destination shortest-path trees the lazy Lemma 8 store computed
           (one Dijkstra each); at most one per destination until the tree
           cache evicts *)
 }

@@ -202,10 +202,10 @@ let test_truncated_allocation () =
 
 (* The same contract for the borrowed single-source searches: a pop, a
    limit test and a relaxation allocate nothing, so settling 50 more
-   vertices costs only their 50 words of [order]. The run settles the
-   first k vertices of the full tree: [with_restricted] under a limit
-   that admits exactly those k, every other vertex being rejected at its
-   pop. *)
+   vertices costs only their 50 words of [order]. The runs stop after the
+   first k vertices of the full tree: [with_spt_until] at the k-th, and
+   [with_restricted] under a limit that admits exactly those k, every
+   other vertex being rejected at its pop. *)
 let test_borrowed_search_allocation () =
   let g =
     Generators.with_random_weights ~seed:1 ~lo:1.0 ~hi:8.0 (Generators.glp ~seed:1 400)
@@ -222,6 +222,7 @@ let test_borrowed_search_allocation () =
     checki "settled" k c;
     Float.to_int w
   in
+  let until k f = Dijkstra.with_spt_until ws g 0 ~until:full.(k - 1) f in
   let restricted k f =
     let limit = Array.make n 0.0 in
     for i = 0 to k - 1 do
@@ -229,14 +230,15 @@ let test_borrowed_search_allocation () =
     done;
     Dijkstra.with_restricted ws g 0 ~limit f
   in
-  if Sys.backend_type = Sys.Native then begin
-    let w50 = words restricted 50 and w100 = words restricted 100 in
-    checkb
-      (Printf.sprintf "with_restricted: k=50: %d words, k=100: %d words" w50
-         w100)
-      true
-      (w100 - w50 <= 50 + 8)
-  end
+  if Sys.backend_type = Sys.Native then
+    List.iter
+      (fun (name, run) ->
+        let w50 = words run 50 and w100 = words run 100 in
+        checkb
+          (Printf.sprintf "%s: k=50: %d words, k=100: %d words" name w50 w100)
+          true
+          (w100 - w50 <= 50 + 8))
+      [ ("with_spt_until", until); ("with_restricted", restricted) ]
 
 let suite =
   [

@@ -16,12 +16,12 @@ let all_pairs n =
     (List.init n Fun.id)
 
 (* Full outcome equality (verdict, final, path, length, hops, header peak):
-   the modes must agree bit for bit, not just on delivery. *)
+   the modes must agree bit for bit, not just on delivery. [eager] and
+   [lazy_] route one pair each. *)
 let compare_modes name ~eager ~lazy_ pairs =
   List.iter
     (fun (u, v) ->
-      if Scheme.route eager ~src:u ~dst:v <> Scheme.route lazy_ ~src:u ~dst:v
-      then
+      if eager ~src:u ~dst:v <> lazy_ ~src:u ~dst:v then
         Alcotest.failf "%s: lazy diverges from eager on (src=%d, dst=%d)" name u
           v)
     pairs
@@ -53,7 +53,8 @@ let test_5eps_all_pairs () =
   let lazy_ =
     Scheme5eps.instance (Scheme5eps.preprocess ~mode:`Lazy ~seed:31 g)
   in
-  compare_modes "rt-5eps n=256" ~eager ~lazy_ (all_pairs 256);
+  compare_modes "rt-5eps n=256" ~eager:(Scheme.route eager)
+    ~lazy_:(Scheme.route lazy_) (all_pairs 256);
   compare_replay "rt-5eps n=256" ~lazy_ (sampled g)
 
 let test_5eps_sampled_2000 () =
@@ -67,7 +68,8 @@ let test_5eps_sampled_2000 () =
   let lazy_ =
     Scheme5eps.instance (Scheme5eps.preprocess ~mode:`Lazy ~seed:31 g)
   in
-  compare_modes "rt-5eps n=2000" ~eager ~lazy_ (sampled g)
+  compare_modes "rt-5eps n=2000" ~eager:(Scheme.route eager)
+    ~lazy_:(Scheme.route lazy_) (sampled g)
 
 (* --- Theorem 16 (4k-7, k=3) --- *)
 
@@ -82,7 +84,8 @@ let test_4km7_all_pairs () =
   let lazy_ =
     Scheme4km7.instance (Scheme4km7.preprocess ~mode:`Lazy ~seed:31 g ~k:3)
   in
-  compare_modes "rt-4km7-k3 n=220" ~eager ~lazy_ (all_pairs 220)
+  compare_modes "rt-4km7-k3 n=220" ~eager:(Scheme.route eager)
+    ~lazy_:(Scheme.route lazy_) (all_pairs 220)
 
 let test_4km7_sampled_2000 () =
   let g =
@@ -95,7 +98,8 @@ let test_4km7_sampled_2000 () =
   let lazy_ =
     Scheme4km7.instance (Scheme4km7.preprocess ~mode:`Lazy ~seed:31 g ~k:3)
   in
-  compare_modes "rt-4km7-k3 n=2000" ~eager ~lazy_ (sampled g)
+  compare_modes "rt-4km7-k3 n=2000" ~eager:(Scheme.route eager)
+    ~lazy_:(Scheme.route lazy_) (sampled g)
 
 (* --- Theorem 10 ((2+eps, 1), unweighted): lazy Lemma 7 store --- *)
 
@@ -107,23 +111,25 @@ let test_2eps1_all_pairs () =
   let lazy_ =
     Scheme2eps1.instance (Scheme2eps1.preprocess ~mode:`Lazy ~seed:31 g)
   in
-  compare_modes "rt-2eps1 n=240" ~eager ~lazy_ (all_pairs 240)
+  compare_modes "rt-2eps1 n=240" ~eager:(Scheme.route eager)
+    ~lazy_:(Scheme.route lazy_) (all_pairs 240)
 
 (* --- cache eviction --- *)
 
 (* Eviction never changes an answer. The lazy instances' caches are shrunk
    far below the stream's working set — the shared Lemma 7/8 pair cache
-   (FIFO), its destination-tree cache (least recently read) and rt-5eps's
-   cluster-tree cache (FIFO) — so a Zipf stream keeps evicting and
-   rebuilding, and every outcome, path included, must still equal the
+   (FIFO), Lemma 8's destination-tree cache (least recently read) and
+   rt-5eps's cluster-tree cache (FIFO) — so a Zipf stream keeps evicting
+   and rebuilding, and every outcome, path included, must still equal the
    eager instance's. Lemma 7 runs on its own over the colour classes of
    the graph's vicinities, on the stream's same-class pairs, since
    rt-2eps1 takes only unit weights. The graph is packed with float32
    weights, so the lazy store's re-derived distances are checked against
    the eager store's Dijkstra distances over rounded weights. The
-   telemetry counters prove the sequence caches evicted: the shrunk store
-   misses and builds trees more often than a store with the default caps
-   does on the same stream. *)
+   telemetry counters prove the caches evicted: the shrunk store misses
+   (and, keeping trees, builds trees) more often than a store with the
+   default caps does on the same stream. Lemma 7's store keeps no tree
+   and builds none. *)
 let test_eviction_identical () =
   let g =
     Graph.pack ~float32:true
@@ -133,27 +139,28 @@ let test_eviction_identical () =
   let traffic = Traffic.create ~zipf:1.0 ~seed:12 ~n:700 () in
   let pairs = Traffic.pairs traffic ~count:3000 in
   let pair_cap = 16 and tree_cap = 3 in
-  let run name ~eager ~lazy_ ~uncapped pairs =
+  let counted f =
     let was_on = Telemetry.enabled () in
     Fun.protect
       ~finally:(fun () -> Telemetry.set_enabled was_on)
       (fun () ->
         Telemetry.set_enabled true;
         Telemetry.reset ();
-        List.iter (fun (u, v) -> ignore (uncapped ~src:u ~dst:v)) pairs;
-        let base = Telemetry.totals () in
-        Telemetry.reset ();
-        List.iter
-          (fun (u, v) ->
-            if eager ~src:u ~dst:v <> lazy_ ~src:u ~dst:v then
-              Alcotest.failf "%s: lazy diverges from eager on (src=%d, dst=%d)"
-                name u v)
-          pairs;
-        let c = Telemetry.totals () in
-        checkb (name ^ ": pair cache evicted") true
-          (c.Telemetry.lazy_seq_misses > base.Telemetry.lazy_seq_misses);
-        checkb (name ^ ": tree cache evicted") true
-          (c.Telemetry.lazy_tree_builds > base.Telemetry.lazy_tree_builds))
+        f ();
+        Telemetry.totals ())
+  in
+  let run name ~eager ~lazy_ ~uncapped ~keeps_trees pairs =
+    let base =
+      counted (fun () ->
+          List.iter (fun (u, v) -> ignore (uncapped ~src:u ~dst:v)) pairs)
+    in
+    let c = counted (fun () -> compare_modes name ~eager ~lazy_ pairs) in
+    checkb (name ^ ": pair cache evicted") true
+      (c.Telemetry.lazy_seq_misses > base.Telemetry.lazy_seq_misses);
+    if keeps_trees then
+      checkb (name ^ ": tree cache evicted") true
+        (c.Telemetry.lazy_tree_builds > base.Telemetry.lazy_tree_builds)
+    else checki (name ^ ": no tree built") 0 c.Telemetry.lazy_tree_builds
   in
   let lazy5 () = Scheme5eps.preprocess ~mode:`Lazy ~seed:31 g in
   let capped5 = lazy5 () in
@@ -165,7 +172,7 @@ let test_eviction_identical () =
          (Scheme5eps.instance (Scheme5eps.preprocess ~mode:`Eager ~seed:31 g)))
     ~lazy_:(Scheme.route (Scheme5eps.instance capped5))
     ~uncapped:(Scheme.route (Scheme5eps.instance (lazy5 ())))
-    pairs;
+    ~keeps_trees:true pairs;
   let lazy4 () = Scheme4km7.preprocess ~mode:`Lazy ~seed:31 g ~k:3 in
   let capped4 = lazy4 () in
   Scheme4km7.For_testing.set_caps capped4 ~pairs:pair_cap ~trees:tree_cap;
@@ -175,7 +182,7 @@ let test_eviction_identical () =
          (Scheme4km7.instance (Scheme4km7.preprocess ~mode:`Eager ~seed:31 g ~k:3)))
     ~lazy_:(Scheme.route (Scheme4km7.instance capped4))
     ~uncapped:(Scheme.route (Scheme4km7.instance (lazy4 ())))
-    pairs;
+    ~keeps_trees:true pairs;
   let n = Graph.n g in
   let q = Scheme_util.root_exp n (1.0 /. 3.0) in
   let vic = Vicinity.compute_all g (Scheme_util.vicinity_size ~n ~q ~factor:1.0) in
@@ -185,11 +192,12 @@ let test_eviction_identical () =
       ~part_of:c.Coloring.color
   in
   let capped7 = lemma7 `Lazy in
-  Seq_routing.For_testing.set_caps capped7 ~pairs:pair_cap ~trees:tree_cap;
+  Seq_routing.For_testing.set_pair_cap capped7 ~pairs:pair_cap;
   run "Lemma 7 evicting"
     ~eager:(Seq_routing.route (lemma7 `Eager))
     ~lazy_:(Seq_routing.route capped7)
     ~uncapped:(Seq_routing.route (lemma7 `Lazy))
+    ~keeps_trees:false
     (List.filter
        (fun (u, v) -> u <> v && c.Coloring.color.(u) = c.Coloring.color.(v))
        pairs)
@@ -210,7 +218,8 @@ let prop_5eps_modes_identical =
       let lazy_ =
         Scheme5eps.instance (Scheme5eps.preprocess ~mode:`Lazy ~seed g)
       in
-      compare_modes "rt-5eps random" ~eager ~lazy_ (all_pairs n);
+      compare_modes "rt-5eps random" ~eager:(Scheme.route eager)
+        ~lazy_:(Scheme.route lazy_) (all_pairs n);
       true)
 
 let prop_4km7_modes_identical =
@@ -227,7 +236,8 @@ let prop_4km7_modes_identical =
       let lazy_ =
         Scheme4km7.instance (Scheme4km7.preprocess ~mode:`Lazy ~seed g ~k:3)
       in
-      compare_modes "rt-4km7-k3 random" ~eager ~lazy_ (all_pairs n);
+      compare_modes "rt-4km7-k3 random" ~eager:(Scheme.route eager)
+        ~lazy_:(Scheme.route lazy_) (all_pairs n);
       true)
 
 (* --- the packed vicinity family --- *)
